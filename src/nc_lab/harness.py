@@ -30,7 +30,7 @@ from .metrics import (
     compute_class_statistics,
     nc0_alpha,
 )
-from .models import MLPModel, UFMModel, ce_loss_and_grad, make_blob_dataset, one_hot
+from .models import MLPModel, UFMModel, ce_loss_from_logits, make_blob_dataset, one_hot
 from .optim import (
     _COUPLED_ONLY,
     _DECOUPLED_ONLY,
@@ -423,6 +423,13 @@ def _snapshot(epoch, lr_value, weight, feats, labels, num_classes, loss, acc) ->
     )
 
 
+def _loss_and_accuracy(weight, feats, targets, labels):
+    """Full-data loss and accuracy from one logits product."""
+    logits = weight @ feats
+    acc = float(np.mean(np.argmax(logits, axis=0) == labels))
+    return ce_loss_from_logits(logits, targets), acc
+
+
 def _status_from_records(records, epochs: int, num_classes: int) -> str:
     """"did_not_train" when accuracy never clears chance + 0.05 in the last
     80% of training."""
@@ -487,7 +494,7 @@ def run_training(config: ExperimentConfig, collect_rowsums: bool = False) -> Tra
     batch = n if config.batch_size is None else config.batch_size
     full_batch = batch >= n
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    y_full = one_hot(labels, k) if config.model_kind == "mlp" else None
+    y_full = one_hot(labels, k)
 
     def weight():
         return model.final_weight if config.model_kind == "mlp" else model.W
@@ -501,15 +508,9 @@ def run_training(config: ExperimentConfig, collect_rowsums: bool = False) -> Tra
             model.W = new_params[0]
 
     def full_eval():
-        if config.model_kind == "mlp":
-            feats = model.features(x_full)
-            loss, _, _ = ce_loss_and_grad(model.final_weight, feats, y_full)
-            acc = model.accuracy(x_full, labels)
-        else:
-            feats = model.H
-            loss = model.loss_and_grads()[0]
-            acc = model.accuracy()
-        return feats, float(loss), acc
+        feats = model.features(x_full) if config.model_kind == "mlp" else model.H
+        loss, acc = _loss_and_accuracy(weight(), feats, y_full, labels)
+        return feats, loss, acc
 
     opt = Optimizer(config.optimizer, params)
     records = []
@@ -667,29 +668,27 @@ def _run_training_oscillation(config: ExperimentConfig, collect_rowsums: bool,
         if collect_rowsums:
             rowsums.append((t, model.W.sum(axis=0).copy()))
         if t % config.metric_period == 0 or t == config.epochs:
-            loss, _, _ = model.loss_and_grads()
-            records.append(_snapshot(
-                t, eta, model.W, model.H, model.labels, k, float(loss), model.accuracy(),
-            ))
+            loss, acc = _loss_and_accuracy(model.W, model.H, model.Y, model.labels)
+            records.append(_snapshot(t, eta, model.W, model.H, model.labels, k, loss, acc))
 
     outcome = run_square_sign_descent(
-        k, config.optimizer.lr, config.optimizer.coupled_wd,
+        k, schedule.base_lr, config.optimizer.coupled_wd,
         shrink=schedule.shrink_factor, max_steps=config.epochs,
         stop_tol=None, observer=observe,
     )
     model = outcome["model"]
     loss0_model = UFMModel.fixed_features(k, init="zero")
-    loss0, _, _ = loss0_model.loss_and_grads()
-    first = _snapshot(0, config.optimizer.lr, loss0_model.W, loss0_model.H,
-                      loss0_model.labels, k, float(loss0), loss0_model.accuracy())
+    loss0, acc0 = _loss_and_accuracy(loss0_model.W, loss0_model.H, loss0_model.Y,
+                                     loss0_model.labels)
+    first = _snapshot(0, schedule.base_lr, loss0_model.W, loss0_model.H,
+                      loss0_model.labels, k, loss0, acc0)
     records.insert(0, first)
     if collect_rowsums:
         rowsums.insert(0, (0, loss0_model.W.sum(axis=0)))
     if records[-1].epoch != config.epochs:
-        loss, _, _ = model.loss_and_grads()
+        loss, acc = _loss_and_accuracy(model.W, model.H, model.Y, model.labels)
         records.append(_snapshot(
-            config.epochs, outcome["final_eta"], model.W, model.H, model.labels, k,
-            float(loss), model.accuracy(),
+            config.epochs, outcome["final_eta"], model.W, model.H, model.labels, k, loss, acc,
         ))
     status = _status_from_records(records, config.epochs, k)
     result = TrainResult(
@@ -753,7 +752,9 @@ class SweepResult:
 
 
 def run_sweep(base_config: ExperimentConfig, spec: SweepSpec) -> SweepResult:
-    """Run the full grid; individual failures are recorded, never fatal."""
+    """Run the full grid. A cell that fails with a DomainError, NumericError or
+    BudgetExceededError becomes an ``error`` row and the sweep goes on; any
+    other exception is a bug and propagates."""
     rows = []
     results = []
     base_sched = base_config.optimizer.schedule
@@ -783,7 +784,7 @@ def run_sweep(base_config: ExperimentConfig, spec: SweepSpec) -> SweepResult:
                             output_csv=None, output_summary=None,
                         )
                         res = run_training(cfg)
-                    except Exception as exc:   # a failed cell must not kill the sweep
+                    except (DomainError, NumericError, BudgetExceededError) as exc:
                         row["status"] = "error"
                         row["error"] = f"{type(exc).__name__}: {exc}"
                         rows.append(row)

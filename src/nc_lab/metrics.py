@@ -17,6 +17,7 @@ Inputs may be DenseMatrix values or plain arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -151,13 +152,19 @@ class ClassStatistics:
         return self.class_means.shape[1]
 
 
+def _class_means(data: LabeledFeatures) -> np.ndarray:
+    """p x K matrix whose column c is the mean feature of class c."""
+    h, y = data.features, data.labels
+    means = np.empty((h.shape[0], data.num_classes))
+    for c in range(data.num_classes):
+        means[:, c] = h[:, y == c].mean(axis=1)
+    return means
+
+
 def compute_class_statistics(data: LabeledFeatures) -> ClassStatistics:
     """Class means, their centered versions, and both scatter matrices."""
     h, y, k = data.features, data.labels, data.num_classes
-    p = h.shape[0]
-    means = np.empty((p, k))
-    for c in range(k):
-        means[:, c] = h[:, y == c].mean(axis=1)
+    means = _class_means(data)
     global_mean = means.mean(axis=1)
     centered = means - global_mean[:, None]
     sigma_b = centered @ centered.T / k
@@ -295,23 +302,56 @@ def nc3_alignment(w, stats: ClassStatistics) -> float:
     return float(np.linalg.norm(w / wn - mt / mn)) / (k * p)
 
 
-def nc4_agreement(w, data: LabeledFeatures, test_features=None) -> float:
+# Columns per block when near-ties are settled by direct distances; bounds
+# that block's p x K x columns difference tensor to 2**20 float64 values.
+_DIRECT_BLOCK_VALUES = 2**20
+
+
+def _nearest_mean(h: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Index of the nearest column of ``means`` for each column of ``h``.
+
+    Distances are ranked in Gram form, ||mu_c||^2 - 2 mu_c^T h, which needs
+    one K x p by p x N product and O(KN) memory. A sample whose best Gram
+    value is within rounding of another class's (an exact tie, or cancellation
+    when the features sit far from the origin) is decided by the direct
+    squared distance sum_p (h - mu_c)^2 instead, so the result equals a
+    direct-distance argmin, ties going to the lowest class index.
+    """
+    p, k = means.shape
+    sq_norms = np.einsum("pk,pk->k", means, means)
+    gram = sq_norms[:, None] - 2.0 * (means.T @ h)
+    nearest = np.argmin(gram, axis=0)
+    # The rounding error of either distance form is below (p + 3) * eps *
+    # (||h|| + max ||mu||)^2, so a Gram gap above four times that bound is
+    # a decision both forms share. A column holding a non-finite value has
+    # no entry within the slack and is decided directly as well.
+    reach = np.sqrt(np.einsum("pn,pn->n", h, h)) + np.sqrt(sq_norms.max())
+    slack = 4.0 * (p + 3) * np.finfo(np.float64).eps * reach**2
+    gram -= gram[nearest, np.arange(h.shape[1])]
+    unsure = np.flatnonzero(np.count_nonzero(gram <= slack, axis=0) != 1)
+    block = max(1, _DIRECT_BLOCK_VALUES // max(1, p * k))
+    for start in range(0, unsure.size, block):
+        cols = unsure[start:start + block]
+        diff = h[:, None, cols] - means[:, :, None]
+        nearest[cols] = np.argmin(np.einsum("pkn,pkn->kn", diff, diff), axis=0)
+    return nearest
+
+
+def nc4_agreement(w, data: LabeledFeatures, test_features=None,
+                  class_means: Optional[np.ndarray] = None) -> float:
     """Fraction of samples where argmax_k <w_k, h> equals the nearest
     (uncentered) class-mean decision. Ties resolve to the lowest class index
     on both sides. ``test_features`` defaults to the training features.
+    ``class_means`` (p x K) are the training class means, when the caller
+    already has them; otherwise they are computed from ``data``.
     """
     w = as_array(w)
     h = data.features if test_features is None else as_array(test_features)
     if w.shape[1] != h.shape[0]:
         raise ShapeError(f"W is {w.shape} but features are {h.shape}")
-    means = np.empty((h.shape[0], data.num_classes))
-    for c in range(data.num_classes):
-        means[:, c] = data.features[:, data.labels == c].mean(axis=1)
+    means = _class_means(data) if class_means is None else class_means
     linear = np.argmax(w @ h, axis=0)
-    diff = h[:, None, :] - means[:, :, None]
-    dist2 = np.einsum("pkn,pkn->kn", diff, diff)
-    nearest = np.argmin(dist2, axis=0)
-    return float(np.mean(linear == nearest))
+    return float(np.mean(linear == _nearest_mean(h, means)))
 
 
 def all_metrics(w, data: LabeledFeatures, test_features=None) -> dict:
@@ -345,6 +385,6 @@ def all_metrics(w, data: LabeledFeatures, test_features=None) -> dict:
     guarded("nc2wa", nc2w_angles, w)
     guarded("nc2m", nc2m_duality, w, stats)
     guarded("nc3", nc3_alignment, w, stats)
-    out["nc4"] = nc4_agreement(w, data, test_features)
+    out["nc4"] = nc4_agreement(w, data, test_features, stats.class_means)
     out["flags"] = {"sigma_b_degenerate": sigma_b_degenerate, "skipped": skipped}
     return out

@@ -28,6 +28,7 @@ __all__ = [
     "one_hot",
     "softmax_columns",
     "ce_loss_and_grad",
+    "ce_loss_from_logits",
     "UFMModel",
     "ufm_loss_and_grads",
     "MLPModel",
@@ -67,16 +68,24 @@ def ce_loss_and_grad(w, x, y):
         raise ShapeError(f"W {w.shape} does not left-multiply X {x.shape}")
     if y.shape != (w.shape[0], x.shape[1]):
         raise ShapeError(f"Y must be {w.shape[0]}x{x.shape[1]}, got {y.shape}")
-    n = x.shape[1]
-    z = w @ x
+    loss, e, total = _ce_terms(w @ x, y)
+    delta = (e / total - y) / x.shape[1]
+    return loss, delta @ x.T, w.T @ delta
+
+
+def _ce_terms(z: np.ndarray, y: np.ndarray):
+    """(mean cross-entropy, exp of the max-shifted logits, their column sums)."""
     shifted = z - z.max(axis=0, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=0, keepdims=True)
     log_p = shifted - np.log(total)
-    loss = -float((y * log_p).sum()) / n
-    s = e / total
-    delta = (s - y) / n
-    return loss, delta @ x.T, w.T @ delta
+    return -float((y * log_p).sum()) / z.shape[1], e, total
+
+
+def ce_loss_from_logits(z, y) -> float:
+    """Mean cross-entropy of softmax(Z) against one-hot targets Y, for
+    logits Z = W X already computed; equal to ce_loss_and_grad's loss."""
+    return _ce_terms(as_array(z), as_array(y))[0]
 
 
 class UFMModel:
@@ -142,12 +151,6 @@ class UFMModel:
             h, y = self.H[:, columns], self.Y[:, columns]
         loss, grad_w, grad_h = ce_loss_and_grad(self.W, h, y)
         return loss, grad_w, (grad_h if self.feature_trainable else None)
-
-    def logits(self) -> np.ndarray:
-        return self.W @ self.H
-
-    def accuracy(self) -> float:
-        return float(np.mean(np.argmax(self.logits(), axis=0) == self.labels))
 
     def features(self) -> np.ndarray:
         return self.H

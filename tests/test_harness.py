@@ -249,6 +249,17 @@ def test_ufm_oscillation_decay_run():
     assert result.records[-1].epoch == 400
 
 
+def test_oscillation_decay_trains_at_schedule_base_lr():
+    sched = LRSchedule(kind="oscillation_decay", base_lr=0.1, shrink_factor=0.5)
+    opt = OptimizerConfig(kind="signgd_coupled", lr=0.5, coupled_wd=0.5, schedule=sched)
+    cfg = ExperimentConfig(model_kind="ufm_fixed_features", init="zero", num_classes=4,
+                           epochs=1, metric_period=1, optimizer=opt)
+    result = run_training(cfg)
+    assert [r.lr for r in result.records] == [0.1, 0.1]
+    # The first coupled sign step from W = 0 moves every entry by the step size.
+    assert np.max(np.abs(result.model.W)) == pytest.approx(0.1, abs=1e-15)
+
+
 def test_oscillation_routing_errors():
     osc = LRSchedule(kind="oscillation_decay", base_lr=0.1, shrink_factor=0.5)
     bad_model = _mlp_config(
@@ -304,6 +315,22 @@ def test_sweep_records_failures_without_aborting():
     assert bad["lr"] == -1.0
     assert bad["error"]
     assert sweep.results[sweep.rows.index(bad)] is None
+
+
+def test_sweep_records_domain_error_raised_inside_training():
+    base = _mlp_config(epochs=5, batch_size=1000)
+    spec = SweepSpec(kinds=("sgd_coupled",), lrs=(0.05,), momenta=(0.0,), wds=(0.01,))
+    sweep = run_sweep(base, spec)
+    assert [row["status"] for row in sweep.rows] == ["error"]
+    assert sweep.rows[0]["error"].startswith("DomainError: batch_size 1000")
+    assert sweep.results == [None]
+
+
+def test_sweep_surfaces_programming_errors():
+    base = _mlp_config(epochs=5)
+    spec = SweepSpec(kinds=("sgd_coupled",), lrs=("0.1",), momenta=(0.0,), wds=(0.01,))
+    with pytest.raises(TypeError):
+        run_sweep(base, spec)
 
 
 def test_sweep_momentum_ordering_follows_spectral_radius():

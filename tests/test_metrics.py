@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from nc_lab.metrics import (
     nc4_agreement,
     simplex_etf,
 )
-from nc_lab.metrics import _angle_deviation
+from nc_lab.metrics import _angle_deviation, _nearest_mean
 from nc_lab.models import make_blob_dataset, make_nc_solution
 
 
@@ -282,6 +284,91 @@ def test_nc4_held_out_features():
     data = LabeledFeatures(etf, np.arange(k), k)
     test = 0.5 * etf
     assert nc4_agreement(etf.T, data, test_features=test) == 1.0
+
+
+def _nc4_reference(w, data, test_features=None):
+    """nc4 from the p x K x N difference tensor (the direct distance form)."""
+    w = np.asarray(w, dtype=float)
+    h = data.features if test_features is None else np.asarray(test_features, dtype=float)
+    means = np.empty((h.shape[0], data.num_classes))
+    for c in range(data.num_classes):
+        means[:, c] = data.features[:, data.labels == c].mean(axis=1)
+    linear = np.argmax(w @ h, axis=0)
+    diff = h[:, None, :] - means[:, :, None]
+    dist2 = np.einsum("pkn,pkn->kn", diff, diff)
+    nearest = np.argmin(dist2, axis=0)
+    return float(np.mean(linear == nearest)), nearest
+
+
+def _random_labeled(rng, k, p, n, offset):
+    labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+    rng.shuffle(labels)
+    feats = rng.standard_normal((p, n)) + offset
+    return LabeledFeatures(feats, labels, k)
+
+
+def test_nc4_gram_form_equals_direct_reference_on_random_inputs():
+    rng = np.random.default_rng(2024)
+    for case in range(240):
+        k = int(rng.integers(2, 13))
+        p = int(rng.integers(1, 41))
+        n = int(rng.integers(k, 160))
+        # Offsets far from the origin make the Gram form cancel; those
+        # samples must still be decided as the direct form decides them.
+        offset = [0.0, 0.0, 3.0, 1e4, 1e7][case % 5]
+        data = _random_labeled(rng, k, p, n, offset)
+        w = rng.standard_normal((k, p))
+        test = None
+        if case % 2:
+            test = rng.standard_normal((p, int(rng.integers(1, 80)))) + offset
+        ref_value, ref_nearest = _nc4_reference(w, data, test)
+        h = data.features if test is None else test
+        means = np.stack([data.features[:, data.labels == c].mean(axis=1)
+                          for c in range(k)], axis=1)
+        assert np.array_equal(_nearest_mean(h, means), ref_nearest), case
+        assert nc4_agreement(w, data, test_features=test) == ref_value, case
+        if test is None:
+            assert all_metrics(w, data)["nc4"] == ref_value, case
+
+
+def test_nc4_exact_ties_go_to_lowest_class_index():
+    rng = np.random.default_rng(8)
+    # Classes 2 and 4 hold the same samples, so their means are equal.
+    block = rng.standard_normal((6, 7)) + 8.0
+    feats = np.concatenate([rng.standard_normal((6, 7)) + 3.0, rng.standard_normal((6, 7)),
+                            block, rng.standard_normal((6, 7)) - 3.0, block], axis=1)
+    labels = np.repeat(np.arange(5), 7)
+    data = LabeledFeatures(feats, labels, 5)
+    means = np.stack([feats[:, labels == c].mean(axis=1) for c in range(5)], axis=1)
+    assert np.array_equal(means[:, 2], means[:, 4])
+    nearest = _nearest_mean(feats, means)
+    ref_value, ref_nearest = _nc4_reference(np.eye(5, 6), data)
+    assert np.array_equal(nearest, ref_nearest)
+    assert not np.any(nearest == 4)
+    assert np.all(nearest[labels == 4] == 2)
+    assert nc4_agreement(np.eye(5, 6), data) == ref_value
+    # Points on the bisector of two means are an exact tie in both forms.
+    sym = LabeledFeatures(np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 5.0]]), np.arange(3), 3)
+    bisector = np.array([[0.0, 0.0, 0.0], [-3.0, 1.75, 0.5]])
+    assert np.array_equal(_nearest_mean(bisector, sym.features), [0, 0, 0])
+    w = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+    assert nc4_agreement(w, sym, test_features=bisector) == \
+        _nc4_reference(w, sym, bisector)[0]
+
+
+def test_nc4_memory_stays_linear_in_samples():
+    rng = np.random.default_rng(0)
+    k, p, n = 100, 256, 5000
+    data = _random_labeled(rng, k, p, n, 0.0)
+    w = rng.standard_normal((k, p))
+    tracemalloc.start()
+    try:
+        nc4_agreement(w, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The difference tensor alone would be p * K * N * 8 bytes, about 1 GB.
+    assert peak < 32 * 2**20
 
 
 def test_collapse_chain_on_constructed_solutions():

@@ -9,6 +9,7 @@ from nc_lab.models import (
     MLPModel,
     UFMModel,
     ce_loss_and_grad,
+    ce_loss_from_logits,
     make_blob_dataset,
     make_nc_solution,
     one_hot,
@@ -135,6 +136,16 @@ def test_ufm_trainable_returns_feature_grad():
     assert np.isfinite(loss)
     sub = model.loss_and_grads(np.array([0, 3, 5]))
     assert sub[2].shape == (5, 3)
+
+
+def test_ce_loss_from_logits_equals_ce_loss_and_grad_bits():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        k, p, n = (int(v) for v in rng.integers(2, 12, size=3))
+        w = rng.standard_normal((k, p)) * rng.uniform(0.1, 30.0)
+        x = rng.standard_normal((p, n))
+        y = one_hot(rng.integers(0, k, size=n), k)
+        assert ce_loss_from_logits(w @ x, y) == ce_loss_and_grad(w, x, y)[0]
 
 
 def test_mlp_zero_depth_reduces_to_linear_classifier():
