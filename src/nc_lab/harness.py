@@ -471,7 +471,6 @@ def run_training(config: ExperimentConfig, collect_rowsums: bool = False) -> Tra
         model = UFMModel.create(
             k, config.dim, config.per_class,
             seed=config.seed, init_scale=config.init_scale,
-            l2_lambda=config.optimizer.weight_decay,
         )
         if config.init == "zero":
             model.W = np.zeros_like(model.W)
@@ -482,7 +481,6 @@ def run_training(config: ExperimentConfig, collect_rowsums: bool = False) -> Tra
         init = "gaussian" if config.init == "gaussian" else "zero"
         model = UFMModel.fixed_features(
             k, init=init, seed=config.seed, init_scale=config.init_scale,
-            l2_lambda=config.optimizer.weight_decay,
         )
         dataset = None
         labels = model.labels
@@ -591,7 +589,7 @@ def run_square_sign_descent(num_classes: int, lr0: float, wd: float, shrink: flo
     called after every step.
     """
     k = num_classes
-    model = UFMModel.fixed_features(k, init="zero", l2_lambda=wd)
+    model = UFMModel.fixed_features(k, init="zero")
     w = model.W
     opt_state = OptimizerState.initial(w)
     state = oracles.CoupledSignState(eta=lr0)
@@ -1102,7 +1100,7 @@ def check_decoupled_sign_plateau(num_classes: int = 10, lr: float = 0.1, wd: flo
     """Decoupled sign descent from W = 0 on the square frozen-feature
     geometry: alpha must climb the exact closed form to (K-2)^2 / wd^2."""
     k = num_classes
-    model = UFMModel.fixed_features(k, init="zero", l2_lambda=wd)
+    model = UFMModel.fixed_features(k, init="zero")
     w = model.W
     opt_state = OptimizerState.initial(w)
     expected_sign = np.ones((k, k)) - 2.0 * np.eye(k)

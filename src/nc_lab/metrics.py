@@ -27,7 +27,6 @@ from .linalg import as_array, pseudo_inverse
 __all__ = [
     "LabeledFeatures",
     "ClassStatistics",
-    "SimplexETF",
     "simplex_etf",
     "compute_class_statistics",
     "nc0_metric",
@@ -67,14 +66,6 @@ METRIC_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class SimplexETF:
-    """The K-class simplex equiangular tight frame (1/sqrt(K-1)) (I - J/K)."""
-
-    num_classes: int
-    matrix: np.ndarray
-
-
 def simplex_etf(num_classes: int) -> np.ndarray:
     """Return the K x K simplex ETF matrix for K >= 2 classes.
 
@@ -89,7 +80,13 @@ def simplex_etf(num_classes: int) -> np.ndarray:
 
 
 class LabeledFeatures:
-    """Feature matrix (p x N, one column per sample) with integer labels."""
+    """Feature matrix (p x N, one column per sample) with integer labels.
+
+    The class means and the ClassStatistics are computed on first request and
+    kept, read-only, so every metric of a snapshot shares one computation.
+    The features and labels must therefore not be changed after construction;
+    build a new LabeledFeatures for new features.
+    """
 
     def __init__(self, features, labels, num_classes: int):
         f = as_array(features)
@@ -117,6 +114,8 @@ class LabeledFeatures:
         self.labels = labels
         self.num_classes = k
         self.per_class_counts = counts
+        self._means: Optional[np.ndarray] = None
+        self._stats: Optional[ClassStatistics] = None
 
     @property
     def dim(self) -> int:
@@ -129,6 +128,13 @@ class LabeledFeatures:
     @property
     def balanced(self) -> bool:
         return bool(np.all(self.per_class_counts == self.per_class_counts[0]))
+
+    @property
+    def class_means(self) -> np.ndarray:
+        """p x K matrix whose column c is the mean feature of class c."""
+        if self._means is None:
+            self._means = _read_only(_class_means(self))
+        return self._means
 
 
 @dataclass
@@ -152,6 +158,11 @@ class ClassStatistics:
         return self.class_means.shape[1]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _class_means(data: LabeledFeatures) -> np.ndarray:
     """p x K matrix whose column c is the mean feature of class c."""
     h, y = data.features, data.labels
@@ -161,23 +172,34 @@ def _class_means(data: LabeledFeatures) -> np.ndarray:
     return means
 
 
+def _scatter(vectors: np.ndarray, count: int) -> np.ndarray:
+    """p x p scatter ``vectors @ vectors.T / count`` of the given columns."""
+    return vectors @ vectors.T / count
+
+
 def compute_class_statistics(data: LabeledFeatures) -> ClassStatistics:
-    """Class means, their centered versions, and both scatter matrices."""
-    h, y, k = data.features, data.labels, data.num_classes
-    means = _class_means(data)
-    global_mean = means.mean(axis=1)
-    centered = means - global_mean[:, None]
-    sigma_b = centered @ centered.T / k
-    dev = h - means[:, y]
-    sigma_w = dev @ dev.T / data.num_samples
-    return ClassStatistics(
-        class_means=means,
-        global_mean=global_mean,
-        centered_means=centered,
-        sigma_b=sigma_b,
-        sigma_w=sigma_w,
-        per_class_counts=data.per_class_counts.copy(),
-    )
+    """Class means, their centered versions, and both scatter matrices.
+
+    They are computed on the first call for ``data`` and kept; later calls
+    return the same read-only result.
+    """
+    if data._stats is None:
+        means = data.class_means
+        global_mean = means.mean(axis=1)
+        centered = means - global_mean[:, None]
+        # np.take gathers C-ordered like the features (means[:, y] is
+        # Fortran-ordered and would be walked transposed); subtract in place.
+        dev = np.take(means, data.labels, axis=1)
+        np.subtract(data.features, dev, out=dev)
+        data._stats = ClassStatistics(
+            class_means=means,
+            global_mean=_read_only(global_mean),
+            centered_means=_read_only(centered),
+            sigma_b=_read_only(_scatter(centered, data.num_classes)),
+            sigma_w=_read_only(_scatter(dev, data.num_samples)),
+            per_class_counts=_read_only(data.per_class_counts.copy()),
+        )
+    return data._stats
 
 
 def nc0_metric(w) -> float:
@@ -337,21 +359,18 @@ def _nearest_mean(h: np.ndarray, means: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def nc4_agreement(w, data: LabeledFeatures, test_features=None,
-                  class_means: Optional[np.ndarray] = None) -> float:
+def nc4_agreement(w, data: LabeledFeatures, test_features=None) -> float:
     """Fraction of samples where argmax_k <w_k, h> equals the nearest
-    (uncentered) class-mean decision. Ties resolve to the lowest class index
-    on both sides. ``test_features`` defaults to the training features.
-    ``class_means`` (p x K) are the training class means, when the caller
-    already has them; otherwise they are computed from ``data``.
+    (uncentered) training class-mean decision. Ties resolve to the lowest
+    class index on both sides. ``test_features`` defaults to the training
+    features.
     """
     w = as_array(w)
     h = data.features if test_features is None else as_array(test_features)
     if w.shape[1] != h.shape[0]:
         raise ShapeError(f"W is {w.shape} but features are {h.shape}")
-    means = _class_means(data) if class_means is None else class_means
     linear = np.argmax(w @ h, axis=0)
-    return float(np.mean(linear == _nearest_mean(h, means)))
+    return float(np.mean(linear == _nearest_mean(h, data.class_means)))
 
 
 def all_metrics(w, data: LabeledFeatures, test_features=None) -> dict:
@@ -385,6 +404,6 @@ def all_metrics(w, data: LabeledFeatures, test_features=None) -> dict:
     guarded("nc2wa", nc2w_angles, w)
     guarded("nc2m", nc2m_duality, w, stats)
     guarded("nc3", nc3_alignment, w, stats)
-    out["nc4"] = nc4_agreement(w, data, test_features, stats.class_means)
+    out["nc4"] = nc4_agreement(w, data, test_features)
     out["flags"] = {"sigma_b_degenerate": sigma_b_degenerate, "skipped": skipped}
     return out

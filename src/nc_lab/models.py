@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .linalg import as_array
-from .metrics import LabeledFeatures, simplex_etf
+from .metrics import simplex_etf
 
 __all__ = [
     "one_hot",
@@ -30,9 +30,7 @@ __all__ = [
     "ce_loss_and_grad",
     "ce_loss_from_logits",
     "UFMModel",
-    "ufm_loss_and_grads",
     "MLPModel",
-    "mlp_forward_backward",
     "SyntheticDataset",
     "make_blob_dataset",
     "make_nc_solution",
@@ -91,19 +89,17 @@ def ce_loss_from_logits(z, y) -> float:
 class UFMModel:
     """Linear classifier over directly trainable feature columns.
 
-    W is K x P, H is P x N with one column per sample. ``l2_lambda`` records
-    the decay constant associated with the run; it never enters the loss --
-    regularization acts through the optimizer's weight-decay step.
+    W is K x P, H is P x N with one column per sample. Nothing in the loss
+    regularizes; weight decay acts through the optimizer's step.
     """
 
     def __init__(self, w, h, labels, num_classes: int,
-                 feature_trainable: bool = True, l2_lambda: float = 0.0):
+                 feature_trainable: bool = True):
         self.W = as_array(w).copy()
         self.H = as_array(h).copy()
         self.labels = np.asarray(labels, dtype=np.int64)
         self.num_classes = int(num_classes)
         self.feature_trainable = bool(feature_trainable)
-        self.l2_lambda = float(l2_lambda)
         if self.W.shape[1] != self.H.shape[0]:
             raise ShapeError(f"W {self.W.shape} does not match H {self.H.shape}")
         if self.W.shape[0] != self.num_classes:
@@ -115,18 +111,18 @@ class UFMModel:
     @classmethod
     def create(cls, num_classes: int, feature_dim: int, per_class: int = 1,
                seed: int = 0, init_scale: float = 0.1,
-               feature_trainable: bool = True, l2_lambda: float = 0.0) -> "UFMModel":
+               feature_trainable: bool = True) -> "UFMModel":
         """Gaussian-initialized model with balanced labels 0..K-1 repeated."""
         rng = np.random.default_rng(seed)
         n = num_classes * per_class
         w = init_scale * rng.standard_normal((num_classes, feature_dim))
         h = init_scale * rng.standard_normal((feature_dim, n))
         labels = np.repeat(np.arange(num_classes), per_class)
-        return cls(w, h, labels, num_classes, feature_trainable, l2_lambda)
+        return cls(w, h, labels, num_classes, feature_trainable)
 
     @classmethod
     def fixed_features(cls, num_classes: int, init: str = "zero", seed: int = 0,
-                       init_scale: float = 0.1, l2_lambda: float = 0.0) -> "UFMModel":
+                       init_scale: float = 0.1) -> "UFMModel":
         """Square geometry P = N = K with H frozen at the simplex frame.
 
         ``init`` is "zero" (the closed-form trajectories start here) or
@@ -140,7 +136,7 @@ class UFMModel:
             w = init_scale * np.random.default_rng(seed).standard_normal((k, k))
         else:
             raise DomainError(f"unknown init {init!r}")
-        return cls(w, h, np.arange(k), k, feature_trainable=False, l2_lambda=l2_lambda)
+        return cls(w, h, np.arange(k), k, feature_trainable=False)
 
     def loss_and_grads(self, columns: Optional[np.ndarray] = None):
         """(loss, grad_W, grad_H-or-None), optionally restricted to a column
@@ -154,10 +150,6 @@ class UFMModel:
 
     def features(self) -> np.ndarray:
         return self.H
-
-
-def ufm_loss_and_grads(model: UFMModel):
-    return model.loss_and_grads()
 
 
 class MLPModel:
@@ -244,10 +236,6 @@ class MLPModel:
         return float(np.mean(pred == np.asarray(labels)))
 
 
-def mlp_forward_backward(model: MLPModel, x, y):
-    return model.forward_backward(x, y)
-
-
 @dataclass
 class SyntheticDataset:
     """Gaussian class blobs: features d x N (columns are samples)."""
@@ -256,9 +244,6 @@ class SyntheticDataset:
     labels: np.ndarray
     num_classes: int
     seed: int
-
-    def as_labeled_features(self) -> LabeledFeatures:
-        return LabeledFeatures(self.features, self.labels, self.num_classes)
 
     @property
     def num_samples(self) -> int:
@@ -305,7 +290,7 @@ def make_blob_dataset(num_classes: int, dim: int, per_class: int, margin: float 
     centers = directions * (4.0 * margin * np.sqrt(dim) / min_dist)
     labels = np.repeat(np.arange(num_classes), per_class)
     noise = rng.standard_normal((dim, labels.shape[0]))
-    features = centers[:, labels] + noise_std * noise
+    features = np.take(centers, labels, axis=1) + noise_std * noise
     return SyntheticDataset(features, labels, num_classes, seed)
 
 

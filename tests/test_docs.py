@@ -3,10 +3,22 @@
 import os
 import re
 
+from nc_lab.cli import main
 from nc_lab.harness import MODEL_KINDS
 from nc_lab.optim import OPTIMIZER_KINDS
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme() -> str:
+    with open(README, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _fenced_block(text: str, lead: str, lang: str) -> str:
+    """Body of the first ```lang block after ``lead``."""
+    start = text.index("```" + lang + "\n", text.index(lead)) + len(lang) + 4
+    return text[start:text.index("```", start)]
 
 
 def _backticked_after(text: str, lead: str, end: str) -> list:
@@ -16,7 +28,29 @@ def _backticked_after(text: str, lead: str, end: str) -> list:
 
 
 def test_readme_kind_lists_match_code():
-    with open(README, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _readme()
     assert sorted(_backticked_after(text, "Model kinds are ", ".")) == sorted(MODEL_KINDS)
     assert sorted(_backticked_after(text, "Optimizers are ", ";")) == sorted(OPTIMIZER_KINDS)
+
+
+def test_readme_quick_start_output_matches_code(tmp_path, capsys):
+    text = _readme()
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(_fenced_block(text, "## Quick start", "ini"), encoding="utf-8")
+    session = _fenced_block(text, "and train:", "sh").splitlines()
+    assert session[0] == "$ nc-lab train --config demo.cfg"
+    assert main(["train", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    shown = [line for line in session[1:] if line != "..."]
+    assert len(shown) == 3
+    for line, real in zip(shown, out):
+        prefix = line[:-3] if line.endswith("...") else line
+        assert real.startswith(prefix), (line, real)
+
+
+def test_readme_python_example_prints_collapsed_metrics(capsys):
+    code = _fenced_block(_readme(), "available programmatically", "python")
+    exec(compile(code, "README.md", "exec"), {})
+    nc2, nc3, nc4 = (float(v) for v in capsys.readouterr().out.split())
+    assert abs(nc2) < 1e-8 and abs(nc3) < 1e-8
+    assert nc4 == 1.0

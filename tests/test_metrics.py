@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nc_lab import metrics
 from nc_lab.errors import DomainError, ShapeError
 from nc_lab.metrics import (
     METRIC_KEYS,
@@ -468,3 +469,78 @@ def test_zero_weight_all_metrics():
     assert out["nc0_alpha"] == 0.0
     for key in ("nc0_normalized", "nc2w", "nc2wn", "nc2wa", "nc2m", "nc3"):
         assert out[key] is None
+
+
+_STAT_FIELDS = ("class_means", "global_mean", "centered_means", "sigma_b", "sigma_w",
+                "per_class_counts")
+
+
+def _class_statistics_reference(h, labels, k):
+    """(means, centered, sigma_b, sigma_w) with a boolean mask per class and
+    the Fortran-ordered gather means[:, labels]."""
+    means = np.empty((h.shape[0], k))
+    for c in range(k):
+        means[:, c] = h[:, labels == c].mean(axis=1)
+    centered = means - means.mean(axis=1)[:, None]
+    dev = h - means[:, labels]
+    return means, centered, centered @ centered.T / k, dev @ dev.T / h.shape[1]
+
+
+def test_kept_class_statistics_equal_a_fresh_computation_bitwise():
+    rng = np.random.default_rng(505)
+    for case in range(60):
+        k = int(rng.integers(2, 20))
+        p = int(rng.integers(1, 60))
+        counts = 1 + rng.permutation(k) * int(rng.integers(1, 6))
+        labels = np.repeat(np.arange(k), counts)
+        rng.shuffle(labels)
+        feats = rng.standard_normal((p, labels.size)) + [0.0, 3.0, 1e4][case % 3]
+        data = LabeledFeatures(feats, labels, k)
+        assert not data.balanced
+        all_metrics(rng.standard_normal((k, p)), data)
+        kept = compute_class_statistics(data)
+        assert compute_class_statistics(data) is kept
+        fresh = compute_class_statistics(LabeledFeatures(feats.copy(), labels.copy(), k))
+        for name in _STAT_FIELDS:
+            assert np.array_equal(getattr(kept, name), getattr(fresh, name)), (case, name)
+        ref = _class_statistics_reference(feats, labels, k)
+        got = (kept.class_means, kept.centered_means, kept.sigma_b, kept.sigma_w)
+        for name, a, b in zip(("means", "centered", "sigma_b", "sigma_w"), got, ref):
+            assert np.array_equal(a, b), (case, name)
+
+
+def test_snapshot_runs_the_class_statistics_passes_once(monkeypatch):
+    mean_passes, scatter_counts = [], []
+    real_means, real_scatter = metrics._class_means, metrics._scatter
+
+    def counted_means(data):
+        mean_passes.append(data)
+        return real_means(data)
+
+    def counted_scatter(vectors, count):
+        scatter_counts.append(count)
+        return real_scatter(vectors, count)
+
+    monkeypatch.setattr(metrics, "_class_means", counted_means)
+    monkeypatch.setattr(metrics, "_scatter", counted_scatter)
+    blobs = make_blob_dataset(num_classes=5, dim=8, per_class=7, seed=3)
+    data = LabeledFeatures(blobs.features, blobs.labels, 5)
+    w = np.random.default_rng(3).standard_normal((5, 8))
+    out = all_metrics(w, data)
+    stats = compute_class_statistics(data)
+    assert len(mean_passes) == 1
+    # One sigma_b (normalized by K) and one sigma_w (normalized by N).
+    assert sorted(scatter_counts) == [5, 35]
+    assert out["nc1"] == nc1_variability(stats)
+    assert out["nc4"] == nc4_agreement(w, data)
+    assert len(mean_passes) == 1
+
+
+def test_kept_class_statistics_are_read_only():
+    blobs = make_blob_dataset(num_classes=3, dim=4, per_class=5, seed=1)
+    data = LabeledFeatures(blobs.features, blobs.labels, 3)
+    stats = compute_class_statistics(data)
+    assert stats.class_means is data.class_means
+    for name in _STAT_FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(stats, name)[0] = 0
