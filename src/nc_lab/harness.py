@@ -16,6 +16,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,7 +60,6 @@ __all__ = [
     "emit_summary_json",
     "TrainResult",
     "run_training",
-    "run_square_sign_descent",
     "SweepSpec",
     "SweepResult",
     "run_sweep",
@@ -248,7 +248,7 @@ def config_to_mapping(config: ExperimentConfig) -> dict:
         "data.margin": config.margin,
         "data.noise_std": config.noise_std,
         "optimizer.kind": opt.kind,
-        "optimizer.lr": opt.lr,
+        "optimizer.lr": sched.base_lr,
         "optimizer.momentum": opt.momentum,
         "optimizer.beta2": opt.beta2,
         "optimizer.eps": opt.eps,
@@ -441,20 +441,24 @@ def _status_from_records(records, epochs: int, num_classes: int) -> str:
     return "ok"
 
 
-def run_training(config: ExperimentConfig, collect_rowsums: bool = False) -> TrainResult:
-    """Train per the config, logging metrics every metric_period epochs.
+@dataclass
+class _Trainee:
+    """A model as the training loop sees it, whatever its kind."""
 
-    Mini-batch order is seeded and deterministic. A non-finite loss aborts
-    the run with a final diagnostic record and status "diverged". The
-    oscillation_decay schedule is only meaningful for the square-geometry
-    coupled sign-descent runner and is routed there; any other combination is
-    rejected.
-    """
-    start = time.perf_counter()
-    schedule = config.optimizer.schedule
-    if schedule.kind == "oscillation_decay":
-        return _run_training_oscillation(config, collect_rowsums, start)
+    model: object
+    dataset: object
+    labels: np.ndarray
+    targets: np.ndarray    # one-hot K x N
+    params: list
+    grads: Callable        # batch columns (None = full batch) -> (loss, gradient list)
+    features: Callable     # () -> full-data features
+    weight: Callable       # () -> classifier W
+    sync: Callable         # parameter list -> None
 
+
+def _setup(config: ExperimentConfig) -> _Trainee:
+    """Build the data and model a config names. This is the one place that
+    branches on the model kind."""
     k = config.num_classes
     if config.model_kind == "mlp":
         dataset = make_blob_dataset(
@@ -466,98 +470,131 @@ def run_training(config: ExperimentConfig, collect_rowsums: bool = False) -> Tra
             seed=config.seed, init_scale=config.init_scale,
         )
         x_full, labels = dataset.features, dataset.labels
-        params = model.parameters()
-    elif config.model_kind == "ufm":
+        y_full = one_hot(labels, k)
+        every = np.arange(labels.shape[0])
+
+        def mlp_grads(cols):
+            # A full batch gathers every column too: the golden CSVs pin the
+            # result bits of that Fortran-ordered copy.
+            cols = every if cols is None else cols
+            loss, grads, _ = model.forward_backward(x_full[:, cols], y_full[:, cols])
+            return loss, grads
+
+        return _Trainee(model, dataset, labels, y_full, model.parameters(), mlp_grads,
+                        lambda: model.features(x_full), lambda: model.final_weight,
+                        model.set_parameters)
+
+    if config.model_kind == "ufm":
         model = UFMModel.create(
             k, config.dim, config.per_class,
             seed=config.seed, init_scale=config.init_scale,
         )
         if config.init == "zero":
             model.W = np.zeros_like(model.W)
-        dataset = None
-        labels = model.labels
-        params = [model.W, model.H]
     else:
+        if config.batch_size not in (None, k):
+            raise DomainError("ufm_fixed_features trains full batch only")
         init = "gaussian" if config.init == "gaussian" else "zero"
         model = UFMModel.fixed_features(
             k, init=init, seed=config.seed, init_scale=config.init_scale,
         )
-        dataset = None
-        labels = model.labels
-        params = [model.W]
 
-    n = x_full.shape[1] if config.model_kind == "mlp" else model.H.shape[1]
+    def ufm_grads(cols):
+        loss, grad_w, grad_h = model.loss_and_grads(cols)
+        if grad_h is None:
+            return loss, [grad_w]
+        if cols is not None:
+            gh = np.zeros_like(model.H)
+            gh[:, cols] = grad_h
+            grad_h = gh
+        return loss, [grad_w, grad_h]
+
+    def ufm_sync(params):
+        model.W = params[0]
+        if model.feature_trainable:
+            model.H = params[1]
+
+    params = [model.W, model.H] if model.feature_trainable else [model.W]
+    return _Trainee(model, None, model.labels, model.Y, params, ufm_grads,
+                    lambda: model.H, lambda: model.W, ufm_sync)
+
+
+def _oscillation_step_sizes(config: ExperimentConfig):
+    """Step size of each epoch under oscillation_decay: the eta of the coupled
+    (a, b) sign dynamics, which shrinks whenever its detector fires."""
+    schedule = config.optimizer.schedule
+    k = config.num_classes
+    yield schedule.base_lr
+    for state, _ in oracles.coupled_signgd_steps(
+            k, k, schedule.base_lr, config.optimizer.coupled_wd, schedule.shrink_factor):
+        yield state.eta
+
+
+def run_training(config: ExperimentConfig, collect_rowsums: bool = False) -> TrainResult:
+    """Train per the config, logging metrics every metric_period epochs.
+
+    Mini-batch order is seeded and deterministic. A non-finite loss aborts
+    the run with a final diagnostic record and status "diverged". The
+    oscillation_decay schedule takes each epoch's step size from the (a, b)
+    dynamics of coupled sign descent on the square frozen-feature geometry
+    from W = 0, so it is rejected for any other model, optimizer or init.
+    """
+    start = time.perf_counter()
+    schedule = config.optimizer.schedule
+    if schedule.kind == "oscillation_decay":
+        if config.model_kind != "ufm_fixed_features" or config.optimizer.kind != "signgd_coupled":
+            raise DomainError(
+                "oscillation_decay requires the square frozen-feature geometry with "
+                "coupled sign descent"
+            )
+        if config.init == "gaussian":
+            raise DomainError("oscillation_decay starts from W = 0; a gaussian init breaks "
+                              "the (a, b) dynamics")
+        step_sizes = _oscillation_step_sizes(config)
+    else:
+        step_sizes = (lr_at(schedule, e, config.epochs) for e in range(config.epochs))
+
+    k = config.num_classes
+    run = _setup(config)
+    labels = run.labels
+    n = labels.shape[0]
     if config.batch_size is not None and config.batch_size > n:
         raise DomainError(f"batch_size {config.batch_size} exceeds dataset size {n}")
     batch = n if config.batch_size is None else config.batch_size
     full_batch = batch >= n
     shuffle_rng = np.random.default_rng([config.seed, 1])
-    y_full = one_hot(labels, k)
 
-    def weight():
-        return model.final_weight if config.model_kind == "mlp" else model.W
+    def snapshot(epoch, lr_value):
+        feats = run.features()
+        loss, acc = _loss_and_accuracy(run.weight(), feats, run.targets, labels)
+        return _snapshot(epoch, lr_value, run.weight(), feats, labels, k, loss, acc)
 
-    def sync(new_params):
-        if config.model_kind == "mlp":
-            model.set_parameters(new_params)
-        elif config.model_kind == "ufm":
-            model.W, model.H = new_params
-        else:
-            model.W = new_params[0]
-
-    def full_eval():
-        feats = model.features(x_full) if config.model_kind == "mlp" else model.H
-        loss, acc = _loss_and_accuracy(weight(), feats, y_full, labels)
-        return feats, loss, acc
-
+    params = run.params
     opt = Optimizer(config.optimizer, params)
-    records = []
-    rowsums = [] if collect_rowsums else None
+    records = [snapshot(0, lr_at(schedule, 0, config.epochs))]
+    rowsums = [(0, run.weight().sum(axis=0).copy())] if collect_rowsums else None
     diverged = False
 
-    feats0, loss0, acc0 = full_eval()
-    lr0 = lr_at(schedule, 0, config.epochs)
-    records.append(_snapshot(0, lr0, weight(), feats0, labels, k, loss0, acc0))
-    if collect_rowsums:
-        rowsums.append((0, weight().sum(axis=0).copy()))
-
-    for epoch in range(config.epochs):
-        lr_value = lr_at(schedule, epoch, config.epochs)
+    for epoch, lr_value in zip(range(config.epochs), step_sizes):
         if full_batch:
-            batches = [np.arange(n)]
+            batches = [None]
         else:
             perm = shuffle_rng.permutation(n)
             batches = [perm[i:i + batch] for i in range(0, n, batch)]
         for idx in batches:
-            if config.model_kind == "mlp":
-                loss, grads, _ = model.forward_backward(x_full[:, idx], y_full[:, idx])
-            elif config.model_kind == "ufm":
-                cols = None if full_batch else idx
-                loss, grad_w, grad_h = model.loss_and_grads(cols)
-                if full_batch:
-                    grads = [grad_w, grad_h]
-                else:
-                    gh = np.zeros_like(model.H)
-                    gh[:, idx] = grad_h
-                    grads = [grad_w, gh]
-            else:
-                loss, grad_w, _ = model.loss_and_grads()
-                grads = [grad_w]
+            loss, grads = run.grads(idx)
             if not math.isfinite(loss):
                 diverged = True
                 break
             params = opt.step(params, grads, lr_value)
-            sync(params)
+            run.sync(params)
         if collect_rowsums:
-            rowsums.append((epoch + 1, weight().sum(axis=0).copy()))
-        if diverged:
-            feats, loss, acc = full_eval()
-            records.append(_snapshot(epoch + 1, lr_value, weight(), feats, labels, k, loss, acc))
-            break
+            rowsums.append((epoch + 1, run.weight().sum(axis=0).copy()))
         is_last = epoch + 1 == config.epochs
-        if (epoch + 1) % config.metric_period == 0 or is_last:
-            feats, loss, acc = full_eval()
-            records.append(_snapshot(epoch + 1, lr_value, weight(), feats, labels, k, loss, acc))
+        if diverged or (epoch + 1) % config.metric_period == 0 or is_last:
+            records.append(snapshot(epoch + 1, lr_value))
+        if diverged:
+            break
 
     status = "diverged" if diverged else _status_from_records(records, config.epochs, k)
     result = TrainResult(
@@ -565,137 +602,8 @@ def run_training(config: ExperimentConfig, collect_rowsums: bool = False) -> Tra
         records=records,
         status=status,
         wall_time=time.perf_counter() - start,
-        model=model,
-        dataset=dataset,
-        rowsums=rowsums,
-    )
-    if config.output_csv:
-        emit_csv(records, config.output_csv)
-    if config.output_summary:
-        emit_summary_json(result, config.output_summary)
-    return result
-
-
-def run_square_sign_descent(num_classes: int, lr0: float, wd: float, shrink: float = 0.5,
-                            max_steps: int = 10**5, stop_tol: Optional[float] = None,
-                            observer: Optional[Callable] = None) -> dict:
-    """Coupled sign descent on the square frozen-feature geometry, stepping the
-    K x K weight matrix and the scalar (a, b) recursion in lockstep and
-    shrinking the shared learning rate whenever the oscillation detector fires.
-
-    With ``stop_tol`` set, stops once alpha falls to stop_tol * alpha_peak
-    (raising BudgetExceededError if max_steps arrive first); otherwise runs
-    exactly max_steps steps. ``observer(t, model, state, eta, decayed)`` is
-    called after every step.
-    """
-    k = num_classes
-    model = UFMModel.fixed_features(k, init="zero")
-    w = model.W
-    opt_state = OptimizerState.initial(w)
-    state = oracles.CoupledSignState(eta=lr0)
-    steps = [{
-        "t": 0, "eta": lr0, "alpha_matrix": 0.0, "alpha_scalar": 0.0,
-        "family_dev": 0.0, "scalar_dev": 0.0, "decayed": False,
-    }]
-    peak = 0.0
-    peak_step = 0
-    decay_steps = []
-    off_mask = ~np.eye(k, dtype=bool)
-    terminated_at = None
-    for t in range(1, max_steps + 1):
-        eta = state.eta
-        _, grad_w, _ = model.loss_and_grads()
-        w, opt_state = step_signgd_coupled(w, grad_w, opt_state, eta, wd)
-        model.W = w
-        state = oracles.coupled_signgd_scalar_step(state, k, k, wd)
-        decayed = False
-        if oracles.oscillation_decay_due(state):
-            state = oracles.apply_decay(state, shrink)
-            decay_steps.append(t)
-            decayed = True
-        diag = np.diag(w)
-        off = w[off_mask]
-        family_dev = float(max(diag.max() - diag.min(), off.max() - off.min()))
-        scalar_dev = float(max(abs(diag[0] - state.a), abs(-off[0] - state.b)))
-        alpha_m = nc0_alpha(w)
-        alpha_s = oracles.scalar_alpha(state, k)
-        steps.append({
-            "t": t, "eta": eta, "alpha_matrix": alpha_m, "alpha_scalar": alpha_s,
-            "family_dev": family_dev, "scalar_dev": scalar_dev, "decayed": decayed,
-        })
-        if observer is not None:
-            observer(t, model, state, eta, decayed)
-        if alpha_m > peak:
-            peak, peak_step = alpha_m, t
-        if stop_tol is not None and peak > 0.0 and alpha_m <= stop_tol * peak:
-            terminated_at = t
-            break
-    if stop_tol is not None and terminated_at is None:
-        raise BudgetExceededError(
-            f"square sign descent did not reach {stop_tol} * alpha_peak "
-            f"within {max_steps} steps",
-            trajectory=[(s["t"], s["alpha_matrix"]) for s in steps],
-        )
-    return {
-        "steps": steps,
-        "model": model,
-        "state": state,
-        "alpha_peak": peak,
-        "peak_step": peak_step,
-        "decay_steps": decay_steps,
-        "terminated_at": terminated_at,
-        "final_eta": state.eta,
-    }
-
-
-def _run_training_oscillation(config: ExperimentConfig, collect_rowsums: bool,
-                              start: float) -> TrainResult:
-    if config.model_kind != "ufm_fixed_features" or config.optimizer.kind != "signgd_coupled":
-        raise DomainError(
-            "oscillation_decay requires the square frozen-feature geometry with "
-            "coupled sign descent"
-        )
-    if config.batch_size is not None and config.batch_size != config.num_classes:
-        raise DomainError("oscillation_decay runs are full batch")
-    k = config.num_classes
-    schedule = config.optimizer.schedule
-    records = []
-    rowsums = [] if collect_rowsums else None
-
-    def observe(t, model, state, eta, decayed):
-        if collect_rowsums:
-            rowsums.append((t, model.W.sum(axis=0).copy()))
-        if t % config.metric_period == 0 or t == config.epochs:
-            loss, acc = _loss_and_accuracy(model.W, model.H, model.Y, model.labels)
-            records.append(_snapshot(t, eta, model.W, model.H, model.labels, k, loss, acc))
-
-    outcome = run_square_sign_descent(
-        k, schedule.base_lr, config.optimizer.coupled_wd,
-        shrink=schedule.shrink_factor, max_steps=config.epochs,
-        stop_tol=None, observer=observe,
-    )
-    model = outcome["model"]
-    loss0_model = UFMModel.fixed_features(k, init="zero")
-    loss0, acc0 = _loss_and_accuracy(loss0_model.W, loss0_model.H, loss0_model.Y,
-                                     loss0_model.labels)
-    first = _snapshot(0, schedule.base_lr, loss0_model.W, loss0_model.H,
-                      loss0_model.labels, k, loss0, acc0)
-    records.insert(0, first)
-    if collect_rowsums:
-        rowsums.insert(0, (0, loss0_model.W.sum(axis=0)))
-    if records[-1].epoch != config.epochs:
-        loss, acc = _loss_and_accuracy(model.W, model.H, model.Y, model.labels)
-        records.append(_snapshot(
-            config.epochs, outcome["final_eta"], model.W, model.H, model.labels, k, loss, acc,
-        ))
-    status = _status_from_records(records, config.epochs, k)
-    result = TrainResult(
-        config=config,
-        records=records,
-        status=status,
-        wall_time=time.perf_counter() - start,
-        model=model,
-        dataset=None,
+        model=run.model,
+        dataset=run.dataset,
         rowsums=rowsums,
     )
     if config.output_csv:
@@ -1150,25 +1058,56 @@ def check_coupled_sign_oscillation(num_classes: int = 10, lr0: float = 0.1, wd: 
                                    family_tolerance: float = 1e-12) -> CheckResult:
     """Coupled sign descent with oscillation-driven learning-rate decay: the
     weight matrix must stay in the (a, b) two-parameter family, track the
-    scalar recursion, rise to an interior peak, and fall below tol * peak."""
-    outcome = run_square_sign_descent(num_classes, lr0, wd, shrink=shrink,
-                                      max_steps=max_steps, stop_tol=tol)
-    rows = []
+    scalar recursion, rise to an interior peak, and fall below tol * peak.
+
+    The K x K weight matrix of the square frozen-feature geometry steps in
+    lockstep with the (a, b) dynamics, at the step size the dynamics set,
+    until alpha falls to tol * alpha_peak; BudgetExceededError if max_steps
+    arrive first.
+    """
+    k = num_classes
+    model = UFMModel.fixed_features(k, init="zero")
+    w = model.W
+    opt_state = OptimizerState.initial(w)
+    off_mask = ~np.eye(k, dtype=bool)
+    rows = [(0, 0.0, 0.0, 0.0, 0.0)]
     family_dev_max = 0.0
     scalar_dev_max = 0.0
-    for s in outcome["steps"]:
-        abs_err = abs(s["alpha_matrix"] - s["alpha_scalar"])
-        rows.append((s["t"], s["alpha_matrix"], s["alpha_scalar"], abs_err,
-                     _rel_err(abs_err, s["alpha_scalar"])))
-        family_dev_max = max(family_dev_max, s["family_dev"])
-        scalar_dev_max = max(scalar_dev_max, s["scalar_dev"])
-    peak = outcome["alpha_peak"]
-    peak_step = outcome["peak_step"]
+    peak = 0.0
+    peak_step = 0
+    decay_steps = []
+    eta = lr0
+    dynamics = oracles.coupled_signgd_steps(k, k, lr0, wd, shrink)
+    for t, (state, decayed) in enumerate(islice(dynamics, max_steps), start=1):
+        _, grad_w, _ = model.loss_and_grads()
+        w, opt_state = step_signgd_coupled(w, grad_w, opt_state, eta, wd)
+        model.W = w
+        eta = state.eta
+        if decayed:
+            decay_steps.append(t)
+        diag = np.diag(w)
+        off = w[off_mask]
+        family_dev_max = max(family_dev_max,
+                             float(max(diag.max() - diag.min(), off.max() - off.min())))
+        scalar_dev_max = max(scalar_dev_max,
+                             float(max(abs(diag[0] - state.a), abs(-off[0] - state.b))))
+        alpha_m = nc0_alpha(w)
+        alpha_s = oracles.scalar_alpha(state, k)
+        abs_err = abs(alpha_m - alpha_s)
+        rows.append((t, alpha_m, alpha_s, abs_err, _rel_err(abs_err, alpha_s)))
+        if alpha_m > peak:
+            peak, peak_step = alpha_m, t
+        if peak > 0.0 and alpha_m <= tol * peak:
+            break
+    else:
+        raise BudgetExceededError(
+            f"square sign descent did not reach {tol} * alpha_peak within {max_steps} steps",
+            trajectory=[(r[0], r[1]) for r in rows],
+        )
     final_alpha = rows[-1][1]
     interior_peak = 0 < peak_step < rows[-1][0] and peak > max(rows[0][1], final_alpha)
     passed = (
-        outcome["terminated_at"] is not None
-        and final_alpha <= tol * peak
+        final_alpha <= tol * peak
         and family_dev_max <= family_tolerance
         and scalar_dev_max <= family_tolerance
         and interior_peak
@@ -1182,12 +1121,12 @@ def check_coupled_sign_oscillation(num_classes: int = 10, lr0: float = 0.1, wd: 
             "alpha_peak": peak,
             "peak_step": peak_step,
             "final_alpha": final_alpha,
-            "terminated_at": outcome["terminated_at"],
-            "decay_steps": outcome["decay_steps"],
-            "final_eta": outcome["final_eta"],
+            "terminated_at": t,
+            "decay_steps": decay_steps,
+            "final_eta": state.eta,
             "family_dev_max": family_dev_max,
             "scalar_dev_max": scalar_dev_max,
-            "phase_reached": outcome["state"].phase,
+            "phase_reached": state.phase,
         },
     )
 

@@ -38,18 +38,6 @@ __all__ = [
     "Optimizer",
 ]
 
-OPTIMIZER_KINDS = (
-    "sgd_coupled",
-    "sgd_decoupled",
-    "signgd_coupled",
-    "signgd_decoupled",
-    "signum",
-    "signum_w",
-    "adam",
-    "adam_w",
-    "adam_interpolated",
-)
-
 _COUPLED_ONLY = {"sgd_coupled", "signgd_coupled", "signum", "adam"}
 _DECOUPLED_ONLY = {"sgd_decoupled", "signgd_decoupled", "signum_w", "adam_w"}
 
@@ -63,8 +51,8 @@ class LRSchedule:
       step_decay        -- divide by decay_factor at floor(f * total_epochs)
                            for each milestone fraction f
       oscillation_decay -- base_lr * shrink_factor ** decay_events, where the
-                           caller counts decay events (signaled by the sign
-                           oscillation detector)
+                           decay events are those of the coupled sign-descent
+                           (a, b) dynamics (oracles.coupled_signgd_steps)
     """
 
     kind: str = "constant"
@@ -250,41 +238,50 @@ def step_adam_family(param, grad, state, lr, beta1, beta2, eps, coupled_wd, deco
     return new_param, OptimizerState(v=v, second_moment=second, t=t)
 
 
+def _adam_step(p, g, s, lr, c):
+    return step_adam_family(p, g, s, lr, c.momentum, c.beta2, c.eps, c.coupled_wd, c.decoupled_wd)
+
+
+# Per-parameter step of each optimizer kind, as (param, grad, state, lr,
+# config) -> (param, state). The entries call their step function by name,
+# so it is looked up in this module each time a step runs.
+_STEPS = {
+    "sgd_coupled": lambda p, g, s, lr, c: step_sgd_coupled(p, g, s, lr, c.momentum, c.coupled_wd),
+    "sgd_decoupled": lambda p, g, s, lr, c: step_sgd_decoupled(
+        p, g, s, lr, c.momentum, c.decoupled_wd),
+    "signgd_coupled": lambda p, g, s, lr, c: step_signgd_coupled(p, g, s, lr, c.coupled_wd),
+    "signgd_decoupled": lambda p, g, s, lr, c: step_signgd_decoupled(p, g, s, lr, c.decoupled_wd),
+    "signum": lambda p, g, s, lr, c: step_signum(
+        p, g, s, lr, c.momentum, c.coupled_wd, coupled=True),
+    "signum_w": lambda p, g, s, lr, c: step_signum(
+        p, g, s, lr, c.momentum, c.decoupled_wd, coupled=False),
+    "adam": _adam_step,
+    "adam_w": _adam_step,
+    "adam_interpolated": _adam_step,
+}
+
+OPTIMIZER_KINDS = tuple(_STEPS)
+
+
 class Optimizer:
     """Binds an OptimizerConfig to a list of parameters and dispatches steps.
 
-    ``step`` returns the updated parameter list; internal per-parameter
-    states advance in place. Each optimizer instance belongs to one run.
+    The step function of the config's kind is chosen once, here. ``step``
+    returns the updated parameter list; internal per-parameter states advance
+    in place. Each optimizer instance belongs to one run.
     """
 
     def __init__(self, config: OptimizerConfig, params: Sequence[np.ndarray]):
         self.config = config
+        self._step = _STEPS[config.kind]
         needs_second = config.kind.startswith("adam")
         self.states = [OptimizerState.initial(p, needs_second) for p in params]
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray], lr: float):
         if len(params) != len(self.states) or len(grads) != len(self.states):
             raise DomainError("parameter/gradient count changed mid-run")
-        c = self.config
         out = []
         for i, (p, g) in enumerate(zip(params, grads)):
-            s = self.states[i]
-            if c.kind == "sgd_coupled":
-                p2, s2 = step_sgd_coupled(p, g, s, lr, c.momentum, c.coupled_wd)
-            elif c.kind == "sgd_decoupled":
-                p2, s2 = step_sgd_decoupled(p, g, s, lr, c.momentum, c.decoupled_wd)
-            elif c.kind == "signgd_coupled":
-                p2, s2 = step_signgd_coupled(p, g, s, lr, c.coupled_wd)
-            elif c.kind == "signgd_decoupled":
-                p2, s2 = step_signgd_decoupled(p, g, s, lr, c.decoupled_wd)
-            elif c.kind == "signum":
-                p2, s2 = step_signum(p, g, s, lr, c.momentum, c.coupled_wd, coupled=True)
-            elif c.kind == "signum_w":
-                p2, s2 = step_signum(p, g, s, lr, c.momentum, c.decoupled_wd, coupled=False)
-            else:
-                p2, s2 = step_adam_family(
-                    p, g, s, lr, c.momentum, c.beta2, c.eps, c.coupled_wd, c.decoupled_wd
-                )
-            self.states[i] = s2
+            p2, self.states[i] = self._step(p, g, self.states[i], lr, self.config)
             out.append(p2)
         return out

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -41,6 +43,7 @@ __all__ = [
     "oscillation_decay_due",
     "apply_decay",
     "scalar_alpha",
+    "coupled_signgd_steps",
     "OracleTrajectory",
     "coupled_signgd_run_with_decay",
     "alpha_increment_decomposition",
@@ -270,10 +273,27 @@ class OracleTrajectory:
         return [a for _, a in self.points]
 
 
+def coupled_signgd_steps(num_classes: int, num_samples: int, lr0: float, wd: float,
+                         shrink: float) -> Iterator:
+    """The (a, b) sign dynamics from a = b = 0 at step size lr0, without end.
+
+    Yields ``(state, decayed)`` after each scalar step and its decay check:
+    ``decayed`` is True when the oscillation detector fired at that step and
+    shrank eta by ``shrink``, so ``state.eta`` is the step size of the next
+    step.
+    """
+    state = CoupledSignState(eta=lr0)
+    while True:
+        state = coupled_signgd_scalar_step(state, num_classes, num_samples, wd)
+        decayed = oscillation_decay_due(state)
+        if decayed:
+            state = apply_decay(state, shrink)
+        yield state, decayed
+
+
 def coupled_signgd_run_with_decay(num_classes: int, num_samples: int, lr0: float,
                                   wd: float, shrink: float = 0.5, tol: float = 1e-6,
-                                  max_steps: int = 10**5,
-                                  keep_states: bool = False) -> OracleTrajectory:
+                                  max_steps: int = 10**5) -> OracleTrajectory:
     """Run the (a, b) sign dynamics, shrinking eta on detected oscillation,
     until alpha falls to tol * alpha_peak. Raises BudgetExceededError with the
     partial trajectory if max_steps is hit first.
@@ -282,21 +302,16 @@ def coupled_signgd_run_with_decay(num_classes: int, num_samples: int, lr0: float
         raise DomainError("shrink must lie in (0, 1)")
     if tol <= 0.0 or lr0 <= 0.0 or wd <= 0.0:
         raise DomainError("lr0, wd, and tol must be positive")
-    state = CoupledSignState(eta=lr0)
-    points = [(0, scalar_alpha(state, num_classes))]
-    states = [state] if keep_states else []
-    peak = points[0][1]
+    points = [(0, 0.0)]
+    peak = 0.0
     peak_step = 0
     decay_steps: list = []
-    for t in range(1, max_steps + 1):
-        state = coupled_signgd_scalar_step(state, num_classes, num_samples, wd)
-        if oscillation_decay_due(state):
-            state = apply_decay(state, shrink)
+    steps = coupled_signgd_steps(num_classes, num_samples, lr0, wd, shrink)
+    for t, (state, decayed) in enumerate(islice(steps, max_steps), start=1):
+        if decayed:
             decay_steps.append(t)
         a = scalar_alpha(state, num_classes)
         points.append((t, a))
-        if keep_states:
-            states.append(state)
         if a > peak:
             peak, peak_step = a, t
         if peak > 0.0 and a <= tol * peak:
@@ -319,7 +334,6 @@ def coupled_signgd_run_with_decay(num_classes: int, num_samples: int, lr0: float
                     "final_eta": state.eta,
                     "phase_reached": state.phase,
                     "final_state": state,
-                    "states": states,
                 },
             )
     raise BudgetExceededError(

@@ -153,7 +153,40 @@ TRAIN_CONFIGS = {
 
 CHECK_THEOREMS = ("1", "2", "3")
 
-CASES = sorted(TRAIN_CONFIGS) + [f"check_theorem_{t}" for t in CHECK_THEOREMS]
+# Command lines whose stdout is pinned: the theorem-4 check at its defaults
+# and at a setting with a 17-step run and several decay events, and the
+# theorem-4 oracle. The two checks also pin their verdict line (stderr).
+CLI_ARGS = {
+    "check_theorem_4": ["check-theorem", "4"],
+    "check_theorem_4_k5": ["check-theorem", "4", "--k", "5", "--lr", "0.05", "--wd", "0.5"],
+    "oracle_theorem_4": ["oracle", "--theorem", "4"],
+}
+VERDICT_CASES = ("check_theorem_4", "check_theorem_4_k5")
+
+# Training runs whose per-epoch row sums W^T 1 are pinned, one row per epoch.
+ROWSUM_CONFIGS = {
+    "oscillation_decay_rowsums": """
+        model.kind = ufm_fixed_features
+        data.k = 5
+        optimizer.kind = signgd_coupled
+        optimizer.lr = 0.05
+        optimizer.coupled_wd = 0.5
+        optimizer.schedule = oscillation_decay
+        train.epochs = 120
+        train.metric_period = 10
+    """,
+}
+
+CASES = (sorted(TRAIN_CONFIGS) + [f"check_theorem_{t}" for t in CHECK_THEOREMS]
+         + sorted(CLI_ARGS) + sorted(ROWSUM_CONFIGS))
+
+
+def _run_cli(argv) -> tuple:
+    """(stdout, stderr) of a command line that must exit 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 0
+    return out.getvalue(), err.getvalue()
 
 
 def produce(case: str) -> str:
@@ -161,6 +194,15 @@ def produce(case: str) -> str:
     if case in TRAIN_CONFIGS:
         config = config_from_mapping(parse_config_text(TRAIN_CONFIGS[case]))
         return format_metric_csv(run_training(config).records)
+    if case in CLI_ARGS:
+        return _run_cli(CLI_ARGS[case])[0]
+    if case in ROWSUM_CONFIGS:
+        config = config_from_mapping(parse_config_text(ROWSUM_CONFIGS[case]))
+        rowsums = run_training(config, collect_rowsums=True).rowsums
+        k = config.num_classes
+        lines = ["epoch," + ",".join(f"m{i}" for i in range(k))]
+        lines += [",".join([str(t)] + [repr(float(v)) for v in m]) for t, m in rowsums]
+        return "\n".join(lines) + "\n"
     theorem = case.rsplit("_", 1)[1]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -168,8 +210,16 @@ def produce(case: str) -> str:
     return out.getvalue()
 
 
+def produce_verdicts() -> str:
+    """The verdict lines of the pinned theorem-4 checks."""
+    return "".join(_run_cli(CLI_ARGS[case])[1] for case in VERDICT_CASES)
+
+
 def _golden_path(case: str) -> str:
     return os.path.join(GOLDEN_DIR, case + ".csv")
+
+
+VERDICTS_PATH = os.path.join(GOLDEN_DIR, "check_theorem_4_verdicts.txt")
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -179,9 +229,18 @@ def test_csv_matches_golden_bytes(case):
     assert produce(case) == expected
 
 
+def test_theorem4_verdicts_match_golden_bytes():
+    with open(VERDICTS_PATH, encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert produce_verdicts() == expected
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name in sys.argv[1:] or CASES:
         with open(_golden_path(name), "w", encoding="utf-8", newline="") as fh:
             fh.write(produce(name))
         print(name)
+    if len(sys.argv) == 1:
+        with open(VERDICTS_PATH, "w", encoding="utf-8", newline="") as fh:
+            fh.write(produce_verdicts())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nc_lab import oracles
-from nc_lab.errors import DomainError
+from nc_lab.errors import BudgetExceededError, DomainError
 from nc_lab.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -272,6 +272,64 @@ def test_oscillation_routing_errors():
                                schedule="oscillation_decay")
     with pytest.raises(DomainError):
         run_training(bad_opt)
+
+
+def test_oscillation_decay_rejects_gaussian_init():
+    # The (a, b) dynamics that set the step size start from W = 0.
+    cfg = _ufm_sign_config("signgd_coupled", 0.1, 0.5, steps=10,
+                           schedule="oscillation_decay")
+    cfg.init = "gaussian"
+    with pytest.raises(DomainError, match="gaussian"):
+        run_training(cfg)
+
+
+def test_ufm_fixed_features_trains_full_batch_only():
+    for kind, schedule in (("signgd_decoupled", "constant"),
+                           ("signgd_coupled", "oscillation_decay")):
+        cfg = _ufm_sign_config(kind, 0.1, 0.5, steps=2, schedule=schedule, k=4)
+        for batch_size in (1, 2, 3, 5):
+            cfg.batch_size = batch_size
+            with pytest.raises(DomainError, match="full batch"):
+                run_training(cfg)
+        cfg.batch_size = 4
+        full = run_training(cfg)
+        cfg.batch_size = None
+        assert np.array_equal(full.model.W, run_training(cfg).model.W)
+
+
+def test_oscillation_run_ends_on_the_scalar_dynamics():
+    # The trained K x K weight stays (a+b) I - b J, with (a, b) the state of
+    # the dynamics after as many steps as the run has epochs.
+    k, epochs = 5, 60
+    cfg = _ufm_sign_config("signgd_coupled", 0.05, 0.5, steps=epochs,
+                           schedule="oscillation_decay", k=k, metric_period=10)
+    result = run_training(cfg)
+    dynamics = oracles.coupled_signgd_steps(k, k, 0.05, 0.5, 0.5)
+    for _ in range(epochs):
+        state, _ = next(dynamics)
+    family = (state.a + state.b) * np.eye(k) - state.b * np.ones((k, k))
+    assert np.max(np.abs(result.model.W - family)) <= 1e-12
+    assert result.records[-1].lr < 0.05
+
+
+def test_summary_echoes_the_learning_rate_training_uses(tmp_path):
+    sched = LRSchedule(kind="constant", base_lr=0.1)
+    opt = OptimizerConfig(kind="sgd_coupled", lr=0.5, momentum=0.9, coupled_wd=0.01,
+                          schedule=sched)
+    path = tmp_path / "run.json"
+    result = run_training(_mlp_config(epochs=2, metric_period=1, optimizer=opt,
+                                      output_summary=str(path)))
+    assert [r.lr for r in result.records] == [0.1, 0.1, 0.1]
+    assert config_to_mapping(result.config)["optimizer.lr"] == 0.1
+    assert json.loads(path.read_text())["config"]["optimizer.lr"] == 0.1
+
+
+def test_coupled_sign_check_raises_when_the_budget_runs_out():
+    with pytest.raises(BudgetExceededError) as exc:
+        check_coupled_sign_oscillation(max_steps=1)
+    trajectory = exc.value.trajectory
+    assert [t for t, _ in trajectory] == [0, 1]
+    assert trajectory[1][1] > 0.0
 
 
 def test_derive_run_seed_stable_and_distinct():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from nc_lab import optim
 from nc_lab.errors import DomainError
 from nc_lab.models import UFMModel
 from nc_lab.optim import (
+    _COUPLED_ONLY,
+    _DECOUPLED_ONLY,
     OPTIMIZER_KINDS,
     LRSchedule,
     Optimizer,
@@ -289,6 +292,64 @@ def test_optimizer_object_drives_all_kinds():
         assert any(np.any(a != b) for a, b in zip(params, new_params))
         needs_second = kind.startswith("adam")
         assert (opt.states[0].second_moment is not None) == needs_second
+
+
+def _direct_step(c, p, g, s, lr):
+    """The step function call that each optimizer kind stands for."""
+    if c.kind == "sgd_coupled":
+        return step_sgd_coupled(p, g, s, lr, c.momentum, c.coupled_wd)
+    if c.kind == "sgd_decoupled":
+        return step_sgd_decoupled(p, g, s, lr, c.momentum, c.decoupled_wd)
+    if c.kind == "signgd_coupled":
+        return step_signgd_coupled(p, g, s, lr, c.coupled_wd)
+    if c.kind == "signgd_decoupled":
+        return step_signgd_decoupled(p, g, s, lr, c.decoupled_wd)
+    if c.kind in ("signum", "signum_w"):
+        wd = c.coupled_wd if c.kind == "signum" else c.decoupled_wd
+        return step_signum(p, g, s, lr, c.momentum, wd, coupled=c.kind == "signum")
+    return step_adam_family(p, g, s, lr, c.momentum, c.beta2, c.eps,
+                            c.coupled_wd, c.decoupled_wd)
+
+
+def test_optimizer_steps_equal_direct_step_calls_bitwise():
+    rng = np.random.default_rng(29)
+    shapes = [(3, 4), (4, 1)]
+    for kind in OPTIMIZER_KINDS:
+        wd = {"coupled_wd": 0.01} if kind in _COUPLED_ONLY else {
+            "decoupled_wd": 0.01} if kind in _DECOUPLED_ONLY else {
+            "coupled_wd": 0.005, "decoupled_wd": 0.005}
+        cfg = OptimizerConfig(kind=kind, lr=0.05, momentum=0.5, **wd)
+        params = [rng.standard_normal(s) for s in shapes]
+        opt = Optimizer(cfg, params)
+        direct = list(params)
+        states = [OptimizerState.initial(p, kind.startswith("adam")) for p in params]
+        for lr in (0.05, 0.02, 0.01):
+            grads = [rng.standard_normal(s) for s in shapes]
+            params = opt.step(params, grads, lr)
+            for i, g in enumerate(grads):
+                direct[i], states[i] = _direct_step(cfg, direct[i], g, states[i], lr)
+            for got, want, got_s, want_s in zip(params, direct, opt.states, states):
+                assert np.array_equal(got, want), kind
+                assert np.array_equal(got_s.v, want_s.v), kind
+                assert got_s.t == want_s.t
+                if want_s.second_moment is not None:
+                    assert np.array_equal(got_s.second_moment, want_s.second_moment), kind
+
+
+def test_optimizer_step_looks_up_the_step_function_when_it_runs(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return step_signgd_coupled(*args)
+
+    cfg = OptimizerConfig(kind="signgd_coupled", lr=0.1, coupled_wd=0.01)
+    params = [np.ones((2, 2)), np.ones((2, 1))]
+    opt = Optimizer(cfg, params)
+    monkeypatch.setattr(optim, "step_signgd_coupled", spy)
+    opt.step(params, [np.ones((2, 2)), np.ones((2, 1))], 0.1)
+    assert len(calls) == 2
+    assert calls[0][3] == 0.1 and calls[0][4] == 0.01
 
 
 def test_sign_step_displacement_bound():
