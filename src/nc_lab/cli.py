@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Subcommands: ``train`` and ``sweep`` drive experiments from flat key=value
-config files, ``oracle`` prints closed-form alpha trajectories,indexed by the
+config files, ``oracle`` prints closed-form alpha trajectories, indexed by the
 theorem numbering used throughout the interface, ``check-theorem`` replays a
 simulation against the matching closed form and exits 2 when the comparison
 fails tolerance, ``metrics`` evaluates the collapse metric bundle on saved
@@ -199,8 +199,8 @@ def _load_labels(path) -> np.ndarray:
 
 
 def cmd_metrics(args) -> int:
-    w = load_matrix(args.weights).a
-    feats = load_matrix(args.features).a
+    w = load_matrix(args.weights)
+    feats = load_matrix(args.features)
     labels = _load_labels(args.labels)
     k = args.num_classes if args.num_classes is not None else int(labels.max()) + 1
     data = LabeledFeatures(feats, labels, k)

@@ -124,6 +124,9 @@ class ExperimentConfig:
             raise DomainError("zero init leaves a rectifier network without gradient flow")
 
 
+# Dotted config key -> (target, caster). A target "name" is an
+# ExperimentConfig field, "optimizer.name" an OptimizerConfig field and
+# "schedule.name" an LRSchedule field.
 _CONFIG_CASTS: dict = {
     "model.kind": ("model_kind", str),
     "model.hidden_sizes": ("hidden_sizes", "int_tuple"),
@@ -135,18 +138,18 @@ _CONFIG_CASTS: dict = {
     "data.seed": ("data_seed", int),
     "data.margin": ("margin", float),
     "data.noise_std": ("noise_std", float),
-    "optimizer.kind": (None, str),
-    "optimizer.lr": (None, float),
-    "optimizer.momentum": (None, float),
-    "optimizer.beta2": (None, float),
-    "optimizer.eps": (None, float),
-    "optimizer.coupled_wd": (None, float),
-    "optimizer.decoupled_wd": (None, float),
-    "optimizer.total_wd": (None, float),
-    "optimizer.schedule": (None, str),
-    "optimizer.decay_factor": (None, float),
-    "optimizer.milestone_fractions": (None, "fraction_tuple"),
-    "optimizer.shrink_factor": (None, float),
+    "optimizer.kind": ("optimizer.kind", str),
+    "optimizer.lr": ("optimizer.lr", float),
+    "optimizer.momentum": ("optimizer.momentum", float),
+    "optimizer.beta2": ("optimizer.beta2", float),
+    "optimizer.eps": ("optimizer.eps", float),
+    "optimizer.coupled_wd": ("optimizer.coupled_wd", float),
+    "optimizer.decoupled_wd": ("optimizer.decoupled_wd", float),
+    "optimizer.total_wd": ("optimizer.total_wd", float),
+    "optimizer.schedule": ("schedule.kind", str),
+    "optimizer.decay_factor": ("schedule.decay_factor", float),
+    "optimizer.milestone_fractions": ("schedule.milestone_fractions", "fraction_tuple"),
+    "optimizer.shrink_factor": ("schedule.shrink_factor", float),
     "train.epochs": ("epochs", int),
     "train.batch_size": ("batch_size", "batch"),
     "train.seed": ("seed", int),
@@ -195,45 +198,42 @@ def parse_config_text(text: str) -> dict:
     return mapping
 
 
+def _unread_keys(model_kind, keys) -> list:
+    """The config keys a model kind does not read: ufm_fixed_features builds
+    its square geometry from data.k alone."""
+    if model_kind != "ufm_fixed_features":
+        return []
+    return sorted(key for key in keys if key.startswith("data.") and key != "data.k")
+
+
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
+    """Config from dotted keys. Only the keys the mapping sets are passed on,
+    so every default lives in its dataclass."""
     unknown = sorted(set(mapping) - set(_CONFIG_CASTS))
     if unknown:
         raise DomainError(f"unknown config keys: {', '.join(unknown)}")
-    parsed = {}
+    parts = {"": {}, "optimizer": {}, "schedule": {}}
     for key, raw in mapping.items():
-        field_name, caster = _CONFIG_CASTS[key]
-        parsed[key] = _cast_value(key, caster, raw)
-
-    lr = parsed.get("optimizer.lr", 0.1)
-    schedule_kind = parsed.get("optimizer.schedule", "constant")
-    schedule_kwargs = {"kind": schedule_kind, "base_lr": lr}
-    if "optimizer.decay_factor" in parsed:
-        schedule_kwargs["decay_factor"] = parsed["optimizer.decay_factor"]
-    if "optimizer.milestone_fractions" in parsed:
-        schedule_kwargs["milestone_fractions"] = parsed["optimizer.milestone_fractions"]
-    if "optimizer.shrink_factor" in parsed:
-        schedule_kwargs["shrink_factor"] = parsed["optimizer.shrink_factor"]
-    opt = OptimizerConfig(
-        kind=parsed.get("optimizer.kind", "sgd_decoupled"),
-        lr=lr,
-        momentum=parsed.get("optimizer.momentum", 0.0),
-        beta2=parsed.get("optimizer.beta2", 0.999),
-        eps=parsed.get("optimizer.eps", 1e-8),
-        coupled_wd=parsed.get("optimizer.coupled_wd", 0.0),
-        decoupled_wd=parsed.get("optimizer.decoupled_wd", 0.0),
-        total_wd=parsed.get("optimizer.total_wd"),
-        schedule=LRSchedule(**schedule_kwargs),
-    )
-    kwargs = {"optimizer": opt}
-    for key, value in parsed.items():
-        field_name, _ = _CONFIG_CASTS[key]
-        if field_name is not None:
-            kwargs[field_name] = value
+        target, caster = _CONFIG_CASTS[key]
+        part, _, name = target.rpartition(".")
+        parts[part][name] = _cast_value(key, caster, raw)
+    kwargs, opt, schedule = parts[""], parts["optimizer"], parts["schedule"]
+    unread = _unread_keys(kwargs.get("model_kind"), mapping)
+    if unread:
+        raise DomainError(f"ufm_fixed_features builds the square K x K geometry and "
+                          f"reads no {', '.join(unread)}")
+    if "lr" in opt:
+        schedule["base_lr"] = opt["lr"]
+    if schedule:
+        opt["schedule"] = LRSchedule(**schedule)
+    if opt:
+        kwargs["optimizer"] = OptimizerConfig(**opt)
     return ExperimentConfig(**kwargs)
 
 
 def config_to_mapping(config: ExperimentConfig) -> dict:
-    """Dotted-key echo of a config (used in JSON summaries)."""
+    """Dotted-key echo of a config (used in JSON summaries), without the keys
+    its model kind does not read, so config_from_mapping accepts it."""
     opt = config.optimizer
     sched = opt.schedule
     out = {
@@ -267,6 +267,8 @@ def config_to_mapping(config: ExperimentConfig) -> dict:
         )
     if sched.kind == "oscillation_decay":
         out["optimizer.shrink_factor"] = sched.shrink_factor
+    for key in _unread_keys(config.model_kind, out):
+        del out[key]
     return out
 
 

@@ -1,8 +1,7 @@
-"""Dense float64 matrix values, the handful of linear-algebra ops the lab
-needs, and a plain-text matrix interchange format.
+"""The few linear-algebra ops the lab needs on float64 ndarrays, and a
+plain-text matrix interchange format.
 
-Everything here is numpy-backed. ``DenseMatrix`` is an immutable value type;
-most functions also accept a raw 2-D ndarray or nested lists and coerce.
+Every function takes a 2-D ndarray or nested lists and coerces.
 """
 
 from __future__ import annotations
@@ -12,13 +11,7 @@ import numpy as np
 from .errors import DomainError, NumericError, ShapeError
 
 __all__ = [
-    "DenseMatrix",
     "as_array",
-    "matmul",
-    "transpose",
-    "frobenius_norm",
-    "trace",
-    "column_ones_product",
     "singular_values",
     "pseudo_inverse",
     "format_matrix",
@@ -30,103 +23,12 @@ __all__ = [
 DEFAULT_RANK_TOLERANCE = 1e-10
 
 
-class DenseMatrix:
-    """Immutable 2-D array of float64 values (row-major).
-
-    Accepts nested sequences, a 2-D ndarray, or another DenseMatrix. A 1-D
-    input is rejected: callers must say whether a vector is a row or column.
-    """
-
-    __slots__ = ("a",)
-
-    def __init__(self, values):
-        if isinstance(values, DenseMatrix):
-            a = values.a
-        else:
-            a = np.asarray(values, dtype=np.float64)
-            if a.ndim != 2:
-                raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-            if a.shape[0] < 1 or a.shape[1] < 1:
-                raise ShapeError(f"matrix dimensions must be positive, got {a.shape}")
-            if not np.all(np.isfinite(a)):
-                raise NumericError("matrix elements must be finite")
-            a = a.copy()
-            a.flags.writeable = False
-        object.__setattr__(self, "a", a)
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def elements(self):
-        """Row-major flat view of the entries."""
-        return self.a.reshape(-1)
-
-    @property
-    def shape(self):
-        return self.a.shape
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "DenseMatrix":
-        return cls(np.zeros((rows, cols)))
-
-    @classmethod
-    def identity(cls, n: int) -> "DenseMatrix":
-        return cls(np.eye(n))
-
-    def __eq__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return self.shape == other.shape and bool(np.all(self.a == other.a))
-
-    def __repr__(self):
-        return f"DenseMatrix({self.rows}x{self.cols})"
-
-
 def as_array(m) -> np.ndarray:
-    """Coerce a DenseMatrix / ndarray / nested-list operand to a float64 2-D array."""
-    if isinstance(m, DenseMatrix):
-        return m.a
+    """Coerce an ndarray / nested-list operand to a float64 2-D array."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
     return a
-
-
-def matmul(a, b) -> DenseMatrix:
-    """Matrix product a @ b. Inner dimensions must agree."""
-    a, b = as_array(a), as_array(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul inner dimensions differ: {a.shape} x {b.shape}"
-        )
-    return DenseMatrix(a @ b)
-
-
-def transpose(a) -> DenseMatrix:
-    return DenseMatrix(as_array(a).T)
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(as_array(a)))
-
-
-def trace(a) -> float:
-    a = as_array(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"trace requires a square matrix, got {a.shape}")
-    return float(np.trace(a))
-
-
-def column_ones_product(a) -> DenseMatrix:
-    """a^T 1: the vector of column sums of ``a``, as a cols x 1 matrix."""
-    a = as_array(a)
-    return DenseMatrix(a.sum(axis=0).reshape(-1, 1))
 
 
 def singular_values(a) -> np.ndarray:
@@ -137,7 +39,7 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def pseudo_inverse(a, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> DenseMatrix:
+def pseudo_inverse(a, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD.
 
     Singular values sigma <= rank_tolerance * sigma_max are treated as zero.
@@ -150,11 +52,11 @@ def pseudo_inverse(a, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> DenseMa
         raise NumericError("pseudo_inverse requires finite input")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return DenseMatrix(np.zeros((a.shape[1], a.shape[0])))
+        return np.zeros((a.shape[1], a.shape[0]))
     keep = s > rank_tolerance * s[0]
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
-    return DenseMatrix((vt.T * inv) @ u.T)
+    return (vt.T * inv) @ u.T
 
 
 def format_matrix(m) -> str:
@@ -170,8 +72,11 @@ def format_matrix(m) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str) -> DenseMatrix:
-    """Parse the plain-text matrix format produced by :func:`format_matrix`."""
+def parse_matrix(text: str) -> np.ndarray:
+    """Parse the plain-text matrix format produced by :func:`format_matrix`.
+
+    Every value must be finite: the file is outside input.
+    """
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")
@@ -195,7 +100,9 @@ def parse_matrix(text: str) -> DenseMatrix:
             data[i] = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"row {i}: unparseable value in {line!r}") from exc
-    return DenseMatrix(data)
+    if not np.all(np.isfinite(data)):
+        raise NumericError("matrix elements must be finite")
+    return data
 
 
 def save_matrix(m, path) -> None:
@@ -203,6 +110,6 @@ def save_matrix(m, path) -> None:
         fh.write(format_matrix(m))
 
 
-def load_matrix(path) -> DenseMatrix:
+def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         return parse_matrix(fh.read())

@@ -11,7 +11,7 @@ and labeled feature vectors (p x N):
 * nc4 — agreement between the classifier's decisions and nearest-mean
   decisions.
 
-Inputs may be DenseMatrix values or plain arrays.
+Inputs are float64 ndarrays or nested lists.
 """
 
 from __future__ import annotations
@@ -126,10 +126,6 @@ class LabeledFeatures:
         return self.features.shape[1]
 
     @property
-    def balanced(self) -> bool:
-        return bool(np.all(self.per_class_counts == self.per_class_counts[0]))
-
-    @property
     def class_means(self) -> np.ndarray:
         """p x K matrix whose column c is the mean feature of class c."""
         if self._means is None:
@@ -233,7 +229,7 @@ def nc1_variability(stats: ClassStatistics) -> float:
     ``sigma_b.any()``.
     """
     k = stats.num_classes
-    pinv_b = pseudo_inverse(stats.sigma_b).a
+    pinv_b = pseudo_inverse(stats.sigma_b)
     return float(np.trace(stats.sigma_w @ pinv_b)) / k
 
 

@@ -26,7 +26,6 @@ from .metrics import simplex_etf
 
 __all__ = [
     "one_hot",
-    "softmax_columns",
     "ce_loss_and_grad",
     "ce_loss_from_logits",
     "UFMModel",
@@ -45,13 +44,6 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     y = np.zeros((num_classes, labels.shape[0]))
     y[labels, np.arange(labels.shape[0])] = 1.0
     return y
-
-
-def softmax_columns(z: np.ndarray) -> np.ndarray:
-    """Column-wise softmax with per-column max subtraction."""
-    shifted = z - z.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
 
 
 def ce_loss_and_grad(w, x, y):
@@ -148,9 +140,6 @@ class UFMModel:
         loss, grad_w, grad_h = ce_loss_and_grad(self.W, h, y)
         return loss, grad_w, (grad_h if self.feature_trainable else None)
 
-    def features(self) -> np.ndarray:
-        return self.H
-
 
 class MLPModel:
     """Rectifier network: hidden affine+ReLU layers, then a bias-free linear
@@ -228,13 +217,6 @@ class MLPModel:
                 d_a = self.hidden_weights[i].T @ d_z
         return loss, grads_rev[::-1], feats
 
-    def logits(self, x) -> np.ndarray:
-        return self.final_weight @ self.features(x)
-
-    def accuracy(self, x, labels) -> float:
-        pred = np.argmax(self.logits(x), axis=0)
-        return float(np.mean(pred == np.asarray(labels)))
-
 
 @dataclass
 class SyntheticDataset:
@@ -244,10 +226,6 @@ class SyntheticDataset:
     labels: np.ndarray
     num_classes: int
     seed: int
-
-    @property
-    def num_samples(self) -> int:
-        return self.features.shape[1]
 
 
 def _etf_directions(num_classes: int, dim: int, rng) -> np.ndarray:

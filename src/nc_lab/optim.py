@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,9 +50,10 @@ class LRSchedule:
       constant          -- always base_lr
       step_decay        -- divide by decay_factor at floor(f * total_epochs)
                            for each milestone fraction f
-      oscillation_decay -- base_lr * shrink_factor ** decay_events, where the
-                           decay events are those of the coupled sign-descent
-                           (a, b) dynamics (oracles.coupled_signgd_steps)
+      oscillation_decay -- starts at base_lr and shrinks by shrink_factor at
+                           each decay event of the coupled sign-descent (a, b)
+                           dynamics; run_training takes these step sizes from
+                           oracles.coupled_signgd_steps, and lr_at gives base_lr
     """
 
     kind: str = "constant"
@@ -72,25 +73,23 @@ class LRSchedule:
             raise DomainError("shrink_factor must lie in (0, 1)")
 
 
-def lr_at(schedule: LRSchedule, epoch: int, total_epochs: int, decay_events: int = 0) -> float:
+def lr_at(schedule: LRSchedule, epoch: int, total_epochs: int) -> float:
     """Learning rate in effect at a (0-indexed) epoch.
 
     For step_decay the drop applies from the start of each milestone epoch
-    floor(f * total_epochs). ``decay_events`` matters only for
-    oscillation_decay.
+    floor(f * total_epochs). For oscillation_decay this is base_lr, the step
+    size before any decay event.
     """
     if epoch < 0:
         raise DomainError("epoch must be >= 0")
-    if schedule.kind == "constant":
+    if schedule.kind != "step_decay":
         return schedule.base_lr
-    if schedule.kind == "step_decay":
-        passed = sum(
-            1
-            for f in schedule.milestone_fractions
-            if epoch >= math.floor(f * total_epochs)
-        )
-        return schedule.base_lr / schedule.decay_factor**passed
-    return schedule.base_lr * schedule.shrink_factor**decay_events
+    passed = sum(
+        1
+        for f in schedule.milestone_fractions
+        if epoch >= math.floor(f * total_epochs)
+    )
+    return schedule.base_lr / schedule.decay_factor**passed
 
 
 @dataclass

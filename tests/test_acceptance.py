@@ -13,7 +13,6 @@ import numpy as np
 from nc_lab import oracles
 from nc_lab.harness import (
     ExperimentConfig,
-    SweepSpec,
     check_coupled_rowsum_recursion,
     check_coupled_sign_oscillation,
     check_decoupled_rowsum_decay,

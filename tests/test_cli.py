@@ -2,13 +2,12 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from nc_lab import oracles
 from nc_lab.cli import main
 from nc_lab.harness import CSV_HEADER
-from nc_lab.linalg import DenseMatrix, save_matrix
+from nc_lab.linalg import save_matrix
 from nc_lab.metrics import METRIC_KEYS
 from nc_lab.models import make_nc_solution
 
@@ -219,8 +218,8 @@ def _write_metric_inputs(tmp_path, k=4, p=6):
     w, h, labels = make_nc_solution(k, p, scale_w=1.5, scale_h=0.7, isometry_seed=3)
     w_path = tmp_path / "w.txt"
     h_path = tmp_path / "h.txt"
-    save_matrix(DenseMatrix(w), w_path)
-    save_matrix(DenseMatrix(h), h_path)
+    save_matrix(w, w_path)
+    save_matrix(h, h_path)
     labels_path = tmp_path / "labels.txt"
     labels_path.write_text("".join(f"{int(v)}\n" for v in labels))
     return str(w_path), str(h_path), str(labels_path)
@@ -269,6 +268,20 @@ def test_metrics_shape_mismatch(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_metrics_rejects_non_finite_weights(tmp_path, capsys):
+    w_path, h_path, labels_path = _write_metric_inputs(tmp_path)
+    lines = open(w_path, encoding="ascii").read().splitlines()
+    lines[1] = " ".join(["nan"] + lines[1].split()[1:])
+    with open(w_path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+    rc = main(["metrics", "--weights", w_path, "--features", h_path,
+               "--labels", labels_path])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "matrix elements must be finite" in err
 
 
 def test_regress_two_column_csv(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import os
 import re
 
+import nc_lab
 from nc_lab.cli import main
 from nc_lab.harness import MODEL_KINDS
 from nc_lab.optim import OPTIMIZER_KINDS
@@ -31,6 +32,14 @@ def test_readme_kind_lists_match_code():
     text = _readme()
     assert sorted(_backticked_after(text, "Model kinds are ", ".")) == sorted(MODEL_KINDS)
     assert sorted(_backticked_after(text, "Optimizers are ", ";")) == sorted(OPTIMIZER_KINDS)
+
+
+def test_readme_layout_names_every_module():
+    block = _fenced_block(_readme(), "## Layout", "")
+    named = re.findall(r"^  (\w+\.py) ", block, flags=re.MULTILINE)
+    modules = [f for f in os.listdir(os.path.dirname(nc_lab.__file__))
+               if f.endswith(".py") and f != "__init__.py"]
+    assert sorted(named) == sorted(modules)
 
 
 def test_readme_quick_start_output_matches_code(tmp_path, capsys):

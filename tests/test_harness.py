@@ -120,6 +120,31 @@ def test_config_errors():
         ExperimentConfig(model_kind="submarine")
 
 
+def test_config_defaults_live_in_the_dataclasses():
+    assert config_from_mapping({}) == ExperimentConfig()
+    for kind, schedule in (("adam", "step_decay"), ("signgd_coupled", "oscillation_decay"),
+                           ("signum_w", "constant")):
+        cfg = config_from_mapping({"optimizer.kind": kind, "optimizer.schedule": schedule})
+        assert cfg == ExperimentConfig(
+            optimizer=OptimizerConfig(kind=kind, schedule=LRSchedule(kind=schedule)))
+
+
+def test_ufm_fixed_features_rejects_the_data_keys_it_does_not_read():
+    base = {"model.kind": "ufm_fixed_features", "data.k": "4"}
+    assert config_from_mapping(base).num_classes == 4
+    for keys in (["data.d"], ["data.per_class", "data.d"],
+                 ["data.seed", "data.margin", "data.noise_std"]):
+        with pytest.raises(DomainError) as exc:
+            config_from_mapping({**base, **{key: "3" for key in keys}})
+        for key in keys:
+            assert key in str(exc.value)
+    assert config_from_mapping({"model.kind": "ufm", "data.d": "3"}).dim == 3
+    cfg = config_from_mapping(base)
+    echo = config_to_mapping(cfg)
+    assert [key for key in echo if key.startswith("data.")] == ["data.k"]
+    assert config_from_mapping({k: str(v) for k, v in echo.items()}) == cfg
+
+
 def test_load_config_path_error(tmp_path):
     with pytest.raises(OSError) as exc:
         load_config(tmp_path / "missing.cfg")

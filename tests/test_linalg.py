@@ -3,67 +3,15 @@ import pytest
 
 from nc_lab.errors import NumericError, ShapeError
 from nc_lab.linalg import (
-    DenseMatrix,
     as_array,
-    column_ones_product,
     format_matrix,
-    frobenius_norm,
     load_matrix,
-    matmul,
     parse_matrix,
     pseudo_inverse,
     save_matrix,
     singular_values,
-    trace,
-    transpose,
 )
 from nc_lab.metrics import simplex_etf
-
-
-def test_dense_matrix_validation():
-    with pytest.raises(ShapeError):
-        DenseMatrix([1.0, 2.0, 3.0])
-    with pytest.raises(NumericError):
-        DenseMatrix([[1.0, np.nan]])
-    m = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
-    assert m.rows == 2 and m.cols == 2 and m.shape == (2, 2)
-    assert not m.a.flags.writeable
-
-
-def test_matmul_identity_and_hand_case():
-    a = [[1.0, 2.0], [3.0, 4.0]]
-    assert np.allclose(matmul(np.eye(2), a).a, a)
-    out = matmul(a, [[1.0], [1.0]])
-    assert np.array_equal(out.a, [[3.0], [7.0]])
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-def test_transpose_norm_trace_column_sums():
-    assert frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3.0), abs=1e-12)
-    assert trace([[2.0, 0.0], [0.0, 5.0]]) == 7.0
-    cols = column_ones_product([[1.0, -1.0], [2.0, -2.0]])
-    assert cols.shape == (2, 1)
-    assert np.array_equal(cols.a.ravel(), [3.0, -3.0])
-    assert np.array_equal(transpose([[1.0, 2.0]]).a, [[1.0], [2.0]])
-
-
-def test_trace_requires_square():
-    with pytest.raises(ShapeError):
-        trace(np.zeros((2, 3)))
-
-
-def test_transpose_of_product_property():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        a = rng.standard_normal((4, 6))
-        b = rng.standard_normal((6, 3))
-        lhs = transpose(matmul(a, b)).a
-        rhs = matmul(transpose(b), transpose(a)).a
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_singular_values_examples():
@@ -82,7 +30,7 @@ def test_singular_values_frobenius_reconstruction():
         sv = singular_values(a)
         assert sv.shape == (min(rows, cols),)
         assert np.all(np.diff(sv) <= 1e-12)
-        assert np.sum(sv**2) == pytest.approx(frobenius_norm(a) ** 2, rel=1e-10)
+        assert np.sum(sv**2) == pytest.approx(np.linalg.norm(a) ** 2, rel=1e-10)
 
 
 def test_singular_values_rejects_non_finite():
@@ -91,14 +39,14 @@ def test_singular_values_rejects_non_finite():
 
 
 def test_pseudo_inverse_examples():
-    assert np.allclose(pseudo_inverse(np.diag([2.0, 0.0])).a, np.diag([0.5, 0.0]))
+    assert np.allclose(pseudo_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-    assert np.max(np.abs(matmul(a, pseudo_inverse(a)).a - np.eye(4))) < 1e-8
+    assert np.max(np.abs(a @ pseudo_inverse(a) - np.eye(4))) < 1e-8
     u = rng.standard_normal(5)
     u /= np.linalg.norm(u)
     outer = np.outer(u, u)
-    assert np.max(np.abs(pseudo_inverse(outer).a - outer)) < 1e-8
+    assert np.max(np.abs(pseudo_inverse(outer) - outer)) < 1e-8
 
 
 def test_pseudo_inverse_penrose_on_rank_deficient():
@@ -106,7 +54,7 @@ def test_pseudo_inverse_penrose_on_rank_deficient():
     for _ in range(10):
         base = rng.standard_normal((5, 2))
         a = base @ rng.standard_normal((2, 4))
-        dag = pseudo_inverse(a).a
+        dag = pseudo_inverse(a)
         assert np.max(np.abs(a @ dag @ a - a)) < 1e-8
         assert np.max(np.abs(dag @ a @ dag - dag)) < 1e-8
 
@@ -122,10 +70,10 @@ def test_matrix_text_round_trip(tmp_path):
     a = rng.standard_normal((3, 5)) * np.pi
     text = format_matrix(a)
     back = parse_matrix(text)
-    assert np.array_equal(back.a, a)
+    assert np.array_equal(back, a)
     path = tmp_path / "m.txt"
     save_matrix(a, path)
-    assert np.array_equal(load_matrix(path).a, a)
+    assert np.array_equal(load_matrix(path), a)
 
 
 def test_parse_matrix_rejects_malformed():
@@ -135,10 +83,16 @@ def test_parse_matrix_rejects_malformed():
         parse_matrix("2\n1 2\n3 4\n")
     with pytest.raises(ValueError):
         parse_matrix("2 2\n1 2\n3\n")
+    with pytest.raises(ShapeError):
+        parse_matrix("0 2\n")
+    # Matrix files are outside input, so parse_matrix checks finiteness.
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(NumericError):
+            parse_matrix(f"1 2\n1.0 {bad}\n")
 
 
 def test_as_array_passthrough():
-    m = DenseMatrix([[1.0]])
-    assert as_array(m) is m.a
+    m = np.array([[1.0]])
+    assert as_array(m) is m
     with pytest.raises(ShapeError):
         as_array([1.0, 2.0])

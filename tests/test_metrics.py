@@ -70,8 +70,8 @@ def test_labeled_features_validation():
     f = np.arange(12.0).reshape(3, 4)
     data = LabeledFeatures(f, [0, 1, 0, 1], 2)
     assert data.dim == 3 and data.num_samples == 4
-    assert data.balanced
-    assert not LabeledFeatures(f, [0, 0, 0, 1], 2).balanced
+    assert np.array_equal(data.per_class_counts, [2, 2])
+    assert np.array_equal(LabeledFeatures(f, [0, 0, 0, 1], 2).per_class_counts, [3, 1])
     with pytest.raises(ShapeError):
         LabeledFeatures(f, [[0, 1], [0, 1]], 2)
     with pytest.raises(ShapeError):
@@ -496,7 +496,7 @@ def test_kept_class_statistics_equal_a_fresh_computation_bitwise():
         rng.shuffle(labels)
         feats = rng.standard_normal((p, labels.size)) + [0.0, 3.0, 1e4][case % 3]
         data = LabeledFeatures(feats, labels, k)
-        assert not data.balanced
+        assert np.ptp(data.per_class_counts) > 0
         all_metrics(rng.standard_normal((k, p)), data)
         kept = compute_class_statistics(data)
         assert compute_class_statistics(data) is kept
