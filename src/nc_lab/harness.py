@@ -4,7 +4,9 @@ logging, and the closed-form consistency checks exposed on the command line.
 A run is described by an ExperimentConfig (parseable from a flat key=value
 text file), executes deterministically given its seeds, and logs a
 MetricRecord per evaluation epoch. Sweeps fan a base config across optimizer
-grids and aggregate final records into summary and pivot tables. The
+grids, train the cells together through the same loop with every array
+stacked on a leading cell axis, and aggregate final records into summary and
+pivot tables. The
 check_* functions train a model and compare the measured classifier row-sum
 trajectory against the matching closed form from the oracles module.
 """
@@ -15,8 +17,8 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
-from itertools import islice
+from dataclasses import dataclass, field, fields, replace
+from itertools import islice, product
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,7 +33,14 @@ from .metrics import (
     compute_class_statistics,
     nc0_alpha,
 )
-from .models import MLPModel, UFMModel, ce_loss_from_logits, make_blob_dataset, one_hot
+from .models import (
+    MLPModel,
+    UFMModel,
+    ce_loss_from_logits,
+    gather_columns,
+    make_blob_dataset,
+    one_hot,
+)
 from .optim import (
     _COUPLED_ONLY,
     _DECOUPLED_ONLY,
@@ -39,7 +48,9 @@ from .optim import (
     Optimizer,
     OptimizerConfig,
     OptimizerState,
+    cell_column,
     lr_at,
+    optimizer_groups,
     step_signgd_coupled,
     step_signgd_decoupled,
 )
@@ -78,6 +89,10 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("ufm", "ufm_fixed_features", "mlp")
+
+# The data fields that ufm_fixed_features does not read: it builds its square
+# geometry from num_classes alone.
+_SQUARE_GEOMETRY_UNREAD = ("dim", "per_class", "data_seed", "margin", "noise_std")
 
 CSV_COLUMNS = (
     ("epoch", "lr", "train_loss", "train_acc")
@@ -122,6 +137,13 @@ class ExperimentConfig:
             raise DomainError("batch_size must be >= 1 (or omitted for full batch)")
         if self.model_kind == "mlp" and self.init == "zero":
             raise DomainError("zero init leaves a rectifier network without gradient flow")
+        if self.model_kind == "ufm_fixed_features":
+            defaults = {f.name: f.default for f in fields(self)}
+            unread = [name for name in _SQUARE_GEOMETRY_UNREAD
+                      if getattr(self, name) != defaults[name]]
+            if unread:
+                raise DomainError(f"ufm_fixed_features builds the square K x K geometry and "
+                                  f"reads no {', '.join(unread)}")
 
 
 # Dotted config key -> (target, caster). A target "name" is an
@@ -203,7 +225,7 @@ def _unread_keys(model_kind, keys) -> list:
     its square geometry from data.k alone."""
     if model_kind != "ufm_fixed_features":
         return []
-    return sorted(key for key in keys if key.startswith("data.") and key != "data.k")
+    return sorted(key for key in keys if _CONFIG_CASTS[key][0] in _SQUARE_GEOMETRY_UNREAD)
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
@@ -443,82 +465,129 @@ def _status_from_records(records, epochs: int, num_classes: int) -> str:
     return "ok"
 
 
-@dataclass
-class _Trainee:
-    """A model as the training loop sees it, whatever its kind."""
+_LAB_ERRORS = (DomainError, NumericError, BudgetExceededError)
 
-    model: object
+# Cells train in stacks whose estimated per-step working set (see
+# _working_set) stays under this many bytes; a larger cell trains alone.
+_STACK_BUDGET_BYTES = 64 * 2**20
+
+
+def _working_set(widths, batch: int, num_params: int) -> int:
+    """Estimated bytes one cell touches per step: four batch-wide float64
+    arrays per layer width (input, pre-activation, activation, delta) and
+    four per parameter (value, gradient, two optimizer buffers)."""
+    return 8 * 4 * (batch * sum(widths) + num_params)
+
+
+@dataclass
+class _Stack:
+    """The models of G cells stacked on a leading axis, as the training loop
+    sees them, whatever their kind."""
+
+    params: list           # stacked parameter arrays
+    grads: Callable        # G x B batch columns (None = full batch) -> (losses, gradient list)
+    sync: Callable         # stacked parameter list -> None
+    cell: Callable         # i -> standalone 2-D model of cell i
+
+
+@dataclass
+class _Grid:
+    """What the cells of a grid share, built once: the data, and how to make,
+    stack and read the cells' models."""
+
     dataset: object
     labels: np.ndarray
     targets: np.ndarray    # one-hot K x N
-    params: list
-    grads: Callable        # batch columns (None = full batch) -> (loss, gradient list)
-    features: Callable     # () -> full-data features
-    weight: Callable       # () -> classifier W
-    sync: Callable         # parameter list -> None
+    make: Callable         # config -> the cell's 2-D model
+    stack: Callable        # list of 2-D models -> _Stack
+    features: Callable     # 2-D model -> full-data features
+    weight: Callable       # 2-D model -> classifier W
+    cell_bytes: int        # _working_set of one cell
 
 
-def _setup(config: ExperimentConfig) -> _Trainee:
-    """Build the data and model a config names. This is the one place that
-    branches on the model kind."""
+def _setup(config: ExperimentConfig) -> _Grid:
+    """Build the data that the cells of a grid share, from the fields they
+    share. This is the one place that branches on the model kind."""
     k = config.num_classes
     if config.model_kind == "mlp":
         dataset = make_blob_dataset(
             k, config.dim, config.per_class,
             margin=config.margin, seed=config.data_seed, noise_std=config.noise_std,
         )
-        model = MLPModel.create(
-            config.dim, config.hidden_sizes, k,
-            seed=config.seed, init_scale=config.init_scale,
-        )
         x_full, labels = dataset.features, dataset.labels
         y_full = one_hot(labels, k)
-        every = np.arange(labels.shape[0])
+        every = np.arange(labels.shape[0])[None, :]
 
-        def mlp_grads(cols):
-            # A full batch gathers every column too: the golden CSVs pin the
-            # result bits of that Fortran-ordered copy.
-            cols = every if cols is None else cols
-            loss, grads, _ = model.forward_backward(x_full[:, cols], y_full[:, cols])
-            return loss, grads
+        def make_mlp(cfg):
+            return MLPModel.create(cfg.dim, cfg.hidden_sizes, k,
+                                   seed=cfg.seed, init_scale=cfg.init_scale)
 
-        return _Trainee(model, dataset, labels, y_full, model.parameters(), mlp_grads,
-                        lambda: model.features(x_full), lambda: model.final_weight,
-                        model.set_parameters)
+        def stack_mlp(models):
+            model = MLPModel.stack(models)
+
+            def grads(cols):
+                # A full batch gathers every column too, once for all cells:
+                # the golden CSVs pin the result bits of that Fortran-ordered
+                # copy.
+                cols = every if cols is None else cols
+                loss, grads, _ = model.forward_backward(gather_columns(x_full, cols),
+                                                        gather_columns(y_full, cols))
+                return loss, grads
+
+            return _Stack(model.parameters(), grads, model.set_parameters, model.cell)
+
+        widths = (config.dim, *config.hidden_sizes, k)
+        num_params = sum(a * b for a, b in zip(widths, widths[1:])) + sum(config.hidden_sizes)
+        return _Grid(dataset, labels, y_full, make_mlp, stack_mlp,
+                     lambda m: m.features(x_full), lambda m: m.final_weight,
+                     _working_set(widths, _batch(config, labels.shape[0]), num_params))
 
     if config.model_kind == "ufm":
-        model = UFMModel.create(
-            k, config.dim, config.per_class,
-            seed=config.seed, init_scale=config.init_scale,
-        )
-        if config.init == "zero":
-            model.W = np.zeros_like(model.W)
+        def make(cfg):
+            model = UFMModel.create(k, cfg.dim, cfg.per_class,
+                                    seed=cfg.seed, init_scale=cfg.init_scale)
+            if cfg.init == "zero":
+                model.W = np.zeros_like(model.W)
+            return model
     else:
         if config.batch_size not in (None, k):
             raise DomainError("ufm_fixed_features trains full batch only")
         init = "gaussian" if config.init == "gaussian" else "zero"
-        model = UFMModel.fixed_features(
-            k, init=init, seed=config.seed, init_scale=config.init_scale,
-        )
 
-    def ufm_grads(cols):
-        loss, grad_w, grad_h = model.loss_and_grads(cols)
-        if grad_h is None:
-            return loss, [grad_w]
-        if cols is not None:
-            gh = np.zeros_like(model.H)
-            gh[:, cols] = grad_h
-            grad_h = gh
-        return loss, [grad_w, grad_h]
+        def make(cfg):
+            return UFMModel.fixed_features(k, init=init, seed=cfg.seed,
+                                           init_scale=cfg.init_scale)
 
-    def ufm_sync(params):
-        model.W = params[0]
-        if model.feature_trainable:
-            model.H = params[1]
+    def stack_ufm(models):
+        model = UFMModel.stack(models)
 
-    params = [model.W, model.H] if model.feature_trainable else [model.W]
-    return _Trainee(model, None, model.labels, model.Y, params, ufm_grads,
-                    lambda: model.H, lambda: model.W, ufm_sync)
+        def grads(cols):
+            loss, grad_w, grad_h = model.loss_and_grads(cols)
+            if grad_h is None:
+                return loss, [grad_w]
+            if cols is not None:
+                gh = np.zeros_like(model.H)
+                gh[np.arange(gh.shape[0])[:, None], :, cols] = grad_h.swapaxes(-1, -2)
+                grad_h = gh
+            return loss, [grad_w, grad_h]
+
+        def sync(params):
+            model.W = params[0]
+            if model.feature_trainable:
+                model.H = params[1]
+
+        params = [model.W, model.H] if model.feature_trainable else [model.W]
+        return _Stack(params, grads, sync, model.cell)
+
+    probe = make(config)
+    num_params = probe.W.size + (probe.H.size if probe.feature_trainable else 0)
+    return _Grid(None, probe.labels, probe.Y, make, stack_ufm, lambda m: m.H, lambda m: m.W,
+                 _working_set(probe.W.shape[::-1], _batch(config, probe.labels.shape[0]),
+                              num_params))
+
+
+def _batch(config: ExperimentConfig, n: int) -> int:
+    return n if config.batch_size is None else min(config.batch_size, n)
 
 
 def _oscillation_step_sizes(config: ExperimentConfig):
@@ -532,84 +601,246 @@ def _oscillation_step_sizes(config: ExperimentConfig):
         yield state.eta
 
 
+def _step_sizes(config: ExperimentConfig):
+    """The step size of each epoch, drawn as the epoch starts.
+
+    The oscillation_decay schedule takes it from the (a, b) dynamics of
+    coupled sign descent on the square frozen-feature geometry from W = 0, so
+    it is rejected for any other model, optimizer or init.
+    """
+    schedule = config.optimizer.schedule
+    if schedule.kind != "oscillation_decay":
+        return (lr_at(schedule, e, config.epochs) for e in range(config.epochs))
+    if config.model_kind != "ufm_fixed_features" or config.optimizer.kind != "signgd_coupled":
+        raise DomainError(
+            "oscillation_decay requires the square frozen-feature geometry with "
+            "coupled sign descent"
+        )
+    if config.init == "gaussian":
+        raise DomainError("oscillation_decay starts from W = 0; a gaussian init breaks "
+                          "the (a, b) dynamics")
+    return _oscillation_step_sizes(config)
+
+
+@dataclass
+class _Cell:
+    """One cell's config and its progress through the training loop."""
+
+    config: ExperimentConfig
+    step_sizes: object = None      # iterator of per-epoch step sizes
+    records: list = field(default_factory=list)
+    rowsums: Optional[list] = None
+    lr: object = None              # the current epoch's step size
+    outcome: object = None         # TrainResult, or the lab error that stopped the cell
+
+
+def _train_cells(configs, collect_rowsums: bool = False) -> list:
+    """Train cells whose configs differ only in optimizer and seed.
+
+    The data is built once. The cells train in consecutive stacks of at most
+    _STACK_BUDGET_BYTES estimated working set, each through _train_stack.
+    Returns, per config and in order, its TrainResult or the DomainError,
+    NumericError or BudgetExceededError that stopped it; any other exception
+    propagates. A result's wall_time is the wall time of its stack (the first
+    stack's includes building the data).
+    """
+    start = time.perf_counter()
+    cells = [_Cell(config) for config in configs]
+    ready = []
+    for cell in cells:
+        try:
+            cell.step_sizes = _step_sizes(cell.config)
+        except _LAB_ERRORS as exc:
+            cell.outcome = exc
+            continue
+        if collect_rowsums:
+            cell.rowsums = []
+        ready.append(cell)
+    if not ready:
+        return [cell.outcome for cell in cells]
+    config = ready[0].config
+    try:
+        grid = _setup(config)
+        n = grid.labels.shape[0]
+        if config.batch_size is not None and config.batch_size > n:
+            raise DomainError(f"batch_size {config.batch_size} exceeds dataset size {n}")
+    except _LAB_ERRORS as exc:
+        for cell in ready:
+            cell.outcome = exc
+        return [cell.outcome for cell in cells]
+    per_stack = max(1, _STACK_BUDGET_BYTES // grid.cell_bytes)
+    for i in range(0, len(ready), per_stack):
+        stack = ready[i:i + per_stack]
+        _train_stack(grid, stack)
+        now = time.perf_counter()
+        for cell in stack:
+            if isinstance(cell.outcome, TrainResult):
+                cell.outcome.wall_time = now - start
+        start = now
+    return [cell.outcome for cell in cells]
+
+
+def _flatten(arrays) -> np.ndarray:
+    """Stacked arrays as one G x 1 x P buffer: each cell's values, in order."""
+    if len(arrays) == 1:
+        return arrays[0].reshape(arrays[0].shape[0], 1, -1)
+    return np.concatenate([a.reshape(a.shape[0], 1, -1) for a in arrays], axis=2)
+
+
+def _train_stack(grid: _Grid, cells: list) -> None:
+    """The training loop. Steps the cells of one stack together and sets
+    each cell's outcome.
+
+    Every cell keeps its own seeded shuffle and its own step sizes, and the
+    optimizer runs once per group of consecutive cells that take the same
+    branches (optim.optimizer_groups). A cell whose batch loss is non-finite
+    skips that step, logs a final diagnostic record and leaves the stack
+    with status "diverged"; a cell whose step raises NumericError leaves with
+    that error. The others go on.
+    """
+    config = cells[0].config
+    k, epochs, period = config.num_classes, config.epochs, config.metric_period
+    labels = grid.labels
+    n = labels.shape[0]
+    batch = _batch(config, n)
+    full_batch = batch >= n
+    stack = grid.stack([grid.make(cell.config) for cell in cells])
+    shuffles = [np.random.default_rng([cell.config.seed, 1]) for cell in cells]
+    # Every cell's parameters live in one G x 1 x P buffer, and the stack's
+    # parameter arrays are views into it, so one optimizer call per group
+    # steps them all (the step is elementwise, so the bits are unchanged)
+    # and writing the new values into the buffer updates the models.
+    shapes = [p.shape[1:] for p in stack.params]
+    bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+
+    def unflatten(buffer):
+        return [buffer[:, 0, a:b].reshape(-1, *shape)
+                for a, b, shape in zip(bounds, bounds[1:], shapes)]
+
+    flat = _flatten(stack.params)
+    stack.sync(unflatten(flat))
+    groups = [(lo, hi, Optimizer(hyper, [flat[lo:hi]]))
+              for lo, hi, hyper in optimizer_groups([cell.config.optimizer for cell in cells])]
+    order = None
+    lrs = None
+
+    def log(i, epoch, lr_value, snapshot=True):
+        """Append cell i's row sums (when collected) and, if asked, its
+        snapshot record; returns its standalone model."""
+        cell = cells[i]
+        if cell.rowsums is None and not snapshot:
+            return None
+        model = stack.cell(i)
+        weight = grid.weight(model)
+        if cell.rowsums is not None:
+            cell.rowsums.append((epoch, weight.sum(axis=0)))
+        if snapshot:
+            feats = grid.features(model)
+            loss, acc = _loss_and_accuracy(weight, feats, grid.targets, labels)
+            cell.records.append(_snapshot(epoch, lr_value, weight, feats, labels, k, loss, acc))
+        return model
+
+    def finish(i, status, model):
+        cell = cells[i]
+        cell.outcome = TrainResult(config=cell.config, records=cell.records, status=status,
+                                   wall_time=0.0, model=model, dataset=grid.dataset,
+                                   rowsums=cell.rowsums)
+
+    def group_lrs():
+        return [cell_column([cell.lr for cell in cells[lo:hi]]) for lo, hi, _ in groups]
+
+    def keep_only(keep):
+        """Drop the cells of the stack whose entry in keep is False."""
+        nonlocal cells, shuffles, flat, groups, order, lrs
+        keep = np.asarray(keep, dtype=bool)
+        cells = [cell for cell, kept in zip(cells, keep) if kept]
+        shuffles = [rng for rng, kept in zip(shuffles, keep) if kept]
+        flat = flat[keep]
+        stack.sync(unflatten(flat))
+        regrouped, lo_new = [], 0
+        for lo, hi, opt in groups:
+            kept = keep[lo:hi]
+            if kept.any():
+                size = int(kept.sum())
+                regrouped.append((lo_new, lo_new + size, opt.select(kept)))
+                lo_new += size
+        groups = regrouped
+        if order is not None:
+            order = order[keep]
+        if cells:
+            lrs = group_lrs()
+
+    def step(grad):
+        """One optimizer step of every group on the flat gradient, written
+        into the flat parameters. A cell whose own step raises NumericError
+        leaves, and the others step again from their saved states."""
+        while cells:
+            saved = [list(opt.states) for _, _, opt in groups]
+            try:
+                new = [opt.step([flat[lo:hi]], [grad[lo:hi]], lr)[0]
+                       for (lo, hi, opt), lr in zip(groups, lrs)]
+                np.concatenate(new, out=flat)
+                return
+            except NumericError:
+                for (_, _, opt), states in zip(groups, saved):
+                    opt.states = states
+                for lo, hi, opt in groups:
+                    for i in range(lo, hi):
+                        try:
+                            opt.select([i - lo]).step([flat[i:i + 1]], [grad[i:i + 1]],
+                                                      cells[i].lr)
+                        except NumericError as exc:
+                            cells[i].outcome = exc
+                keep = np.array([cell.outcome is None for cell in cells])
+                if keep.all():
+                    raise
+                grad = grad[keep]
+                keep_only(keep)
+
+    for i, cell in enumerate(cells):
+        log(i, 0, lr_at(cell.config.optimizer.schedule, 0, epochs))
+    for epoch in range(epochs):
+        for cell in cells:
+            cell.lr = next(cell.step_sizes)
+        lrs = group_lrs()
+        if not full_batch:
+            order = np.stack([rng.permutation(n) for rng in shuffles])
+        for start in range(0, n, batch):
+            loss, grads = stack.grads(None if full_batch else order[:, start:start + batch])
+            grad = _flatten(grads)
+            if not math.isfinite(sum(loss.tolist())):   # else every loss is finite
+                finite = np.isfinite(loss)
+                for i in np.flatnonzero(~finite):
+                    finish(i, "diverged", log(i, epoch + 1, cells[i].lr))
+                grad = grad[finite]
+                keep_only(finite)
+                if not cells:
+                    return
+            step(grad)
+            if not cells:
+                return
+        is_snapshot = (epoch + 1) % period == 0 or epoch + 1 == epochs
+        for i, cell in enumerate(cells):
+            log(i, epoch + 1, cell.lr, is_snapshot)
+    for i, cell in enumerate(cells):
+        finish(i, _status_from_records(cell.records, epochs, k), stack.cell(i))
+
+
 def run_training(config: ExperimentConfig, collect_rowsums: bool = False) -> TrainResult:
     """Train per the config, logging metrics every metric_period epochs.
 
+    The config trains as a one-cell stack of the loop that sweeps use.
     Mini-batch order is seeded and deterministic. A non-finite loss aborts
     the run with a final diagnostic record and status "diverged". The
     oscillation_decay schedule takes each epoch's step size from the (a, b)
     dynamics of coupled sign descent on the square frozen-feature geometry
     from W = 0, so it is rejected for any other model, optimizer or init.
     """
-    start = time.perf_counter()
-    schedule = config.optimizer.schedule
-    if schedule.kind == "oscillation_decay":
-        if config.model_kind != "ufm_fixed_features" or config.optimizer.kind != "signgd_coupled":
-            raise DomainError(
-                "oscillation_decay requires the square frozen-feature geometry with "
-                "coupled sign descent"
-            )
-        if config.init == "gaussian":
-            raise DomainError("oscillation_decay starts from W = 0; a gaussian init breaks "
-                              "the (a, b) dynamics")
-        step_sizes = _oscillation_step_sizes(config)
-    else:
-        step_sizes = (lr_at(schedule, e, config.epochs) for e in range(config.epochs))
-
-    k = config.num_classes
-    run = _setup(config)
-    labels = run.labels
-    n = labels.shape[0]
-    if config.batch_size is not None and config.batch_size > n:
-        raise DomainError(f"batch_size {config.batch_size} exceeds dataset size {n}")
-    batch = n if config.batch_size is None else config.batch_size
-    full_batch = batch >= n
-    shuffle_rng = np.random.default_rng([config.seed, 1])
-
-    def snapshot(epoch, lr_value):
-        feats = run.features()
-        loss, acc = _loss_and_accuracy(run.weight(), feats, run.targets, labels)
-        return _snapshot(epoch, lr_value, run.weight(), feats, labels, k, loss, acc)
-
-    params = run.params
-    opt = Optimizer(config.optimizer, params)
-    records = [snapshot(0, lr_at(schedule, 0, config.epochs))]
-    rowsums = [(0, run.weight().sum(axis=0).copy())] if collect_rowsums else None
-    diverged = False
-
-    for epoch, lr_value in zip(range(config.epochs), step_sizes):
-        if full_batch:
-            batches = [None]
-        else:
-            perm = shuffle_rng.permutation(n)
-            batches = [perm[i:i + batch] for i in range(0, n, batch)]
-        for idx in batches:
-            loss, grads = run.grads(idx)
-            if not math.isfinite(loss):
-                diverged = True
-                break
-            params = opt.step(params, grads, lr_value)
-            run.sync(params)
-        if collect_rowsums:
-            rowsums.append((epoch + 1, run.weight().sum(axis=0).copy()))
-        is_last = epoch + 1 == config.epochs
-        if diverged or (epoch + 1) % config.metric_period == 0 or is_last:
-            records.append(snapshot(epoch + 1, lr_value))
-        if diverged:
-            break
-
-    status = "diverged" if diverged else _status_from_records(records, config.epochs, k)
-    result = TrainResult(
-        config=config,
-        records=records,
-        status=status,
-        wall_time=time.perf_counter() - start,
-        model=run.model,
-        dataset=run.dataset,
-        rowsums=rowsums,
-    )
+    (result,) = _train_cells([config], collect_rowsums)
+    if not isinstance(result, TrainResult):
+        raise result
     if config.output_csv:
-        emit_csv(records, config.output_csv)
+        emit_csv(result.records, config.output_csv)
     if config.output_summary:
         emit_summary_json(result, config.output_summary)
     return result
@@ -659,58 +890,59 @@ class SweepResult:
     results: list
 
 
-def run_sweep(base_config: ExperimentConfig, spec: SweepSpec) -> SweepResult:
-    """Run the full grid. A cell that fails with a DomainError, NumericError or
-    BudgetExceededError becomes an ``error`` row and the sweep goes on; any
-    other exception is a bug and propagates."""
-    rows = []
-    results = []
+def _cell_config(base_config: ExperimentConfig, kind, lr, momentum, wd, seed) -> ExperimentConfig:
     base_sched = base_config.optimizer.schedule
-    for kind in spec.kinds:
-        for lr in spec.lrs:
-            for momentum in spec.momenta:
-                for wd in spec.wds:
-                    seed = derive_run_seed(spec.base_seed, kind, lr, momentum, wd)
-                    row = {
-                        "kind": kind, "lr": lr, "momentum": momentum, "wd": wd,
-                        "seed": seed,
-                    }
-                    try:
-                        schedule = LRSchedule(
-                            kind=base_sched.kind,
-                            base_lr=lr,
-                            decay_factor=base_sched.decay_factor,
-                            milestone_fractions=base_sched.milestone_fractions,
-                            shrink_factor=base_sched.shrink_factor,
-                        )
-                        opt = OptimizerConfig(
-                            kind=kind, lr=lr, momentum=momentum,
-                            schedule=schedule, **_wd_fields(kind, wd),
-                        )
-                        cfg = replace(
-                            base_config, optimizer=opt, seed=seed,
-                            output_csv=None, output_summary=None,
-                        )
-                        res = run_training(cfg)
-                    except (DomainError, NumericError, BudgetExceededError) as exc:
-                        row["status"] = "error"
-                        row["error"] = f"{type(exc).__name__}: {exc}"
-                        rows.append(row)
-                        results.append(None)
-                        continue
-                    final = res.records[-1]
-                    row["status"] = res.status
-                    row["epoch"] = final.epoch
-                    row["train_loss"] = final.train_loss
-                    row["train_acc"] = final.train_acc
-                    for key in METRIC_KEYS:
-                        row[key] = final.values.get(key)
-                    row["sigma_min_w"] = final.sigma_min_w
-                    row["sigma_avg_w"] = final.sigma_avg_w
-                    row["sigma_min_m"] = final.sigma_min_m
-                    row["sigma_avg_m"] = final.sigma_avg_m
-                    rows.append(row)
-                    results.append(res)
+    schedule = LRSchedule(
+        kind=base_sched.kind,
+        base_lr=lr,
+        decay_factor=base_sched.decay_factor,
+        milestone_fractions=base_sched.milestone_fractions,
+        shrink_factor=base_sched.shrink_factor,
+    )
+    opt = OptimizerConfig(kind=kind, lr=lr, momentum=momentum, schedule=schedule,
+                          **_wd_fields(kind, wd))
+    return replace(base_config, optimizer=opt, seed=seed, output_csv=None, output_summary=None)
+
+
+def run_sweep(base_config: ExperimentConfig, spec: SweepSpec) -> SweepResult:
+    """Run the full grid.
+
+    The cells train together, stacked, through the loop run_training uses,
+    and each cell's records equal run_training on its config bit for bit. A
+    cell that fails with a DomainError, NumericError or BudgetExceededError
+    becomes an ``error`` row and the sweep goes on; any other exception is a
+    bug and propagates. A diverged cell stops alone. Each result's wall_time
+    is the wall time of the stack the cell trained in.
+    """
+    rows, configs = [], []
+    for kind, lr, momentum, wd in product(spec.kinds, spec.lrs, spec.momenta, spec.wds):
+        seed = derive_run_seed(spec.base_seed, kind, lr, momentum, wd)
+        rows.append({"kind": kind, "lr": lr, "momentum": momentum, "wd": wd, "seed": seed})
+        try:
+            configs.append(_cell_config(base_config, kind, lr, momentum, wd, seed))
+        except _LAB_ERRORS as exc:
+            configs.append(exc)
+    outcomes = iter(_train_cells([c for c in configs if isinstance(c, ExperimentConfig)]))
+    results = []
+    for row, config in zip(rows, configs):
+        res = next(outcomes) if isinstance(config, ExperimentConfig) else config
+        if not isinstance(res, TrainResult):
+            row["status"] = "error"
+            row["error"] = f"{type(res).__name__}: {res}"
+            results.append(None)
+            continue
+        final = res.records[-1]
+        row["status"] = res.status
+        row["epoch"] = final.epoch
+        row["train_loss"] = final.train_loss
+        row["train_acc"] = final.train_acc
+        for key in METRIC_KEYS:
+            row[key] = final.values.get(key)
+        row["sigma_min_w"] = final.sigma_min_w
+        row["sigma_avg_w"] = final.sigma_avg_w
+        row["sigma_min_m"] = final.sigma_min_m
+        row["sigma_avg_m"] = final.sigma_avg_m
+        results.append(res)
     return SweepResult(spec=spec, base_config=base_config, rows=rows, results=results)
 
 

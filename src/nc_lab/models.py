@@ -11,6 +11,12 @@ Two model families:
 The cross-entropy gradient with respect to W always has zero column sums
 (softmax columns and one-hot labels both sum to one), which is what makes the
 row-sum recursions exact regardless of batching.
+
+The training arithmetic also runs on stacks: the arrays of G models of one
+shape stacked on a leading cell axis. Each cell's slice of a stacked result
+equals the 2-D computation on that cell bit for bit, because numpy's matmul
+makes one BLAS call per slice and every other operation is elementwise or
+reduces within a slice.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import as_array
 from .metrics import simplex_etf
 
 __all__ = [
     "one_hot",
+    "gather_columns",
     "ce_loss_and_grad",
     "ce_loss_from_logits",
     "UFMModel",
@@ -46,59 +52,107 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     return y
 
 
+def _as_matrices(m) -> np.ndarray:
+    """Coerce to a float64 matrix, or to a stack of matrices on a leading axis."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim not in (2, 3):
+        raise ShapeError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+    return a
+
+
+def gather_columns(m: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The batch columns ``m[:, columns]``. A (G, B) ``columns`` picks one
+    batch per cell, from a shared matrix or from a (G, P, N) stack, and gives
+    (G, P, B). Each cell's slice has the Fortran-ordered layout of the 2-D
+    gather, so the products it feeds make the same BLAS calls."""
+    if columns.ndim == 1:
+        return m[:, columns]
+    if m.ndim == 2:
+        return m[:, columns].transpose(1, 0, 2)
+    return m[np.arange(m.shape[0])[:, None], :, columns].swapaxes(-1, -2)
+
+
 def ce_loss_and_grad(w, x, y):
     """Mean cross-entropy of softmax(W X) against one-hot targets Y.
 
     Returns (loss, grad_w, grad_x) with
         grad_w = (1/N) (S - Y) X^T      (zero column sums),
         grad_x = (1/N) W^T (S - Y).
+    Operands may be stacks on a leading cell axis (a shared operand
+    broadcasts); the loss is then one value per cell.
     """
-    w, x, y = as_array(w), as_array(x), as_array(y)
-    if w.shape[1] != x.shape[0]:
+    w, x = _as_matrices(w), _as_matrices(x)
+    loss, delta = _ce_delta(w, x, y)
+    return loss, delta @ x.swapaxes(-1, -2), w.swapaxes(-1, -2) @ delta
+
+
+def _ce_delta(w: np.ndarray, x: np.ndarray, y):
+    """(loss, (S - Y) / N): the loss and the logit gradient of W X."""
+    y = _as_matrices(y)
+    if w.shape[-1] != x.shape[-2]:
         raise ShapeError(f"W {w.shape} does not left-multiply X {x.shape}")
-    if y.shape != (w.shape[0], x.shape[1]):
-        raise ShapeError(f"Y must be {w.shape[0]}x{x.shape[1]}, got {y.shape}")
+    if y.shape[-2:] != (w.shape[-2], x.shape[-1]):
+        raise ShapeError(f"Y must be {w.shape[-2]}x{x.shape[-1]}, got {y.shape}")
     loss, e, total = _ce_terms(w @ x, y)
-    delta = (e / total - y) / x.shape[1]
-    return loss, delta @ x.T, w.T @ delta
+    return loss, (e / total - y) / x.shape[-1]
 
 
 def _ce_terms(z: np.ndarray, y: np.ndarray):
-    """(mean cross-entropy, exp of the max-shifted logits, their column sums)."""
-    shifted = z - z.max(axis=0, keepdims=True)
+    """(mean cross-entropy, exp of the max-shifted logits, their column sums);
+    the loss is a float for a matrix and one value per cell for a stack."""
+    shifted = z - z.max(axis=-2, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum(axis=0, keepdims=True)
+    total = e.sum(axis=-2, keepdims=True)
     log_p = shifted - np.log(total)
-    return -float((y * log_p).sum()) / z.shape[1], e, total
+    if z.ndim == 2:
+        return -float((y * log_p).sum()) / z.shape[1], e, total
+    terms = y * log_p
+    return -terms.reshape(terms.shape[0], -1).sum(axis=1) / z.shape[-1], e, total
 
 
 def ce_loss_from_logits(z, y) -> float:
     """Mean cross-entropy of softmax(Z) against one-hot targets Y, for
     logits Z = W X already computed; equal to ce_loss_and_grad's loss."""
-    return _ce_terms(as_array(z), as_array(y))[0]
+    return _ce_terms(_as_matrices(z), _as_matrices(y))[0]
 
 
 class UFMModel:
     """Linear classifier over directly trainable feature columns.
 
     W is K x P, H is P x N with one column per sample. Nothing in the loss
-    regularizes; weight decay acts through the optimizer's step.
+    regularizes; weight decay acts through the optimizer's step. In a stack
+    W is G x K x P, and H is G x P x N, or one P x N shared by every cell
+    when it is frozen.
     """
 
     def __init__(self, w, h, labels, num_classes: int,
                  feature_trainable: bool = True):
-        self.W = as_array(w).copy()
-        self.H = as_array(h).copy()
+        self.W = _as_matrices(w).copy()
+        self.H = _as_matrices(h).copy()
         self.labels = np.asarray(labels, dtype=np.int64)
         self.num_classes = int(num_classes)
         self.feature_trainable = bool(feature_trainable)
-        if self.W.shape[1] != self.H.shape[0]:
+        if self.W.shape[-1] != self.H.shape[-2]:
             raise ShapeError(f"W {self.W.shape} does not match H {self.H.shape}")
-        if self.W.shape[0] != self.num_classes:
+        if self.W.shape[-2] != self.num_classes:
             raise ShapeError("W must have one row per class")
-        if self.labels.shape[0] != self.H.shape[1]:
+        if self.labels.shape[0] != self.H.shape[-1]:
             raise ShapeError("one label per feature column required")
         self.Y = one_hot(self.labels, self.num_classes)
+
+    @classmethod
+    def stack(cls, models) -> "UFMModel":
+        """Models of one shape and labels as one stacked model; a frozen H is
+        shared."""
+        first = models[0]
+        h = np.stack([m.H for m in models]) if first.feature_trainable else first.H
+        return cls(np.stack([m.W for m in models]), h, first.labels, first.num_classes,
+                   first.feature_trainable)
+
+    def cell(self, i: int) -> "UFMModel":
+        """A standalone copy of cell i of a stacked model."""
+        h = self.H[i] if self.H.ndim == 3 else self.H
+        return UFMModel(self.W[i], h, self.labels, self.num_classes, self.feature_trainable)
 
     @classmethod
     def create(cls, num_classes: int, feature_dim: int, per_class: int = 1,
@@ -132,26 +186,30 @@ class UFMModel:
 
     def loss_and_grads(self, columns: Optional[np.ndarray] = None):
         """(loss, grad_W, grad_H-or-None), optionally restricted to a column
-        subset (mini-batch). grad_H is None when features are frozen."""
+        subset (mini-batch; G x B in a stack, one batch per cell). grad_H is
+        None when features are frozen."""
         if columns is None:
             h, y = self.H, self.Y
         else:
-            h, y = self.H[:, columns], self.Y[:, columns]
-        loss, grad_w, grad_h = ce_loss_and_grad(self.W, h, y)
-        return loss, grad_w, (grad_h if self.feature_trainable else None)
+            h, y = gather_columns(self.H, columns), gather_columns(self.Y, columns)
+        if self.feature_trainable:
+            return ce_loss_and_grad(self.W, h, y)
+        loss, delta = _ce_delta(self.W, h, y)
+        return loss, delta @ h.swapaxes(-1, -2), None
 
 
 class MLPModel:
     """Rectifier network: hidden affine+ReLU layers, then a bias-free linear
-    classifier over the last hidden activations (the feature map)."""
+    classifier over the last hidden activations (the feature map). In a stack
+    every weight and bias carries a leading cell axis."""
 
     def __init__(self, hidden_weights: Sequence[np.ndarray],
                  hidden_biases: Sequence[np.ndarray], final_weight: np.ndarray):
         if len(hidden_weights) != len(hidden_biases):
             raise ShapeError("one bias vector per hidden layer required")
-        self.hidden_weights = [as_array(w).copy() for w in hidden_weights]
-        self.hidden_biases = [as_array(b).copy() for b in hidden_biases]
-        self.final_weight = as_array(final_weight).copy()
+        self.hidden_weights = [_as_matrices(w).copy() for w in hidden_weights]
+        self.hidden_biases = [_as_matrices(b).copy() for b in hidden_biases]
+        self.final_weight = _as_matrices(final_weight).copy()
 
     @classmethod
     def create(cls, input_dim: int, hidden_sizes: Sequence[int], num_classes: int,
@@ -165,6 +223,18 @@ class MLPModel:
             fan_in = h
         final = init_scale * rng.standard_normal((num_classes, fan_in))
         return cls(ws, bs, final)
+
+    @classmethod
+    def stack(cls, models) -> "MLPModel":
+        """Models of one shape as one stacked model."""
+        return cls([np.stack(ws) for ws in zip(*(m.hidden_weights for m in models))],
+                   [np.stack(bs) for bs in zip(*(m.hidden_biases for m in models))],
+                   np.stack([m.final_weight for m in models]))
+
+    def cell(self, i: int) -> "MLPModel":
+        """A standalone copy of cell i of a stacked model."""
+        return MLPModel([w[i] for w in self.hidden_weights], [b[i] for b in self.hidden_biases],
+                        self.final_weight[i])
 
     def parameters(self) -> list:
         """Flat parameter list: W1, b1, ..., WL, bL, final W."""
@@ -185,7 +255,7 @@ class MLPModel:
         self.final_weight = next(it)
 
     def features(self, x) -> np.ndarray:
-        a = as_array(x)
+        a = _as_matrices(x)
         for w, b in zip(self.hidden_weights, self.hidden_biases):
             a = np.maximum(w @ a + b, 0.0)
         return a
@@ -195,8 +265,9 @@ class MLPModel:
 
         Returns (loss, grads, features): ``grads`` aligns with
         ``parameters()``; ``features`` is the last hidden activation matrix.
+        A stacked model takes stacked batches and returns one loss per cell.
         """
-        x, y = as_array(x), as_array(y)
+        x, y = _as_matrices(x), _as_matrices(y)
         activations = [x]
         pre = []
         a = x
@@ -211,10 +282,10 @@ class MLPModel:
         d_a = d_feats
         for i in range(len(self.hidden_weights) - 1, -1, -1):
             d_z = d_a * (pre[i] > 0.0)
-            grads_rev.append(d_z.sum(axis=1, keepdims=True))   # bias grad
-            grads_rev.append(d_z @ activations[i].T)           # weight grad
+            grads_rev.append(d_z.sum(axis=-1, keepdims=True))                # bias grad
+            grads_rev.append(d_z @ activations[i].swapaxes(-1, -2))          # weight grad
             if i > 0:
-                d_a = self.hidden_weights[i].T @ d_z
+                d_a = self.hidden_weights[i].swapaxes(-1, -2) @ d_z
         return loss, grads_rev[::-1], feats
 
 

@@ -10,13 +10,19 @@ interpolated variant with both decay constants. With beta1 = beta2 = eps = 0
 it takes an explicit sign-limit path whose floating-point operations are
 identical to the sign-descent steps, so the reduction is exact at the bit
 level, not merely close.
+
+Every step also runs on a stack of cells: parameters with a leading cell
+axis, and each hyperparameter either a float or a (G, 1, 1) column of
+per-cell values. The cells of one stacked step must take the same
+Python-level branches; ``optimizer_groups`` splits a stack into runs of
+cells that do.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +42,9 @@ __all__ = [
     "step_signum",
     "step_adam_family",
     "Optimizer",
+    "StackedConfig",
+    "cell_column",
+    "optimizer_groups",
 ]
 
 _COUPLED_ONLY = {"sgd_coupled", "signgd_coupled", "signum", "adam"}
@@ -151,15 +160,46 @@ class OptimizerState:
             t=0,
         )
 
-
-def _warn_stability(product: float, bound: float, label: str) -> None:
-    if not 0.0 <= product < bound:
-        warnings.warn(
-            f"lr * weight_decay = {product:g} is outside the contractive range "
-            f"[0, {bound:g}) for {label}; iterates may not decay",
-            RuntimeWarning,
-            stacklevel=3,
+    def select(self, cells) -> "OptimizerState":
+        """The state of some cells of a stack (``cells`` indexes the leading axis)."""
+        return OptimizerState(
+            v=None if self.v is None else self.v[cells],
+            second_moment=None if self.second_moment is None else self.second_moment[cells],
+            t=self.t,
         )
+
+
+def _warn_stability(product, bound, label: str) -> None:
+    """Warn once per cell whose lr * weight_decay is outside [0, bound)."""
+    if isinstance(product, float) and isinstance(bound, float) and 0.0 <= product < bound:
+        return
+    for cell_product, cell_bound in np.broadcast(product, bound):
+        if not 0.0 <= cell_product < cell_bound:
+            warnings.warn(
+                f"lr * weight_decay = {cell_product:g} is outside the contractive range "
+                f"[0, {cell_bound:g}) for {label}; iterates may not decay",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+
+
+def _every_cell(condition) -> bool:
+    """A branch condition, for floats or per cell of a column. The cells of
+    one stacked step must agree on it, or their float operations would differ."""
+    if isinstance(condition, (bool, np.bool_)):
+        return bool(condition)
+    if condition.all():
+        return True
+    if not condition.any():
+        return False
+    raise DomainError("the cells of a stacked step take different branches")
+
+
+def _bias_correction(beta, t: int):
+    """1 - beta**t, computed in Python floats per cell as a scalar step does."""
+    if np.ndim(beta) == 0:
+        return 1.0 - beta**t
+    return np.array([1.0 - b**t for b in beta.ravel().tolist()]).reshape(beta.shape)
 
 
 def step_sgd_coupled(param, grad, state, lr, momentum, weight_decay):
@@ -213,24 +253,24 @@ def step_adam_family(param, grad, state, lr, beta1, beta2, eps, coupled_wd, deco
     bypassing bias correction, which makes the reduction to the sign-descent
     steps bit-exact.
     """
-    if eps == 0.0 and beta2 != 0.0:
+    if _every_cell((eps == 0.0) & (beta2 != 0.0)):
         raise DomainError("eps = 0 is only valid in the beta2 = 0 sign limit")
-    g = grad + coupled_wd * param if coupled_wd != 0.0 else grad
+    g = grad + coupled_wd * param if _every_cell(coupled_wd != 0.0) else grad
     t = state.t + 1
-    if beta1 == 0.0 and beta2 == 0.0 and eps == 0.0:
+    if _every_cell((beta1 == 0.0) & (beta2 == 0.0) & (eps == 0.0)):
         ratio = np.sign(g)
         v = g
         second = g * g
     else:
         v = beta1 * state.v + (1.0 - beta1) * g
         second = beta2 * state.second_moment + (1.0 - beta2) * (g * g)
-        m_hat = v / (1.0 - beta1**t)
-        v_hat = second / (1.0 - beta2**t)
+        m_hat = v / _bias_correction(beta1, t)
+        v_hat = second / _bias_correction(beta2, t)
         denom = np.sqrt(v_hat) + eps
         if np.any(denom == 0.0):
             raise NumericError("adam denominator sqrt(v_hat) + eps hit zero")
         ratio = m_hat / denom
-    if decoupled_wd != 0.0:
+    if _every_cell(decoupled_wd != 0.0):
         new_param = param - lr * (ratio + decoupled_wd * param)
     else:
         new_param = param - lr * ratio
@@ -261,13 +301,72 @@ _STEPS = {
 
 OPTIMIZER_KINDS = tuple(_STEPS)
 
+_HYPERPARAMETERS = ("momentum", "beta2", "eps", "coupled_wd", "decoupled_wd")
+
+
+def cell_column(values):
+    """Per-cell values as one step argument: the first value itself when
+    every cell holds the same bits, else a (G, 1, 1) float64 column."""
+    if len(values) == 1:
+        return values[0]
+    column = np.array(values, dtype=np.float64)
+    bits = column.view(np.uint64)
+    if (bits == bits[0]).all():
+        return values[0]
+    return column.reshape(-1, 1, 1)
+
+
+@dataclass(frozen=True)
+class StackedConfig:
+    """The optimizer configs of consecutive cells as one config: each
+    hyperparameter is ``cell_column`` of the cells' values."""
+
+    kind: str
+    momentum: object
+    beta2: object
+    eps: object
+    coupled_wd: object
+    decoupled_wd: object
+
+    @classmethod
+    def of(cls, configs: Sequence[OptimizerConfig]) -> "StackedConfig":
+        return cls(configs[0].kind, *(cell_column([getattr(c, name) for c in configs])
+                                      for name in _HYPERPARAMETERS))
+
+    def select(self, cells) -> "StackedConfig":
+        """The config of some of the cells (``cells`` indexes the stack)."""
+        return replace(self, **{name: getattr(self, name)[cells]
+                                for name in _HYPERPARAMETERS if np.ndim(getattr(self, name))})
+
+
+def _branches(config: OptimizerConfig) -> tuple:
+    """What selects the Python-level branches of a config's step function."""
+    if not config.kind.startswith("adam"):
+        return (config.kind,)
+    sign_limit = config.momentum == 0.0 and config.beta2 == 0.0 and config.eps == 0.0
+    return (config.kind, sign_limit, config.coupled_wd != 0.0, config.decoupled_wd != 0.0)
+
+
+def optimizer_groups(configs: Sequence[OptimizerConfig]) -> list:
+    """Split the optimizer configs of a stack, in order, into runs of
+    consecutive cells whose steps take the same branches and so run identical
+    float operations: a list of (start, stop, StackedConfig)."""
+    groups = []
+    start = 0
+    for i in range(1, len(configs) + 1):
+        if i == len(configs) or _branches(configs[i]) != _branches(configs[start]):
+            groups.append((start, i, StackedConfig.of(configs[start:i])))
+            start = i
+    return groups
+
 
 class Optimizer:
     """Binds an OptimizerConfig to a list of parameters and dispatches steps.
 
     The step function of the config's kind is chosen once, here. ``step``
     returns the updated parameter list; internal per-parameter states advance
-    in place. Each optimizer instance belongs to one run.
+    in place. Each optimizer instance belongs to one run, or to one stack of
+    cells when ``config`` is a StackedConfig and the parameters are stacked.
     """
 
     def __init__(self, config: OptimizerConfig, params: Sequence[np.ndarray]):
@@ -283,4 +382,10 @@ class Optimizer:
         for i, (p, g) in enumerate(zip(params, grads)):
             p2, self.states[i] = self._step(p, g, self.states[i], lr, self.config)
             out.append(p2)
+        return out
+
+    def select(self, cells) -> "Optimizer":
+        """A new optimizer over some cells of this one's stack, with their states."""
+        out = Optimizer(self.config.select(cells), ())
+        out.states = [state.select(cells) for state in self.states]
         return out

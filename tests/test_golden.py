@@ -1,7 +1,7 @@
 """Byte-for-byte regression of metric and check CSVs against tests/golden/.
 
-The golden files pin the exact bytes that training runs and theorem checks
-write. A refactor or speedup must leave them unchanged. Regenerate them with
+The golden files pin the exact bytes that training runs, sweeps and theorem
+checks write. A refactor or speedup must leave them unchanged. Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py`` only for an intended change
 of output, and say why in the change log.
 """
@@ -14,7 +14,15 @@ import sys
 import pytest
 
 from nc_lab.cli import main
-from nc_lab.harness import config_from_mapping, format_metric_csv, parse_config_text, run_training
+from nc_lab.harness import (
+    SweepSpec,
+    config_from_mapping,
+    format_metric_csv,
+    parse_config_text,
+    run_sweep,
+    run_training,
+    sweep_summary_csv,
+)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -177,6 +185,63 @@ ROWSUM_CONFIGS = {
     """,
 }
 
+_MLP_SWEEP_BASE = """
+    model.kind = mlp
+    model.hidden_sizes = 8,8
+    data.k = 4
+    data.d = 8
+    data.per_class = 10
+    data.seed = 2
+    train.epochs = 12
+    train.batch_size = 10
+    train.metric_period = 4
+"""
+
+_UFM_SWEEP_BASE = """
+    model.kind = ufm
+    data.k = 4
+    data.d = 6
+    data.per_class = 5
+    train.epochs = 30
+    train.metric_period = 10
+"""
+
+# Sweeps whose summary CSV and every cell's metric CSV are pinned, one
+# directory each: (base config text, SweepSpec arguments). The wd = 0 cells
+# take the adam family's no-decay branches.
+SWEEP_CASES = {
+    "sweep_mlp_all_kinds": (_MLP_SWEEP_BASE, dict(
+        kinds=("sgd_coupled", "sgd_decoupled", "signgd_coupled", "signgd_decoupled", "signum",
+               "signum_w", "adam", "adam_w", "adam_interpolated"),
+        lrs=(0.01,), momenta=(0.0, 0.9), wds=(0.0, 0.01), base_seed=1)),
+    "sweep_ufm_mini_batch": (_UFM_SWEEP_BASE + "train.batch_size = 6\n", dict(
+        kinds=("sgd_coupled", "sgd_decoupled", "signum_w", "adam"),
+        lrs=(0.1, 0.5), momenta=(0.5,), wds=(0.01,), base_seed=2)),
+    "sweep_ufm_full_batch": (_UFM_SWEEP_BASE, dict(
+        kinds=("sgd_coupled", "signgd_decoupled", "adam_w"),
+        lrs=(0.1, 0.5), momenta=(0.0, 0.9), wds=(0.01,), base_seed=3)),
+    "sweep_ufm_fixed_sign": ("""
+        model.kind = ufm_fixed_features
+        data.k = 6
+        train.epochs = 40
+        train.metric_period = 10
+    """, dict(kinds=("signgd_coupled", "signgd_decoupled", "signum", "signum_w"),
+              lrs=(0.05, 0.1), momenta=(0.0, 0.9), wds=(0.1, 0.5), base_seed=4)),
+    "sweep_oscillation_decay": ("""
+        model.kind = ufm_fixed_features
+        data.k = 5
+        optimizer.schedule = oscillation_decay
+        optimizer.shrink_factor = 0.5
+        train.epochs = 120
+        train.metric_period = 10
+    """, dict(kinds=("signgd_coupled", "signgd_decoupled"), lrs=(0.02, 0.05),
+              momenta=(0.0,), wds=(0.0, 0.1, 0.5), base_seed=5)),
+    # lr = -1 is an error row, 1e-5 does not train and 1e4 diverges mid-run.
+    "sweep_mlp_failures": (_MLP_SWEEP_BASE, dict(
+        kinds=("sgd_coupled", "sgd_decoupled"), lrs=(-1.0, 1e-5, 0.05, 1e4),
+        momenta=(0.9,), wds=(0.01,), base_seed=3)),
+}
+
 CASES = (sorted(TRAIN_CONFIGS) + [f"check_theorem_{t}" for t in CHECK_THEOREMS]
          + sorted(CLI_ARGS) + sorted(ROWSUM_CONFIGS))
 
@@ -210,6 +275,22 @@ def produce(case: str) -> str:
     return out.getvalue()
 
 
+def run_sweep_case(case: str):
+    text, spec = SWEEP_CASES[case]
+    return run_sweep(config_from_mapping(parse_config_text(text)), SweepSpec(**spec))
+
+
+def produce_sweep(case: str) -> dict:
+    """File name -> text of a sweep case: its summary CSV and the metric CSV
+    of every cell that trained."""
+    sweep = run_sweep_case(case)
+    files = {"summary.csv": sweep_summary_csv(sweep)}
+    for i, res in enumerate(sweep.results):
+        if res is not None:
+            files[f"cell_{i:02d}.csv"] = format_metric_csv(res.records)
+    return files
+
+
 def produce_verdicts() -> str:
     """The verdict lines of the pinned theorem-4 checks."""
     return "".join(_run_cli(CLI_ARGS[case])[1] for case in VERDICT_CASES)
@@ -235,11 +316,52 @@ def test_theorem4_verdicts_match_golden_bytes():
     assert produce_verdicts() == expected
 
 
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_matches_golden_bytes(case):
+    directory = os.path.join(GOLDEN_DIR, case)
+    expected = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), encoding="utf-8", newline="") as fh:
+            expected[name] = fh.read()
+    assert produce_sweep(case) == expected
+
+
+def _model_arrays(model) -> list:
+    return model.parameters() if hasattr(model, "parameters") else [model.W, model.H]
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_cells_equal_run_training(case):
+    """Each stacked cell ends with the records, status and parameter bits
+    that run_training gives its config."""
+    for res in run_sweep_case(case).results:
+        if res is None:
+            continue
+        alone = run_training(res.config)
+        assert alone.status == res.status
+        assert format_metric_csv(alone.records) == format_metric_csv(res.records)
+        assert ([a.tobytes() for a in _model_arrays(alone.model)]
+                == [a.tobytes() for a in _model_arrays(res.model)])
+
+
+def _write_sweep_golden(case: str) -> None:
+    directory = os.path.join(GOLDEN_DIR, case)
+    os.makedirs(directory, exist_ok=True)
+    for name in os.listdir(directory):
+        os.remove(os.path.join(directory, name))
+    for name, text in produce_sweep(case).items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name in sys.argv[1:] or CASES:
-        with open(_golden_path(name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(produce(name))
+    for name in sys.argv[1:] or CASES + sorted(SWEEP_CASES):
+        if name in SWEEP_CASES:
+            _write_sweep_golden(name)
+        else:
+            with open(_golden_path(name), "w", encoding="utf-8", newline="") as fh:
+                fh.write(produce(name))
         print(name)
     if len(sys.argv) == 1:
         with open(VERDICTS_PATH, "w", encoding="utf-8", newline="") as fh:

@@ -1,11 +1,14 @@
+import gc
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nc_lab import oracles
-from nc_lab.errors import BudgetExceededError, DomainError
+from nc_lab import harness, oracles
+from nc_lab.errors import BudgetExceededError, DomainError, NumericError
 from nc_lab.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -46,7 +49,6 @@ def _ufm_sign_config(kind, lr, wd, steps, schedule="constant", shrink=0.5, k=4,
         model_kind="ufm_fixed_features",
         init="zero",
         num_classes=k,
-        per_class=1,
         epochs=steps,
         metric_period=metric_period or max(1, steps // 20),
         optimizer=OptimizerConfig(kind=kind, lr=lr, schedule=sched, **wd_field),
@@ -143,6 +145,17 @@ def test_ufm_fixed_features_rejects_the_data_keys_it_does_not_read():
     echo = config_to_mapping(cfg)
     assert [key for key in echo if key.startswith("data.")] == ["data.k"]
     assert config_from_mapping({k: str(v) for k, v in echo.items()}) == cfg
+
+
+def test_ufm_fixed_features_rejects_the_fields_it_does_not_read():
+    assert ExperimentConfig(model_kind="ufm_fixed_features", dim=8, per_class=25).dim == 8
+    with pytest.raises(DomainError, match="reads no dim$"):
+        ExperimentConfig(model_kind="ufm_fixed_features", dim=64, per_class=25)
+    with pytest.raises(DomainError, match="reads no dim, per_class, data_seed, margin, noise_std"):
+        ExperimentConfig(model_kind="ufm_fixed_features", dim=3, per_class=1, data_seed=1,
+                         margin=2.0, noise_std=0.5)
+    with pytest.raises(DomainError, match="reads no per_class"):
+        replace(ExperimentConfig(model_kind="ufm_fixed_features"), per_class=2)
 
 
 def test_load_config_path_error(tmp_path):
@@ -414,6 +427,73 @@ def test_sweep_surfaces_programming_errors():
     spec = SweepSpec(kinds=("sgd_coupled",), lrs=("0.1",), momenta=(0.0,), wds=(0.01,))
     with pytest.raises(TypeError):
         run_sweep(base, spec)
+
+
+def test_sweep_warns_once_per_cell_outside_the_stability_range():
+    base = _mlp_config(epochs=2, batch_size=50)
+    spec = SweepSpec(kinds=("sgd_decoupled",), lrs=(0.1,), momenta=(0.0,), wds=(1.0, 30.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_sweep(base, spec)
+    messages = {str(w.message) for w in caught if "contractive range" in str(w.message)}
+    assert messages == {"lr * weight_decay = 3 is outside the contractive range [0, 2) "
+                        "for decoupled sgd; iterates may not decay"}
+    assert all(w.category is RuntimeWarning for w in caught if "contractive" in str(w.message))
+
+
+def test_numeric_error_stops_only_its_cell():
+    """An adam cell whose denominator hits zero becomes that cell's error,
+    with run_training's message, while the cells stacked with it train on."""
+    adam = _mlp_config(epochs=3, batch_size=10, metric_period=1,
+                       optimizer=OptimizerConfig(kind="adam", lr=0.01, momentum=0.9))
+    bad = replace(adam, seed=1, optimizer=OptimizerConfig(kind="adam", lr=0.01, momentum=0.9,
+                                                          beta2=0.0, eps=0.0))
+    # the sgd group steps before the adam group fails, and must be rolled back
+    configs = [_mlp_config(epochs=3, batch_size=10, metric_period=1), adam, bad,
+               replace(adam, seed=2)]
+    outcomes = harness._train_cells(configs)
+    with pytest.raises(NumericError) as alone:
+        run_training(bad)
+    assert type(outcomes[2]) is NumericError and str(outcomes[2]) == str(alone.value)
+    for config, outcome in zip(configs, outcomes):
+        if config is not bad:
+            assert format_metric_csv(outcome.records) == format_metric_csv(
+                run_training(config).records)
+
+
+def test_training_leaves_no_reference_cycles():
+    """Everything a run allocates is freed when its result goes, without
+    waiting for the cycle collector."""
+    base = _mlp_config(epochs=3, batch_size=10)
+    gc.collect()
+    gc.disable()
+    try:
+        del run_training(base).records[:]
+        run_sweep(base, SweepSpec(kinds=("sgd_coupled", "adam"), momenta=(0.0, 0.9)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_stacks_stay_under_the_working_set_budget(monkeypatch):
+    """A paper-size grid trains as one stack; stress-size cells train alone."""
+    sizes = []
+
+    def record(grid, cells):
+        sizes.append(len(cells))
+        for cell in cells:
+            cell.outcome = DomainError("not trained")
+
+    monkeypatch.setattr(harness, "_train_stack", record)
+    paper = _mlp_config(hidden_sizes=(16, 16), num_classes=10, dim=16, per_class=10,
+                        batch_size=10)
+    harness._train_cells([replace(paper, seed=s) for s in range(24)])
+    assert sizes == [24]
+    sizes.clear()
+    stress = _mlp_config(hidden_sizes=(256,), num_classes=100, dim=128, per_class=50,
+                         epochs=1)
+    harness._train_cells([replace(stress, seed=s) for s in range(2)])
+    assert sizes == [1, 1]
 
 
 def test_sweep_momentum_ordering_follows_spectral_radius():

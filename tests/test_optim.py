@@ -12,6 +12,7 @@ from nc_lab.optim import (
     OptimizerConfig,
     OptimizerState,
     lr_at,
+    optimizer_groups,
     step_adam_family,
     step_sgd_coupled,
     step_sgd_decoupled,
@@ -358,3 +359,25 @@ def test_sign_step_displacement_bound():
     out, _ = step_signgd_decoupled(p, g, OptimizerState.initial(p), lr, wd)
     bound = lr * (1.0 + wd * np.max(np.abs(p))) + 1e-15
     assert np.max(np.abs(out - p)) <= bound
+
+
+def test_optimizer_groups_split_on_step_branches():
+    def cfg(kind, **kw):
+        return OptimizerConfig(kind=kind, lr=0.1, **kw)
+
+    configs = [cfg("sgd_coupled"), cfg("sgd_coupled", momentum=0.9, coupled_wd=0.1),
+               cfg("adam"), cfg("adam", coupled_wd=0.01), cfg("adam", momentum=0.5, coupled_wd=0.1),
+               cfg("adam", momentum=0.0, beta2=0.0, eps=0.0), cfg("sgd_coupled")]
+    groups = optimizer_groups(configs)
+    assert [(lo, hi) for lo, hi, _ in groups] == [(0, 2), (2, 3), (3, 5), (5, 6), (6, 7)]
+    sgd = groups[0][2]
+    assert sgd.kind == "sgd_coupled" and sgd.beta2 == 0.999
+    assert sgd.momentum.shape == (2, 1, 1) and sgd.momentum.ravel().tolist() == [0.0, 0.9]
+    assert groups[2][2].select([1]).coupled_wd.ravel().tolist() == [0.1]
+
+
+def test_stacked_step_rejects_cells_on_different_branches():
+    p = np.ones((2, 1, 3))
+    wd = np.array([0.0, 0.1]).reshape(2, 1, 1)
+    with pytest.raises(DomainError, match="different branches"):
+        step_adam_family(p, p, OptimizerState.initial(p, True), 0.1, 0.9, 0.999, 1e-8, wd, 0.0)

@@ -1,0 +1,167 @@
+"""Properties of the training arithmetic over random shapes, stack sizes and
+hyperparameters (hypothesis, profile in conftest.py).
+
+A stack of G cells must compute, slice by slice, exactly the bits that G
+separate 2-D calls compute: that is what lets a sweep train its cells
+together and still write the CSV bytes of a serial run.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from nc_lab.models import MLPModel, ce_loss_and_grad, gather_columns, one_hot
+from nc_lab.optim import (
+    _COUPLED_ONLY,
+    _DECOUPLED_ONLY,
+    OPTIMIZER_KINDS,
+    Optimizer,
+    OptimizerConfig,
+    OptimizerState,
+    StackedConfig,
+    cell_column,
+    step_adam_family,
+    step_signgd_coupled,
+    step_signgd_decoupled,
+    step_signum,
+)
+
+seeds = st.integers(0, 2**32 - 1)
+cells = st.integers(1, 4)
+
+
+def _batches(rng, g, n, b):
+    """One batch of b column indices per cell, as a G x B array."""
+    return np.stack([rng.permutation(n)[:b] for _ in range(g)])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(seed=seeds, g=cells, k=st.integers(2, 6), p=st.integers(1, 7), n=st.integers(1, 12),
+       data=st.data())
+def test_stacked_ce_equals_per_cell_calls(seed, g, k, p, n, data):
+    b = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((g, k, p)) * rng.uniform(0.1, 10.0)
+    h = rng.standard_normal((g, p, n))
+    y = one_hot(rng.integers(0, k, n), k)
+    cols = _batches(rng, g, n, b)
+    loss, grad_w, grad_x = ce_loss_and_grad(w, gather_columns(h, cols), gather_columns(y, cols))
+    assert loss.shape == (g,)
+    for i in range(g):
+        ref = ce_loss_and_grad(w[i], h[i][:, cols[i]], y[:, cols[i]])
+        assert _same_bits(loss[i], ref[0])
+        assert _same_bits(grad_w[i], ref[1])
+        assert _same_bits(grad_x[i], ref[2])
+
+
+@given(seed=seeds, g=cells, k=st.integers(2, 8), p=st.integers(1, 8), n=st.integers(1, 16),
+       scale=st.floats(0.01, 100.0))
+def test_ce_weight_gradient_has_zero_column_sums(seed, g, k, p, n, scale):
+    rng = np.random.default_rng(seed)
+    w = scale * rng.standard_normal((g, k, p))
+    x = rng.standard_normal((g, p, n))
+    y = one_hot(rng.integers(0, k, n), k)
+    _, grad_w, _ = ce_loss_and_grad(w, x, y)
+    # Each column sum is (1/N) sum_b x_jb sum_k (S - Y)_kb, and sum_k (S - Y)_kb
+    # is zero up to rounding in K terms of size at most 1.
+    bound = 8 * k * np.finfo(float).eps * (np.abs(x).sum(axis=-1) / n + np.abs(grad_w).sum(axis=-2))
+    assert np.all(np.abs(grad_w.sum(axis=-2)) <= bound)
+
+
+@given(seed=seeds, g=cells, d=st.integers(1, 6), k=st.integers(2, 5), n=st.integers(1, 12),
+       hidden=st.lists(st.integers(1, 8), max_size=3), data=st.data())
+def test_stacked_forward_backward_equals_per_cell_calls(seed, g, d, k, n, hidden, data):
+    b = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    models = [MLPModel.create(d, hidden, k, seed=int(s), init_scale=1.0)
+              for s in rng.integers(0, 2**31, g)]
+    x = rng.standard_normal((d, n))
+    y = one_hot(rng.integers(0, k, n), k)
+    cols = _batches(rng, g, n, b)
+    loss, grads, feats = MLPModel.stack(models).forward_backward(gather_columns(x, cols),
+                                                                 gather_columns(y, cols))
+    for i, model in enumerate(models):
+        ref_loss, ref_grads, ref_feats = model.forward_backward(x[:, cols[i]], y[:, cols[i]])
+        assert _same_bits(loss[i], ref_loss)
+        assert all(_same_bits(a[i], r) for a, r in zip(grads, ref_grads))
+        assert _same_bits(feats[i], ref_feats)
+
+
+def _cell_configs(kind, g, rng, data):
+    """g optimizer configs of one kind that take the same step branches, with
+    per-cell learning rates, momenta and decay constants."""
+    adam = kind.startswith("adam")
+    sign_limit = adam and data.draw(st.booleans())
+    coupled = kind not in _DECOUPLED_ONLY and data.draw(st.booleans())
+    decoupled = kind not in _COUPLED_ONLY and data.draw(st.booleans())
+    configs = []
+    for _ in range(g):
+        def wd(on):
+            # outside the adam family a zero decay takes no branch, so it may
+            # differ from cell to cell
+            return float(rng.uniform(0.001, 0.5)) if on and (adam or rng.random() < 0.7) else 0.0
+        momentum = 0.0 if sign_limit or rng.random() < 0.3 else float(rng.uniform(0.0, 0.99))
+        configs.append(OptimizerConfig(
+            kind=kind, lr=float(rng.uniform(0.001, 0.5)), momentum=momentum,
+            beta2=0.0 if sign_limit else float(rng.uniform(0.5, 0.999)),
+            eps=0.0 if sign_limit else float(10.0 ** rng.uniform(-10, -4)),
+            coupled_wd=wd(coupled), decoupled_wd=wd(decoupled)))
+    return configs
+
+
+@given(seed=seeds, g=cells, kind=st.sampled_from(OPTIMIZER_KINDS), data=st.data())
+def test_stacked_steps_equal_per_cell_calls(seed, g, kind, data):
+    rng = np.random.default_rng(seed)
+    configs = _cell_configs(kind, g, rng, data)
+    shapes = [tuple(rng.integers(1, 5, 2)) for _ in range(2)]
+    params = [[rng.standard_normal(s) for s in shapes] for _ in range(g)]
+    lrs = [c.lr for c in configs]
+    alone = [Optimizer(c, p) for c, p in zip(configs, params)]
+    stacked = Optimizer(StackedConfig.of(configs), [np.stack(ps) for ps in zip(*params)])
+    stacked_params = [np.stack(ps) for ps in zip(*params)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _ in range(3):
+            grads = [[rng.standard_normal(s) * (rng.random(s) < 0.8) for s in shapes]
+                     for _ in range(g)]
+            params = [opt.step(p, gr, lr) for opt, p, gr, lr in zip(alone, params, grads, lrs)]
+            stacked_params = stacked.step(stacked_params, [np.stack(gs) for gs in zip(*grads)],
+                                          cell_column(lrs))
+            for i in range(g):
+                assert all(_same_bits(a[i], r) for a, r in zip(stacked_params, params[i]))
+                for s, r in zip(stacked.states, alone[i].states):
+                    assert s.t == r.t
+                    assert _same_bits(s.v[i], r.v)
+                    if r.second_moment is not None:
+                        assert _same_bits(s.second_moment[i], r.second_moment)
+
+
+@given(seed=seeds, r=st.integers(1, 6), c=st.integers(1, 6), lr=st.floats(1e-4, 1.0),
+       wd=st.floats(1e-4, 1.0), zeros=st.floats(0.0, 0.5))
+def test_sign_limits_are_bitwise(seed, r, c, lr, wd, zeros):
+    """adam at beta1 = beta2 = eps = 0 and signum at momentum 0 take exactly
+    the sign-descent steps."""
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((r, c))
+    g = rng.standard_normal((r, c)) * (rng.random((r, c)) >= zeros)
+
+    def state(second=False):
+        return OptimizerState.initial(p, second)
+
+    coupled = step_signgd_coupled(p, g, state(), lr, wd)[0]
+    decoupled = step_signgd_decoupled(p, g, state(), lr, wd)[0]
+    assert _same_bits(step_adam_family(p, g, state(True), lr, 0.0, 0.0, 0.0, wd, 0.0)[0], coupled)
+    assert _same_bits(step_adam_family(p, g, state(True), lr, 0.0, 0.0, 0.0, 0.0, wd)[0],
+                      decoupled)
+    assert _same_bits(step_signum(p, g, state(), lr, 0.0, wd, coupled=True)[0], coupled)
+    assert _same_bits(step_signum(p, g, state(), lr, 0.0, wd, coupled=False)[0], decoupled)
