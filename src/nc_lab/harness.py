@@ -18,7 +18,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice, product
+from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,12 +47,9 @@ from .optim import (
     LRSchedule,
     Optimizer,
     OptimizerConfig,
-    OptimizerState,
     cell_column,
     lr_at,
     optimizer_groups,
-    step_signgd_coupled,
-    step_signgd_decoupled,
 )
 from .stats import RegressionFit, ols_fit
 
@@ -328,6 +325,8 @@ class MetricRecord:
 def _format_cell(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
     return repr(float(value))
@@ -410,13 +409,16 @@ def emit_summary_json(result: "TrainResult", path) -> None:
 
 @dataclass
 class TrainResult:
+    """One finished run. ``weights``, when collected, holds an (epoch, copy
+    of the classifier W) pair for epoch 0 and every epoch after it."""
+
     config: ExperimentConfig
     records: list
     status: str                      # ok | diverged | did_not_train
     wall_time: float
     model: object
     dataset: object = None
-    rowsums: Optional[list] = None   # (epoch, W^T 1) pairs when collected
+    weights: Optional[list] = None   # (epoch, W) pairs when collected
 
 
 def _snapshot(epoch, lr_value, weight, feats, labels, num_classes, loss, acc) -> MetricRecord:
@@ -488,6 +490,7 @@ class _Stack:
     grads: Callable        # G x B batch columns (None = full batch) -> (losses, gradient list)
     sync: Callable         # stacked parameter list -> None
     cell: Callable         # i -> standalone 2-D model of cell i
+    weight: Callable       # i -> cell i's classifier W, a view into the stacked parameters
 
 
 @dataclass
@@ -501,7 +504,6 @@ class _Grid:
     make: Callable         # config -> the cell's 2-D model
     stack: Callable        # list of 2-D models -> _Stack
     features: Callable     # 2-D model -> full-data features
-    weight: Callable       # 2-D model -> classifier W
     cell_bytes: int        # _working_set of one cell
 
 
@@ -534,12 +536,13 @@ def _setup(config: ExperimentConfig) -> _Grid:
                                                         gather_columns(y_full, cols))
                 return loss, grads
 
-            return _Stack(model.parameters(), grads, model.set_parameters, model.cell)
+            return _Stack(model.parameters(), grads, model.set_parameters, model.cell,
+                          lambda i: model.final_weight[i])
 
         widths = (config.dim, *config.hidden_sizes, k)
         num_params = sum(a * b for a, b in zip(widths, widths[1:])) + sum(config.hidden_sizes)
         return _Grid(dataset, labels, y_full, make_mlp, stack_mlp,
-                     lambda m: m.features(x_full), lambda m: m.final_weight,
+                     lambda m: m.features(x_full),
                      _working_set(widths, _batch(config, labels.shape[0]), num_params))
 
     if config.model_kind == "ufm":
@@ -577,11 +580,11 @@ def _setup(config: ExperimentConfig) -> _Grid:
                 model.H = params[1]
 
         params = [model.W, model.H] if model.feature_trainable else [model.W]
-        return _Stack(params, grads, sync, model.cell)
+        return _Stack(params, grads, sync, model.cell, lambda i: model.W[i])
 
     probe = make(config)
     num_params = probe.W.size + (probe.H.size if probe.feature_trainable else 0)
-    return _Grid(None, probe.labels, probe.Y, make, stack_ufm, lambda m: m.H, lambda m: m.W,
+    return _Grid(None, probe.labels, probe.Y, make, stack_ufm, lambda m: m.H,
                  _working_set(probe.W.shape[::-1], _batch(config, probe.labels.shape[0]),
                               num_params))
 
@@ -629,12 +632,12 @@ class _Cell:
     config: ExperimentConfig
     step_sizes: object = None      # iterator of per-epoch step sizes
     records: list = field(default_factory=list)
-    rowsums: Optional[list] = None
+    weights: Optional[list] = None
     lr: object = None              # the current epoch's step size
     outcome: object = None         # TrainResult, or the lab error that stopped the cell
 
 
-def _train_cells(configs, collect_rowsums: bool = False) -> list:
+def _train_cells(configs, collect_weights: bool = False) -> list:
     """Train cells whose configs differ only in optimizer and seed.
 
     The data is built once. The cells train in consecutive stacks of at most
@@ -653,8 +656,8 @@ def _train_cells(configs, collect_rowsums: bool = False) -> list:
         except _LAB_ERRORS as exc:
             cell.outcome = exc
             continue
-        if collect_rowsums:
-            cell.rowsums = []
+        if collect_weights:
+            cell.weights = []
         ready.append(cell)
     if not ready:
         return [cell.outcome for cell in cells]
@@ -725,26 +728,22 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     lrs = None
 
     def log(i, epoch, lr_value, snapshot=True):
-        """Append cell i's row sums (when collected) and, if asked, its
-        snapshot record; returns its standalone model."""
+        """Append a copy of cell i's classifier (when collected) and, if
+        asked, its snapshot record."""
         cell = cells[i]
-        if cell.rowsums is None and not snapshot:
-            return None
-        model = stack.cell(i)
-        weight = grid.weight(model)
-        if cell.rowsums is not None:
-            cell.rowsums.append((epoch, weight.sum(axis=0)))
+        if cell.weights is not None:
+            cell.weights.append((epoch, stack.weight(i).copy()))
         if snapshot:
-            feats = grid.features(model)
+            weight = stack.weight(i)
+            feats = grid.features(stack.cell(i))
             loss, acc = _loss_and_accuracy(weight, feats, grid.targets, labels)
             cell.records.append(_snapshot(epoch, lr_value, weight, feats, labels, k, loss, acc))
-        return model
 
-    def finish(i, status, model):
+    def finish(i, status):
         cell = cells[i]
         cell.outcome = TrainResult(config=cell.config, records=cell.records, status=status,
-                                   wall_time=0.0, model=model, dataset=grid.dataset,
-                                   rowsums=cell.rowsums)
+                                   wall_time=0.0, model=stack.cell(i), dataset=grid.dataset,
+                                   weights=cell.weights)
 
     def group_lrs():
         return [cell_column([cell.lr for cell in cells[lo:hi]]) for lo, hi, _ in groups]
@@ -811,7 +810,8 @@ def _train_stack(grid: _Grid, cells: list) -> None:
             if not math.isfinite(sum(loss.tolist())):   # else every loss is finite
                 finite = np.isfinite(loss)
                 for i in np.flatnonzero(~finite):
-                    finish(i, "diverged", log(i, epoch + 1, cells[i].lr))
+                    log(i, epoch + 1, cells[i].lr)
+                    finish(i, "diverged")
                 grad = grad[finite]
                 keep_only(finite)
                 if not cells:
@@ -823,20 +823,23 @@ def _train_stack(grid: _Grid, cells: list) -> None:
         for i, cell in enumerate(cells):
             log(i, epoch + 1, cell.lr, is_snapshot)
     for i, cell in enumerate(cells):
-        finish(i, _status_from_records(cell.records, epochs, k), stack.cell(i))
+        finish(i, _status_from_records(cell.records, epochs, k))
 
 
-def run_training(config: ExperimentConfig, collect_rowsums: bool = False) -> TrainResult:
+def run_training(config: ExperimentConfig, collect_weights: bool = False) -> TrainResult:
     """Train per the config, logging metrics every metric_period epochs.
 
-    The config trains as a one-cell stack of the loop that sweeps use.
-    Mini-batch order is seeded and deterministic. A non-finite loss aborts
-    the run with a final diagnostic record and status "diverged". The
-    oscillation_decay schedule takes each epoch's step size from the (a, b)
-    dynamics of coupled sign descent on the square frozen-feature geometry
-    from W = 0, so it is rejected for any other model, optimizer or init.
+    The config trains as a one-cell stack of the loop that sweeps use, the
+    only code that steps a weight matrix. Mini-batch order is seeded and
+    deterministic. A non-finite loss aborts the run with a final diagnostic
+    record and status "diverged". The oscillation_decay schedule takes each
+    epoch's step size from the (a, b) dynamics of coupled sign descent on the
+    square frozen-feature geometry from W = 0, so it is rejected for any
+    other model, optimizer or init. With collect_weights, the result's
+    ``weights`` holds a copy of the classifier W at epoch 0 and after every
+    epoch, which is what the theorem checks read.
     """
-    (result,) = _train_cells([config], collect_rowsums)
+    (result,) = _train_cells([config], collect_weights)
     if not isinstance(result, TrainResult):
         raise result
     if config.output_csv:
@@ -875,9 +878,9 @@ def derive_run_seed(base_seed: int, kind: str, lr: float, momentum: float, wd: f
 
 def _wd_fields(kind: str, wd: float) -> dict:
     if kind in _COUPLED_ONLY:
-        return {"coupled_wd": wd}
+        return {"coupled_wd": wd, "decoupled_wd": 0.0}
     if kind in _DECOUPLED_ONLY:
-        return {"decoupled_wd": wd}
+        return {"coupled_wd": 0.0, "decoupled_wd": wd}
     # interpolated kind: split the budget evenly across both styles
     return {"coupled_wd": wd / 2.0, "decoupled_wd": wd / 2.0}
 
@@ -891,16 +894,11 @@ class SweepResult:
 
 
 def _cell_config(base_config: ExperimentConfig, kind, lr, momentum, wd, seed) -> ExperimentConfig:
-    base_sched = base_config.optimizer.schedule
-    schedule = LRSchedule(
-        kind=base_sched.kind,
-        base_lr=lr,
-        decay_factor=base_sched.decay_factor,
-        milestone_fractions=base_sched.milestone_fractions,
-        shrink_factor=base_sched.shrink_factor,
-    )
-    opt = OptimizerConfig(kind=kind, lr=lr, momentum=momentum, schedule=schedule,
-                          **_wd_fields(kind, wd))
+    """The base config at one grid point; every other optimizer and schedule
+    field keeps its base value."""
+    base = base_config.optimizer
+    opt = replace(base, kind=kind, lr=lr, momentum=momentum, total_wd=None,
+                  schedule=replace(base.schedule, base_lr=lr), **_wd_fields(kind, wd))
     return replace(base_config, optimizer=opt, seed=seed, output_csv=None, output_summary=None)
 
 
@@ -931,39 +929,23 @@ def run_sweep(base_config: ExperimentConfig, spec: SweepSpec) -> SweepResult:
             row["error"] = f"{type(res).__name__}: {res}"
             results.append(None)
             continue
-        final = res.records[-1]
         row["status"] = res.status
-        row["epoch"] = final.epoch
-        row["train_loss"] = final.train_loss
-        row["train_acc"] = final.train_acc
-        for key in METRIC_KEYS:
-            row[key] = final.values.get(key)
-        row["sigma_min_w"] = final.sigma_min_w
-        row["sigma_avg_w"] = final.sigma_avg_w
-        row["sigma_min_m"] = final.sigma_min_m
-        row["sigma_avg_m"] = final.sigma_avg_m
+        row.update((col, v) for col, v in zip(CSV_COLUMNS, res.records[-1].to_row())
+                   if col in _RECORD_COLUMNS)
         results.append(res)
     return SweepResult(spec=spec, base_config=base_config, rows=rows, results=results)
 
 
-_SWEEP_COLUMNS = (
-    ("kind", "lr", "momentum", "wd", "seed", "status", "epoch", "train_loss", "train_acc")
-    + METRIC_KEYS
-    + ("sigma_min_w", "sigma_avg_w", "sigma_min_m", "sigma_avg_m")
-)
+# A sweep row holds the cell's grid point and status, then its final
+# record's columns except the record's lr: the row's lr is the grid value.
+_RECORD_COLUMNS = tuple(col for col in CSV_COLUMNS if col != "lr")
+_SWEEP_COLUMNS = ("kind", "lr", "momentum", "wd", "seed", "status") + _RECORD_COLUMNS
 
 
 def sweep_summary_csv(sweep: SweepResult) -> str:
     lines = [",".join(_SWEEP_COLUMNS)]
     for row in sweep.rows:
-        cells = []
-        for col in _SWEEP_COLUMNS:
-            v = row.get(col)
-            if col in ("kind", "status"):
-                cells.append("" if v is None else str(v))
-            else:
-                cells.append(_format_cell(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(_format_cell(row.get(col)) for col in _SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -983,13 +965,9 @@ def pivot_csv(sweep: SweepResult, kind: str, lr: float, metric: str) -> str:
     """
     if metric not in METRIC_KEYS:
         raise DomainError(f"unknown metric {metric!r}")
-    momenta = sorted({r["momentum"] for r in sweep.rows if r["kind"] == kind and r["lr"] == lr})
-    wds = sorted({r["wd"] for r in sweep.rows if r["kind"] == kind and r["lr"] == lr})
-    index = {
-        (r["momentum"], r["wd"]): r
-        for r in sweep.rows
-        if r["kind"] == kind and r["lr"] == lr
-    }
+    index = {(r["momentum"], r["wd"]): r for r in sweep.rows if r["kind"] == kind and r["lr"] == lr}
+    momenta = sorted({m for m, _ in index})
+    wds = sorted({w for _, w in index})
     lines = ["momentum_wd," + ",".join(_format_cell(w) for w in wds)]
     for m in momenta:
         cells = [_format_cell(m)]
@@ -1126,12 +1104,12 @@ def check_decoupled_rowsum_decay(lr: float = 0.05, wd: float = 0.1, momentum: fl
     opt = OptimizerConfig(kind="sgd_decoupled", lr=lr, momentum=momentum, decoupled_wd=wd)
     cfg = _mlp_check_config(opt, epochs, None, num_classes, dim, per_class,
                             hidden_sizes, data_seed, seed)
-    res = run_training(cfg, collect_rowsums=True)
-    alpha0 = oracles.alpha_from_rowsum(res.rowsums[0][1], num_classes)
+    res = run_training(cfg, collect_weights=True)
+    alpha0 = oracles.alpha_from_rowsum(res.weights[0][1].sum(axis=0), num_classes)
     rows = []
     ok = True
-    for t, m in res.rowsums:
-        sim = oracles.alpha_from_rowsum(m, num_classes)
+    for t, w in res.weights:
+        sim = oracles.alpha_from_rowsum(w.sum(axis=0), num_classes)
         pred = oracles.alpha_sgd_decoupled(t, alpha0, lr, wd)
         abs_err = abs(sim - pred)
         rel = _rel_err(abs_err, pred)
@@ -1176,10 +1154,10 @@ def check_coupled_rowsum_recursion(momentum: float, lr: float = 0.05, wd: float 
     cfg = _mlp_check_config(opt, epochs, batch_size, num_classes, dim, per_class,
                             hidden_sizes, data_seed, seed)
     cfg.metric_period = 10
-    res = run_training(cfg, collect_rowsums=True)
+    res = run_training(cfg, collect_weights=True)
     n = num_classes * per_class
     steps_per_epoch = 1 if batch_size is None else math.ceil(n / batch_size)
-    m0 = res.rowsums[0][1]
+    m0 = res.weights[0][1].sum(axis=0)
     oracle_ms = oracles.rowsum_recursion_coupled(m0, lr, wd, momentum,
                                                  steps=epochs * steps_per_epoch)
     alpha0 = oracles.alpha_from_rowsum(m0, num_classes)
@@ -1190,7 +1168,8 @@ def check_coupled_rowsum_recursion(momentum: float, lr: float = 0.05, wd: float 
     max_coord_err = 0.0
     bound_ok = True
     m0_norm = float(np.linalg.norm(m0))
-    for epoch, m_sim in res.rowsums:
+    for epoch, w in res.weights:
+        m_sim = w.sum(axis=0)
         t = epoch * steps_per_epoch
         m_pred = oracle_ms[t]
         coord_err = float(np.max(np.abs(m_sim - m_pred)))
@@ -1237,26 +1216,48 @@ def check_coupled_rowsum_recursion(momentum: float, lr: float = 0.05, wd: float 
     )
 
 
+def _square_sign_weights(k: int, optimizer: OptimizerConfig, steps: int) -> list:
+    """W_0..W_steps of a run_training run on the square frozen-feature
+    geometry from W = 0, as (t, W_t) pairs."""
+    config = ExperimentConfig(model_kind="ufm_fixed_features", init="zero", num_classes=k,
+                              optimizer=optimizer, epochs=steps, metric_period=steps)
+    return run_training(config, collect_weights=True).weights
+
+
+# Weight matrices per stacked gradient call in the theorem-3 check. The
+# call's temporaries (about ten chunk-sized arrays) then stay small beside
+# the W trajectory the check holds anyway, so they add little to its peak
+# memory at any step count.
+_GRADIENT_CHUNK = 64
+
+
 def check_decoupled_sign_plateau(num_classes: int = 10, lr: float = 0.1, wd: float = 0.5,
                                  steps: int = 2000, tolerance: float = 1e-9) -> CheckResult:
     """Decoupled sign descent from W = 0 on the square frozen-feature
-    geometry: alpha must climb the exact closed form to (K-2)^2 / wd^2."""
+    geometry: alpha must climb the exact closed form to (K-2)^2 / wd^2.
+
+    The run trains through run_training (signgd_decoupled, one full-batch
+    step per epoch). Every W_t it returns is compared with the closed form,
+    and the gradient at each W_0..W_{steps-1}, recomputed in stacked chunks,
+    must have the sign pattern J - 2I that the closed form assumes.
+    """
     k = num_classes
-    model = UFMModel.fixed_features(k, init="zero")
-    w = model.W
-    opt_state = OptimizerState.initial(w)
+    optimizer = OptimizerConfig(kind="signgd_decoupled", lr=lr, decoupled_wd=wd)
+    weights = _square_sign_weights(k, optimizer, steps)
+    frame = UFMModel.fixed_features(k)
     expected_sign = np.ones((k, k)) - 2.0 * np.eye(k)
+    stepped_from = [w for _, w in weights[:-1]]
+    sign_pattern_ok = True
+    for lo in range(0, steps, _GRADIENT_CHUNK):
+        model = UFMModel(np.stack(stepped_from[lo:lo + _GRADIENT_CHUNK]), frame.H, frame.labels,
+                         k, feature_trainable=False)
+        if not (np.sign(model.loss_and_grads()[1]) == expected_sign).all():
+            sign_pattern_ok = False
     rows = [(0, 0.0, 0.0, 0.0, 0.0)]
     ok = True
-    sign_pattern_ok = True
     monotone = True
     prev_alpha = 0.0
-    for t in range(1, steps + 1):
-        _, grad_w, _ = model.loss_and_grads()
-        if not np.array_equal(np.sign(grad_w), expected_sign):
-            sign_pattern_ok = False
-        w, opt_state = step_signgd_decoupled(w, grad_w, opt_state, lr, wd)
-        model.W = w
+    for t, w in weights[1:]:
         sim = nc0_alpha(w)
         pred = oracles.alpha_signgd_decoupled(t, k, lr, wd)
         abs_err = abs(sim - pred)
@@ -1294,31 +1295,28 @@ def check_coupled_sign_oscillation(num_classes: int = 10, lr0: float = 0.1, wd: 
     weight matrix must stay in the (a, b) two-parameter family, track the
     scalar recursion, rise to an interior peak, and fall below tol * peak.
 
-    The K x K weight matrix of the square frozen-feature geometry steps in
-    lockstep with the (a, b) dynamics, at the step size the dynamics set,
-    until alpha falls to tol * alpha_peak; BudgetExceededError if max_steps
-    arrive first.
+    oracles.coupled_signgd_run_with_decay runs the scalar (a, b) dynamics
+    until alpha falls to tol * alpha_peak and sets the step count; it raises
+    DomainError on a non-positive lr0, wd or tol or a shrink outside (0, 1),
+    and BudgetExceededError, carrying the scalar trajectory, if max_steps
+    arrive first. The K x K weight matrix then trains through run_training
+    (signgd_coupled under the oscillation_decay schedule) for that many
+    steps, and each W_t is compared with the scalar state of step t.
     """
     k = num_classes
-    model = UFMModel.fixed_features(k, init="zero")
-    w = model.W
-    opt_state = OptimizerState.initial(w)
+    oracle = oracles.coupled_signgd_run_with_decay(k, k, lr0, wd, shrink, tol, max_steps)
+    steps = oracle.details["terminated_at"]
+    schedule = LRSchedule(kind="oscillation_decay", base_lr=lr0, shrink_factor=shrink)
+    optimizer = OptimizerConfig(kind="signgd_coupled", lr=lr0, coupled_wd=wd, schedule=schedule)
+    weights = _square_sign_weights(k, optimizer, steps)
     off_mask = ~np.eye(k, dtype=bool)
     rows = [(0, 0.0, 0.0, 0.0, 0.0)]
     family_dev_max = 0.0
     scalar_dev_max = 0.0
     peak = 0.0
     peak_step = 0
-    decay_steps = []
-    eta = lr0
     dynamics = oracles.coupled_signgd_steps(k, k, lr0, wd, shrink)
-    for t, (state, decayed) in enumerate(islice(dynamics, max_steps), start=1):
-        _, grad_w, _ = model.loss_and_grads()
-        w, opt_state = step_signgd_coupled(w, grad_w, opt_state, eta, wd)
-        model.W = w
-        eta = state.eta
-        if decayed:
-            decay_steps.append(t)
+    for (t, w), (state, _) in zip(weights[1:], dynamics):
         diag = np.diag(w)
         off = w[off_mask]
         family_dev_max = max(family_dev_max,
@@ -1331,15 +1329,8 @@ def check_coupled_sign_oscillation(num_classes: int = 10, lr0: float = 0.1, wd: 
         rows.append((t, alpha_m, alpha_s, abs_err, _rel_err(abs_err, alpha_s)))
         if alpha_m > peak:
             peak, peak_step = alpha_m, t
-        if peak > 0.0 and alpha_m <= tol * peak:
-            break
-    else:
-        raise BudgetExceededError(
-            f"square sign descent did not reach {tol} * alpha_peak within {max_steps} steps",
-            trajectory=[(r[0], r[1]) for r in rows],
-        )
     final_alpha = rows[-1][1]
-    interior_peak = 0 < peak_step < rows[-1][0] and peak > max(rows[0][1], final_alpha)
+    interior_peak = 0 < peak_step < steps and peak > max(rows[0][1], final_alpha)
     passed = (
         final_alpha <= tol * peak
         and family_dev_max <= family_tolerance
@@ -1355,12 +1346,12 @@ def check_coupled_sign_oscillation(num_classes: int = 10, lr0: float = 0.1, wd: 
             "alpha_peak": peak,
             "peak_step": peak_step,
             "final_alpha": final_alpha,
-            "terminated_at": t,
-            "decay_steps": decay_steps,
-            "final_eta": state.eta,
+            "terminated_at": steps,
+            "decay_steps": oracle.details["decay_steps"],
+            "final_eta": oracle.details["final_eta"],
             "family_dev_max": family_dev_max,
             "scalar_dev_max": scalar_dev_max,
-            "phase_reached": state.phase,
+            "phase_reached": oracle.details["phase_reached"],
         },
     )
 

@@ -263,10 +263,11 @@ def produce(case: str) -> str:
         return _run_cli(CLI_ARGS[case])[0]
     if case in ROWSUM_CONFIGS:
         config = config_from_mapping(parse_config_text(ROWSUM_CONFIGS[case]))
-        rowsums = run_training(config, collect_rowsums=True).rowsums
+        weights = run_training(config, collect_weights=True).weights
         k = config.num_classes
         lines = ["epoch," + ",".join(f"m{i}" for i in range(k))]
-        lines += [",".join([str(t)] + [repr(float(v)) for v in m]) for t, m in rowsums]
+        lines += [",".join([str(t)] + [repr(float(v)) for v in w.sum(axis=0)])
+                  for t, w in weights]
         return "\n".join(lines) + "\n"
     theorem = case.rsplit("_", 1)[1]
     out = io.StringIO()

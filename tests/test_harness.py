@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nc_lab import harness, oracles
+from nc_lab import harness, optim, oracles
 from nc_lab.errors import BudgetExceededError, DomainError, NumericError
 from nc_lab.harness import (
     CSV_HEADER,
@@ -401,6 +401,32 @@ def test_sweep_single_cell_matches_run_training():
     assert row["epoch"] == final.epoch
 
 
+def test_sweep_cell_keeps_the_base_beta2_and_eps():
+    opt = OptimizerConfig(kind="adam", lr=0.01, momentum=0.5, beta2=0.5, eps=1e-3)
+    base = _mlp_config(epochs=4, batch_size=10, metric_period=2, optimizer=opt)
+    spec = SweepSpec(kinds=("adam",), lrs=(0.02,), momenta=(0.9,), wds=(0.01,))
+    sweep = run_sweep(base, spec)
+    direct = run_training(replace(base, seed=sweep.rows[0]["seed"], optimizer=OptimizerConfig(
+        kind="adam", lr=0.02, momentum=0.9, beta2=0.5, eps=1e-3, coupled_wd=0.01)))
+    assert sweep.results[0].config.optimizer == direct.config.optimizer
+    assert format_metric_csv(sweep.results[0].records) == format_metric_csv(direct.records)
+
+
+def test_sweep_reaches_the_adam_denominator_error():
+    """With beta2 = eps = 0 from the base, an adam cell with momentum leaves
+    the sign limit, and its zero denominator becomes its error row while the
+    cells beside it train."""
+    opt = OptimizerConfig(kind="sgd_coupled", lr=0.01, beta2=0.0, eps=0.0)
+    base = _mlp_config(epochs=3, batch_size=10, metric_period=1, optimizer=opt)
+    spec = SweepSpec(kinds=("sgd_coupled", "adam", "signum"), lrs=(0.01,), momenta=(0.9,))
+    sweep = run_sweep(base, spec)
+    assert [row["status"] for row in sweep.rows] == ["ok", "error", "ok"]
+    with pytest.raises(NumericError) as alone:
+        run_training(replace(base, optimizer=OptimizerConfig(
+            kind="adam", lr=0.01, momentum=0.9, beta2=0.0, eps=0.0)))
+    assert sweep.rows[1]["error"] == f"NumericError: {alone.value}"
+
+
 def test_sweep_records_failures_without_aborting():
     base = _mlp_config(epochs=5)
     spec = SweepSpec(kinds=("sgd_coupled",), lrs=(0.05, -1.0), momenta=(0.0,), wds=(0.01,))
@@ -610,3 +636,45 @@ def test_check_functions_report_failure_without_raising():
     res = check_decoupled_sign_plateau(steps=50)
     assert not res.passed
     assert not res.details["within_1pct_of_limit"]
+
+
+def test_run_training_collects_a_copy_of_the_classifier_every_epoch():
+    res = run_training(_mlp_config(epochs=5, batch_size=20, metric_period=5),
+                       collect_weights=True)
+    assert [t for t, _ in res.weights] == [0, 1, 2, 3, 4, 5]
+    final = res.model.final_weight
+    assert res.weights[-1][1].tobytes() == final.tobytes()
+    assert not any(np.shares_memory(w, final) for _, w in res.weights)
+    assert all(not np.array_equal(a, b) for (_, a), (_, b) in zip(res.weights, res.weights[1:]))
+    assert run_training(_mlp_config(epochs=2)).weights is None
+
+
+def test_sign_plateau_check_trains_through_the_optimizer_table(monkeypatch):
+    """Check 3 steps through optim's step functions, so a coupled step in
+    the decoupled slot fails it."""
+    monkeypatch.setattr(optim, "step_signgd_decoupled", optim.step_signgd_coupled)
+    res = check_decoupled_sign_plateau()
+    assert not res.passed
+    assert max(row[4] for row in res.rows) > res.tolerance
+
+
+def test_sign_oscillation_check_trains_through_the_optimizer_table(monkeypatch):
+    monkeypatch.setattr(optim, "step_signgd_coupled", optim.step_signgd_decoupled)
+    res = check_coupled_sign_oscillation(num_classes=5, lr0=0.05)
+    assert not res.passed
+    assert res.details["scalar_dev_max"] > 1e-12
+
+
+def test_checks_bind_no_step_function():
+    """Only the training loop steps a weight matrix."""
+    names = vars(harness)
+    assert [name for name in names if name.startswith("step_")] == []
+    assert "OptimizerState" not in names
+    assert "islice" not in names
+
+
+def test_coupled_sign_check_rejects_non_positive_wd_and_tol():
+    with pytest.raises(DomainError):
+        check_coupled_sign_oscillation(wd=0.0)
+    with pytest.raises(DomainError):
+        check_coupled_sign_oscillation(tol=0.0)

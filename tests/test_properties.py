@@ -3,7 +3,9 @@ hyperparameters (hypothesis, profile in conftest.py).
 
 A stack of G cells must compute, slice by slice, exactly the bits that G
 separate 2-D calls compute: that is what lets a sweep train its cells
-together and still write the CSV bytes of a serial run.
+together and still write the CSV bytes of a serial run. The one-step alpha
+decomposition holds to rounding, and the metric CSV, the sweep summary CSV
+and the config echo read back what they wrote.
 """
 
 import warnings
@@ -16,6 +18,21 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nc_lab.harness import (
+    CSV_COLUMNS,
+    MODEL_KINDS,
+    ExperimentConfig,
+    MetricRecord,
+    SweepResult,
+    SweepSpec,
+    config_from_mapping,
+    config_to_mapping,
+    format_metric_csv,
+    parse_metric_csv,
+    parse_sweep_summary_csv,
+    sweep_summary_csv,
+)
+from nc_lab.metrics import METRIC_KEYS
 from nc_lab.models import MLPModel, ce_loss_and_grad, gather_columns, one_hot
 from nc_lab.optim import (
     _COUPLED_ONLY,
@@ -23,6 +40,7 @@ from nc_lab.optim import (
     OPTIMIZER_KINDS,
     Optimizer,
     OptimizerConfig,
+    LRSchedule,
     OptimizerState,
     StackedConfig,
     cell_column,
@@ -31,6 +49,7 @@ from nc_lab.optim import (
     step_signgd_decoupled,
     step_signum,
 )
+from nc_lab.oracles import alpha_increment_decomposition
 
 seeds = st.integers(0, 2**32 - 1)
 cells = st.integers(1, 4)
@@ -165,3 +184,99 @@ def test_sign_limits_are_bitwise(seed, r, c, lr, wd, zeros):
                       decoupled)
     assert _same_bits(step_signum(p, g, state(), lr, 0.0, wd, coupled=True)[0], coupled)
     assert _same_bits(step_signum(p, g, state(), lr, 0.0, wd, coupled=False)[0], decoupled)
+
+
+def _j_abs(x, y) -> float:
+    """<|X| |Y|^T, J-hat>: the J-hat inner product with no cancellation."""
+    return float(np.abs(x).sum(axis=0) @ np.abs(y).sum(axis=0)) / x.shape[0]
+
+
+@given(seed=seeds, k=st.integers(2, 8), p=st.integers(1, 8), scale=st.floats(0.01, 100.0),
+       lr=st.floats(1e-3, 1.0), momentum=st.floats(0.0, 0.99), wd=st.floats(0.0, 1.0))
+def test_alpha_increment_decomposition_holds_to_rounding(seed, k, p, scale, lr, momentum, wd):
+    rng = np.random.default_rng(seed)
+    w, v, g = (scale * rng.standard_normal((k, p)) for _ in range(3))
+    lhs, rhs = alpha_increment_decomposition(w, v, g, lr, momentum, wd)
+    # Every term of either side is a J-hat inner product bounded by
+    # _j_abs(s, s) / lr, and each carries a relative rounding error of
+    # about (K + P) eps from its K-row column sums and P-term dot product.
+    v1 = momentum * v + g + wd * w
+    w1 = w - lr * v1
+    s = np.abs(w) + np.abs(w1) + lr * (np.abs(v) + np.abs(g) + np.abs(v1))
+    assert abs(lhs - rhs) <= 4 * (k + p) * np.finfo(float).eps * _j_abs(s, s) / lr
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+maybe = st.none() | finite
+
+
+@given(data=st.data(), epochs=st.lists(st.integers(0, 10**6), max_size=4))
+def test_metric_csv_round_trips(data, epochs):
+    records = [MetricRecord(epoch=epoch, lr=data.draw(finite), train_loss=data.draw(finite),
+                            train_acc=data.draw(finite),
+                            values={key: data.draw(maybe) for key in METRIC_KEYS},
+                            sigma_min_w=data.draw(maybe), sigma_avg_w=data.draw(maybe),
+                            sigma_min_m=data.draw(maybe), sigma_avg_m=data.draw(maybe))
+               for epoch in epochs]
+    text = format_metric_csv(records)
+    assert parse_metric_csv(text) == records
+    assert format_metric_csv(parse_metric_csv(text)) == text
+
+
+@given(data=st.data(), size=st.integers(0, 4))
+def test_sweep_summary_csv_round_trips(data, size):
+    statuses = st.sampled_from(("ok", "diverged", "did_not_train", "error"))
+    ints = st.none() | st.integers(0, 2**63 - 1)
+    rows = [{"kind": data.draw(st.sampled_from(OPTIMIZER_KINDS)), "lr": data.draw(finite),
+             "momentum": data.draw(finite), "wd": data.draw(finite),
+             "seed": data.draw(ints), "status": data.draw(statuses), "epoch": data.draw(ints)}
+            | {col: data.draw(maybe) for col in CSV_COLUMNS if col not in ("epoch", "lr")}
+            for _ in range(size)]
+    sweep = SweepResult(spec=SweepSpec(), base_config=ExperimentConfig(), rows=rows, results=[])
+    text = sweep_summary_csv(sweep)
+    assert parse_sweep_summary_csv(text) == rows
+    sweep.rows = parse_sweep_summary_csv(text)
+    assert sweep_summary_csv(sweep) == text
+
+
+@st.composite
+def configs(draw):
+    """Valid configs over every model kind, optimizer kind and schedule."""
+    model_kind = draw(st.sampled_from(MODEL_KINDS))
+    kind = draw(st.sampled_from(OPTIMIZER_KINDS))
+    decay = st.sampled_from((0.0,)) | st.floats(1e-4, 1.0)
+    schedule = draw(st.sampled_from(("constant", "step_decay", "oscillation_decay")))
+    lr = draw(st.floats(1e-4, 10.0))
+    # only the fields its kind reads, which are the ones the echo holds
+    extra = {}
+    if schedule == "step_decay":
+        extra = dict(decay_factor=draw(st.floats(1.5, 100.0)),
+                     milestone_fractions=tuple(draw(st.lists(st.floats(0.0, 1.0), max_size=3))))
+    if schedule == "oscillation_decay":
+        extra = dict(shrink_factor=draw(st.floats(0.01, 0.99)))
+    opt = OptimizerConfig(
+        kind=kind, lr=lr, momentum=draw(st.floats(0.0, 0.99)),
+        beta2=draw(st.floats(0.0, 0.999)), eps=draw(st.floats(1e-12, 1e-3)),
+        coupled_wd=0.0 if kind in _DECOUPLED_ONLY else draw(decay),
+        decoupled_wd=0.0 if kind in _COUPLED_ONLY else draw(decay),
+        schedule=LRSchedule(kind=schedule, base_lr=lr, **extra))
+    data = {}
+    if model_kind != "ufm_fixed_features":
+        data = dict(dim=draw(st.integers(1, 64)), per_class=draw(st.integers(1, 50)),
+                    data_seed=draw(st.integers(0, 2**31)), margin=draw(st.floats(0.0, 4.0)),
+                    noise_std=draw(st.floats(0.0, 4.0)))
+    inits = ("default", "gaussian") if model_kind == "mlp" else ("default", "gaussian", "zero")
+    return ExperimentConfig(
+        model_kind=model_kind, hidden_sizes=tuple(draw(st.lists(st.integers(1, 64), max_size=3))),
+        init_scale=draw(st.floats(1e-3, 10.0)), init=draw(st.sampled_from(inits)),
+        num_classes=draw(st.integers(2, 20)), optimizer=opt, epochs=draw(st.integers(1, 10**4)),
+        batch_size=draw(st.none() | st.integers(1, 500)), seed=draw(st.integers(0, 2**31)),
+        metric_period=draw(st.integers(1, 100)), **data)
+
+
+@given(config=configs())
+def test_config_echo_is_a_fixed_point(config):
+    echo = config_to_mapping(config)
+    again = config_from_mapping({k: str(v) for k, v in echo.items()})
+    assert config_to_mapping(again) == echo
+    assert again == config
