@@ -47,6 +47,7 @@ from .optim import (
     LRSchedule,
     Optimizer,
     OptimizerConfig,
+    StackedConfig,
     cell_column,
     lr_at,
     optimizer_groups,
@@ -642,10 +643,11 @@ def _train_cells(configs, collect_weights: bool = False) -> list:
 
     The data is built once. The cells train in consecutive stacks of at most
     _STACK_BUDGET_BYTES estimated working set, each through _train_stack.
-    Returns, per config and in order, its TrainResult or the DomainError,
-    NumericError or BudgetExceededError that stopped it; any other exception
-    propagates. A result's wall_time is the wall time of its stack (the first
-    stack's includes building the data).
+    Returns, per config and in order, its TrainResult or the lab error that
+    stopped it: a DomainError from its config or the data, or the
+    NumericError of a zero adam denominator, which stops only its own cell.
+    Any other exception propagates. A result's wall_time is the wall time of
+    its stack (the first stack's includes building the data).
     """
     start = time.perf_counter()
     cells = [_Cell(config) for config in configs]
@@ -695,11 +697,13 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     each cell's outcome.
 
     Every cell keeps its own seeded shuffle and its own step sizes, and the
-    optimizer runs once per group of consecutive cells that take the same
-    branches (optim.optimizer_groups). A cell whose batch loss is non-finite
-    skips that step, logs a final diagnostic record and leaves the stack
-    with status "diverged"; a cell whose step raises NumericError leaves with
-    that error. The others go on.
+    optimizer steps each group of consecutive cells that take the same
+    branches (optim.optimizer_groups) once per batch. A cell whose batch loss
+    is non-finite skips that step, logs a final diagnostic record and leaves
+    the stack with status "diverged". A cell whose adam denominator hits zero
+    in a step, as that step reports per cell, leaves with a NumericError and
+    no further record. Either way the cell's slices of the parameters and
+    optimizer states are dropped, and the others go on; no step is retried.
     """
     config = cells[0].config
     k, epochs, period = config.num_classes, config.epochs, config.metric_period
@@ -722,7 +726,7 @@ def _train_stack(grid: _Grid, cells: list) -> None:
 
     flat = _flatten(stack.params)
     stack.sync(unflatten(flat))
-    groups = [(lo, hi, Optimizer(hyper, [flat[lo:hi]]))
+    groups = [(lo, hi, Optimizer(hyper, flat[lo:hi]))
               for lo, hi, hyper in optimizer_groups([cell.config.optimizer for cell in cells])]
     order = None
     lrs = None
@@ -749,9 +753,9 @@ def _train_stack(grid: _Grid, cells: list) -> None:
         return [cell_column([cell.lr for cell in cells[lo:hi]]) for lo, hi, _ in groups]
 
     def keep_only(keep):
-        """Drop the cells of the stack whose entry in keep is False."""
+        """Drop the cells of the stack whose entry in the boolean array keep
+        is False, with their slices of the parameters and optimizer states."""
         nonlocal cells, shuffles, flat, groups, order, lrs
-        keep = np.asarray(keep, dtype=bool)
         cells = [cell for cell, kept in zip(cells, keep) if kept]
         shuffles = [rng for rng, kept in zip(shuffles, keep) if kept]
         flat = flat[keep]
@@ -760,9 +764,14 @@ def _train_stack(grid: _Grid, cells: list) -> None:
         for lo, hi, opt in groups:
             kept = keep[lo:hi]
             if kept.any():
-                size = int(kept.sum())
-                regrouped.append((lo_new, lo_new + size, opt.select(kept)))
-                lo_new += size
+                hi_new = lo_new + int(kept.sum())
+                opt.config = StackedConfig.of([cell.config.optimizer
+                                               for cell in cells[lo_new:hi_new]])
+                opt.state.v = opt.state.v[kept]
+                if opt.state.second_moment is not None:
+                    opt.state.second_moment = opt.state.second_moment[kept]
+                regrouped.append((lo_new, hi_new, opt))
+                lo_new = hi_new
         groups = regrouped
         if order is not None:
             order = order[keep]
@@ -771,30 +780,16 @@ def _train_stack(grid: _Grid, cells: list) -> None:
 
     def step(grad):
         """One optimizer step of every group on the flat gradient, written
-        into the flat parameters. A cell whose own step raises NumericError
-        leaves, and the others step again from their saved states."""
-        while cells:
-            saved = [list(opt.states) for _, _, opt in groups]
-            try:
-                new = [opt.step([flat[lo:hi]], [grad[lo:hi]], lr)[0]
-                       for (lo, hi, opt), lr in zip(groups, lrs)]
-                np.concatenate(new, out=flat)
-                return
-            except NumericError:
-                for (_, _, opt), states in zip(groups, saved):
-                    opt.states = states
-                for lo, hi, opt in groups:
-                    for i in range(lo, hi):
-                        try:
-                            opt.select([i - lo]).step([flat[i:i + 1]], [grad[i:i + 1]],
-                                                      cells[i].lr)
-                        except NumericError as exc:
-                            cells[i].outcome = exc
-                keep = np.array([cell.outcome is None for cell in cells])
-                if keep.all():
-                    raise
-                grad = grad[keep]
-                keep_only(keep)
+        into the flat parameters. A cell whose adam denominator hit zero
+        leaves with NumericError; the step of every other cell stands."""
+        steps = [opt.step(flat[lo:hi], grad[lo:hi], lr) for (lo, hi, opt), lr in zip(groups, lrs)]
+        np.concatenate([param for param, _ in steps], out=flat)
+        if any(zero is not None for _, zero in steps):
+            keep = np.concatenate([np.ones(hi - lo, dtype=bool) if zero is None else ~zero
+                                   for (lo, hi, _), (_, zero) in zip(groups, steps)])
+            for i in np.flatnonzero(~keep):
+                cells[i].outcome = NumericError("adam denominator sqrt(v_hat) + eps hit zero")
+            keep_only(keep)
 
     for i, cell in enumerate(cells):
         log(i, 0, lr_at(cell.config.optimizer.schedule, 0, epochs))

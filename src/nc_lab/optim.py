@@ -4,6 +4,7 @@ Coupled decay folds lambda * param into the gradient before any momentum or
 sign operation; decoupled decay shrinks the parameter directly and never
 enters the momentum/sign path. Every step function is pure: it takes the
 current parameter, gradient, and state, and returns the updated pair.
+``Optimizer`` binds a config to one array and steps it.
 
 The adam-family step covers plain adam (coupled), adam_w (decoupled) and the
 interpolated variant with both decay constants. With beta1 = beta2 = eps = 0
@@ -15,19 +16,21 @@ Every step also runs on a stack of cells: parameters with a leading cell
 axis, and each hyperparameter either a float or a (G, 1, 1) column of
 per-cell values. The cells of one stacked step must take the same
 Python-level branches; ``optimizer_groups`` splits a stack into runs of
-cells that do.
+cells that do. An adam-family step whose denominator sqrt(v_hat) + eps hits
+zero does not raise: it reports the cells along the leading axis where it
+did, so the other cells of a stack keep their step.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 
 __all__ = [
     "OPTIMIZER_KINDS",
@@ -146,11 +149,15 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Per-parameter buffers: momentum/first moment v, second moment, step count."""
+    """Per-parameter buffers: momentum/first moment v, second moment, step
+    count. ``zero_denominator`` is set by an adam-family step whose
+    denominator hit zero: a boolean per entry of the leading axis (per cell
+    of a stack), True where it did; those entries took no valid step."""
 
     v: Optional[np.ndarray] = None
     second_moment: Optional[np.ndarray] = None
     t: int = 0
+    zero_denominator: Optional[np.ndarray] = None
 
     @classmethod
     def initial(cls, param: np.ndarray, needs_second_moment: bool = False) -> "OptimizerState":
@@ -158,14 +165,6 @@ class OptimizerState:
             v=np.zeros_like(param),
             second_moment=np.zeros_like(param) if needs_second_moment else None,
             t=0,
-        )
-
-    def select(self, cells) -> "OptimizerState":
-        """The state of some cells of a stack (``cells`` indexes the leading axis)."""
-        return OptimizerState(
-            v=None if self.v is None else self.v[cells],
-            second_moment=None if self.second_moment is None else self.second_moment[cells],
-            t=self.t,
         )
 
 
@@ -251,12 +250,15 @@ def step_adam_family(param, grad, state, lr, beta1, beta2, eps, coupled_wd, deco
     param - lr * (m_hat / (sqrt(v_hat) + eps) + decoupled_wd * param).
     beta1 = beta2 = eps = 0 short-circuits to sign(g) (zero where g is zero),
     bypassing bias correction, which makes the reduction to the sign-descent
-    steps bit-exact.
+    steps bit-exact. Where the denominator is zero (beta2 = eps = 0 off the
+    sign limit, at a zero gradient) it divides by one instead and marks the
+    leading-axis entries it did so for in the state's ``zero_denominator``.
     """
     if _every_cell((eps == 0.0) & (beta2 != 0.0)):
         raise DomainError("eps = 0 is only valid in the beta2 = 0 sign limit")
     g = grad + coupled_wd * param if _every_cell(coupled_wd != 0.0) else grad
     t = state.t + 1
+    zero_denominator = None
     if _every_cell((beta1 == 0.0) & (beta2 == 0.0) & (eps == 0.0)):
         ratio = np.sign(g)
         v = g
@@ -267,23 +269,25 @@ def step_adam_family(param, grad, state, lr, beta1, beta2, eps, coupled_wd, deco
         m_hat = v / _bias_correction(beta1, t)
         v_hat = second / _bias_correction(beta2, t)
         denom = np.sqrt(v_hat) + eps
-        if np.any(denom == 0.0):
-            raise NumericError("adam denominator sqrt(v_hat) + eps hit zero")
+        zero = denom == 0.0
+        if zero.any():
+            zero_denominator = zero.any(axis=tuple(range(1, zero.ndim)))
+            denom = np.where(zero, 1.0, denom)
         ratio = m_hat / denom
     if _every_cell(decoupled_wd != 0.0):
         new_param = param - lr * (ratio + decoupled_wd * param)
     else:
         new_param = param - lr * ratio
-    return new_param, OptimizerState(v=v, second_moment=second, t=t)
+    return new_param, OptimizerState(v, second, t, zero_denominator)
 
 
 def _adam_step(p, g, s, lr, c):
     return step_adam_family(p, g, s, lr, c.momentum, c.beta2, c.eps, c.coupled_wd, c.decoupled_wd)
 
 
-# Per-parameter step of each optimizer kind, as (param, grad, state, lr,
-# config) -> (param, state). The entries call their step function by name,
-# so it is looked up in this module each time a step runs.
+# The step of each optimizer kind, as (param, grad, state, lr, config) ->
+# (param, state). The entries call their step function by name, so it is
+# looked up in this module each time a step runs.
 _STEPS = {
     "sgd_coupled": lambda p, g, s, lr, c: step_sgd_coupled(p, g, s, lr, c.momentum, c.coupled_wd),
     "sgd_decoupled": lambda p, g, s, lr, c: step_sgd_decoupled(
@@ -333,11 +337,6 @@ class StackedConfig:
         return cls(configs[0].kind, *(cell_column([getattr(c, name) for c in configs])
                                       for name in _HYPERPARAMETERS))
 
-    def select(self, cells) -> "StackedConfig":
-        """The config of some of the cells (``cells`` indexes the stack)."""
-        return replace(self, **{name: getattr(self, name)[cells]
-                                for name in _HYPERPARAMETERS if np.ndim(getattr(self, name))})
-
 
 def _branches(config: OptimizerConfig) -> tuple:
     """What selects the Python-level branches of a config's step function."""
@@ -361,31 +360,19 @@ def optimizer_groups(configs: Sequence[OptimizerConfig]) -> list:
 
 
 class Optimizer:
-    """Binds an OptimizerConfig to a list of parameters and dispatches steps.
+    """Binds an OptimizerConfig to one array and steps it.
 
-    The step function of the config's kind is chosen once, here. ``step``
-    returns the updated parameter list; internal per-parameter states advance
-    in place. Each optimizer instance belongs to one run, or to one stack of
-    cells when ``config`` is a StackedConfig and the parameters are stacked.
+    The array is one run's parameter, or, when ``config`` is a StackedConfig,
+    a stack of cells with a leading cell axis. ``step`` returns the new array
+    and the state's ``zero_denominator`` (None unless an adam-family step hit
+    a zero denominator); the state advances in place.
     """
 
-    def __init__(self, config: OptimizerConfig, params: Sequence[np.ndarray]):
+    def __init__(self, config: OptimizerConfig, param: np.ndarray):
         self.config = config
         self._step = _STEPS[config.kind]
-        needs_second = config.kind.startswith("adam")
-        self.states = [OptimizerState.initial(p, needs_second) for p in params]
+        self.state = OptimizerState.initial(param, config.kind.startswith("adam"))
 
-    def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray], lr: float):
-        if len(params) != len(self.states) or len(grads) != len(self.states):
-            raise DomainError("parameter/gradient count changed mid-run")
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            p2, self.states[i] = self._step(p, g, self.states[i], lr, self.config)
-            out.append(p2)
-        return out
-
-    def select(self, cells) -> "Optimizer":
-        """A new optimizer over some cells of this one's stack, with their states."""
-        out = Optimizer(self.config.select(cells), ())
-        out.states = [state.select(cells) for state in self.states]
-        return out
+    def step(self, param: np.ndarray, grad: np.ndarray, lr):
+        new_param, self.state = self._step(param, grad, self.state, lr, self.config)
+        return new_param, self.state.zero_denominator

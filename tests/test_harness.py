@@ -487,6 +487,30 @@ def test_numeric_error_stops_only_its_cell():
                 run_training(config).records)
 
 
+def test_a_zero_denominator_drops_its_cell_from_the_middle_of_the_stack():
+    """Dropping the adam cell whose denominator hits zero leaves two sgd
+    groups side by side, each with its own momentum state. No step divides
+    by zero, and every other cell trains as it does alone."""
+    def config(seed, **optimizer):
+        return _mlp_config(epochs=3, batch_size=10, metric_period=1, seed=seed,
+                           optimizer=OptimizerConfig(lr=0.01, **optimizer))
+
+    configs = [config(0, kind="sgd_coupled", momentum=0.9, coupled_wd=0.01),
+               config(1, kind="adam", momentum=0.9, beta2=0.0, eps=0.0),
+               config(2, kind="sgd_coupled", momentum=0.5, coupled_wd=0.02),
+               config(3, kind="adam", momentum=0.9, coupled_wd=0.01)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        outcomes = harness._train_cells(configs)
+        with pytest.raises(NumericError) as alone:
+            run_training(configs[1])
+        assert type(outcomes[1]) is NumericError and str(outcomes[1]) == str(alone.value)
+        for i in (0, 2, 3):
+            assert outcomes[i].status == "ok"
+            assert format_metric_csv(outcomes[i].records) == format_metric_csv(
+                run_training(configs[i]).records)
+
+
 def test_training_leaves_no_reference_cycles():
     """Everything a run allocates is freed when its result goes, without
     waiting for the cycle collector."""

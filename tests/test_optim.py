@@ -276,8 +276,8 @@ def test_stability_warning_outside_guarantee_range():
 
 def test_optimizer_object_drives_all_kinds():
     rng = np.random.default_rng(9)
-    params = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))]
-    grads = [_zero_colsum_grad(rng, (3, 4)), rng.standard_normal((4, 2))]
+    param = rng.standard_normal((3, 4))
+    grad = _zero_colsum_grad(rng, (3, 4))
     for kind in OPTIMIZER_KINDS:
         wd = {"coupled_wd": 0.01} if kind in (
             "sgd_coupled", "signgd_coupled", "signum", "adam",
@@ -285,12 +285,13 @@ def test_optimizer_object_drives_all_kinds():
             "sgd_decoupled", "signgd_decoupled", "signum_w", "adam_w",
         ) else {"coupled_wd": 0.005, "decoupled_wd": 0.005}
         cfg = OptimizerConfig(kind=kind, lr=0.05, momentum=0.5, **wd)
-        opt = Optimizer(cfg, params)
-        new_params = opt.step(params, grads, 0.05)
-        assert all(a.shape == b.shape for a, b in zip(params, new_params))
-        assert any(np.any(a != b) for a, b in zip(params, new_params))
+        opt = Optimizer(cfg, param)
+        new_param, zero_denominator = opt.step(param, grad, 0.05)
+        assert new_param.shape == param.shape
+        assert np.any(new_param != param)
+        assert zero_denominator is None
         needs_second = kind.startswith("adam")
-        assert (opt.states[0].second_moment is not None) == needs_second
+        assert (opt.state.second_moment is not None) == needs_second
 
 
 def _direct_step(c, p, g, s, lr):
@@ -312,27 +313,25 @@ def _direct_step(c, p, g, s, lr):
 
 def test_optimizer_steps_equal_direct_step_calls_bitwise():
     rng = np.random.default_rng(29)
-    shapes = [(3, 4), (4, 1)]
     for kind in OPTIMIZER_KINDS:
         wd = {"coupled_wd": 0.01} if kind in _COUPLED_ONLY else {
             "decoupled_wd": 0.01} if kind in _DECOUPLED_ONLY else {
             "coupled_wd": 0.005, "decoupled_wd": 0.005}
         cfg = OptimizerConfig(kind=kind, lr=0.05, momentum=0.5, **wd)
-        params = [rng.standard_normal(s) for s in shapes]
-        opt = Optimizer(cfg, params)
-        direct = list(params)
-        states = [OptimizerState.initial(p, kind.startswith("adam")) for p in params]
-        for lr in (0.05, 0.02, 0.01):
-            grads = [rng.standard_normal(s) for s in shapes]
-            params = opt.step(params, grads, lr)
-            for i, g in enumerate(grads):
-                direct[i], states[i] = _direct_step(cfg, direct[i], g, states[i], lr)
-            for got, want, got_s, want_s in zip(params, direct, opt.states, states):
-                assert np.array_equal(got, want), kind
-                assert np.array_equal(got_s.v, want_s.v), kind
-                assert got_s.t == want_s.t
-                if want_s.second_moment is not None:
-                    assert np.array_equal(got_s.second_moment, want_s.second_moment), kind
+        for shape in [(3, 4), (4, 1)]:
+            param = rng.standard_normal(shape)
+            opt = Optimizer(cfg, param)
+            direct, state = param, OptimizerState.initial(param, kind.startswith("adam"))
+            for lr in (0.05, 0.02, 0.01):
+                grad = rng.standard_normal(shape)
+                param, zero_denominator = opt.step(param, grad, lr)
+                direct, state = _direct_step(cfg, direct, grad, state, lr)
+                assert zero_denominator is None
+                assert param.tobytes() == direct.tobytes(), kind
+                assert opt.state.v.tobytes() == state.v.tobytes(), kind
+                assert opt.state.t == state.t
+                if state.second_moment is not None:
+                    assert opt.state.second_moment.tobytes() == state.second_moment.tobytes()
 
 
 def test_optimizer_step_looks_up_the_step_function_when_it_runs(monkeypatch):
@@ -343,12 +342,14 @@ def test_optimizer_step_looks_up_the_step_function_when_it_runs(monkeypatch):
         return step_signgd_coupled(*args)
 
     cfg = OptimizerConfig(kind="signgd_coupled", lr=0.1, coupled_wd=0.01)
-    params = [np.ones((2, 2)), np.ones((2, 1))]
-    opt = Optimizer(cfg, params)
+    param = np.ones((2, 2))
+    opt = Optimizer(cfg, param)
     monkeypatch.setattr(optim, "step_signgd_coupled", spy)
-    opt.step(params, [np.ones((2, 2)), np.ones((2, 1))], 0.1)
-    assert len(calls) == 2
+    new_param, _ = opt.step(param, np.ones((2, 2)), 0.1)
+    assert len(calls) == 1
     assert calls[0][3] == 0.1 and calls[0][4] == 0.01
+    assert new_param.tobytes() == step_signgd_coupled(
+        param, np.ones((2, 2)), OptimizerState.initial(param), 0.1, 0.01)[0].tobytes()
 
 
 def test_sign_step_displacement_bound():
@@ -373,7 +374,7 @@ def test_optimizer_groups_split_on_step_branches():
     sgd = groups[0][2]
     assert sgd.kind == "sgd_coupled" and sgd.beta2 == 0.999
     assert sgd.momentum.shape == (2, 1, 1) and sgd.momentum.ravel().tolist() == [0.0, 0.9]
-    assert groups[2][2].select([1]).coupled_wd.ravel().tolist() == [0.1]
+    assert groups[2][2].coupled_wd.ravel().tolist() == [0.01, 0.1]
 
 
 def test_stacked_step_rejects_cells_on_different_branches():
@@ -381,3 +382,24 @@ def test_stacked_step_rejects_cells_on_different_branches():
     wd = np.array([0.0, 0.1]).reshape(2, 1, 1)
     with pytest.raises(DomainError, match="different branches"):
         step_adam_family(p, p, OptimizerState.initial(p, True), 0.1, 0.9, 0.999, 1e-8, wd, 0.0)
+
+
+def test_adam_step_reports_the_cells_whose_denominator_hits_zero():
+    """At beta2 = eps = 0 off the sign limit, a zero gradient entry makes a
+    zero denominator. The step says in which cells, divides by no zero, and
+    every other cell takes its lone step."""
+    p = np.ones((3, 1, 2))
+    g = np.array([1.0, 0.0, 0.5, -2.0, 0.0, 0.0]).reshape(3, 1, 2)
+
+    def step(p, g):
+        return step_adam_family(p, g, OptimizerState.initial(p, True), 0.1, 0.9, 0.0, 0.0,
+                                0.0, 0.01)
+
+    with np.errstate(all="raise"):
+        out, state = step(p, g)
+        lone, lone_state = step(p[1:2], g[1:2])
+    assert state.zero_denominator.tolist() == [True, False, True]
+    assert lone_state.zero_denominator is None
+    assert out[1].tobytes() == lone[0].tobytes()
+    assert state.v[1].tobytes() == lone_state.v[0].tobytes()
+    assert step(p[1:2], g[1:2] + 1.0)[1].zero_denominator is None
