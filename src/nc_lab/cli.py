@@ -20,19 +20,22 @@ from . import oracles
 from .harness import (
     SweepSpec,
     THEOREM_CHECKS,
-    _format_cell,
+    _cast_value,
+    _csv_text,
     _jsonable,
+    _read_config_file,
+    _read_csv_rows,
+    _write_file,
     config_from_mapping,
     format_metric_csv,
     load_config,
-    parse_config_text,
+    regress_rows,
     run_sweep,
     run_training,
     write_sweep_outputs,
 )
 from .linalg import load_matrix
 from .metrics import METRIC_KEYS, LabeledFeatures, all_metrics
-from .stats import ols_fit
 
 __all__ = ["main", "build_parser"]
 
@@ -40,19 +43,8 @@ __all__ = ["main", "build_parser"]
 def _write_text(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {out_path}: {exc}") from exc
-
-
-def _rows_to_csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    else:
+        _write_file(out_path, text, "CSV")
 
 
 def cmd_train(args) -> int:
@@ -68,56 +60,31 @@ def cmd_train(args) -> int:
     return 0
 
 
-_SWEEP_KEYS = {
-    "sweep.kinds": "kinds",
-    "sweep.lrs": "lrs",
-    "sweep.momenta": "momenta",
-    "sweep.wds": "wds",
-    "sweep.accuracy_threshold": "accuracy_threshold",
-    "sweep.base_seed": "base_seed",
-    "sweep.outdir": None,
+# sweep.* key -> (target, caster), cast by _cast_value as the run-config keys
+# are. A target is a SweepSpec field, or outdir: the directory the sweep
+# writes to.
+_SWEEP_CASTS = {
+    "sweep.kinds": ("kinds", "str_tuple"),
+    "sweep.lrs": ("lrs", "float_tuple"),
+    "sweep.momenta": ("momenta", "float_tuple"),
+    "sweep.wds": ("wds", "float_tuple"),
+    "sweep.accuracy_threshold": ("accuracy_threshold", float),
+    "sweep.base_seed": ("base_seed", int),
+    "sweep.outdir": ("outdir", str),
 }
 
 
-def split_sweep_mapping(mapping: dict):
-    """Pull sweep.* keys out of a parsed config mapping.
-
-    Returns (sweep kwargs, outdir or None, remaining run-config mapping).
-    """
-    kwargs = {}
-    outdir = None
-    rest = {}
-    for key, raw in mapping.items():
-        if key not in _SWEEP_KEYS:
-            rest[key] = raw
-            continue
-        if key == "sweep.outdir":
-            outdir = raw
-        elif key == "sweep.kinds":
-            kwargs["kinds"] = tuple(p.strip() for p in raw.split(",") if p.strip())
-        elif key == "sweep.accuracy_threshold":
-            kwargs["accuracy_threshold"] = float(raw)
-        elif key == "sweep.base_seed":
-            kwargs["base_seed"] = int(raw)
-        else:
-            kwargs[_SWEEP_KEYS[key]] = tuple(float(p) for p in raw.split(",") if p.strip())
-    return kwargs, outdir, rest
-
-
 def cmd_sweep(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise OSError(f"cannot read config file {args.config}: {exc}") from exc
-    kwargs, outdir, rest = split_sweep_mapping(parse_config_text(text))
-    base_config = config_from_mapping(rest)
-    spec = SweepSpec(**kwargs)
+    mapping = _read_config_file(args.config)
+    kwargs = {}
+    for key, (name, caster) in _SWEEP_CASTS.items():
+        if key in mapping:
+            kwargs[name] = _cast_value(key, caster, mapping.pop(key))
+    outdir = kwargs.pop("outdir", "sweep_output")
     if args.outdir is not None:
         outdir = args.outdir
-    if outdir is None:
-        outdir = "sweep_output"
-    sweep = run_sweep(base_config, spec)
+    spec = SweepSpec(**kwargs)
+    sweep = run_sweep(config_from_mapping(mapping), spec)
     paths = write_sweep_outputs(sweep, outdir)
     n_ok = sum(1 for r in sweep.rows if r.get("status") == "ok")
     print(f"{len(sweep.rows)} runs ({n_ok} ok) -> {paths[0]}", file=sys.stderr)
@@ -153,7 +120,7 @@ def _oracle_rows(args):
 
 def cmd_oracle(args) -> int:
     rows = _oracle_rows(args)
-    _write_text(_rows_to_csv("t,alpha_predicted", rows), args.out)
+    _write_text(_csv_text([("t", "alpha_predicted")] + rows), args.out)
     return 0
 
 
@@ -169,16 +136,14 @@ def _check_kwargs(args) -> dict:
         "4": {"num_classes": args.k, "lr0": args.lr, "wd": args.wd,
               "shrink": args.shrink, "family_tolerance": args.tolerance},
     }[args.theorem]
-    kwargs = {key: value for key, value in named.items() if value is not None}
-    if args.theorem == "2" and "momentum" not in kwargs:
-        kwargs["momentum"] = 0.9
-    return kwargs
+    return {key: value for key, value in named.items() if value is not None}
 
 
 def cmd_check(args) -> int:
     check = THEOREM_CHECKS[args.theorem]
     result = check(**_check_kwargs(args))
-    _write_text(_rows_to_csv("t,alpha_sim,alpha_pred,abs_err,rel_err", result.rows), args.out)
+    header = ("t", "alpha_sim", "alpha_pred", "abs_err", "rel_err")
+    _write_text(_csv_text([header] + result.rows), args.out)
     detail = " ".join(f"{k}={v}" for k, v in sorted(result.details.items())
                       if not isinstance(v, (list, dict)))
     print(f"{result.name}: {'PASS' if result.passed else 'FAIL'} {detail}", file=sys.stderr)
@@ -211,43 +176,19 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _read_csv_columns(path, x_name: str, y_name: str, threshold: float):
-    """Pull two named columns from a headered CSV.
-
-    Sweep summaries are filtered to status "ok" runs above the accuracy
-    threshold; a plain two-column file has neither column and passes through.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise ValueError(f"{path} is empty")
-    header = lines[0].split(",")
-    for name in (x_name, y_name):
-        if name not in header:
-            raise ValueError(f"column {name!r} not found in {path}")
-    xs, ys = [], []
-    for ln in lines[1:]:
-        cells = dict(zip(header, ln.split(",")))
-        if "status" in cells and cells["status"] != "ok":
-            continue
-        if "train_acc" in cells:
-            if cells["train_acc"] == "" or float(cells["train_acc"]) < threshold:
-                continue
-        if cells.get(x_name, "") == "" or cells.get(y_name, "") == "":
-            continue
-        xs.append(float(cells[x_name]))
-        ys.append(float(cells[y_name]))
-    return xs, ys
-
-
 def cmd_regress(args) -> int:
-    xs, ys = _read_csv_columns(args.csv, args.x, args.y, args.accuracy_threshold)
-    if len(xs) < 3:
-        raise ValueError(f"need at least 3 qualifying rows, have {len(xs)}")
-    fit = ols_fit(xs, ys)
+    """OLS of one column on another: a sweep summary is filtered to ok runs
+    at or above the accuracy threshold, a plain two-column file is not."""
+    try:
+        with open(args.csv, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise OSError(f"cannot read {args.csv}: {exc}") from exc
+    header, rows = _read_csv_rows(text)
+    for name in (args.x, args.y):
+        if name not in header:
+            raise ValueError(f"column {name!r} not found in {args.csv}")
+    fit = regress_rows(rows, args.x, args.y, args.accuracy_threshold)
     json.dump({k: _jsonable(v) for k, v in fit.to_dict().items()}, sys.stdout,
               indent=2, sort_keys=True)
     sys.stdout.write("\n")

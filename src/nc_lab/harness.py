@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
@@ -44,6 +45,7 @@ from .models import (
 from .optim import (
     _COUPLED_ONLY,
     _DECOUPLED_ONLY,
+    _SCHEDULE_READS,
     LRSchedule,
     Optimizer,
     OptimizerConfig,
@@ -144,9 +146,10 @@ class ExperimentConfig:
                                   f"reads no {', '.join(unread)}")
 
 
-# Dotted config key -> (target, caster). A target "name" is an
-# ExperimentConfig field, "optimizer.name" an OptimizerConfig field and
-# "schedule.name" an LRSchedule field.
+# Dotted config key -> (target, caster): the one list of run-config keys,
+# which config_from_mapping parses and config_to_mapping echoes. A target
+# "name" is an ExperimentConfig field, "optimizer.name" an OptimizerConfig
+# field and "schedule.name" an LRSchedule field.
 _CONFIG_CASTS: dict = {
     "model.kind": ("model_kind", str),
     "model.hidden_sizes": ("hidden_sizes", "int_tuple"),
@@ -165,7 +168,6 @@ _CONFIG_CASTS: dict = {
     "optimizer.eps": ("optimizer.eps", float),
     "optimizer.coupled_wd": ("optimizer.coupled_wd", float),
     "optimizer.decoupled_wd": ("optimizer.decoupled_wd", float),
-    "optimizer.total_wd": ("optimizer.total_wd", float),
     "optimizer.schedule": ("schedule.kind", str),
     "optimizer.decay_factor": ("schedule.decay_factor", float),
     "optimizer.milestone_fractions": ("schedule.milestone_fractions", "fraction_tuple"),
@@ -186,12 +188,19 @@ def _parse_fraction(text: str) -> float:
     return float(text)
 
 
+# The casters of comma-separated tuples: each non-blank item is cast alone.
+_TUPLE_CASTS = {
+    "int_tuple": int,
+    "float_tuple": float,
+    "str_tuple": str.strip,
+    "fraction_tuple": _parse_fraction,
+}
+
+
 def _cast_value(key: str, caster, raw: str):
     try:
-        if caster == "int_tuple":
-            return tuple(int(p) for p in raw.split(",") if p.strip() != "")
-        if caster == "fraction_tuple":
-            return tuple(_parse_fraction(p.strip()) for p in raw.split(",") if p.strip() != "")
+        if caster in _TUPLE_CASTS:
+            return tuple(_TUPLE_CASTS[caster](p) for p in raw.split(",") if p.strip())
         if caster == "batch":
             return None if raw.strip().lower() == "full" else int(raw)
         return caster(raw)
@@ -242,8 +251,6 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     if unread:
         raise DomainError(f"ufm_fixed_features builds the square K x K geometry and "
                           f"reads no {', '.join(unread)}")
-    if "lr" in opt:
-        schedule["base_lr"] = opt["lr"]
     if schedule:
         opt["schedule"] = LRSchedule(**schedule)
     if opt:
@@ -251,54 +258,47 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+# How the echo writes a value of each caster; any other value goes as is.
+_ECHO_FORMATS = {
+    "int_tuple": lambda value: ",".join(str(v) for v in value),
+    "fraction_tuple": lambda value: ",".join(repr(v) for v in value),
+    "batch": lambda value: "full" if value is None else value,
+}
+
+
 def config_to_mapping(config: ExperimentConfig) -> dict:
-    """Dotted-key echo of a config (used in JSON summaries), without the keys
-    its model kind does not read, so config_from_mapping accepts it."""
-    opt = config.optimizer
-    sched = opt.schedule
-    out = {
-        "model.kind": config.model_kind,
-        "model.hidden_sizes": ",".join(str(h) for h in config.hidden_sizes),
-        "model.init_scale": config.init_scale,
-        "model.init": config.init,
-        "data.k": config.num_classes,
-        "data.d": config.dim,
-        "data.per_class": config.per_class,
-        "data.seed": config.data_seed,
-        "data.margin": config.margin,
-        "data.noise_std": config.noise_std,
-        "optimizer.kind": opt.kind,
-        "optimizer.lr": sched.base_lr,
-        "optimizer.momentum": opt.momentum,
-        "optimizer.beta2": opt.beta2,
-        "optimizer.eps": opt.eps,
-        "optimizer.coupled_wd": opt.coupled_wd,
-        "optimizer.decoupled_wd": opt.decoupled_wd,
-        "optimizer.schedule": sched.kind,
-        "train.epochs": config.epochs,
-        "train.batch_size": "full" if config.batch_size is None else config.batch_size,
-        "train.seed": config.seed,
-        "train.metric_period": config.metric_period,
-    }
-    if sched.kind == "step_decay":
-        out["optimizer.decay_factor"] = sched.decay_factor
-        out["optimizer.milestone_fractions"] = ",".join(
-            repr(f) for f in sched.milestone_fractions
-        )
-    if sched.kind == "oscillation_decay":
-        out["optimizer.shrink_factor"] = sched.shrink_factor
+    """Dotted-key echo of a config (used in JSON summaries), so that
+    config_from_mapping accepts it. It leaves out the output paths, the
+    schedule fields the schedule kind does not read and the keys the model
+    kind does not read."""
+    schedule = config.optimizer.schedule
+    parts = {"": config, "optimizer": config.optimizer, "schedule": schedule}
+    out = {}
+    for key, (target, caster) in _CONFIG_CASTS.items():
+        part, _, name = target.rpartition(".")
+        if name.startswith("output_"):
+            continue
+        if part == "schedule" and name != "kind" and name not in _SCHEDULE_READS[schedule.kind]:
+            continue
+        value = getattr(parts[part], name)
+        out[key] = _ECHO_FORMATS[caster](value) if caster in _ECHO_FORMATS else value
     for key in _unread_keys(config.model_kind, out):
         del out[key]
     return out
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_config_file(path) -> dict:
+    """The key = value mapping of a config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read config file {path}: {exc}") from exc
-    return config_from_mapping(parse_config_text(text))
+    return parse_config_text(text)
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_mapping(_read_config_file(path))
 
 
 @dataclass
@@ -333,49 +333,60 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
+def _csv_text(rows) -> str:
+    """CSV text, one line per row and each cell written by _format_cell; the
+    first row is the header."""
+    return "\n".join(",".join(_format_cell(v) for v in row) for row in rows) + "\n"
+
+
+def _write_file(path, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
 def format_metric_csv(records) -> str:
-    lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(",".join(_format_cell(v) for v in rec.to_row()))
-    return "\n".join(lines) + "\n"
+    return _csv_text([CSV_COLUMNS] + [rec.to_row() for rec in records])
+
+
+def _read_cell(column: str, cell: str):
+    if column in ("kind", "status"):
+        return cell
+    if cell == "":
+        return None
+    try:
+        return int(cell) if column in ("seed", "epoch") else float(cell)
+    except ValueError as exc:
+        raise DomainError(f"CSV column {column}: cannot parse {cell!r}") from exc
+
+
+def _read_csv_rows(text: str) -> tuple:
+    """The header of a headered CSV and its rows as dicts by column: kind and
+    status as text, an empty cell as None, seed and epoch as ints and every
+    other cell as a float."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    header = lines[0].split(",") if lines else []
+    rows = []
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise DomainError(f"CSV row has {len(cells)} fields, expected {len(header)}")
+        rows.append({col: _read_cell(col, cell) for col, cell in zip(header, cells)})
+    return header, rows
 
 
 def parse_metric_csv(text: str):
     """Inverse of format_metric_csv; empty fields come back as None."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+    header, rows = _read_csv_rows(text)
+    if header != list(CSV_COLUMNS):
         raise DomainError("metric CSV header does not match the expected columns")
-    records = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(CSV_COLUMNS):
-            raise DomainError(f"metric CSV row has {len(cells)} fields, expected {len(CSV_COLUMNS)}")
-        def cell(i):
-            return None if cells[i] == "" else float(cells[i])
-        values = {k: cell(4 + j) for j, k in enumerate(METRIC_KEYS)}
-        base = 4 + len(METRIC_KEYS)
-        records.append(
-            MetricRecord(
-                epoch=int(cells[0]),
-                lr=float(cells[1]),
-                train_loss=float(cells[2]),
-                train_acc=float(cells[3]),
-                values=values,
-                sigma_min_w=cell(base),
-                sigma_avg_w=cell(base + 1),
-                sigma_min_m=cell(base + 2),
-                sigma_avg_m=cell(base + 3),
-            )
-        )
-    return records
+    return [MetricRecord(values={k: row.pop(k) for k in METRIC_KEYS}, **row) for row in rows]
 
 
 def emit_csv(records, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(format_metric_csv(records))
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    _write_file(path, format_metric_csv(records), "CSV")
 
 
 def _jsonable(value):
@@ -400,12 +411,7 @@ def emit_summary_json(result: "TrainResult", path) -> None:
         "num_records": len(result.records),
         "final": final,
     }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write summary to {path}: {exc}") from exc
+    _write_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n", "summary")
 
 
 @dataclass
@@ -597,11 +603,11 @@ def _batch(config: ExperimentConfig, n: int) -> int:
 def _oscillation_step_sizes(config: ExperimentConfig):
     """Step size of each epoch under oscillation_decay: the eta of the coupled
     (a, b) sign dynamics, which shrinks whenever its detector fires."""
-    schedule = config.optimizer.schedule
+    opt = config.optimizer
     k = config.num_classes
-    yield schedule.base_lr
+    yield opt.lr
     for state, _ in oracles.coupled_signgd_steps(
-            k, k, schedule.base_lr, config.optimizer.coupled_wd, schedule.shrink_factor):
+            k, k, opt.lr, opt.coupled_wd, opt.schedule.shrink_factor):
         yield state.eta
 
 
@@ -614,7 +620,7 @@ def _step_sizes(config: ExperimentConfig):
     """
     schedule = config.optimizer.schedule
     if schedule.kind != "oscillation_decay":
-        return (lr_at(schedule, e, config.epochs) for e in range(config.epochs))
+        return (lr_at(config.optimizer, e, config.epochs) for e in range(config.epochs))
     if config.model_kind != "ufm_fixed_features" or config.optimizer.kind != "signgd_coupled":
         raise DomainError(
             "oscillation_decay requires the square frozen-feature geometry with "
@@ -792,7 +798,7 @@ def _train_stack(grid: _Grid, cells: list) -> None:
             keep_only(keep)
 
     for i, cell in enumerate(cells):
-        log(i, 0, lr_at(cell.config.optimizer.schedule, 0, epochs))
+        log(i, 0, lr_at(cell.config.optimizer, 0, epochs))
     for epoch in range(epochs):
         for cell in cells:
             cell.lr = next(cell.step_sizes)
@@ -892,8 +898,7 @@ def _cell_config(base_config: ExperimentConfig, kind, lr, momentum, wd, seed) ->
     """The base config at one grid point; every other optimizer and schedule
     field keeps its base value."""
     base = base_config.optimizer
-    opt = replace(base, kind=kind, lr=lr, momentum=momentum, total_wd=None,
-                  schedule=replace(base.schedule, base_lr=lr), **_wd_fields(kind, wd))
+    opt = replace(base, kind=kind, lr=lr, momentum=momentum, **_wd_fields(kind, wd))
     return replace(base_config, optimizer=opt, seed=seed, output_csv=None, output_summary=None)
 
 
@@ -938,18 +943,17 @@ _SWEEP_COLUMNS = ("kind", "lr", "momentum", "wd", "seed", "status") + _RECORD_CO
 
 
 def sweep_summary_csv(sweep: SweepResult) -> str:
-    lines = [",".join(_SWEEP_COLUMNS)]
-    for row in sweep.rows:
-        lines.append(",".join(_format_cell(row.get(col)) for col in _SWEEP_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return _csv_text([_SWEEP_COLUMNS] + [[row.get(col) for col in _SWEEP_COLUMNS]
+                                         for row in sweep.rows])
 
 
 def _qualifies(row: dict, threshold: float) -> bool:
-    return (
-        row.get("status") == "ok"
-        and row.get("train_acc") is not None
-        and row["train_acc"] >= threshold
-    )
+    """A row of an ok run at or above the accuracy threshold. A row without a
+    status or train_acc column (a plain two-column file) passes that test."""
+    if row.get("status", "ok") != "ok":
+        return False
+    return "train_acc" not in row or (row["train_acc"] is not None
+                                      and row["train_acc"] >= threshold)
 
 
 def pivot_csv(sweep: SweepResult, kind: str, lr: float, metric: str) -> str:
@@ -963,66 +967,37 @@ def pivot_csv(sweep: SweepResult, kind: str, lr: float, metric: str) -> str:
     index = {(r["momentum"], r["wd"]): r for r in sweep.rows if r["kind"] == kind and r["lr"] == lr}
     momenta = sorted({m for m, _ in index})
     wds = sorted({w for _, w in index})
-    lines = ["momentum_wd," + ",".join(_format_cell(w) for w in wds)]
+    rows = [["momentum_wd"] + wds]
     for m in momenta:
-        cells = [_format_cell(m)]
+        cells = [m]
         for w in wds:
             row = index.get((m, w))
-            if row is not None and _qualifies(row, sweep.spec.accuracy_threshold):
-                cells.append(_format_cell(row.get(metric)))
-            else:
-                cells.append("")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            qualified = row is not None and _qualifies(row, sweep.spec.accuracy_threshold)
+            cells.append(row.get(metric) if qualified else None)
+        rows.append(cells)
+    return _csv_text(rows)
 
 
 def write_sweep_outputs(sweep: SweepResult, outdir, metrics=("nc0", "nc2", "nc3")) -> list:
     """summary.csv plus one pivot file per (kind, lr, metric); returns paths."""
-    import os
-
     os.makedirs(outdir, exist_ok=True)
-    paths = []
     summary_path = os.path.join(outdir, "summary.csv")
-    try:
-        with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(sweep_summary_csv(sweep))
-    except OSError as exc:
-        raise OSError(f"cannot write sweep summary to {summary_path}: {exc}") from exc
-    paths.append(summary_path)
+    _write_file(summary_path, sweep_summary_csv(sweep), "sweep summary")
+    paths = [summary_path]
     for kind in sweep.spec.kinds:
         for lr in sweep.spec.lrs:
             for metric in metrics:
-                name = f"pivot_{metric}_{kind}_lr{lr!r}.csv"
-                path = os.path.join(outdir, name)
-                with open(path, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(pivot_csv(sweep, kind, lr, metric))
+                path = os.path.join(outdir, f"pivot_{metric}_{kind}_lr{lr!r}.csv")
+                _write_file(path, pivot_csv(sweep, kind, lr, metric), "sweep pivot")
                 paths.append(path)
     return paths
 
 
 def parse_sweep_summary_csv(text: str):
     """Rows of a sweep summary back as dicts (numeric fields floated)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != ",".join(_SWEEP_COLUMNS):
+    header, rows = _read_csv_rows(text)
+    if header != list(_SWEEP_COLUMNS):
         raise DomainError("sweep summary header does not match the expected columns")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(_SWEEP_COLUMNS):
-            raise DomainError(
-                f"sweep summary row has {len(cells)} fields, expected {len(_SWEEP_COLUMNS)}"
-            )
-        row = {}
-        for col, cell in zip(_SWEEP_COLUMNS, cells):
-            if col in ("kind", "status"):
-                row[col] = cell
-            elif cell == "":
-                row[col] = None
-            elif col in ("seed", "epoch"):
-                row[col] = int(cell)
-            else:
-                row[col] = float(cell)
-        rows.append(row)
     return rows
 
 
@@ -1134,7 +1109,7 @@ def check_decoupled_rowsum_decay(lr: float = 0.05, wd: float = 0.1, momentum: fl
     )
 
 
-def check_coupled_rowsum_recursion(momentum: float, lr: float = 0.05, wd: float = 0.1,
+def check_coupled_rowsum_recursion(momentum: float = 0.9, lr: float = 0.05, wd: float = 0.1,
                                    epochs: int = 300, batch_size: Optional[int] = 10,
                                    num_classes: int = 4, dim: int = 8, per_class: int = 25,
                                    hidden_sizes=(16, 16), data_seed: int = 11, seed: int = 0,
@@ -1301,7 +1276,7 @@ def check_coupled_sign_oscillation(num_classes: int = 10, lr0: float = 0.1, wd: 
     k = num_classes
     oracle = oracles.coupled_signgd_run_with_decay(k, k, lr0, wd, shrink, tol, max_steps)
     steps = oracle.details["terminated_at"]
-    schedule = LRSchedule(kind="oscillation_decay", base_lr=lr0, shrink_factor=shrink)
+    schedule = LRSchedule(kind="oscillation_decay", shrink_factor=shrink)
     optimizer = OptimizerConfig(kind="signgd_coupled", lr=lr0, coupled_wd=wd, schedule=schedule)
     weights = _square_sign_weights(k, optimizer, steps)
     off_mask = ~np.eye(k, dtype=bool)

@@ -6,6 +6,10 @@ enters the momentum/sign path. Every step function is pure: it takes the
 current parameter, gradient, and state, and returns the updated pair.
 ``Optimizer`` binds a config to one array and steps it.
 
+An OptimizerConfig holds the one learning rate, ``lr``. Its LRSchedule says
+only how the step size moves away from lr over training; ``lr_at`` reads
+both.
+
 The adam-family step covers plain adam (coupled), adam_w (decoupled) and the
 interpolated variant with both decay constants. With beta1 = beta2 = eps = 0
 it takes an explicit sign-limit path whose floating-point operations are
@@ -54,58 +58,69 @@ _COUPLED_ONLY = {"sgd_coupled", "signgd_coupled", "signum", "adam"}
 _DECOUPLED_ONLY = {"sgd_decoupled", "signgd_decoupled", "signum_w", "adam_w"}
 
 
+# The LRSchedule fields each schedule kind reads, besides its kind.
+_SCHEDULE_READS = {
+    "constant": (),
+    "step_decay": ("decay_factor", "milestone_fractions"),
+    "oscillation_decay": ("shrink_factor",),
+}
+
+
 @dataclass(frozen=True)
 class LRSchedule:
-    """Learning-rate schedule descriptor.
+    """How the learning rate moves away from OptimizerConfig.lr, the step
+    size every schedule starts from.
 
     kinds:
-      constant          -- always base_lr
+      constant          -- always lr
       step_decay        -- divide by decay_factor at floor(f * total_epochs)
                            for each milestone fraction f
-      oscillation_decay -- starts at base_lr and shrinks by shrink_factor at
-                           each decay event of the coupled sign-descent (a, b)
+      oscillation_decay -- starts at lr and shrinks by shrink_factor at each
+                           decay event of the coupled sign-descent (a, b)
                            dynamics; run_training takes these step sizes from
-                           oracles.coupled_signgd_steps, and lr_at gives base_lr
+                           oracles.coupled_signgd_steps, and lr_at gives lr
     """
 
     kind: str = "constant"
-    base_lr: float = 0.1
     decay_factor: float = 10.0
     milestone_fractions: tuple = (1.0 / 3.0, 2.0 / 3.0)
     shrink_factor: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("constant", "step_decay", "oscillation_decay"):
+        if self.kind not in _SCHEDULE_READS:
             raise DomainError(f"unknown schedule kind {self.kind!r}")
-        if self.base_lr <= 0:
-            raise DomainError("base_lr must be positive")
         if self.kind == "step_decay" and self.decay_factor <= 1:
             raise DomainError("decay_factor must exceed 1")
         if self.kind == "oscillation_decay" and not 0 < self.shrink_factor < 1:
             raise DomainError("shrink_factor must lie in (0, 1)")
 
 
-def lr_at(schedule: LRSchedule, epoch: int, total_epochs: int) -> float:
-    """Learning rate in effect at a (0-indexed) epoch.
+def lr_at(config: "OptimizerConfig", epoch: int, total_epochs: int) -> float:
+    """Learning rate in effect at a (0-indexed) epoch under config.schedule,
+    starting from config.lr.
 
     For step_decay the drop applies from the start of each milestone epoch
-    floor(f * total_epochs). For oscillation_decay this is base_lr, the step
-    size before any decay event.
+    floor(f * total_epochs). For oscillation_decay this is config.lr, the
+    step size before any decay event.
     """
     if epoch < 0:
         raise DomainError("epoch must be >= 0")
+    schedule = config.schedule
     if schedule.kind != "step_decay":
-        return schedule.base_lr
+        return config.lr
     passed = sum(
         1
         for f in schedule.milestone_fractions
         if epoch >= math.floor(f * total_epochs)
     )
-    return schedule.base_lr / schedule.decay_factor**passed
+    return config.lr / schedule.decay_factor**passed
 
 
 @dataclass
 class OptimizerConfig:
+    """One optimizer: its kind, the learning rate ``lr`` every schedule
+    starts from, its hyperparameters and its learning-rate schedule."""
+
     kind: str = "sgd_decoupled"
     lr: float = 0.1
     momentum: float = 0.0
@@ -113,8 +128,7 @@ class OptimizerConfig:
     eps: float = 1e-8
     coupled_wd: float = 0.0
     decoupled_wd: float = 0.0
-    total_wd: Optional[float] = None
-    schedule: Optional[LRSchedule] = None
+    schedule: LRSchedule = LRSchedule()
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
@@ -133,18 +147,6 @@ class OptimizerConfig:
             raise DomainError(f"{self.kind} takes coupled_wd only")
         if self.kind in _DECOUPLED_ONLY and self.coupled_wd != 0.0:
             raise DomainError(f"{self.kind} takes decoupled_wd only")
-        if self.total_wd is not None:
-            total = self.coupled_wd + self.decoupled_wd
-            if abs(total - self.total_wd) > 1e-12:
-                raise DomainError(
-                    f"coupled_wd + decoupled_wd = {total} != declared total {self.total_wd}"
-                )
-        if self.schedule is None:
-            self.schedule = LRSchedule(kind="constant", base_lr=self.lr)
-
-    @property
-    def weight_decay(self) -> float:
-        return self.coupled_wd + self.decoupled_wd
 
 
 @dataclass

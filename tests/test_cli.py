@@ -113,6 +113,20 @@ def test_sweep_outdir_flag_overrides(tmp_path, capsys):
     assert not (tmp_path / "a").exists()
 
 
+@pytest.mark.parametrize("key, value", [("sweep.lrs", "0.1,abc"), ("sweep.momenta", "x"),
+                                        ("sweep.base_seed", "1.5"),
+                                        ("sweep.accuracy_threshold", "high")])
+def test_sweep_names_the_key_of_a_bad_value(tmp_path, capsys, key, value):
+    text = "".join(ln + "\n" for ln in SWEEP_CFG.splitlines() if not ln.startswith(key))
+    cfg = _write(tmp_path, "sweep.cfg", text + f"{key} = {value}\nsweep.outdir = {tmp_path / 'a'}\n")
+    rc = main(["sweep", "--config", cfg])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: config key {key}: cannot parse {value!r}\n"
+    assert not (tmp_path / "a").exists()
+
+
 def test_oracle_power_law(capsys):
     rc = main(["oracle", "--theorem", "1", "--alpha0", "9", "--lr", "0.05",
                "--wd", "0.1", "--steps", "5"])
@@ -272,7 +286,8 @@ def test_metrics_shape_mismatch(tmp_path, capsys):
 
 def test_metrics_rejects_non_finite_weights(tmp_path, capsys):
     w_path, h_path, labels_path = _write_metric_inputs(tmp_path)
-    lines = open(w_path, encoding="ascii").read().splitlines()
+    with open(w_path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()
     lines[1] = " ".join(["nan"] + lines[1].split()[1:])
     with open(w_path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -312,6 +327,21 @@ def test_regress_filters_sweep_rows(tmp_path, capsys):
     assert rc == 0
     fit = json.loads(out)
     assert fit["n"] == 4
+    assert fit["slope"] == pytest.approx(0.16, rel=1e-10)
+
+
+def test_regress_drops_accurate_rows_of_runs_that_are_not_ok(tmp_path, capsys):
+    lines = ["kind,status,train_acc,nc0,nc3"]
+    for x in (0.1, 0.2, 0.3):
+        lines.append(f"sgd_coupled,ok,1.0,{x!r},{0.16 * x!r}")
+    lines.append("sgd_coupled,diverged,1.0,9.9,-3.0")
+    lines.append("sgd_coupled,error,1.0,7.7,7.7")
+    path = _write(tmp_path, "summary.csv", "\n".join(lines) + "\n")
+    rc = main(["regress", "--csv", path])
+    out, _ = capsys.readouterr()
+    assert rc == 0
+    fit = json.loads(out)
+    assert fit["n"] == 3
     assert fit["slope"] == pytest.approx(0.16, rel=1e-10)
 
 

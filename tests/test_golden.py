@@ -8,15 +8,21 @@ of output, and say why in the change log.
 
 import contextlib
 import io
+import json
 import os
 import sys
+from itertools import product
 
 import pytest
 
 from nc_lab.cli import main
+from nc_lab.errors import DomainError
 from nc_lab.harness import (
     SweepSpec,
+    _cell_config,
     config_from_mapping,
+    config_to_mapping,
+    derive_run_seed,
     format_metric_csv,
     parse_config_text,
     run_sweep,
@@ -297,11 +303,33 @@ def produce_verdicts() -> str:
     return "".join(_run_cli(CLI_ARGS[case])[1] for case in VERDICT_CASES)
 
 
+def produce_config_echo() -> str:
+    """JSON of config_to_mapping for every config above: each training run,
+    each sweep base and each sweep cell that has a valid config."""
+    echo = {}
+    for case, text in {**TRAIN_CONFIGS, **ROWSUM_CONFIGS}.items():
+        echo[case] = config_to_mapping(config_from_mapping(parse_config_text(text)))
+    for case, (text, spec) in SWEEP_CASES.items():
+        base = config_from_mapping(parse_config_text(text))
+        echo[case] = config_to_mapping(base)
+        spec = SweepSpec(**spec)
+        grid = product(spec.kinds, spec.lrs, spec.momenta, spec.wds)
+        for i, (kind, lr, momentum, wd) in enumerate(grid):
+            seed = derive_run_seed(spec.base_seed, kind, lr, momentum, wd)
+            try:
+                cell = _cell_config(base, kind, lr, momentum, wd, seed)
+            except DomainError:
+                continue
+            echo[f"{case}/cell_{i:02d}"] = config_to_mapping(cell)
+    return json.dumps(echo, indent=1, sort_keys=True) + "\n"
+
+
 def _golden_path(case: str) -> str:
     return os.path.join(GOLDEN_DIR, case + ".csv")
 
 
 VERDICTS_PATH = os.path.join(GOLDEN_DIR, "check_theorem_4_verdicts.txt")
+ECHO_PATH = os.path.join(GOLDEN_DIR, "config_echo.json")
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -315,6 +343,14 @@ def test_theorem4_verdicts_match_golden_bytes():
     with open(VERDICTS_PATH, encoding="utf-8", newline="") as fh:
         expected = fh.read()
     assert produce_verdicts() == expected
+
+
+def test_config_echo_matches_golden_bytes():
+    # The echo is pinned by content: the fixed-point property alone would
+    # pass an echo that dropped or renamed a key on both sides.
+    with open(ECHO_PATH, encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert produce_config_echo() == expected
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
@@ -367,3 +403,5 @@ if __name__ == "__main__":
     if len(sys.argv) == 1:
         with open(VERDICTS_PATH, "w", encoding="utf-8", newline="") as fh:
             fh.write(produce_verdicts())
+        with open(ECHO_PATH, "w", encoding="utf-8", newline="") as fh:
+            fh.write(produce_config_echo())

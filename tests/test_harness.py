@@ -44,7 +44,7 @@ from nc_lab.optim import LRSchedule, OptimizerConfig
 def _ufm_sign_config(kind, lr, wd, steps, schedule="constant", shrink=0.5, k=4,
                      metric_period=None):
     wd_field = {"coupled_wd": wd} if kind.endswith("_coupled") else {"decoupled_wd": wd}
-    sched = LRSchedule(kind=schedule, base_lr=lr, shrink_factor=shrink)
+    sched = LRSchedule(kind=schedule, shrink_factor=shrink)
     return ExperimentConfig(
         model_kind="ufm_fixed_features",
         init="zero",
@@ -101,6 +101,12 @@ train.metric_period = 10
     assert cfg.batch_size is None
     assert cfg.seed == 7
     echo = config_to_mapping(cfg)
+    # step_decay's own keys are echoed, oscillation_decay's is not
+    assert echo["optimizer.decay_factor"] == 10.0
+    assert echo["optimizer.milestone_fractions"] == "0.3333333333333333,0.6666666666666666"
+    assert "optimizer.shrink_factor" not in echo
+    # the output paths say where a run writes, not what it runs
+    assert config_to_mapping(replace(cfg, output_csv="a.csv", output_summary="a.json")) == echo
     again = config_from_mapping({k: str(v) for k, v in echo.items()})
     assert again == cfg
 
@@ -287,19 +293,8 @@ def test_ufm_oscillation_decay_run():
     assert result.records[-1].epoch == 400
 
 
-def test_oscillation_decay_trains_at_schedule_base_lr():
-    sched = LRSchedule(kind="oscillation_decay", base_lr=0.1, shrink_factor=0.5)
-    opt = OptimizerConfig(kind="signgd_coupled", lr=0.5, coupled_wd=0.5, schedule=sched)
-    cfg = ExperimentConfig(model_kind="ufm_fixed_features", init="zero", num_classes=4,
-                           epochs=1, metric_period=1, optimizer=opt)
-    result = run_training(cfg)
-    assert [r.lr for r in result.records] == [0.1, 0.1]
-    # The first coupled sign step from W = 0 moves every entry by the step size.
-    assert np.max(np.abs(result.model.W)) == pytest.approx(0.1, abs=1e-15)
-
-
 def test_oscillation_routing_errors():
-    osc = LRSchedule(kind="oscillation_decay", base_lr=0.1, shrink_factor=0.5)
+    osc = LRSchedule(kind="oscillation_decay", shrink_factor=0.5)
     bad_model = _mlp_config(
         optimizer=OptimizerConfig(kind="signgd_coupled", lr=0.1, coupled_wd=0.5,
                                   schedule=osc),
@@ -350,16 +345,30 @@ def test_oscillation_run_ends_on_the_scalar_dynamics():
     assert result.records[-1].lr < 0.05
 
 
-def test_summary_echoes_the_learning_rate_training_uses(tmp_path):
-    sched = LRSchedule(kind="constant", base_lr=0.1)
-    opt = OptimizerConfig(kind="sgd_coupled", lr=0.5, momentum=0.9, coupled_wd=0.01,
-                          schedule=sched)
+@pytest.mark.parametrize("schedule", ["constant", "step_decay", "oscillation_decay"])
+def test_optimizer_lr_is_the_learning_rate_training_uses(tmp_path, schedule):
+    # Every schedule starts from OptimizerConfig.lr, and the summary echoes it.
+    if schedule == "oscillation_decay":
+        cfg = _ufm_sign_config("signgd_coupled", 0.3, 0.5, steps=3, schedule=schedule,
+                               metric_period=1)
+    else:
+        cfg = _mlp_config(epochs=3, metric_period=1, optimizer=OptimizerConfig(
+            kind="sgd_coupled", lr=0.3, momentum=0.9, coupled_wd=0.01,
+            schedule=LRSchedule(kind=schedule, milestone_fractions=(0.5,))))
     path = tmp_path / "run.json"
-    result = run_training(_mlp_config(epochs=2, metric_period=1, optimizer=opt,
-                                      output_summary=str(path)))
-    assert [r.lr for r in result.records] == [0.1, 0.1, 0.1]
-    assert config_to_mapping(result.config)["optimizer.lr"] == 0.1
-    assert json.loads(path.read_text())["config"]["optimizer.lr"] == 0.1
+    cfg.output_summary = str(path)
+    result = run_training(cfg, collect_weights=True)
+    lrs = [r.lr for r in result.records]
+    assert lrs[:2] == [0.3, 0.3]
+    if schedule == "constant":
+        assert lrs == [0.3] * 4
+    if schedule == "step_decay":
+        assert lrs[2:] == [0.3 / 10.0] * 2
+    if schedule == "oscillation_decay":
+        # The first coupled sign step from W = 0 moves every entry by lr.
+        assert np.max(np.abs(result.weights[1][1])) == pytest.approx(0.3, abs=1e-15)
+    assert config_to_mapping(result.config)["optimizer.lr"] == 0.3
+    assert json.loads(path.read_text())["config"]["optimizer.lr"] == 0.3
 
 
 def test_coupled_sign_check_raises_when_the_budget_runs_out():

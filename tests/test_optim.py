@@ -217,18 +217,20 @@ def test_coupled_rowsum_recursion_per_step():
 
 
 def test_lr_schedule_step_decay_milestones():
-    sched = LRSchedule(kind="step_decay", base_lr=0.01, decay_factor=10.0)
-    assert lr_at(sched, 0, 200) == 0.01
-    assert lr_at(sched, 100, 200) == pytest.approx(0.001)
-    assert lr_at(sched, 140, 200) == pytest.approx(0.0001)
-    assert lr_at(sched, 65, 200) == 0.01
-    assert lr_at(sched, 66, 200) == pytest.approx(0.001)
+    opt = OptimizerConfig(lr=0.01, schedule=LRSchedule(kind="step_decay", decay_factor=10.0))
+    assert lr_at(opt, 0, 200) == 0.01
+    assert lr_at(opt, 100, 200) == pytest.approx(0.001)
+    assert lr_at(opt, 140, 200) == pytest.approx(0.0001)
+    assert lr_at(opt, 65, 200) == 0.01
+    assert lr_at(opt, 66, 200) == pytest.approx(0.001)
 
 
 def test_lr_schedule_constant_and_oscillation():
-    const = LRSchedule(kind="constant", base_lr=0.3)
+    const = OptimizerConfig(lr=0.3)
+    assert const.schedule == LRSchedule(kind="constant")
     assert lr_at(const, 150, 200) == 0.3
-    osc = LRSchedule(kind="oscillation_decay", base_lr=0.4, shrink_factor=0.5)
+    osc = OptimizerConfig(kind="signgd_coupled", lr=0.4,
+                          schedule=LRSchedule(kind="oscillation_decay", shrink_factor=0.5))
     assert lr_at(osc, 10, 100) == 0.4
     with pytest.raises(DomainError):
         lr_at(const, -1, 10)
@@ -236,13 +238,11 @@ def test_lr_schedule_constant_and_oscillation():
 
 def test_lr_schedule_validation():
     with pytest.raises(DomainError):
-        LRSchedule(kind="warmup", base_lr=0.1)
+        LRSchedule(kind="warmup")
     with pytest.raises(DomainError):
-        LRSchedule(kind="constant", base_lr=0.0)
+        LRSchedule(kind="step_decay", decay_factor=1.0)
     with pytest.raises(DomainError):
-        LRSchedule(kind="step_decay", base_lr=0.1, decay_factor=1.0)
-    with pytest.raises(DomainError):
-        LRSchedule(kind="oscillation_decay", base_lr=0.1, shrink_factor=1.0)
+        LRSchedule(kind="oscillation_decay", shrink_factor=1.0)
 
 
 def test_optimizer_config_validation():
@@ -257,15 +257,9 @@ def test_optimizer_config_validation():
     with pytest.raises(DomainError):
         OptimizerConfig(kind="adam", lr=-0.1)
     with pytest.raises(DomainError):
-        OptimizerConfig(kind="adam", eps=0.0)  # beta2 nonzero needs eps > 0
-    cfg = OptimizerConfig(
-        kind="adam_interpolated", coupled_wd=0.0003, decoupled_wd=0.0002, total_wd=0.0005
-    )
-    assert cfg.weight_decay == pytest.approx(0.0005)
+        OptimizerConfig(kind="adam", lr=0.0)
     with pytest.raises(DomainError):
-        OptimizerConfig(
-            kind="adam_interpolated", coupled_wd=0.0003, decoupled_wd=0.0002, total_wd=0.001
-        )
+        OptimizerConfig(kind="adam", eps=0.0)  # beta2 nonzero needs eps > 0
 
 
 def test_stability_warning_outside_guarantee_range():

@@ -279,7 +279,7 @@ def configs(draw):
         beta2=draw(st.floats(0.0, 0.999)), eps=draw(st.floats(1e-12, 1e-3)),
         coupled_wd=0.0 if kind in _DECOUPLED_ONLY else draw(decay),
         decoupled_wd=0.0 if kind in _COUPLED_ONLY else draw(decay),
-        schedule=LRSchedule(kind=schedule, base_lr=lr, **extra))
+        schedule=LRSchedule(kind=schedule, **extra))
     data = {}
     if model_kind != "ufm_fixed_features":
         data = dict(dim=draw(st.integers(1, 64)), per_class=draw(st.integers(1, 50)),
