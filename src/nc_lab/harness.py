@@ -434,8 +434,7 @@ def _snapshot(epoch, lr_value, weight, feats, labels, num_classes, loss, acc) ->
         bundle = all_metrics(weight, data)
         values = {k: bundle[k] for k in METRIC_KEYS}
         sv_w = singular_values(weight)
-        stats_obj = compute_class_statistics(data)
-        sv_m = singular_values(stats_obj.centered_means)
+        sv_m = compute_class_statistics(data).singular_values   # kept by all_metrics
         sigma_min_w = float(sv_w[-1])
         sigma_avg_w = float(sv_w[:-1].mean()) if sv_w.size > 1 else None
         sigma_min_m = float(sv_m[-1])
@@ -525,7 +524,6 @@ def _setup(config: ExperimentConfig) -> _Grid:
         )
         x_full, labels = dataset.features, dataset.labels
         y_full = one_hot(labels, k)
-        every = np.arange(labels.shape[0])[None, :]
 
         def make_mlp(cfg):
             return MLPModel.create(cfg.dim, cfg.hidden_sizes, k,
@@ -535,12 +533,9 @@ def _setup(config: ExperimentConfig) -> _Grid:
             model = MLPModel.stack(models)
 
             def grads(cols):
-                # A full batch gathers every column too, once for all cells:
-                # the golden CSVs pin the result bits of that Fortran-ordered
-                # copy.
-                cols = every if cols is None else cols
-                loss, grads, _ = model.forward_backward(gather_columns(x_full, cols),
-                                                        gather_columns(y_full, cols))
+                batch = (x_full, y_full) if cols is None else (
+                    gather_columns(x_full, cols), gather_columns(y_full, cols))
+                loss, grads, _ = model.forward_backward(*batch)
                 return loss, grads
 
             return _Stack(model.parameters(), grads, model.set_parameters, model.cell,

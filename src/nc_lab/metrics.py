@@ -4,7 +4,8 @@ The metric family measures, for a weight matrix W (K x p, one row per class)
 and labeled feature vectors (p x N):
 
 * nc0 family — size of the classifier row sums W^T 1,
-* nc1 — within-class variability relative to between-class scatter,
+* nc1 — within-class variability relative to between-class scatter, in the
+  rank-(K-1) coordinates of the centered class means (no p x p matrix),
 * nc2 family — how close centered class means (or classifier rows) are to an
   equal-norm, equal-angle simplex frame,
 * nc3 — alignment between the classifier and the centered class means,
@@ -21,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .linalg import as_array, pseudo_inverse
+from .errors import DomainError, NumericError, ShapeError
+from .linalg import DEFAULT_RANK_TOLERANCE, as_array
 
 __all__ = [
     "LabeledFeatures",
@@ -135,18 +136,20 @@ class LabeledFeatures:
 
 @dataclass
 class ClassStatistics:
-    """First/second-order class statistics of a labeled feature set.
+    """Class statistics of a labeled feature set in the rank-(K-1)
+    coordinates of its centered class means M (means minus mean-of-means).
 
-    ``centered_means`` is class_means minus the mean-of-means; ``sigma_b`` is
-    the scatter of the centered means (normalized by K); ``sigma_w`` is the
-    within-class scatter averaged over all samples.
+    With the thin SVD M = U S V^T, Sigma_B = M M^T / K = U (S^2 / K) U^T.
+    ``nc1_terms`` holds ||u_j^T D||^2 / (N s_j^2), D the deviations
+    h_n - mu_(y_n), for each kept direction: s_j^2 > 1e-10 * s_0^2, the
+    relative cut linalg.pseudo_inverse applies to Sigma_B.
     """
 
     class_means: np.ndarray          # p x K
     global_mean: np.ndarray          # p
     centered_means: np.ndarray       # p x K
-    sigma_b: np.ndarray              # p x p
-    sigma_w: np.ndarray              # p x p
+    singular_values: np.ndarray      # min(p, K), descending
+    nc1_terms: np.ndarray            # one per kept direction; empty iff Sigma_B == 0
     per_class_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
     @property
@@ -160,7 +163,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _class_means(data: LabeledFeatures) -> np.ndarray:
-    """p x K matrix whose column c is the mean feature of class c."""
+    """p x K matrix of the class means, one class at a time, so that classes
+    holding equal samples get equal means (a one-hot product's BLAS sums do not)."""
     h, y = data.features, data.labels
     means = np.empty((h.shape[0], data.num_classes))
     for c in range(data.num_classes):
@@ -168,31 +172,35 @@ def _class_means(data: LabeledFeatures) -> np.ndarray:
     return means
 
 
-def _scatter(vectors: np.ndarray, count: int) -> np.ndarray:
-    """p x p scatter ``vectors @ vectors.T / count`` of the given columns."""
-    return vectors @ vectors.T / count
-
-
 def compute_class_statistics(data: LabeledFeatures) -> ClassStatistics:
-    """Class means, their centered versions, and both scatter matrices.
-
-    They are computed on the first call for ``data`` and kept; later calls
-    return the same read-only result.
-    """
+    """The ClassStatistics of ``data``, computed on the first call and kept
+    read-only. Raises NumericError when the centered means, their squared
+    singular values or the nc1 terms are not finite (a diverged run)."""
     if data._stats is None:
         means = data.class_means
         global_mean = means.mean(axis=1)
         centered = means - global_mean[:, None]
-        # np.take gathers C-ordered like the features (means[:, y] is
-        # Fortran-ordered and would be walked transposed); subtract in place.
+        if not np.all(np.isfinite(centered)):
+            raise NumericError("class means are not finite")
+        u, s, _ = np.linalg.svd(centered, full_matrices=False)
+        squares = s * s
+        if not np.isfinite(squares[0]):
+            raise NumericError("between-class scatter overflows")
+        kept = int(np.count_nonzero(squares > DEFAULT_RANK_TOLERANCE * squares[0]))
+        # Deviations first, projected after (projecting first and subtracting
+        # after cancels digits); np.take gathers C-ordered like the features.
         dev = np.take(means, data.labels, axis=1)
         np.subtract(data.features, dev, out=dev)
+        proj = u[:, :kept].T @ dev
+        terms = np.einsum("jn,jn->j", proj, proj) / (data.num_samples * squares[:kept])
+        if not np.isfinite(terms.sum()):
+            raise NumericError("nc1 terms are not finite")
         data._stats = ClassStatistics(
             class_means=means,
             global_mean=_read_only(global_mean),
             centered_means=_read_only(centered),
-            sigma_b=_read_only(_scatter(centered, data.num_classes)),
-            sigma_w=_read_only(_scatter(dev, data.num_samples)),
+            singular_values=_read_only(s),
+            nc1_terms=_read_only(terms),
             per_class_counts=_read_only(data.per_class_counts.copy()),
         )
     return data._stats
@@ -222,15 +230,12 @@ def nc0_normalized(w) -> float:
 
 
 def nc1_variability(stats: ClassStatistics) -> float:
-    """(1/K) * trace(sigma_w @ pinv(sigma_b)).
-
-    A fully degenerate sigma_b (all zeros) pseudo-inverts to zero, so the
-    result is 0.0; callers that need to distinguish that case should check
-    ``sigma_b.any()``.
+    """(1/K) * trace(Sigma_W @ pinv(Sigma_B)), the NC1 of Papyan, Han and
+    Donoho, as (1/N) * sum_j ||u_j^T D||^2 / s_j^2 over the kept rank-(K-1)
+    singular directions of the centered means, s_j^2 > 1e-10 * s_0^2 (see
+    ClassStatistics). It is 0.0 when Sigma_B == 0 and no direction is kept.
     """
-    k = stats.num_classes
-    pinv_b = pseudo_inverse(stats.sigma_b)
-    return float(np.trace(stats.sigma_w @ pinv_b)) / k
+    return float(stats.nc1_terms.sum())
 
 
 def _gram_structure(vectors: np.ndarray) -> float:
@@ -390,7 +395,7 @@ def all_metrics(w, data: LabeledFeatures, test_features=None) -> dict:
     out["nc0"] = nc0_metric(w)
     out["nc0_alpha"] = nc0_alpha(w)
     guarded("nc0_normalized", nc0_normalized, w)
-    sigma_b_degenerate = not stats.sigma_b.any()
+    sigma_b_degenerate = stats.nc1_terms.size == 0
     out["nc1"] = nc1_variability(stats)
     guarded("nc2", nc2_structure, stats)
     guarded("nc2n", nc2_norms, stats)

@@ -20,7 +20,6 @@ from nc_lab.harness import (
     run_training,
 )
 from nc_lab.metrics import (
-    ClassStatistics,
     LabeledFeatures,
     compute_class_statistics,
     nc0_alpha,
@@ -68,18 +67,11 @@ def _isometry(p, k, seed):
 
 
 def _stats_from_means(means):
-    """ClassStatistics for already-centered means with no within-class spread."""
+    """ClassStatistics of one sample per class at the given means: no
+    within-class spread."""
     means = np.asarray(means, dtype=float)
-    p, k = means.shape
-    centered = means - means.mean(axis=1, keepdims=True)
-    return ClassStatistics(
-        class_means=means,
-        global_mean=means.mean(axis=1),
-        centered_means=centered,
-        sigma_b=centered @ centered.T / k,
-        sigma_w=np.zeros((p, p)),
-        per_class_counts=np.ones(k, dtype=np.int64),
-    )
+    k = means.shape[1]
+    return compute_class_statistics(LabeledFeatures(means, np.arange(k), k))
 
 
 def test_criterion_01_decoupled_rowsum_power_law():
@@ -275,18 +267,19 @@ def test_criterion_09_metric_examples():
     # class statistics on hand-built inputs
     f = np.array([[1.0, 1.0, -1.0, -1.0], [0.0, 0.0, 0.0, 0.0]])
     stats = compute_class_statistics(LabeledFeatures(f, [0, 0, 1, 1], 2))
-    check(np.max(np.abs(stats.sigma_w)) == 0.0, "stats point classes sigma_w")
+    check(np.array_equal(stats.nc1_terms, [0.0]), "stats point classes nc1 terms")
     check(np.allclose(stats.centered_means, [[1.0, -1.0], [0.0, 0.0]], atol=1e-15),
           "stats point classes means")
     g = np.ones((2, 6))
     stats = compute_class_statistics(LabeledFeatures(g, [0, 0, 1, 1, 2, 2], 3))
-    check(np.max(np.abs(stats.sigma_b)) == 0.0, "stats identical sigma_b")
-    check(np.max(np.abs(stats.sigma_w)) == 0.0, "stats identical sigma_w")
+    check(np.max(np.abs(stats.singular_values)) == 0.0, "stats identical singular values")
+    check(stats.nc1_terms.size == 0, "stats identical no kept direction")
     data = make_blob_dataset(num_classes=3, dim=5, per_class=10, seed=7)
     stats = compute_class_statistics(LabeledFeatures(data.features, data.labels, 3))
     m = stats.centered_means
     trace_direct = sum(m[:, c] @ m[:, c] for c in range(3)) / 3.0
-    check(abs(np.trace(stats.sigma_b) - trace_direct) < 1e-12, "stats trace identity")
+    trace_b = np.sum(stats.singular_values**2) / 3.0
+    check(abs(trace_b - trace_direct) < 1e-12, "stats trace identity")
 
     # row-sum deviation
     check(nc0_metric(np.array([[1.0, 0.0], [-1.0, 0.0]])) == 0.0, "nc0 balanced")
@@ -315,29 +308,22 @@ def test_criterion_09_metric_examples():
 
     # within-class variability ratio
     rng = np.random.default_rng(13)
-    a = rng.standard_normal((4, 4))
-    full = a @ a.T + np.eye(4)
     means = rng.standard_normal((4, 4))
-    stats = ClassStatistics(
-        class_means=means,
-        global_mean=means.mean(axis=1),
-        centered_means=means - means.mean(axis=1, keepdims=True),
-        sigma_b=full,
-        sigma_w=np.zeros((4, 4)),
-        per_class_counts=np.ones(4, dtype=np.int64),
-    )
-    check(nc1_variability(stats) == 0.0, "nc1 zero spread")
-    stats.sigma_w = full.copy()
-    check(abs(nc1_variability(stats) - 1.0) < 1e-10, "nc1 equal covariances")
-    two = ClassStatistics(
-        class_means=np.zeros((2, 2)),
-        global_mean=np.zeros(2),
-        centered_means=np.zeros((2, 2)),
-        sigma_b=np.diag([1.0, 0.0]),
-        sigma_w=np.diag([0.5, 7.0]),
-        per_class_counts=np.ones(2, dtype=np.int64),
-    )
-    check(abs(nc1_variability(two) - 0.25) < 1e-12, "nc1 diagonal case")
+    check(nc1_variability(_stats_from_means(means)) == 0.0, "nc1 zero spread")
+    # Two samples per class at mean +- centered mean: Sigma_W = Sigma_B, so
+    # nc1 = rank(Sigma_B) / K = 3/4.
+    centered = means - means.mean(axis=1, keepdims=True)
+    equal = LabeledFeatures(np.concatenate([means + centered, means - centered], axis=1),
+                            np.tile(np.arange(4), 2), 4)
+    check(abs(nc1_variability(compute_class_statistics(equal)) - 0.75) < 1e-10,
+          "nc1 Sigma_W = Sigma_B")
+    # Class means (1, 0) and (-1, 0): Sigma_B = diag(1, 0), Sigma_W = diag(0.5, 7).
+    f = np.sqrt(14.0)
+    two = LabeledFeatures(np.array([[2.0, 0.0, 1.0, 1.0, 0.0, -2.0, -1.0, -1.0],
+                                    [0.0, 0.0, f, -f, 0.0, 0.0, f, -f]]),
+                          np.repeat([0, 1], 4), 2)
+    check(abs(nc1_variability(compute_class_statistics(two)) - 0.25) < 1e-12,
+          "nc1 diagonal case")
 
     # mean geometry
     frames_ok = True

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from nc_lab import metrics
-from nc_lab.errors import DomainError, ShapeError
+from nc_lab.errors import DomainError, NumericError, ShapeError
 from nc_lab.metrics import (
     METRIC_KEYS,
-    ClassStatistics,
     LabeledFeatures,
     all_metrics,
     compute_class_statistics,
@@ -26,6 +25,7 @@ from nc_lab.metrics import (
     nc4_agreement,
     simplex_etf,
 )
+from nc_lab.harness import _snapshot
 from nc_lab.metrics import _angle_deviation, _nearest_mean
 from nc_lab.models import make_blob_dataset, make_nc_solution
 
@@ -37,18 +37,30 @@ def _isometry(p, k, seed):
 
 
 def _stats_from_means(means):
-    """ClassStatistics for already-centered means with no within-class spread."""
+    """ClassStatistics of one sample per class at the given means: no
+    within-class spread."""
     means = np.asarray(means, dtype=float)
-    p, k = means.shape
+    k = means.shape[1]
+    return compute_class_statistics(LabeledFeatures(means, np.arange(k), k))
+
+
+def _two_class_diagonal_features():
+    """Four samples per class around the means (1, 0) and (-1, 0), both
+    exact: Sigma_B = diag(1, 0) and Sigma_W = diag(0.5, 7)."""
+    f = np.sqrt(14.0)
+    feats = np.array([[2.0, 0.0, 1.0, 1.0, 0.0, -2.0, -1.0, -1.0],
+                      [0.0, 0.0, f, -f, 0.0, 0.0, f, -f]])
+    return LabeledFeatures(feats, np.repeat([0, 1], 4), 2)
+
+
+def _equal_scatter_features(means):
+    """Two samples per class at mean +- its centered mean: Sigma_W equals
+    Sigma_B = M M^T / K up to rounding."""
+    means = np.asarray(means, dtype=float)
+    k = means.shape[1]
     centered = means - means.mean(axis=1, keepdims=True)
-    return ClassStatistics(
-        class_means=means,
-        global_mean=means.mean(axis=1),
-        centered_means=centered,
-        sigma_b=centered @ centered.T / k,
-        sigma_w=np.zeros((p, p)),
-        per_class_counts=np.ones(k, dtype=np.int64),
-    )
+    feats = np.concatenate([means + centered, means - centered], axis=1)
+    return LabeledFeatures(feats, np.tile(np.arange(k), 2), k)
 
 
 def test_simplex_etf_frame_identities():
@@ -90,14 +102,20 @@ def test_class_statistics_hand_cases():
     # two point classes at (+-1, 0), no spread
     f = np.array([[1.0, 1.0, -1.0, -1.0], [0.0, 0.0, 0.0, 0.0]])
     stats = compute_class_statistics(LabeledFeatures(f, [0, 0, 1, 1], 2))
-    assert np.max(np.abs(stats.sigma_w)) == 0.0
+    assert np.array_equal(stats.nc1_terms, [0.0])
     assert np.allclose(stats.centered_means, [[1.0, -1.0], [0.0, 0.0]], atol=1e-15)
-    # all samples identical
+    assert np.allclose(stats.singular_values, [np.sqrt(2.0), 0.0], rtol=0.0, atol=1e-15)
+    # all samples identical: Sigma_B == 0 keeps no direction
     g = np.ones((2, 6))
     stats = compute_class_statistics(LabeledFeatures(g, [0, 0, 1, 1, 2, 2], 3))
-    assert np.max(np.abs(stats.sigma_b)) == 0.0
-    assert np.max(np.abs(stats.sigma_w)) == 0.0
+    assert np.max(np.abs(stats.singular_values)) == 0.0
+    assert stats.nc1_terms.size == 0
     assert np.max(np.abs(stats.centered_means)) == 0.0
+    # point classes at (+-1, +-e): s_1^2 / s_0^2 = e^2 against the 1e-10 cut
+    for e, kept in ((2e-5, 2), (5e-6, 1)):
+        f = np.array([[1.0, -1.0, 1.0, -1.0], [e, e, -e, -e]])
+        stats = compute_class_statistics(LabeledFeatures(f, np.arange(4), 4))
+        assert stats.nc1_terms.size == kept
 
 
 def test_class_statistics_invariants_and_trace_identity():
@@ -105,13 +123,15 @@ def test_class_statistics_invariants_and_trace_identity():
     stats = compute_class_statistics(LabeledFeatures(data.features, data.labels, 3))
     m = stats.centered_means
     assert np.max(np.abs(m @ np.ones(3))) < 1e-10
-    for sigma in (stats.sigma_b, stats.sigma_w):
-        assert np.max(np.abs(sigma - sigma.T)) < 1e-10
-        assert np.linalg.eigvalsh(sigma).min() > -1e-10
-    # direct summation oracle for the trace identity
+    s = stats.singular_values
+    assert s.shape == (3,) and np.all(np.diff(s) <= 0.0) and s[-1] >= 0.0
+    # rank K - 1 = 2: the third value is rounding and its direction is cut
+    assert s[-1] < 1e-14 * s[0] and stats.nc1_terms.shape == (2,)
+    assert np.all(stats.nc1_terms >= 0.0)
+    # direct summation oracle for the trace identity tr(Sigma_B) = sum s^2 / K
     trace_direct = sum(m[:, c] @ m[:, c] for c in range(3)) / 3.0
-    assert abs(np.trace(stats.sigma_b) - trace_direct) < 1e-12
-    assert abs(np.trace(stats.sigma_b) - np.linalg.norm(m) ** 2 / 3.0) < 1e-12
+    assert abs(np.sum(s**2) / 3.0 - trace_direct) < 1e-12
+    assert abs(np.sum(s**2) / 3.0 - np.linalg.norm(m) ** 2 / 3.0) < 1e-12
 
 
 def test_nc0_metric_values():
@@ -146,38 +166,17 @@ def test_nc0_normalized_values():
 
 def test_nc1_values():
     rng = np.random.default_rng(13)
-    a = rng.standard_normal((4, 4))
-    full = a @ a.T + np.eye(4)
     means = rng.standard_normal((4, 4))
-    stats = ClassStatistics(
-        class_means=means,
-        global_mean=means.mean(axis=1),
-        centered_means=means - means.mean(axis=1, keepdims=True),
-        sigma_b=full,
-        sigma_w=np.zeros((4, 4)),
-        per_class_counts=np.ones(4, dtype=np.int64),
-    )
-    assert nc1_variability(stats) == 0.0
-    stats.sigma_w = full.copy()
-    assert nc1_variability(stats) == pytest.approx(1.0, rel=1e-10)
-    two = ClassStatistics(
-        class_means=np.zeros((2, 2)),
-        global_mean=np.zeros(2),
-        centered_means=np.zeros((2, 2)),
-        sigma_b=np.diag([1.0, 0.0]),
-        sigma_w=np.diag([0.5, 7.0]),
-        per_class_counts=np.ones(2, dtype=np.int64),
-    )
-    assert nc1_variability(two) == pytest.approx(0.25, rel=1e-12)
-    degenerate = ClassStatistics(
-        class_means=np.zeros((2, 3)),
-        global_mean=np.zeros(2),
-        centered_means=np.zeros((2, 3)),
-        sigma_b=np.zeros((2, 2)),
-        sigma_w=np.eye(2),
-        per_class_counts=np.ones(3, dtype=np.int64),
-    )
-    assert nc1_variability(degenerate) == 0.0
+    assert nc1_variability(_stats_from_means(means)) == 0.0
+    # Sigma_W = Sigma_B gives tr(Sigma_B pinv(Sigma_B)) / K = rank(Sigma_B) / K
+    stats = compute_class_statistics(_equal_scatter_features(means))
+    assert nc1_variability(stats) == pytest.approx(3.0 / 4.0, rel=1e-10)
+    assert nc1_variability(compute_class_statistics(_two_class_diagonal_features())) == \
+        pytest.approx(0.25, rel=1e-12)
+    # equal class means, spread within: Sigma_B == 0
+    spread = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+    degenerate = LabeledFeatures(np.tile(spread, 3), np.repeat(np.arange(3), 4), 3)
+    assert nc1_variability(compute_class_statistics(degenerate)) == 0.0
 
 
 def test_nc2_family_on_embedded_frames():
@@ -471,19 +470,16 @@ def test_zero_weight_all_metrics():
         assert out[key] is None
 
 
-_STAT_FIELDS = ("class_means", "global_mean", "centered_means", "sigma_b", "sigma_w",
-                "per_class_counts")
+_STAT_FIELDS = ("class_means", "global_mean", "centered_means", "singular_values",
+                "nc1_terms", "per_class_counts")
 
 
-def _class_statistics_reference(h, labels, k):
-    """(means, centered, sigma_b, sigma_w) with a boolean mask per class and
-    the Fortran-ordered gather means[:, labels]."""
+def _class_means_reference(h, labels, k):
+    """(means, centered) with a boolean mask per class."""
     means = np.empty((h.shape[0], k))
     for c in range(k):
         means[:, c] = h[:, labels == c].mean(axis=1)
-    centered = means - means.mean(axis=1)[:, None]
-    dev = h - means[:, labels]
-    return means, centered, centered @ centered.T / k, dev @ dev.T / h.shape[1]
+    return means, means - means.mean(axis=1)[:, None]
 
 
 def test_kept_class_statistics_equal_a_fresh_computation_bitwise():
@@ -503,37 +499,54 @@ def test_kept_class_statistics_equal_a_fresh_computation_bitwise():
         fresh = compute_class_statistics(LabeledFeatures(feats.copy(), labels.copy(), k))
         for name in _STAT_FIELDS:
             assert np.array_equal(getattr(kept, name), getattr(fresh, name)), (case, name)
-        ref = _class_statistics_reference(feats, labels, k)
-        got = (kept.class_means, kept.centered_means, kept.sigma_b, kept.sigma_w)
-        for name, a, b in zip(("means", "centered", "sigma_b", "sigma_w"), got, ref):
+        ref = _class_means_reference(feats, labels, k)
+        for name, a, b in zip(("means", "centered"), (kept.class_means, kept.centered_means), ref):
             assert np.array_equal(a, b), (case, name)
 
 
 def test_snapshot_runs_the_class_statistics_passes_once(monkeypatch):
-    mean_passes, scatter_counts = [], []
-    real_means, real_scatter = metrics._class_means, metrics._scatter
+    mean_passes, svd_shapes = [], []
+    real_means, real_svd = metrics._class_means, np.linalg.svd
 
     def counted_means(data):
         mean_passes.append(data)
         return real_means(data)
 
-    def counted_scatter(vectors, count):
-        scatter_counts.append(count)
-        return real_scatter(vectors, count)
+    def counted_svd(a, *args, **kwargs):
+        svd_shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(metrics, "_class_means", counted_means)
-    monkeypatch.setattr(metrics, "_scatter", counted_scatter)
     blobs = make_blob_dataset(num_classes=5, dim=8, per_class=7, seed=3)
-    data = LabeledFeatures(blobs.features, blobs.labels, 5)
     w = np.random.default_rng(3).standard_normal((5, 8))
-    out = all_metrics(w, data)
+    monkeypatch.setattr(metrics, "_class_means", counted_means)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    record = _snapshot(0, 0.1, w, blobs.features, blobs.labels, 5, 1.0, 0.5)
+    # One mean pass and one SVD of the 8 x 5 centered means (the other SVD
+    # is of the 5 x 8 W); nc1 and the sigma_*_m columns share that SVD.
+    assert len(mean_passes) == 1
+    assert sorted(svd_shapes) == [(5, 8), (8, 5)]
+    data = LabeledFeatures(blobs.features, blobs.labels, 5)
     stats = compute_class_statistics(data)
-    assert len(mean_passes) == 1
-    # One sigma_b (normalized by K) and one sigma_w (normalized by N).
-    assert sorted(scatter_counts) == [5, 35]
-    assert out["nc1"] == nc1_variability(stats)
-    assert out["nc4"] == nc4_agreement(w, data)
-    assert len(mean_passes) == 1
+    assert record.values["nc1"] == nc1_variability(stats)
+    assert record.values["nc4"] == nc4_agreement(w, data)
+    assert record.sigma_min_m == stats.singular_values[-1]
+    assert record.sigma_avg_m == stats.singular_values[:-1].mean()
+
+
+def test_non_finite_class_statistics_raise_and_blank_the_snapshot():
+    # (non-finite class means, an overflowing s_0^2, overflowing nc1 terms):
+    # each raises NumericError, and _snapshot writes a row of blank metrics.
+    labels = np.array([0, 0, 1, 1])
+    cases = (np.array([[np.nan, 1.0, 2.0, 3.0]]),
+             np.array([[1e160, 1e160, -1e160, -1e160]]),
+             np.array([[1e200, -1e200, 1.0, 1.0]]))
+    for feats in cases:
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError):
+                compute_class_statistics(LabeledFeatures(feats, labels, 2))
+            record = _snapshot(3, 0.1, np.ones((2, 1)), feats, labels, 2, 1.0, 0.5)
+        assert all(record.values[key] is None for key in METRIC_KEYS)
+        assert record.sigma_min_m is None and record.sigma_avg_m is None
 
 
 def test_kept_class_statistics_are_read_only():
