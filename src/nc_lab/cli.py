@@ -6,17 +6,23 @@ theorem numbering used throughout the interface, ``check-theorem`` replays a
 simulation against the matching closed form and exits 2 when the comparison
 fails tolerance, ``metrics`` evaluates the collapse metric bundle on saved
 matrices, and ``regress`` fits one sweep metric against another.
+
+``check-theorem N`` passes each flag it is given to harness.THEOREM_CHECKS[N]
+under the flag's name; a flag that the check's signature does not name is an
+error (exit 1) before anything trains.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
 import numpy as np
 
 from . import oracles
+from .errors import DomainError
 from .harness import (
     SweepSpec,
     THEOREM_CHECKS,
@@ -124,24 +130,15 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _check_kwargs(args) -> dict:
-    named = {
-        "1": {"lr": args.lr, "wd": args.wd, "momentum": args.momentum,
-              "epochs": args.epochs, "tolerance": args.tolerance},
-        "2": {"lr": args.lr, "wd": args.wd, "momentum": args.momentum,
-              "epochs": args.epochs, "batch_size": args.batch_size,
-              "tolerance": args.tolerance},
-        "3": {"num_classes": args.k, "lr": args.lr, "wd": args.wd,
-              "steps": args.steps, "tolerance": args.tolerance},
-        "4": {"num_classes": args.k, "lr0": args.lr, "wd": args.wd,
-              "shrink": args.shrink, "family_tolerance": args.tolerance},
-    }[args.theorem]
-    return {key: value for key, value in named.items() if value is not None}
-
-
 def cmd_check(args) -> int:
     check = THEOREM_CHECKS[args.theorem]
-    result = check(**_check_kwargs(args))
+    given = {name: value for name, value in vars(args).items()
+             if name not in ("command", "func", "theorem", "out")}
+    takes = inspect.signature(check).parameters
+    refused = ["--" + name.replace("_", "-") for name in given if name not in takes]
+    if refused:
+        raise DomainError(f"check-theorem {args.theorem} takes no {', '.join(refused)}")
+    result = check(**given)
     header = ("t", "alpha_sim", "alpha_pred", "abs_err", "rel_err")
     _write_text(_csv_text([header] + result.rows), args.out)
     detail = " ".join(f"{k}={v}" for k, v in sorted(result.details.items())
@@ -230,19 +227,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p_oracle.set_defaults(func=cmd_oracle)
 
+    # A check flag that is not given is left out of the namespace, so the
+    # check's own default applies.
     p_check = sub.add_parser(
         "check-theorem", help="simulate and compare against the closed form",
+        argument_default=argparse.SUPPRESS,
     )
-    p_check.add_argument("theorem", choices=("1", "2", "3", "4"))
-    p_check.add_argument("--lr", type=float, default=None)
-    p_check.add_argument("--wd", type=float, default=None)
-    p_check.add_argument("--momentum", type=float, default=None)
-    p_check.add_argument("--epochs", type=int, default=None)
-    p_check.add_argument("--steps", type=int, default=None)
-    p_check.add_argument("--batch-size", type=int, default=None)
-    p_check.add_argument("--k", type=int, default=None)
-    p_check.add_argument("--shrink", type=float, default=None)
-    p_check.add_argument("--tolerance", type=float, default=None)
+    p_check.add_argument("theorem", choices=tuple(THEOREM_CHECKS))
+    p_check.add_argument("--lr", type=float)
+    p_check.add_argument("--wd", type=float)
+    p_check.add_argument("--momentum", type=float)
+    p_check.add_argument("--epochs", type=int)
+    p_check.add_argument("--steps", type=int)
+    p_check.add_argument("--batch-size", type=int)
+    p_check.add_argument("--k", type=int)
+    p_check.add_argument("--shrink", type=float)
+    p_check.add_argument("--tolerance", type=float)
     p_check.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p_check.set_defaults(func=cmd_check)
 

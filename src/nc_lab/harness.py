@@ -19,7 +19,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Optional
 
 import numpy as np
@@ -235,6 +235,13 @@ def _unread_keys(model_kind, keys) -> list:
     return sorted(key for key in keys if _CONFIG_CASTS[key][0] in _SQUARE_GEOMETRY_UNREAD)
 
 
+def _schedule_unread(target: str, kind: str) -> bool:
+    """Whether a config target is a schedule field that schedule ``kind``
+    does not read."""
+    part, _, name = target.rpartition(".")
+    return part == "schedule" and name != "kind" and name not in _SCHEDULE_READS[kind]
+
+
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Config from dotted keys. Only the keys the mapping sets are passed on,
     so every default lives in its dataclass."""
@@ -253,6 +260,10 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
                           f"reads no {', '.join(unread)}")
     if schedule:
         opt["schedule"] = LRSchedule(**schedule)
+        kind = opt["schedule"].kind
+        unread = sorted(key for key in mapping if _schedule_unread(_CONFIG_CASTS[key][0], kind))
+        if unread:
+            raise DomainError(f"schedule {kind} reads no {', '.join(unread)}")
     if opt:
         kwargs["optimizer"] = OptimizerConfig(**opt)
     return ExperimentConfig(**kwargs)
@@ -276,9 +287,7 @@ def config_to_mapping(config: ExperimentConfig) -> dict:
     out = {}
     for key, (target, caster) in _CONFIG_CASTS.items():
         part, _, name = target.rpartition(".")
-        if name.startswith("output_"):
-            continue
-        if part == "schedule" and name != "kind" and name not in _SCHEDULE_READS[schedule.kind]:
+        if name.startswith("output_") or _schedule_unread(target, schedule.kind):
             continue
         value = getattr(parts[part], name)
         out[key] = _ECHO_FORMATS[caster](value) if caster in _ECHO_FORMATS else value
@@ -1035,68 +1044,55 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
 
-def _rel_err(abs_err: float, pred: float) -> float:
+def _row(t: int, sim: float, pred: float) -> tuple:
+    """The check row (t, alpha_sim, alpha_pred, abs_err, rel_err) of one
+    step; rel_err is inf where pred is 0 and sim is not."""
+    abs_err = abs(sim - pred)
     if pred != 0.0:
-        return abs_err / abs(pred)
-    return 0.0 if abs_err == 0.0 else math.inf
+        rel_err = abs_err / abs(pred)
+    else:
+        rel_err = 0.0 if abs_err == 0.0 else math.inf
+    return (t, sim, pred, abs_err, rel_err)
 
 
-def _mlp_check_config(optimizer: OptimizerConfig, epochs: int, batch_size,
-                      num_classes: int, dim: int, per_class: int, hidden_sizes,
-                      data_seed: int, seed: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        model_kind="mlp",
-        hidden_sizes=tuple(hidden_sizes),
-        num_classes=num_classes,
-        dim=dim,
-        per_class=per_class,
-        data_seed=data_seed,
-        optimizer=optimizer,
-        epochs=epochs,
-        batch_size=batch_size,
-        seed=seed,
-        metric_period=1,
-    )
+def _logged_alphas(records, rows) -> list:
+    """(logged nc0_alpha, predicted alpha) of each record that logged one.
+    Row i of a rowsum check is epoch i, so it holds the epoch's prediction."""
+    return [(rec.values["nc0_alpha"], rows[rec.epoch][2])
+            for rec in records if rec.values.get("nc0_alpha") is not None]
+
+
+# The MLP setting of checks 1 and 2, which each set the optimizer, epochs,
+# batch size and metric period: 4 classes of 25 Gaussian blobs in 8
+# dimensions, two hidden layers of 16.
+_CHECK_MLP = ExperimentConfig(model_kind="mlp", num_classes=4, dim=8, per_class=25,
+                              hidden_sizes=(16, 16), data_seed=11, seed=0)
 
 
 def check_decoupled_rowsum_decay(lr: float = 0.05, wd: float = 0.1, momentum: float = 0.9,
-                                 epochs: int = 300, num_classes: int = 4, dim: int = 8,
-                                 per_class: int = 25, hidden_sizes=(16, 16),
-                                 data_seed: int = 11, seed: int = 0,
-                                 tolerance: float = 1e-9) -> CheckResult:
-    """Full-batch decoupled SGD on blobs: the classifier row-sum energy must
-    follow alpha_t = (1 - lr*wd)^(2t) alpha_0 at every epoch."""
+                                 epochs: int = 300, tolerance: float = 1e-9) -> CheckResult:
+    """Full-batch decoupled SGD on the _CHECK_MLP run: the classifier row-sum
+    energy, and the nc0_alpha logged every epoch, must follow
+    alpha_t = (1 - lr*wd)^(2t) alpha_0 at ``tolerance`` relative."""
     opt = OptimizerConfig(kind="sgd_decoupled", lr=lr, momentum=momentum, decoupled_wd=wd)
-    cfg = _mlp_check_config(opt, epochs, None, num_classes, dim, per_class,
-                            hidden_sizes, data_seed, seed)
-    res = run_training(cfg, collect_weights=True)
-    alpha0 = oracles.alpha_from_rowsum(res.weights[0][1].sum(axis=0), num_classes)
-    rows = []
-    ok = True
-    for t, w in res.weights:
-        sim = oracles.alpha_from_rowsum(w.sum(axis=0), num_classes)
-        pred = oracles.alpha_sgd_decoupled(t, alpha0, lr, wd)
-        abs_err = abs(sim - pred)
-        rel = _rel_err(abs_err, pred)
-        rows.append((t, sim, pred, abs_err, rel))
-        if rel > tolerance:
-            ok = False
-    logged_ok = all(
-        _rel_err(abs(rec.values["nc0_alpha"] - oracles.alpha_sgd_decoupled(rec.epoch, alpha0, lr, wd)),
-                 oracles.alpha_sgd_decoupled(rec.epoch, alpha0, lr, wd)) <= tolerance
-        for rec in res.records
-        if rec.values.get("nc0_alpha") is not None
-    )
-    final = rows[-1]
+    res = run_training(replace(_CHECK_MLP, optimizer=opt, epochs=epochs, metric_period=1),
+                       collect_weights=True)
+    k = _CHECK_MLP.num_classes
+    alpha0 = oracles.alpha_from_rowsum(res.weights[0][1].sum(axis=0), k)
+    rows = [_row(t, oracles.alpha_from_rowsum(w.sum(axis=0), k),
+                 oracles.alpha_sgd_decoupled(t, alpha0, lr, wd)) for t, w in res.weights]
+    logged_ok = all(_row(0, logged, pred)[4] <= tolerance
+                    for logged, pred in _logged_alphas(res.records, rows))
+    final_alpha = rows[-1][1]
     return CheckResult(
         name="decoupled_rowsum_decay",
-        passed=ok and logged_ok,
+        passed=not any(row[4] > tolerance for row in rows) and logged_ok,
         tolerance=tolerance,
         rows=rows,
         details={
             "alpha0": alpha0,
-            "final_alpha": final[1],
-            "final_ratio": final[1] / alpha0 if alpha0 > 0 else math.nan,
+            "final_alpha": final_alpha,
+            "final_ratio": final_alpha / alpha0 if alpha0 > 0 else math.nan,
             "logged_alpha_ok": logged_ok,
             "train_status": res.status,
             "train_acc": res.records[-1].train_acc,
@@ -1104,79 +1100,60 @@ def check_decoupled_rowsum_decay(lr: float = 0.05, wd: float = 0.1, momentum: fl
     )
 
 
-def check_coupled_rowsum_recursion(momentum: float = 0.9, lr: float = 0.05, wd: float = 0.1,
+def check_coupled_rowsum_recursion(lr: float = 0.05, wd: float = 0.1, momentum: float = 0.9,
                                    epochs: int = 300, batch_size: Optional[int] = 10,
-                                   num_classes: int = 4, dim: int = 8, per_class: int = 25,
-                                   hidden_sizes=(16, 16), data_seed: int = 11, seed: int = 0,
                                    tolerance: float = 1e-9) -> CheckResult:
-    """Coupled SGD: W^T 1 must follow the momentum recursion per coordinate.
+    """Coupled SGD on the _CHECK_MLP run: W^T 1 must follow the momentum
+    recursion per coordinate.
 
     The per-coordinate comparison is absolute at ``tolerance``; the alpha
-    comparison is combined absolute/relative against alpha_0 because alpha
-    decays to the rounding floor.
+    comparisons (each epoch's W and every tenth epoch's logged nc0_alpha) are
+    combined absolute/relative against alpha_0 because alpha decays to the
+    rounding floor.
     """
     opt = OptimizerConfig(kind="sgd_coupled", lr=lr, momentum=momentum, coupled_wd=wd)
-    cfg = _mlp_check_config(opt, epochs, batch_size, num_classes, dim, per_class,
-                            hidden_sizes, data_seed, seed)
-    cfg.metric_period = 10
-    res = run_training(cfg, collect_weights=True)
-    n = num_classes * per_class
+    res = run_training(replace(_CHECK_MLP, optimizer=opt, epochs=epochs, batch_size=batch_size,
+                               metric_period=10), collect_weights=True)
+    k = _CHECK_MLP.num_classes
+    n = k * _CHECK_MLP.per_class
     steps_per_epoch = 1 if batch_size is None else math.ceil(n / batch_size)
     m0 = res.weights[0][1].sum(axis=0)
     oracle_ms = oracles.rowsum_recursion_coupled(m0, lr, wd, momentum,
                                                  steps=epochs * steps_per_epoch)
-    alpha0 = oracles.alpha_from_rowsum(m0, num_classes)
+    alpha0 = oracles.alpha_from_rowsum(m0, k)
     roots = oracles.char_roots(momentum, lr, wd)
     c_bound = oracles.rowsum_decay_constant(lr, wd, momentum)
-    rows = []
-    ok = True
-    max_coord_err = 0.0
-    bound_ok = True
     m0_norm = float(np.linalg.norm(m0))
-    for epoch, w in res.weights:
-        m_sim = w.sum(axis=0)
-        t = epoch * steps_per_epoch
-        m_pred = oracle_ms[t]
-        coord_err = float(np.max(np.abs(m_sim - m_pred)))
-        max_coord_err = max(max_coord_err, coord_err)
-        if coord_err > tolerance:
-            ok = False
-        sim = oracles.alpha_from_rowsum(m_sim, num_classes)
-        pred = oracles.alpha_from_rowsum(m_pred, num_classes)
-        abs_err = abs(sim - pred)
-        rows.append((t, sim, pred, abs_err, _rel_err(abs_err, pred)))
-        if abs_err > tolerance * (alpha0 + abs(pred)):
-            ok = False
-        envelope = c_bound * roots.spectral_radius**t * m0_norm
-        if float(np.linalg.norm(m_sim)) > envelope * (1.0 + 1e-9) + 1e-12:
-            bound_ok = False
-    logged_ok = True
-    for rec in res.records:
-        logged = rec.values.get("nc0_alpha")
-        if logged is None:
-            continue
-        pred = oracles.alpha_from_rowsum(oracle_ms[rec.epoch * steps_per_epoch], num_classes)
-        if abs(logged - pred) > tolerance * (alpha0 + abs(pred)):
-            logged_ok = False
-    ok = ok and logged_ok
-    final = rows[-1]
+    sums = [(epoch * steps_per_epoch, w.sum(axis=0)) for epoch, w in res.weights]
+    rows = [_row(t, oracles.alpha_from_rowsum(m, k), oracles.alpha_from_rowsum(oracle_ms[t], k))
+            for t, m in sums]
+    coord_errs = [float(np.max(np.abs(m - oracle_ms[t]))) for t, m in sums]
+    envelope_ok = not any(float(np.linalg.norm(m))
+                          > c_bound * roots.spectral_radius**t * m0_norm * (1.0 + 1e-9) + 1e-12
+                          for t, m in sums)
+    logged_ok = not any(abs(logged - pred) > tolerance * (alpha0 + abs(pred))
+                        for logged, pred in _logged_alphas(res.records, rows))
+    passed = (not any(err > tolerance for err in coord_errs)
+              and not any(row[3] > tolerance * (alpha0 + abs(row[2])) for row in rows)
+              and logged_ok)
+    final_alpha = rows[-1][1]
     return CheckResult(
         name="coupled_rowsum_recursion",
-        passed=ok,
+        passed=passed,
         tolerance=tolerance,
         rows=rows,
         details={
             "alpha0": alpha0,
-            "final_alpha": final[1],
-            "final_ratio": final[1] / alpha0 if alpha0 > 0 else math.nan,
-            "max_coord_err": max_coord_err,
+            "final_alpha": final_alpha,
+            "final_ratio": final_alpha / alpha0 if alpha0 > 0 else math.nan,
+            "max_coord_err": max([0.0] + coord_errs),
             "logged_alpha_ok": logged_ok,
             "spectral_radius": roots.spectral_radius,
             "decay_constant": c_bound,
-            "envelope_ok": bound_ok,
+            "envelope_ok": envelope_ok,
             "steps_per_epoch": steps_per_epoch,
             "train_status": res.status,
-            "decay_confirmed": final[1] < alpha0,
+            "decay_confirmed": final_alpha < alpha0,
         },
     )
 
@@ -1196,7 +1173,7 @@ def _square_sign_weights(k: int, optimizer: OptimizerConfig, steps: int) -> list
 _GRADIENT_CHUNK = 64
 
 
-def check_decoupled_sign_plateau(num_classes: int = 10, lr: float = 0.1, wd: float = 0.5,
+def check_decoupled_sign_plateau(k: int = 10, lr: float = 0.1, wd: float = 0.5,
                                  steps: int = 2000, tolerance: float = 1e-9) -> CheckResult:
     """Decoupled sign descent from W = 0 on the square frozen-feature
     geometry: alpha must climb the exact closed form to (K-2)^2 / wd^2.
@@ -1206,37 +1183,23 @@ def check_decoupled_sign_plateau(num_classes: int = 10, lr: float = 0.1, wd: flo
     and the gradient at each W_0..W_{steps-1}, recomputed in stacked chunks,
     must have the sign pattern J - 2I that the closed form assumes.
     """
-    k = num_classes
     optimizer = OptimizerConfig(kind="signgd_decoupled", lr=lr, decoupled_wd=wd)
     weights = _square_sign_weights(k, optimizer, steps)
     frame = UFMModel.fixed_features(k)
     expected_sign = np.ones((k, k)) - 2.0 * np.eye(k)
     stepped_from = [w for _, w in weights[:-1]]
-    sign_pattern_ok = True
-    for lo in range(0, steps, _GRADIENT_CHUNK):
-        model = UFMModel(np.stack(stepped_from[lo:lo + _GRADIENT_CHUNK]), frame.H, frame.labels,
-                         k, feature_trainable=False)
-        if not (np.sign(model.loss_and_grads()[1]) == expected_sign).all():
-            sign_pattern_ok = False
-    rows = [(0, 0.0, 0.0, 0.0, 0.0)]
-    ok = True
-    monotone = True
-    prev_alpha = 0.0
-    for t, w in weights[1:]:
-        sim = nc0_alpha(w)
-        pred = oracles.alpha_signgd_decoupled(t, k, lr, wd)
-        abs_err = abs(sim - pred)
-        rel = _rel_err(abs_err, pred)
-        rows.append((t, sim, pred, abs_err, rel))
-        if rel > tolerance:
-            ok = False
-        if sim < prev_alpha - 1e-12:
-            monotone = False
-        prev_alpha = sim
+    sign_pattern_ok = all(
+        (np.sign(UFMModel(np.stack(stepped_from[lo:lo + _GRADIENT_CHUNK]), frame.H, frame.labels,
+                          k, feature_trainable=False).loss_and_grads()[1]) == expected_sign).all()
+        for lo in range(0, steps, _GRADIENT_CHUNK))
+    rows = [_row(t, nc0_alpha(w), oracles.alpha_signgd_decoupled(t, k, lr, wd))
+            for t, w in weights]
+    monotone = not any(row[1] < prev[1] - 1e-12 for prev, row in zip(rows, rows[1:]))
     limit = oracles.alpha_signgd_decoupled_limit(k, wd)
     final_alpha = rows[-1][1]
     within_limit = limit * 0.99 <= final_alpha <= limit * (1.0 + 1e-9)
-    passed = ok and sign_pattern_ok and monotone and within_limit
+    passed = (not any(row[4] > tolerance for row in rows)
+              and sign_pattern_ok and monotone and within_limit)
     return CheckResult(
         name="decoupled_sign_plateau",
         passed=passed,
@@ -1252,60 +1215,53 @@ def check_decoupled_sign_plateau(num_classes: int = 10, lr: float = 0.1, wd: flo
     )
 
 
-def check_coupled_sign_oscillation(num_classes: int = 10, lr0: float = 0.1, wd: float = 0.5,
+def check_coupled_sign_oscillation(k: int = 10, lr: float = 0.1, wd: float = 0.5,
                                    shrink: float = 0.5, tol: float = 1e-6,
                                    max_steps: int = 10**5,
-                                   family_tolerance: float = 1e-12) -> CheckResult:
+                                   tolerance: float = 1e-12) -> CheckResult:
     """Coupled sign descent with oscillation-driven learning-rate decay: the
     weight matrix must stay in the (a, b) two-parameter family, track the
-    scalar recursion, rise to an interior peak, and fall below tol * peak.
+    scalar recursion to ``tolerance``, rise to an interior peak, and fall
+    below tol * peak.
 
     oracles.coupled_signgd_run_with_decay runs the scalar (a, b) dynamics
-    until alpha falls to tol * alpha_peak and sets the step count; it raises
-    DomainError on a non-positive lr0, wd or tol or a shrink outside (0, 1),
-    and BudgetExceededError, carrying the scalar trajectory, if max_steps
-    arrive first. The K x K weight matrix then trains through run_training
-    (signgd_coupled under the oscillation_decay schedule) for that many
-    steps, and each W_t is compared with the scalar state of step t.
+    from step size lr until alpha falls to tol * alpha_peak and sets the step
+    count; it raises DomainError on a non-positive lr, wd or tol or a shrink
+    outside (0, 1), and BudgetExceededError, carrying the scalar trajectory,
+    if max_steps arrive first. The K x K weight matrix then trains through
+    run_training (signgd_coupled under the oscillation_decay schedule) for
+    that many steps, and each W_t is compared with the scalar state of step t.
     """
-    k = num_classes
-    oracle = oracles.coupled_signgd_run_with_decay(k, k, lr0, wd, shrink, tol, max_steps)
+    oracle = oracles.coupled_signgd_run_with_decay(k, k, lr, wd, shrink, tol, max_steps)
     steps = oracle.details["terminated_at"]
     schedule = LRSchedule(kind="oscillation_decay", shrink_factor=shrink)
-    optimizer = OptimizerConfig(kind="signgd_coupled", lr=lr0, coupled_wd=wd, schedule=schedule)
+    optimizer = OptimizerConfig(kind="signgd_coupled", lr=lr, coupled_wd=wd, schedule=schedule)
     weights = _square_sign_weights(k, optimizer, steps)
+    states = chain([oracles.CoupledSignState(eta=lr)],
+                   (state for state, _ in oracles.coupled_signgd_steps(k, k, lr, wd, shrink)))
     off_mask = ~np.eye(k, dtype=bool)
-    rows = [(0, 0.0, 0.0, 0.0, 0.0)]
-    family_dev_max = 0.0
-    scalar_dev_max = 0.0
-    peak = 0.0
-    peak_step = 0
-    dynamics = oracles.coupled_signgd_steps(k, k, lr0, wd, shrink)
-    for (t, w), (state, _) in zip(weights[1:], dynamics):
-        diag = np.diag(w)
-        off = w[off_mask]
+    rows = []
+    family_dev_max = scalar_dev_max = 0.0
+    for (t, w), state in zip(weights, states):
+        diag, off = np.diag(w), w[off_mask]
         family_dev_max = max(family_dev_max,
                              float(max(diag.max() - diag.min(), off.max() - off.min())))
         scalar_dev_max = max(scalar_dev_max,
                              float(max(abs(diag[0] - state.a), abs(-off[0] - state.b))))
-        alpha_m = nc0_alpha(w)
-        alpha_s = oracles.scalar_alpha(state, k)
-        abs_err = abs(alpha_m - alpha_s)
-        rows.append((t, alpha_m, alpha_s, abs_err, _rel_err(abs_err, alpha_s)))
-        if alpha_m > peak:
-            peak, peak_step = alpha_m, t
+        rows.append(_row(t, nc0_alpha(w), oracles.scalar_alpha(state, k)))
+    peak_step, peak = max(rows, key=lambda row: row[1])[:2]
     final_alpha = rows[-1][1]
     interior_peak = 0 < peak_step < steps and peak > max(rows[0][1], final_alpha)
     passed = (
         final_alpha <= tol * peak
-        and family_dev_max <= family_tolerance
-        and scalar_dev_max <= family_tolerance
+        and family_dev_max <= tolerance
+        and scalar_dev_max <= tolerance
         and interior_peak
     )
     return CheckResult(
         name="coupled_sign_oscillation",
         passed=passed,
-        tolerance=family_tolerance,
+        tolerance=tolerance,
         rows=rows,
         details={
             "alpha_peak": peak,

@@ -1,3 +1,6 @@
+import argparse
+import functools
+import inspect
 import json
 import subprocess
 import sys
@@ -5,8 +8,8 @@ import sys
 import pytest
 
 from nc_lab import oracles
-from nc_lab.cli import main
-from nc_lab.harness import CSV_HEADER
+from nc_lab.cli import build_parser, main
+from nc_lab.harness import CSV_HEADER, THEOREM_CHECKS, CheckResult
 from nc_lab.linalg import save_matrix
 from nc_lab.metrics import METRIC_KEYS
 from nc_lab.models import make_nc_solution
@@ -127,6 +130,17 @@ def test_sweep_names_the_key_of_a_bad_value(tmp_path, capsys, key, value):
     assert not (tmp_path / "a").exists()
 
 
+def test_sweep_refuses_a_schedule_key_its_kind_does_not_read(tmp_path, capsys):
+    cfg = _write(tmp_path, "sweep.cfg",
+                 SWEEP_CFG + f"optimizer.shrink_factor = 0.3\nsweep.outdir = {tmp_path / 'a'}\n")
+    rc = main(["sweep", "--config", cfg])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: schedule constant reads no optimizer.shrink_factor\n"
+    assert not (tmp_path / "a").exists()
+
+
 def test_oracle_power_law(capsys):
     rc = main(["oracle", "--theorem", "1", "--alpha0", "9", "--lr", "0.05",
                "--wd", "0.1", "--steps", "5"])
@@ -226,6 +240,52 @@ def test_check_theorem_momentum_recursion(capsys):
     out, err = capsys.readouterr()
     assert rc == 0
     assert "PASS" in err
+
+
+def _check_parser():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices["check-theorem"]
+
+
+# check-theorem's flags that go to a check: every optional argument but --out.
+CHECK_FLAGS = {action.option_strings[-1]: action for action in _check_parser()._actions
+               if action.option_strings and action.dest not in ("help", "out")}
+
+
+def test_check_theorem_choices_are_the_checks():
+    (theorem,) = [a for a in _check_parser()._actions if a.dest == "theorem"]
+    assert tuple(theorem.choices) == tuple(THEOREM_CHECKS)
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREM_CHECKS))
+@pytest.mark.parametrize("flag", sorted(CHECK_FLAGS))
+def test_check_theorem_passes_the_flags_its_check_takes_and_refuses_the_rest(
+        tmp_path, capsys, monkeypatch, theorem, flag):
+    """A check's signature is the list of the flags it takes. Another flag
+    exits 1, naming it, before the check runs or --out is written."""
+    check = THEOREM_CHECKS[theorem]
+    calls = []
+
+    @functools.wraps(check)
+    def record(**kwargs):
+        calls.append(kwargs)
+        return CheckResult(name="recorded", passed=True, tolerance=0.0, rows=[])
+
+    monkeypatch.setitem(THEOREM_CHECKS, theorem, record)
+    action = CHECK_FLAGS[flag]
+    value = "3" if action.type is int else "0.25"
+    target = tmp_path / "check.csv"
+    rc = main(["check-theorem", theorem, flag, value, "--out", str(target)])
+    _, err = capsys.readouterr()
+    if action.dest in inspect.signature(check).parameters:
+        assert rc == 0
+        assert calls == [{action.dest: action.type(value)}]
+        assert target.exists()
+    else:
+        assert rc == 1
+        assert err == f"error: check-theorem {theorem} takes no {flag}\n"
+        assert calls == []
+        assert not target.exists()
 
 
 def _write_metric_inputs(tmp_path, k=4, p=6):

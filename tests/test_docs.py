@@ -1,11 +1,13 @@
 """README statements that must track the code."""
 
+import argparse
+import inspect
 import os
 import re
 
 import nc_lab
-from nc_lab.cli import main
-from nc_lab.harness import MODEL_KINDS
+from nc_lab.cli import build_parser, main
+from nc_lab.harness import MODEL_KINDS, THEOREM_CHECKS
 from nc_lab.optim import OPTIMIZER_KINDS
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -63,3 +65,18 @@ def test_readme_python_example_prints_collapsed_metrics(capsys):
     nc2, nc3, nc4 = (float(v) for v in capsys.readouterr().out.split())
     assert abs(nc2) < 1e-8 and abs(nc3) < 1e-8
     assert nc4 == 1.0
+
+
+def test_readme_lists_the_flags_each_check_takes():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {action.dest: action.option_strings[-1]
+             for action in sub.choices["check-theorem"]._actions
+             if action.option_strings and action.dest not in ("help", "out")}
+    text = _readme()
+    start = text.index("A check takes the flags")
+    listed = dict(re.findall(r"^- `(\w+)`: (.*)$", text[start:text.index("Any other flag", start)],
+                             flags=re.MULTILINE))
+    assert sorted(listed) == sorted(THEOREM_CHECKS)
+    for theorem, check in THEOREM_CHECKS.items():
+        takes = [flags[name] for name in inspect.signature(check).parameters if name in flags]
+        assert re.findall(r"`(--[a-z-]+)`", listed[theorem]) == takes, theorem

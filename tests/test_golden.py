@@ -7,6 +7,7 @@ of output, and say why in the change log.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -165,17 +166,22 @@ TRAIN_CONFIGS = {
     """,
 }
 
-CHECK_THEOREMS = ("1", "2", "3")
-
-# Command lines whose stdout is pinned: the theorem-4 check at its defaults
-# and at a setting with a 17-step run and several decay events, and the
-# theorem-4 oracle. The two checks also pin their verdict line (stderr).
+# Command lines whose stdout is pinned: each check at its defaults, the
+# theorem-4 check also at a setting with a 17-step run and several decay
+# events, and the theorem-4 oracle.
 CLI_ARGS = {
+    "check_theorem_1": ["check-theorem", "1"],
+    "check_theorem_2": ["check-theorem", "2"],
+    "check_theorem_3": ["check-theorem", "3"],
     "check_theorem_4": ["check-theorem", "4"],
     "check_theorem_4_k5": ["check-theorem", "4", "--k", "5", "--lr", "0.05", "--wd", "0.5"],
     "oracle_theorem_4": ["oracle", "--theorem", "4"],
 }
-VERDICT_CASES = ("check_theorem_4", "check_theorem_4_k5")
+# Golden file -> the checks whose verdict lines (stderr) it pins.
+VERDICT_CASES = {
+    "check_theorem_1_3_verdicts": ("check_theorem_1", "check_theorem_2", "check_theorem_3"),
+    "check_theorem_4_verdicts": ("check_theorem_4", "check_theorem_4_k5"),
+}
 
 # Training runs whose per-epoch row sums W^T 1 are pinned, one row per epoch.
 ROWSUM_CONFIGS = {
@@ -248,15 +254,16 @@ SWEEP_CASES = {
         momenta=(0.9,), wds=(0.01,), base_seed=3)),
 }
 
-CASES = (sorted(TRAIN_CONFIGS) + [f"check_theorem_{t}" for t in CHECK_THEOREMS]
-         + sorted(CLI_ARGS) + sorted(ROWSUM_CONFIGS))
+CASES = sorted(TRAIN_CONFIGS) + sorted(CLI_ARGS) + sorted(ROWSUM_CONFIGS)
 
 
-def _run_cli(argv) -> tuple:
-    """(stdout, stderr) of a command line that must exit 0."""
+@functools.lru_cache(maxsize=None)
+def _run_cli(case: str) -> tuple:
+    """(stdout, stderr) of a CLI_ARGS command line, which must exit 0. The
+    CSV and the verdict tests share one run of each."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        assert main(argv) == 0
+        assert main(CLI_ARGS[case]) == 0
     return out.getvalue(), err.getvalue()
 
 
@@ -266,7 +273,7 @@ def produce(case: str) -> str:
         config = config_from_mapping(parse_config_text(TRAIN_CONFIGS[case]))
         return format_metric_csv(run_training(config).records)
     if case in CLI_ARGS:
-        return _run_cli(CLI_ARGS[case])[0]
+        return _run_cli(case)[0]
     if case in ROWSUM_CONFIGS:
         config = config_from_mapping(parse_config_text(ROWSUM_CONFIGS[case]))
         weights = run_training(config, collect_weights=True).weights
@@ -275,11 +282,7 @@ def produce(case: str) -> str:
         lines += [",".join([str(t)] + [repr(float(v)) for v in w.sum(axis=0)])
                   for t, w in weights]
         return "\n".join(lines) + "\n"
-    theorem = case.rsplit("_", 1)[1]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["check-theorem", theorem]) == 0
-    return out.getvalue()
+    raise KeyError(case)
 
 
 def run_sweep_case(case: str):
@@ -298,9 +301,9 @@ def produce_sweep(case: str) -> dict:
     return files
 
 
-def produce_verdicts() -> str:
-    """The verdict lines of the pinned theorem-4 checks."""
-    return "".join(_run_cli(CLI_ARGS[case])[1] for case in VERDICT_CASES)
+def produce_verdicts(name: str) -> str:
+    """The verdict lines of the checks that golden file ``name`` pins."""
+    return "".join(_run_cli(case)[1] for case in VERDICT_CASES[name])
 
 
 def produce_config_echo() -> str:
@@ -328,7 +331,10 @@ def _golden_path(case: str) -> str:
     return os.path.join(GOLDEN_DIR, case + ".csv")
 
 
-VERDICTS_PATH = os.path.join(GOLDEN_DIR, "check_theorem_4_verdicts.txt")
+def _verdicts_path(name: str) -> str:
+    return os.path.join(GOLDEN_DIR, name + ".txt")
+
+
 ECHO_PATH = os.path.join(GOLDEN_DIR, "config_echo.json")
 
 
@@ -339,10 +345,18 @@ def test_csv_matches_golden_bytes(case):
     assert produce(case) == expected
 
 
-def test_theorem4_verdicts_match_golden_bytes():
-    with open(VERDICTS_PATH, encoding="utf-8", newline="") as fh:
+def _assert_verdicts_match(name: str) -> None:
+    with open(_verdicts_path(name), encoding="utf-8", newline="") as fh:
         expected = fh.read()
-    assert produce_verdicts() == expected
+    assert produce_verdicts(name) == expected
+
+
+def test_theorem1_3_verdicts_match_golden_bytes():
+    _assert_verdicts_match("check_theorem_1_3_verdicts")
+
+
+def test_theorem4_verdicts_match_golden_bytes():
+    _assert_verdicts_match("check_theorem_4_verdicts")
 
 
 def test_config_echo_matches_golden_bytes():
@@ -401,7 +415,8 @@ if __name__ == "__main__":
                 fh.write(produce(name))
         print(name)
     if len(sys.argv) == 1:
-        with open(VERDICTS_PATH, "w", encoding="utf-8", newline="") as fh:
-            fh.write(produce_verdicts())
+        for name in VERDICT_CASES:
+            with open(_verdicts_path(name), "w", encoding="utf-8", newline="") as fh:
+                fh.write(produce_verdicts(name))
         with open(ECHO_PATH, "w", encoding="utf-8", newline="") as fh:
             fh.write(produce_config_echo())

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nc_lab import harness, optim, oracles
+from nc_lab import harness, metrics, optim, oracles
 from nc_lab.errors import BudgetExceededError, DomainError, NumericError
 from nc_lab.harness import (
     CSV_HEADER,
@@ -135,6 +135,26 @@ def test_config_defaults_live_in_the_dataclasses():
         cfg = config_from_mapping({"optimizer.kind": kind, "optimizer.schedule": schedule})
         assert cfg == ExperimentConfig(
             optimizer=OptimizerConfig(kind=kind, schedule=LRSchedule(kind=schedule)))
+
+
+def test_config_rejects_the_schedule_keys_its_kind_does_not_read():
+    with pytest.raises(DomainError, match="^schedule constant reads no "
+                                          "optimizer.decay_factor, optimizer.shrink_factor$"):
+        config_from_mapping({"optimizer.shrink_factor": "0.3", "optimizer.decay_factor": "5"})
+    with pytest.raises(DomainError, match="^schedule step_decay reads no optimizer.shrink_factor$"):
+        config_from_mapping({"optimizer.schedule": "step_decay", "optimizer.shrink_factor": "0.3"})
+    with pytest.raises(DomainError, match="^schedule oscillation_decay reads no "
+                                          "optimizer.milestone_fractions$"):
+        config_from_mapping({"optimizer.schedule": "oscillation_decay",
+                             "optimizer.milestone_fractions": "1/2"})
+    with pytest.raises(DomainError, match="unknown schedule kind"):
+        config_from_mapping({"optimizer.schedule": "cosine", "optimizer.shrink_factor": "0.3"})
+    step = config_from_mapping({"optimizer.schedule": "step_decay", "optimizer.decay_factor": "5",
+                                "optimizer.milestone_fractions": "1/2"}).optimizer.schedule
+    assert (step.decay_factor, step.milestone_fractions) == (5.0, (0.5,))
+    osc = config_from_mapping({"optimizer.schedule": "oscillation_decay",
+                               "optimizer.shrink_factor": "0.3"}).optimizer.schedule
+    assert osc.shrink_factor == 0.3
 
 
 def test_ufm_fixed_features_rejects_the_data_keys_it_does_not_read():
@@ -483,7 +503,7 @@ def test_numeric_error_stops_only_its_cell():
                        optimizer=OptimizerConfig(kind="adam", lr=0.01, momentum=0.9))
     bad = replace(adam, seed=1, optimizer=OptimizerConfig(kind="adam", lr=0.01, momentum=0.9,
                                                           beta2=0.0, eps=0.0))
-    # the sgd group steps before the adam group fails, and must be rolled back
+    # the step that stops the bad cell still stands for every other cell
     configs = [_mlp_config(epochs=3, batch_size=10, metric_period=1), adam, bad,
                replace(adam, seed=2)]
     outcomes = harness._train_cells(configs)
@@ -693,9 +713,46 @@ def test_sign_plateau_check_trains_through_the_optimizer_table(monkeypatch):
 
 def test_sign_oscillation_check_trains_through_the_optimizer_table(monkeypatch):
     monkeypatch.setattr(optim, "step_signgd_coupled", optim.step_signgd_decoupled)
-    res = check_coupled_sign_oscillation(num_classes=5, lr0=0.05)
+    res = check_coupled_sign_oscillation(k=5, lr=0.05)
     assert not res.passed
     assert res.details["scalar_dev_max"] > 1e-12
+
+
+def test_rowsum_checks_train_through_the_optimizer_table(monkeypatch):
+    """Checks 1 and 2 step through optim's step functions, so swapping the
+    coupled and decoupled SGD steps fails both."""
+    coupled, decoupled = optim.step_sgd_coupled, optim.step_sgd_decoupled
+    monkeypatch.setattr(optim, "step_sgd_decoupled", coupled)
+    monkeypatch.setattr(optim, "step_sgd_coupled", decoupled)
+    res = check_decoupled_rowsum_decay()
+    assert not res.passed
+    assert max(row[4] for row in res.rows) > res.tolerance
+    res = check_coupled_rowsum_recursion()
+    assert not res.passed
+    assert res.details["max_coord_err"] > res.tolerance
+
+
+def test_coupled_rowsum_check_compares_each_coordinate(monkeypatch):
+    """Negated row sums keep every alpha, so only the per-coordinate
+    comparison of check 2 can fail them."""
+    recursion = oracles.rowsum_recursion_coupled
+    monkeypatch.setattr(oracles, "rowsum_recursion_coupled",
+                        lambda *args, **kwargs: [-m for m in recursion(*args, **kwargs)])
+    res = check_coupled_rowsum_recursion(epochs=20)
+    assert not res.passed
+    assert res.details["max_coord_err"] > res.tolerance
+    assert max(row[4] for row in res.rows) <= res.tolerance
+
+
+@pytest.mark.parametrize("check", [check_decoupled_rowsum_decay,
+                                   check_coupled_rowsum_recursion])
+def test_rowsum_checks_fail_on_a_wrong_logged_alpha(monkeypatch, check):
+    """The nc0_alpha each snapshot logs is held to the closed form too."""
+    alpha = metrics.nc0_alpha
+    monkeypatch.setattr(metrics, "nc0_alpha", lambda w: alpha(w) * (1.0 + 1e-6))
+    res = check()
+    assert not res.passed
+    assert res.details["logged_alpha_ok"] is False
 
 
 def test_checks_bind_no_step_function():
