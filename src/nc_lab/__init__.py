@@ -1,7 +1,8 @@
 """Desk-scale lab for last-layer collapse geometry under weight decay.
 
 The package trains small classifiers (a multilayer perceptron on Gaussian
-blobs, or a model whose feature columns are themselves trainable), logs the
+blobs or on the simplex frame, or a model whose feature columns are
+themselves trainable), logs the
 collapse metric bundle every few epochs, and cross-checks the measured
 classifier row-sum energy against closed-form trajectories for each
 optimizer family.

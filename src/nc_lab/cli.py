@@ -8,8 +8,9 @@ fails tolerance, ``metrics`` evaluates the collapse metric bundle on saved
 matrices, and ``regress`` fits one sweep metric against another.
 
 ``check-theorem N`` passes each flag it is given to harness.THEOREM_CHECKS[N]
-under the flag's name; a flag that the check's signature does not name is an
-error (exit 1) before anything trains.
+under the flag's name, and ``oracle --theorem N`` to ORACLE_ROWS[N]; a flag
+that the function's signature does not name is an error (exit 1) before
+anything trains or is written.
 """
 
 from __future__ import annotations
@@ -98,47 +99,67 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _oracle_rows(args):
-    if args.theorem == "1":
-        return [(t, oracles.alpha_sgd_decoupled(t, args.alpha0, args.lr, args.wd))
-                for t in range(args.steps + 1)]
-    if args.theorem == "2":
-        m0 = np.array([float(p) for p in args.m0.split(",") if p.strip()])
-        ms = oracles.rowsum_recursion_coupled(m0, args.lr, args.wd, args.momentum, args.steps)
-        k = args.k if args.k is not None else m0.size
-        return [(t, oracles.alpha_from_rowsum(m, k)) for t, m in enumerate(ms)]
-    if args.theorem == "3":
-        k = args.k if args.k is not None else 10
-        return [(t, oracles.alpha_signgd_decoupled(t, k, args.lr, args.wd))
-                for t in range(args.steps + 1)]
-    if args.theorem == "4":
-        k = args.k if args.k is not None else 10
-        n = args.n if args.n is not None else k
-        traj = oracles.coupled_signgd_run_with_decay(
-            k, n, args.lr, args.wd, shrink=args.shrink, tol=args.tol,
-            max_steps=args.max_steps,
-        )
-        return list(traj.points)
-    ts = np.linspace(0.0, args.tmax, args.points)
-    vals = oracles.ode_alpha_closed_form(ts, args.alpha0, args.wd, args.momentum)
+# The trajectory of each ``oracle --theorem``, one row function per theorem:
+# its keyword parameters are the flags it takes. Theorem 2's k defaults to the
+# number of row sums in m0, and theorem 4's n to k.
+def _decoupled_power_law(alpha0=1.0, lr=0.05, wd=0.1, steps=300):
+    return [(t, oracles.alpha_sgd_decoupled(t, alpha0, lr, wd)) for t in range(steps + 1)]
+
+
+def _coupled_rowsum_recursion(m0="1", k=None, lr=0.05, wd=0.1, momentum=0.9, steps=300):
+    m0 = np.array([float(p) for p in m0.split(",") if p.strip()])
+    ms = oracles.rowsum_recursion_coupled(m0, lr, wd, momentum, steps)
+    return [(t, oracles.alpha_from_rowsum(m, m0.size if k is None else k))
+            for t, m in enumerate(ms)]
+
+
+def _decoupled_sign_climb(k=10, lr=0.05, wd=0.1, steps=300):
+    return [(t, oracles.alpha_signgd_decoupled(t, k, lr, wd)) for t in range(steps + 1)]
+
+
+def _coupled_sign_decay(k=10, n=None, lr=0.05, wd=0.1, shrink=0.5, tol=1e-6,
+                        max_steps=10**5):
+    return list(oracles.coupled_signgd_run_with_decay(
+        k, k if n is None else n, lr, wd, shrink=shrink, tol=tol, max_steps=max_steps).points)
+
+
+def _memory_kernel_curve(alpha0=1.0, wd=0.1, momentum=0.9, tmax=50.0, points=101):
+    ts = np.linspace(0.0, tmax, points)
+    vals = oracles.ode_alpha_closed_form(ts, alpha0, wd, momentum)
     return list(zip(ts.tolist(), np.atleast_1d(vals).tolist()))
 
 
+ORACLE_ROWS = {
+    "1": _decoupled_power_law,
+    "2": _coupled_rowsum_recursion,
+    "3": _decoupled_sign_climb,
+    "4": _coupled_sign_decay,
+    "ode": _memory_kernel_curve,
+}
+
+
+def _call_with_flags(fn, args, command: str):
+    """fn called with each flag given on the command line, under the flag's
+    name. A flag that fn's signature does not name is an error, before fn
+    runs."""
+    given = {name: value for name, value in vars(args).items()
+             if name not in ("command", "func", "theorem", "out")}
+    takes = inspect.signature(fn).parameters
+    refused = ["--" + name.replace("_", "-") for name in given if name not in takes]
+    if refused:
+        raise DomainError(f"{command} takes no {', '.join(refused)}")
+    return fn(**given)
+
+
 def cmd_oracle(args) -> int:
-    rows = _oracle_rows(args)
+    rows = _call_with_flags(ORACLE_ROWS[args.theorem], args, f"oracle --theorem {args.theorem}")
     _write_text(_csv_text([("t", "alpha_predicted")] + rows), args.out)
     return 0
 
 
 def cmd_check(args) -> int:
-    check = THEOREM_CHECKS[args.theorem]
-    given = {name: value for name, value in vars(args).items()
-             if name not in ("command", "func", "theorem", "out")}
-    takes = inspect.signature(check).parameters
-    refused = ["--" + name.replace("_", "-") for name in given if name not in takes]
-    if refused:
-        raise DomainError(f"check-theorem {args.theorem} takes no {', '.join(refused)}")
-    result = check(**given)
+    result = _call_with_flags(THEOREM_CHECKS[args.theorem], args,
+                              f"check-theorem {args.theorem}")
     header = ("t", "alpha_sim", "alpha_pred", "abs_err", "rel_err")
     _write_text(_csv_text([header] + result.rows), args.out)
     detail = " ".join(f"{k}={v}" for k, v in sorted(result.details.items())
@@ -209,40 +230,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--outdir", default=None, help="override sweep.outdir")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_oracle = sub.add_parser("oracle", help="print a closed-form alpha trajectory")
-    p_oracle.add_argument("--theorem", required=True, choices=("1", "2", "3", "4", "ode"))
-    p_oracle.add_argument("--alpha0", type=float, default=1.0)
-    p_oracle.add_argument("--lr", type=float, default=0.05)
-    p_oracle.add_argument("--wd", type=float, default=0.1)
-    p_oracle.add_argument("--momentum", type=float, default=0.9)
-    p_oracle.add_argument("--steps", type=int, default=300)
-    p_oracle.add_argument("--k", type=int, default=None, help="number of classes")
-    p_oracle.add_argument("--n", type=int, default=None, help="sample count (defaults to k)")
-    p_oracle.add_argument("--m0", default="1", help="comma-separated initial row sums")
-    p_oracle.add_argument("--shrink", type=float, default=0.5)
-    p_oracle.add_argument("--tol", type=float, default=1e-6)
-    p_oracle.add_argument("--max-steps", type=int, default=10**5)
-    p_oracle.add_argument("--tmax", type=float, default=50.0)
-    p_oracle.add_argument("--points", type=int, default=101)
+    # An oracle or check flag that is not given is left out of the
+    # namespace, so the row function's or check's own default applies.
+    p_oracle = sub.add_parser("oracle", help="print a closed-form alpha trajectory",
+                              argument_default=argparse.SUPPRESS)
+    p_oracle.add_argument("--theorem", required=True, choices=tuple(ORACLE_ROWS))
+    for flag in ("--alpha0", "--lr", "--wd", "--momentum", "--shrink", "--tol", "--tmax"):
+        p_oracle.add_argument(flag, type=float)
+    for flag in ("--steps", "--k", "--n", "--max-steps", "--points"):
+        p_oracle.add_argument(flag, type=int)
+    p_oracle.add_argument("--m0", help="comma-separated initial row sums")
     p_oracle.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p_oracle.set_defaults(func=cmd_oracle)
 
-    # A check flag that is not given is left out of the namespace, so the
-    # check's own default applies.
     p_check = sub.add_parser(
         "check-theorem", help="simulate and compare against the closed form",
         argument_default=argparse.SUPPRESS,
     )
     p_check.add_argument("theorem", choices=tuple(THEOREM_CHECKS))
-    p_check.add_argument("--lr", type=float)
-    p_check.add_argument("--wd", type=float)
-    p_check.add_argument("--momentum", type=float)
-    p_check.add_argument("--epochs", type=int)
-    p_check.add_argument("--steps", type=int)
-    p_check.add_argument("--batch-size", type=int)
-    p_check.add_argument("--k", type=int)
-    p_check.add_argument("--shrink", type=float)
-    p_check.add_argument("--tolerance", type=float)
+    for flag in ("--lr", "--wd", "--momentum", "--shrink", "--tolerance"):
+        p_check.add_argument(flag, type=float)
+    for flag in ("--epochs", "--steps", "--batch-size", "--k"):
+        p_check.add_argument(flag, type=int)
     p_check.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p_check.set_defaults(func=cmd_check)
 

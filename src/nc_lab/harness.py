@@ -33,10 +33,12 @@ from .metrics import (
     all_metrics,
     compute_class_statistics,
     nc0_alpha,
+    simplex_etf,
 )
 from .models import (
     MLPModel,
     UFMModel,
+    ce_loss_and_grad,
     ce_loss_from_logits,
     gather_columns,
     make_blob_dataset,
@@ -88,11 +90,17 @@ __all__ = [
     "THEOREM_CHECKS",
 ]
 
-MODEL_KINDS = ("ufm", "ufm_fixed_features", "mlp")
-
-# The data fields that ufm_fixed_features does not read: it builds its square
-# geometry from num_classes alone.
-_SQUARE_GEOMETRY_UNREAD = ("dim", "per_class", "data_seed", "margin", "noise_std")
+# The ExperimentConfig fields that each model kind does not read, in field
+# order: only mlp has hidden layers and draws blob data, ufm draws its
+# features from the train seed, and ufm_fixed_features builds its K x K frame
+# from num_classes alone.
+_UNREAD_FIELDS = {
+    "ufm": ("hidden_sizes", "data_seed", "margin", "noise_std"),
+    "ufm_fixed_features": ("hidden_sizes", "dim", "per_class", "data_seed", "margin",
+                           "noise_std"),
+    "mlp": (),
+}
+MODEL_KINDS = tuple(_UNREAD_FIELDS)
 
 CSV_COLUMNS = (
     ("epoch", "lr", "train_loss", "train_acc")
@@ -102,7 +110,7 @@ CSV_COLUMNS = (
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce one training run."""
 
@@ -125,8 +133,14 @@ class ExperimentConfig:
     output_summary: Optional[str] = None
 
     def __post_init__(self):
-        if self.model_kind not in MODEL_KINDS:
+        if self.model_kind not in _UNREAD_FIELDS:
             raise DomainError(f"unknown model kind {self.model_kind!r}")
+        unread = _UNREAD_FIELDS[self.model_kind]
+        if self.num_classes < 2:
+            raise DomainError("num_classes must be >= 2")
+        for name in ("dim", "per_class"):
+            if name not in unread and getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1")
         if self.init not in ("default", "gaussian", "zero"):
             raise DomainError(f"unknown init {self.init!r}")
         if self.epochs < 1:
@@ -137,13 +151,10 @@ class ExperimentConfig:
             raise DomainError("batch_size must be >= 1 (or omitted for full batch)")
         if self.model_kind == "mlp" and self.init == "zero":
             raise DomainError("zero init leaves a rectifier network without gradient flow")
-        if self.model_kind == "ufm_fixed_features":
-            defaults = {f.name: f.default for f in fields(self)}
-            unread = [name for name in _SQUARE_GEOMETRY_UNREAD
-                      if getattr(self, name) != defaults[name]]
-            if unread:
-                raise DomainError(f"ufm_fixed_features builds the square K x K geometry and "
-                                  f"reads no {', '.join(unread)}")
+        defaults = {f.name: f.default for f in fields(self)}
+        changed = [name for name in unread if getattr(self, name) != defaults[name]]
+        if changed:
+            raise DomainError(f"model {self.model_kind} reads no {', '.join(changed)}")
 
 
 # Dotted config key -> (target, caster): the one list of run-config keys,
@@ -227,14 +238,6 @@ def parse_config_text(text: str) -> dict:
     return mapping
 
 
-def _unread_keys(model_kind, keys) -> list:
-    """The config keys a model kind does not read: ufm_fixed_features builds
-    its square geometry from data.k alone."""
-    if model_kind != "ufm_fixed_features":
-        return []
-    return sorted(key for key in keys if _CONFIG_CASTS[key][0] in _SQUARE_GEOMETRY_UNREAD)
-
-
 def _schedule_unread(target: str, kind: str) -> bool:
     """Whether a config target is a schedule field that schedule ``kind``
     does not read."""
@@ -254,10 +257,11 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         part, _, name = target.rpartition(".")
         parts[part][name] = _cast_value(key, caster, raw)
     kwargs, opt, schedule = parts[""], parts["optimizer"], parts["schedule"]
-    unread = _unread_keys(kwargs.get("model_kind"), mapping)
+    model_kind = kwargs.get("model_kind", ExperimentConfig.model_kind)
+    unread = sorted(key for key in mapping
+                    if _CONFIG_CASTS[key][0] in _UNREAD_FIELDS.get(model_kind, ()))
     if unread:
-        raise DomainError(f"ufm_fixed_features builds the square K x K geometry and "
-                          f"reads no {', '.join(unread)}")
+        raise DomainError(f"model {model_kind} reads no {', '.join(unread)}")
     if schedule:
         opt["schedule"] = LRSchedule(**schedule)
         kind = opt["schedule"].kind
@@ -287,12 +291,11 @@ def config_to_mapping(config: ExperimentConfig) -> dict:
     out = {}
     for key, (target, caster) in _CONFIG_CASTS.items():
         part, _, name = target.rpartition(".")
-        if name.startswith("output_") or _schedule_unread(target, schedule.kind):
+        if (name.startswith("output_") or _schedule_unread(target, schedule.kind)
+                or target in _UNREAD_FIELDS[config.model_kind]):
             continue
         value = getattr(parts[part], name)
         out[key] = _ECHO_FORMATS[caster](value) if caster in _ECHO_FORMATS else value
-    for key in _unread_keys(config.model_kind, out):
-        del out[key]
     return out
 
 
@@ -524,38 +527,10 @@ class _Grid:
 
 def _setup(config: ExperimentConfig) -> _Grid:
     """Build the data that the cells of a grid share, from the fields they
-    share. This is the one place that branches on the model kind."""
+    share. This is the one place that branches on the model kind: ufm trains
+    its feature columns, and mlp and ufm_fixed_features train an MLPModel on
+    fixed inputs, Gaussian blobs or the K columns of the simplex frame."""
     k = config.num_classes
-    if config.model_kind == "mlp":
-        dataset = make_blob_dataset(
-            k, config.dim, config.per_class,
-            margin=config.margin, seed=config.data_seed, noise_std=config.noise_std,
-        )
-        x_full, labels = dataset.features, dataset.labels
-        y_full = one_hot(labels, k)
-
-        def make_mlp(cfg):
-            return MLPModel.create(cfg.dim, cfg.hidden_sizes, k,
-                                   seed=cfg.seed, init_scale=cfg.init_scale)
-
-        def stack_mlp(models):
-            model = MLPModel.stack(models)
-
-            def grads(cols):
-                batch = (x_full, y_full) if cols is None else (
-                    gather_columns(x_full, cols), gather_columns(y_full, cols))
-                loss, grads, _ = model.forward_backward(*batch)
-                return loss, grads
-
-            return _Stack(model.parameters(), grads, model.set_parameters, model.cell,
-                          lambda i: model.final_weight[i])
-
-        widths = (config.dim, *config.hidden_sizes, k)
-        num_params = sum(a * b for a, b in zip(widths, widths[1:])) + sum(config.hidden_sizes)
-        return _Grid(dataset, labels, y_full, make_mlp, stack_mlp,
-                     lambda m: m.features(x_full),
-                     _working_set(widths, _batch(config, labels.shape[0]), num_params))
-
     if config.model_kind == "ufm":
         def make(cfg):
             model = UFMModel.create(k, cfg.dim, cfg.per_class,
@@ -563,41 +538,66 @@ def _setup(config: ExperimentConfig) -> _Grid:
             if cfg.init == "zero":
                 model.W = np.zeros_like(model.W)
             return model
+
+        def stack_ufm(models):
+            model = UFMModel.stack(models)
+
+            def grads(cols):
+                loss, grad_w, grad_h = model.loss_and_grads(cols)
+                if cols is not None:
+                    gh = np.zeros_like(model.H)
+                    gh[np.arange(gh.shape[0])[:, None], :, cols] = grad_h.swapaxes(-1, -2)
+                    grad_h = gh
+                return loss, [grad_w, grad_h]
+
+            def sync(params):
+                model.W, model.H = params
+
+            return _Stack([model.W, model.H], grads, sync, model.cell, lambda i: model.W[i])
+
+        probe = make(config)
+        return _Grid(None, probe.labels, probe.Y, make, stack_ufm, lambda m: m.H,
+                     _working_set(probe.W.shape[::-1], _batch(config, probe.labels.shape[0]),
+                                  probe.W.size + probe.H.size))
+
+    if config.model_kind == "mlp":
+        dataset = make_blob_dataset(
+            k, config.dim, config.per_class,
+            margin=config.margin, seed=config.data_seed, noise_std=config.noise_std,
+        )
+        x_full, labels, hidden = dataset.features, dataset.labels, config.hidden_sizes
     else:
         if config.batch_size not in (None, k):
             raise DomainError("ufm_fixed_features trains full batch only")
-        init = "gaussian" if config.init == "gaussian" else "zero"
+        dataset, x_full, labels, hidden = None, simplex_etf(k), np.arange(k), ()
+    y_full = one_hot(labels, k)
+    # The frame's classifier starts at zero, where the closed forms start,
+    # unless the init is gaussian.
+    zero_init = config.model_kind == "ufm_fixed_features" and config.init != "gaussian"
 
-        def make(cfg):
-            return UFMModel.fixed_features(k, init=init, seed=cfg.seed,
-                                           init_scale=cfg.init_scale)
+    def make_mlp(cfg):
+        model = MLPModel.create(x_full.shape[0], hidden, k,
+                                seed=cfg.seed, init_scale=cfg.init_scale)
+        if zero_init:
+            model.final_weight = np.zeros_like(model.final_weight)
+        return model
 
-    def stack_ufm(models):
-        model = UFMModel.stack(models)
+    def stack_mlp(models):
+        model = MLPModel.stack(models)
 
         def grads(cols):
-            loss, grad_w, grad_h = model.loss_and_grads(cols)
-            if grad_h is None:
-                return loss, [grad_w]
-            if cols is not None:
-                gh = np.zeros_like(model.H)
-                gh[np.arange(gh.shape[0])[:, None], :, cols] = grad_h.swapaxes(-1, -2)
-                grad_h = gh
-            return loss, [grad_w, grad_h]
+            batch = (x_full, y_full) if cols is None else (
+                gather_columns(x_full, cols), gather_columns(y_full, cols))
+            loss, grads, _ = model.forward_backward(*batch)
+            return loss, grads
 
-        def sync(params):
-            model.W = params[0]
-            if model.feature_trainable:
-                model.H = params[1]
+        return _Stack(model.parameters(), grads, model.set_parameters, model.cell,
+                      lambda i: model.final_weight[i])
 
-        params = [model.W, model.H] if model.feature_trainable else [model.W]
-        return _Stack(params, grads, sync, model.cell, lambda i: model.W[i])
-
-    probe = make(config)
-    num_params = probe.W.size + (probe.H.size if probe.feature_trainable else 0)
-    return _Grid(None, probe.labels, probe.Y, make, stack_ufm, lambda m: m.H,
-                 _working_set(probe.W.shape[::-1], _batch(config, probe.labels.shape[0]),
-                              num_params))
+    widths = (x_full.shape[0], *hidden, k)
+    num_params = sum(a * b for a, b in zip(widths, widths[1:])) + sum(hidden)
+    return _Grid(dataset, labels, y_full, make_mlp, stack_mlp, lambda m: m.features(x_full),
+                 _working_set(widths, _batch(config, labels.shape[0]), num_params))
 
 
 def _batch(config: ExperimentConfig, n: int) -> int:
@@ -1185,12 +1185,12 @@ def check_decoupled_sign_plateau(k: int = 10, lr: float = 0.1, wd: float = 0.5,
     """
     optimizer = OptimizerConfig(kind="signgd_decoupled", lr=lr, decoupled_wd=wd)
     weights = _square_sign_weights(k, optimizer, steps)
-    frame = UFMModel.fixed_features(k)
+    frame, targets = simplex_etf(k), np.eye(k)
     expected_sign = np.ones((k, k)) - 2.0 * np.eye(k)
     stepped_from = [w for _, w in weights[:-1]]
     sign_pattern_ok = all(
-        (np.sign(UFMModel(np.stack(stepped_from[lo:lo + _GRADIENT_CHUNK]), frame.H, frame.labels,
-                          k, feature_trainable=False).loss_and_grads()[1]) == expected_sign).all()
+        (np.sign(ce_loss_and_grad(np.stack(stepped_from[lo:lo + _GRADIENT_CHUNK]), frame,
+                                  targets)[1]) == expected_sign).all()
         for lo in range(0, steps, _GRADIENT_CHUNK))
     rows = [_row(t, nc0_alpha(w), oracles.alpha_signgd_decoupled(t, k, lr, wd))
             for t, w in weights]

@@ -2,11 +2,13 @@
 
 Two model families:
 
-* ``UFMModel`` -- a linear classifier W over free feature columns H, with the
-  option of freezing H at the simplex frame (square geometry), which is the
-  setting the closed-form step-size/decay predictions describe.
+* ``UFMModel`` -- a linear classifier W over free feature columns H, both
+  trained.
 * ``MLPModel`` -- a rectifier network whose final linear layer (no bias) is
-  the classifier W; everything below it is the feature map.
+  the classifier W; everything below it is the feature map. With no hidden
+  layer it is a linear classifier over fixed inputs: trained on the K columns
+  of the simplex frame, that is the square geometry the closed-form
+  step-size/decay predictions describe.
 
 The cross-entropy gradient with respect to W always has zero column sums
 (softmax columns and one-hot labels both sum to one), which is what makes the
@@ -81,20 +83,15 @@ def ce_loss_and_grad(w, x, y):
     Operands may be stacks on a leading cell axis (a shared operand
     broadcasts); the loss is then one value per cell.
     """
-    w, x = _as_matrices(w), _as_matrices(x)
-    loss, delta = _ce_delta(w, x, y)
-    return loss, delta @ x.swapaxes(-1, -2), w.swapaxes(-1, -2) @ delta
-
-
-def _ce_delta(w: np.ndarray, x: np.ndarray, y):
-    """(loss, (S - Y) / N): the loss and the logit gradient of W X."""
-    y = _as_matrices(y)
+    w, x, y = _as_matrices(w), _as_matrices(x), _as_matrices(y)
     if w.shape[-1] != x.shape[-2]:
         raise ShapeError(f"W {w.shape} does not left-multiply X {x.shape}")
     if y.shape[-2:] != (w.shape[-2], x.shape[-1]):
         raise ShapeError(f"Y must be {w.shape[-2]}x{x.shape[-1]}, got {y.shape}")
     loss, e, total = _ce_terms(w @ x, y)
-    return loss, (e / total - y) / x.shape[-1]
+    delta = (e / total - y) / x.shape[-1]
+    del e  # frees the K x N exponentials before the two products below
+    return loss, delta @ x.swapaxes(-1, -2), w.swapaxes(-1, -2) @ delta
 
 
 def _ce_terms(z: np.ndarray, y: np.ndarray):
@@ -121,17 +118,14 @@ class UFMModel:
 
     W is K x P, H is P x N with one column per sample. Nothing in the loss
     regularizes; weight decay acts through the optimizer's step. In a stack
-    W is G x K x P, and H is G x P x N, or one P x N shared by every cell
-    when it is frozen.
+    W is G x K x P and H is G x P x N.
     """
 
-    def __init__(self, w, h, labels, num_classes: int,
-                 feature_trainable: bool = True):
+    def __init__(self, w, h, labels, num_classes: int):
         self.W = _as_matrices(w).copy()
         self.H = _as_matrices(h).copy()
         self.labels = np.asarray(labels, dtype=np.int64)
         self.num_classes = int(num_classes)
-        self.feature_trainable = bool(feature_trainable)
         if self.W.shape[-1] != self.H.shape[-2]:
             raise ShapeError(f"W {self.W.shape} does not match H {self.H.shape}")
         if self.W.shape[-2] != self.num_classes:
@@ -142,60 +136,34 @@ class UFMModel:
 
     @classmethod
     def stack(cls, models) -> "UFMModel":
-        """Models of one shape and labels as one stacked model; a frozen H is
-        shared."""
+        """Models of one shape and labels as one stacked model."""
         first = models[0]
-        h = np.stack([m.H for m in models]) if first.feature_trainable else first.H
-        return cls(np.stack([m.W for m in models]), h, first.labels, first.num_classes,
-                   first.feature_trainable)
+        return cls(np.stack([m.W for m in models]), np.stack([m.H for m in models]),
+                   first.labels, first.num_classes)
 
     def cell(self, i: int) -> "UFMModel":
         """A standalone copy of cell i of a stacked model."""
-        h = self.H[i] if self.H.ndim == 3 else self.H
-        return UFMModel(self.W[i], h, self.labels, self.num_classes, self.feature_trainable)
+        return UFMModel(self.W[i], self.H[i], self.labels, self.num_classes)
 
     @classmethod
     def create(cls, num_classes: int, feature_dim: int, per_class: int = 1,
-               seed: int = 0, init_scale: float = 0.1,
-               feature_trainable: bool = True) -> "UFMModel":
+               seed: int = 0, init_scale: float = 0.1) -> "UFMModel":
         """Gaussian-initialized model with balanced labels 0..K-1 repeated."""
         rng = np.random.default_rng(seed)
         n = num_classes * per_class
         w = init_scale * rng.standard_normal((num_classes, feature_dim))
         h = init_scale * rng.standard_normal((feature_dim, n))
         labels = np.repeat(np.arange(num_classes), per_class)
-        return cls(w, h, labels, num_classes, feature_trainable)
-
-    @classmethod
-    def fixed_features(cls, num_classes: int, init: str = "zero", seed: int = 0,
-                       init_scale: float = 0.1) -> "UFMModel":
-        """Square geometry P = N = K with H frozen at the simplex frame.
-
-        ``init`` is "zero" (the closed-form trajectories start here) or
-        "gaussian".
-        """
-        k = int(num_classes)
-        h = simplex_etf(k)
-        if init == "zero":
-            w = np.zeros((k, k))
-        elif init == "gaussian":
-            w = init_scale * np.random.default_rng(seed).standard_normal((k, k))
-        else:
-            raise DomainError(f"unknown init {init!r}")
-        return cls(w, h, np.arange(k), k, feature_trainable=False)
+        return cls(w, h, labels, num_classes)
 
     def loss_and_grads(self, columns: Optional[np.ndarray] = None):
-        """(loss, grad_W, grad_H-or-None), optionally restricted to a column
-        subset (mini-batch; G x B in a stack, one batch per cell). grad_H is
-        None when features are frozen."""
+        """(loss, grad_W, grad_H), optionally restricted to a column subset
+        (mini-batch; G x B in a stack, one batch per cell); grad_H then holds
+        the batch columns only."""
         if columns is None:
-            h, y = self.H, self.Y
-        else:
-            h, y = gather_columns(self.H, columns), gather_columns(self.Y, columns)
-        if self.feature_trainable:
-            return ce_loss_and_grad(self.W, h, y)
-        loss, delta = _ce_delta(self.W, h, y)
-        return loss, delta @ h.swapaxes(-1, -2), None
+            return ce_loss_and_grad(self.W, self.H, self.Y)
+        return ce_loss_and_grad(self.W, gather_columns(self.H, columns),
+                                gather_columns(self.Y, columns))
 
 
 class MLPModel:

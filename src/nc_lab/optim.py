@@ -116,7 +116,7 @@ def lr_at(config: "OptimizerConfig", epoch: int, total_epochs: int) -> float:
     return config.lr / schedule.decay_factor**passed
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     """One optimizer: its kind, the learning rate ``lr`` every schedule
     starts from, its hyperparameters and its learning-rate schedule."""

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from nc_lab import oracles
-from nc_lab.cli import build_parser, main
+from nc_lab.cli import ORACLE_ROWS, build_parser, main
 from nc_lab.harness import CSV_HEADER, THEOREM_CHECKS, CheckResult
 from nc_lab.linalg import save_matrix
 from nc_lab.metrics import METRIC_KEYS
@@ -91,6 +91,19 @@ def test_train_bad_config_is_error(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 1
     assert "duplicate" in err
+
+
+@pytest.mark.parametrize("kind", ["ufm", "ufm_fixed_features"])
+def test_train_refuses_hidden_sizes_on_a_ufm_kind(tmp_path, capsys, kind):
+    target = tmp_path / "run.csv"
+    cfg = _write(tmp_path, "train.cfg", f"model.kind = {kind}\nmodel.hidden_sizes = 64,64\n"
+                                        f"output.csv = {target}\n")
+    rc = main(["train", "--config", cfg])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: model {kind} reads no model.hidden_sizes\n"
+    assert not target.exists()
 
 
 def test_sweep_writes_outputs(tmp_path, capsys):
@@ -242,18 +255,28 @@ def test_check_theorem_momentum_recursion(capsys):
     assert "PASS" in err
 
 
-def _check_parser():
+def _subparser(command):
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    return sub.choices["check-theorem"]
+    return sub.choices[command]
 
 
-# check-theorem's flags that go to a check: every optional argument but --out.
-CHECK_FLAGS = {action.option_strings[-1]: action for action in _check_parser()._actions
-               if action.option_strings and action.dest not in ("help", "out")}
+def _passed_flags(command):
+    """The flags of a subcommand that go to its function: every optional
+    argument but --out (and oracle's --theorem)."""
+    return {action.option_strings[-1]: action for action in _subparser(command)._actions
+            if action.option_strings and action.dest not in ("help", "out", "theorem")}
+
+
+CHECK_FLAGS = _passed_flags("check-theorem")
+ORACLE_FLAGS = _passed_flags("oracle")
+
+
+def _flag_value(action) -> str:
+    return {int: "3", float: "0.25"}.get(action.type, "2,3")
 
 
 def test_check_theorem_choices_are_the_checks():
-    (theorem,) = [a for a in _check_parser()._actions if a.dest == "theorem"]
+    (theorem,) = [a for a in _subparser("check-theorem")._actions if a.dest == "theorem"]
     assert tuple(theorem.choices) == tuple(THEOREM_CHECKS)
 
 
@@ -273,7 +296,7 @@ def test_check_theorem_passes_the_flags_its_check_takes_and_refuses_the_rest(
 
     monkeypatch.setitem(THEOREM_CHECKS, theorem, record)
     action = CHECK_FLAGS[flag]
-    value = "3" if action.type is int else "0.25"
+    value = _flag_value(action)
     target = tmp_path / "check.csv"
     rc = main(["check-theorem", theorem, flag, value, "--out", str(target)])
     _, err = capsys.readouterr()
@@ -286,6 +309,50 @@ def test_check_theorem_passes_the_flags_its_check_takes_and_refuses_the_rest(
         assert err == f"error: check-theorem {theorem} takes no {flag}\n"
         assert calls == []
         assert not target.exists()
+
+
+def test_oracle_theorem_choices_are_the_row_functions():
+    (theorem,) = [a for a in _subparser("oracle")._actions if a.dest == "theorem"]
+    assert tuple(theorem.choices) == tuple(ORACLE_ROWS)
+
+
+@pytest.mark.parametrize("theorem", sorted(ORACLE_ROWS))
+@pytest.mark.parametrize("flag", sorted(ORACLE_FLAGS))
+def test_oracle_passes_the_flags_its_theorem_takes_and_refuses_the_rest(
+        tmp_path, capsys, monkeypatch, theorem, flag):
+    """A row function's signature is the list of the flags its theorem
+    takes. Another flag exits 1, naming it, before --out is written."""
+    rows = ORACLE_ROWS[theorem]
+    calls = []
+
+    @functools.wraps(rows)
+    def record(**kwargs):
+        calls.append(kwargs)
+        return [(0, 1.0)]
+
+    monkeypatch.setitem(ORACLE_ROWS, theorem, record)
+    action = ORACLE_FLAGS[flag]
+    value = _flag_value(action)
+    target = tmp_path / "oracle.csv"
+    rc = main(["oracle", "--theorem", theorem, flag, value, "--out", str(target)])
+    _, err = capsys.readouterr()
+    if action.dest in inspect.signature(rows).parameters:
+        assert rc == 0
+        assert calls == [{action.dest: (action.type or str)(value)}]
+        assert target.read_text() == "t,alpha_predicted\n0,1.0\n"
+    else:
+        assert rc == 1
+        assert err == f"error: oracle --theorem {theorem} takes no {flag}\n"
+        assert calls == []
+        assert not target.exists()
+
+
+def test_oracle_refuses_every_flag_its_theorem_does_not_read(capsys):
+    rc = main(["oracle", "--theorem", "1", "--k", "5", "--m0", "1,2", "--shrink", "0.2"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: oracle --theorem 1 takes no --k, --m0, --shrink\n"
 
 
 def _write_metric_inputs(tmp_path, k=4, p=6):

@@ -6,8 +6,8 @@ import os
 import re
 
 import nc_lab
-from nc_lab.cli import build_parser, main
-from nc_lab.harness import MODEL_KINDS, THEOREM_CHECKS
+from nc_lab.cli import ORACLE_ROWS, build_parser, main
+from nc_lab.harness import _CONFIG_CASTS, _UNREAD_FIELDS, MODEL_KINDS, THEOREM_CHECKS
 from nc_lab.optim import OPTIMIZER_KINDS
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -34,6 +34,31 @@ def test_readme_kind_lists_match_code():
     text = _readme()
     assert sorted(_backticked_after(text, "Model kinds are ", ".")) == sorted(MODEL_KINDS)
     assert sorted(_backticked_after(text, "Optimizers are ", ";")) == sorted(OPTIMIZER_KINDS)
+
+
+def _listed(text: str, lead: str, end: str) -> dict:
+    """name -> rest of line, of the ``- `name`: ...`` lines between lead and end."""
+    start = text.index(lead)
+    return dict(re.findall(r"^- `(\w+)`: (.*(?:\n  .*)*)$", text[start:text.index(end, start)],
+                           flags=re.MULTILINE))
+
+
+def test_readme_lists_the_keys_each_model_kind_does_not_read():
+    listed = _listed(_readme(), "The keys that each model kind does not read",
+                     "A config that sets one")
+    assert sorted(listed) == sorted(MODEL_KINDS)
+    for kind, line in listed.items():
+        unread = [key for key, (target, _) in _CONFIG_CASTS.items()
+                  if target in _UNREAD_FIELDS[kind]]
+        assert sorted(re.findall(r"`([a-z_.]+)`", line)) == sorted(unread), kind
+
+
+def test_readme_lists_the_flags_each_oracle_takes():
+    listed = _listed(_readme(), "An oracle\ntakes the flags", "Theorem 2's")
+    assert sorted(listed) == sorted(ORACLE_ROWS)
+    for theorem, rows in ORACLE_ROWS.items():
+        takes = ["--" + name.replace("_", "-") for name in inspect.signature(rows).parameters]
+        assert re.findall(r"`(--[a-z0-9-]+)`", listed[theorem]) == takes, theorem
 
 
 def test_readme_layout_names_every_module():

@@ -109,6 +109,19 @@ TRAIN_CONFIGS = {
         train.epochs = 200
         train.metric_period = 50
     """,
+    "ufm_fixed_gaussian_adam_w": """
+        model.kind = ufm_fixed_features
+        model.init = gaussian
+        model.init_scale = 0.3
+        data.k = 5
+        optimizer.kind = adam_w
+        optimizer.lr = 0.05
+        optimizer.momentum = 0.9
+        optimizer.decoupled_wd = 0.1
+        train.epochs = 60
+        train.metric_period = 10
+        train.seed = 9
+    """,
     "mlp_sgd_coupled": """
         model.kind = mlp
         data.k = 5
@@ -248,6 +261,16 @@ SWEEP_CASES = {
         train.metric_period = 10
     """, dict(kinds=("signgd_coupled", "signgd_decoupled"), lrs=(0.02, 0.05),
               momenta=(0.0,), wds=(0.0, 0.1, 0.5), base_seed=5)),
+    # train.batch_size = data.k is the one batch size the geometry takes.
+    "sweep_ufm_fixed_gaussian": ("""
+        model.kind = ufm_fixed_features
+        model.init = gaussian
+        data.k = 4
+        train.epochs = 30
+        train.batch_size = 4
+        train.metric_period = 10
+    """, dict(kinds=("sgd_coupled", "adam"), lrs=(0.1,), momenta=(0.0, 0.9), wds=(0.01,),
+              base_seed=6)),
     # lr = -1 is an error row, 1e-5 does not train and 1e4 diverges mid-run.
     "sweep_mlp_failures": (_MLP_SWEEP_BASE, dict(
         kinds=("sgd_coupled", "sgd_decoupled"), lrs=(-1.0, 1e-5, 0.05, 1e4),

@@ -2,7 +2,7 @@ import gc
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -37,7 +37,8 @@ from nc_lab.harness import (
     sweep_summary_csv,
     write_sweep_outputs,
 )
-from nc_lab.metrics import METRIC_KEYS
+from nc_lab.metrics import METRIC_KEYS, simplex_etf
+from nc_lab.models import MLPModel
 from nc_lab.optim import LRSchedule, OptimizerConfig
 
 
@@ -184,6 +185,59 @@ def test_ufm_fixed_features_rejects_the_fields_it_does_not_read():
         replace(ExperimentConfig(model_kind="ufm_fixed_features"), per_class=2)
 
 
+# The config keys each model kind does not read.
+UNREAD_KEYS = {
+    "mlp": [],
+    "ufm": ["data.margin", "data.noise_std", "data.seed", "model.hidden_sizes"],
+    "ufm_fixed_features": ["data.d", "data.margin", "data.noise_std", "data.per_class",
+                           "data.seed", "model.hidden_sizes"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREAD_KEYS))
+def test_each_model_kind_refuses_and_does_not_echo_the_keys_it_does_not_read(kind):
+    # Every key at its default value: a key is refused for being set at all.
+    every_key = config_to_mapping(ExperimentConfig(model_kind="mlp"))
+    for key in UNREAD_KEYS[kind]:
+        with pytest.raises(DomainError, match=f"^model {kind} reads no {key}$"):
+            config_from_mapping({"model.kind": kind, key: str(every_key[key])})
+    echo = config_to_mapping(ExperimentConfig(model_kind=kind))
+    assert sorted(set(every_key) - set(echo)) == UNREAD_KEYS[kind]
+    changed = dict(hidden_sizes=(8,), dim=3, per_class=2, data_seed=1, margin=2.0, noise_std=0.5)
+    for key in UNREAD_KEYS[kind]:
+        field_name = harness._CONFIG_CASTS[key][0]
+        with pytest.raises(DomainError, match=f"^model {kind} reads no {field_name}$"):
+            ExperimentConfig(model_kind=kind, **{field_name: changed[field_name]})
+
+
+def test_config_without_a_model_kind_is_ufm_and_refuses_what_ufm_does_not_read():
+    with pytest.raises(DomainError, match="^model ufm reads no data.seed, model.hidden_sizes$"):
+        config_from_mapping({"data.seed": "3", "model.hidden_sizes": "8"})
+
+
+def test_configs_are_frozen():
+    cfg = _mlp_config()
+    for name, value in (("init", "zero"), ("model_kind", "submarine"), ("batch_size", 3)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, value)
+    with pytest.raises(FrozenInstanceError):
+        cfg.optimizer.lr = 0.5
+    assert cfg == _mlp_config()
+
+
+@pytest.mark.parametrize("kind", harness.MODEL_KINDS)
+def test_config_refuses_sizes_that_cannot_train(kind):
+    with pytest.raises(DomainError, match="num_classes must be >= 2"):
+        ExperimentConfig(model_kind=kind, num_classes=1)
+    for name in ("dim", "per_class"):
+        if name in harness._UNREAD_FIELDS[kind]:
+            continue
+        with pytest.raises(DomainError, match=f"^{name} must be >= 1$"):
+            ExperimentConfig(model_kind=kind, **{name: 0})
+    with pytest.raises(DomainError):
+        config_from_mapping({"model.kind": kind, "data.k": "1"})
+
+
 def test_load_config_path_error(tmp_path):
     with pytest.raises(OSError) as exc:
         load_config(tmp_path / "missing.cfg")
@@ -280,7 +334,7 @@ def test_run_training_divergence_diagnostic():
 def test_degenerate_metrics_serialize_as_empty(tmp_path):
     # zero-init classifier: the normalized metrics are undefined at epoch 0
     cfg = _ufm_sign_config("signgd_decoupled", 0.1, 0.5, steps=4)
-    cfg.output_csv = str(tmp_path / "degen.csv")
+    cfg = replace(cfg, output_csv=str(tmp_path / "degen.csv"))
     result = run_training(cfg)
     first = result.records[0]
     assert first.values["nc0"] == 0.0
@@ -331,7 +385,7 @@ def test_oscillation_decay_rejects_gaussian_init():
     # The (a, b) dynamics that set the step size start from W = 0.
     cfg = _ufm_sign_config("signgd_coupled", 0.1, 0.5, steps=10,
                            schedule="oscillation_decay")
-    cfg.init = "gaussian"
+    cfg = replace(cfg, init="gaussian")
     with pytest.raises(DomainError, match="gaussian"):
         run_training(cfg)
 
@@ -341,13 +395,30 @@ def test_ufm_fixed_features_trains_full_batch_only():
                            ("signgd_coupled", "oscillation_decay")):
         cfg = _ufm_sign_config(kind, 0.1, 0.5, steps=2, schedule=schedule, k=4)
         for batch_size in (1, 2, 3, 5):
-            cfg.batch_size = batch_size
             with pytest.raises(DomainError, match="full batch"):
-                run_training(cfg)
-        cfg.batch_size = 4
-        full = run_training(cfg)
-        cfg.batch_size = None
-        assert np.array_equal(full.model.W, run_training(cfg).model.W)
+                run_training(replace(cfg, batch_size=batch_size))
+        full = run_training(replace(cfg, batch_size=4))
+        assert np.array_equal(full.model.final_weight,
+                              run_training(replace(cfg, batch_size=None)).model.final_weight)
+
+
+def test_ufm_fixed_features_is_a_linear_mlp_over_the_simplex_frame():
+    # No hidden layer, the K frame columns as data, and a classifier that
+    # starts at zero unless the init is gaussian.
+    k = 5
+    for init in ("default", "zero", "gaussian"):
+        cfg = replace(_ufm_sign_config("signgd_decoupled", 0.1, 0.5, steps=1, k=k), init=init,
+                      init_scale=0.2, seed=3)
+        result = run_training(cfg, collect_weights=True)
+        assert result.model.hidden_weights == [] and result.dataset is None
+        assert np.array_equal(result.model.features(simplex_etf(k)), simplex_etf(k))
+        drawn = 0.2 * np.random.default_rng(3).standard_normal((k, k))
+        expected = drawn if init == "gaussian" else np.zeros((k, k))
+        assert np.array_equal(result.weights[0][1], expected)
+        assert np.array_equal(MLPModel.create(k, (), k, seed=3, init_scale=0.2).final_weight,
+                              drawn)
+    with pytest.raises(DomainError, match="unknown init"):
+        replace(cfg, init="bogus")
 
 
 def test_oscillation_run_ends_on_the_scalar_dynamics():
@@ -361,7 +432,7 @@ def test_oscillation_run_ends_on_the_scalar_dynamics():
     for _ in range(epochs):
         state, _ = next(dynamics)
     family = (state.a + state.b) * np.eye(k) - state.b * np.ones((k, k))
-    assert np.max(np.abs(result.model.W - family)) <= 1e-12
+    assert np.max(np.abs(result.model.final_weight - family)) <= 1e-12
     assert result.records[-1].lr < 0.05
 
 
@@ -376,7 +447,7 @@ def test_optimizer_lr_is_the_learning_rate_training_uses(tmp_path, schedule):
             kind="sgd_coupled", lr=0.3, momentum=0.9, coupled_wd=0.01,
             schedule=LRSchedule(kind=schedule, milestone_fractions=(0.5,))))
     path = tmp_path / "run.json"
-    cfg.output_summary = str(path)
+    cfg = replace(cfg, output_summary=str(path))
     result = run_training(cfg, collect_weights=True)
     lrs = [r.lr for r in result.records]
     assert lrs[:2] == [0.3, 0.3]

@@ -93,12 +93,10 @@ def test_ce_shape_errors():
         ce_loss_and_grad(np.zeros((2, 3)), np.zeros((3, 5)), one_hot([0] * 4, 2))
 
 
-def test_ufm_zero_weights_loss_and_sign_pattern():
+def test_frame_zero_weights_loss_and_sign_pattern():
     k = 6
-    model = UFMModel.fixed_features(k, init="zero")
-    loss, grad_w, grad_h = model.loss_and_grads()
+    loss, grad_w, _ = ce_loss_and_grad(np.zeros((k, k)), simplex_etf(k), np.eye(k))
     assert loss == pytest.approx(math.log(k), abs=1e-14)
-    assert grad_h is None
     expected = np.ones((k, k)) - 2.0 * np.eye(k)
     assert np.array_equal(np.sign(grad_w), expected)
 
@@ -109,16 +107,15 @@ def test_ufm_all_zero_model_loss():
     assert loss == math.log(3.0)
 
 
-def test_ufm_two_parameter_family_gradient():
-    """For W = (a+b)I - bJ against the frozen simplex frame the gradient
-    collapses to psi * (J - KI) with a scalar psi shared by every entry."""
+def test_frame_two_parameter_family_gradient():
+    """For W = (a+b)I - bJ against the simplex frame the gradient collapses
+    to psi * (J - KI) with a scalar psi shared by every entry."""
     rng = np.random.default_rng(4)
     for k in (3, 4, 7):
-        model = UFMModel.fixed_features(k, init="zero")
         for _ in range(8):
             a, b = rng.uniform(-1.0, 1.0, size=2)
-            model.W = (a + b) * np.eye(k) - b * np.ones((k, k))
-            _, grad_w, _ = model.loss_and_grads()
+            w = (a + b) * np.eye(k) - b * np.ones((k, k))
+            _, grad_w, _ = ce_loss_and_grad(w, simplex_etf(k), np.eye(k))
             psi = coupled_sign_psi(a, b, k, k)
             expected = psi * (np.ones((k, k)) - k * np.eye(k))
             assert np.max(np.abs(grad_w - expected)) < 1e-12
@@ -255,12 +252,3 @@ def test_nc_solution_requires_enough_dimensions():
         make_nc_solution(5, 4)
     with pytest.raises(DomainError):
         make_nc_solution(4, 4, scale_w=0.0)
-
-
-def test_fixed_features_frozen_at_simplex_frame():
-    model = UFMModel.fixed_features(5, init="gaussian", seed=3)
-    assert np.array_equal(model.H, simplex_etf(5))
-    assert not model.feature_trainable
-    assert model.W.shape == (5, 5)
-    with pytest.raises(DomainError):
-        UFMModel.fixed_features(5, init="bogus")

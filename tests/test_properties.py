@@ -282,13 +282,14 @@ def configs(draw):
         schedule=LRSchedule(kind=schedule, **extra))
     data = {}
     if model_kind != "ufm_fixed_features":
-        data = dict(dim=draw(st.integers(1, 64)), per_class=draw(st.integers(1, 50)),
-                    data_seed=draw(st.integers(0, 2**31)), margin=draw(st.floats(0.0, 4.0)),
-                    noise_std=draw(st.floats(0.0, 4.0)))
+        data = dict(dim=draw(st.integers(1, 64)), per_class=draw(st.integers(1, 50)))
+    if model_kind == "mlp":
+        data |= dict(hidden_sizes=tuple(draw(st.lists(st.integers(1, 64), max_size=3))),
+                     data_seed=draw(st.integers(0, 2**31)), margin=draw(st.floats(0.0, 4.0)),
+                     noise_std=draw(st.floats(0.0, 4.0)))
     inits = ("default", "gaussian") if model_kind == "mlp" else ("default", "gaussian", "zero")
     return ExperimentConfig(
-        model_kind=model_kind, hidden_sizes=tuple(draw(st.lists(st.integers(1, 64), max_size=3))),
-        init_scale=draw(st.floats(1e-3, 10.0)), init=draw(st.sampled_from(inits)),
+        model_kind=model_kind, init_scale=draw(st.floats(1e-3, 10.0)), init=draw(st.sampled_from(inits)),
         num_classes=draw(st.integers(2, 20)), optimizer=opt, epochs=draw(st.integers(1, 10**4)),
         batch_size=draw(st.none() | st.integers(1, 500)), seed=draw(st.integers(0, 2**31)),
         metric_period=draw(st.integers(1, 100)), **data)
