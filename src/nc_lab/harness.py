@@ -18,7 +18,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain, product
 from typing import Callable, Optional
 
@@ -45,9 +45,10 @@ from .models import (
     one_hot,
 )
 from .optim import (
-    _COUPLED_ONLY,
-    _DECOUPLED_ONLY,
-    _SCHEDULE_READS,
+    _OPTIMIZER_UNREAD,
+    _SCHEDULE_UNREAD,
+    _STEPS,
+    _refuse_unread,
     LRSchedule,
     Optimizer,
     OptimizerConfig,
@@ -133,13 +134,11 @@ class ExperimentConfig:
     output_summary: Optional[str] = None
 
     def __post_init__(self):
-        if self.model_kind not in _UNREAD_FIELDS:
-            raise DomainError(f"unknown model kind {self.model_kind!r}")
-        unread = _UNREAD_FIELDS[self.model_kind]
+        _refuse_unread(self, "model", self.model_kind, _UNREAD_FIELDS)
         if self.num_classes < 2:
             raise DomainError("num_classes must be >= 2")
         for name in ("dim", "per_class"):
-            if name not in unread and getattr(self, name) < 1:
+            if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1")
         if self.init not in ("default", "gaussian", "zero"):
             raise DomainError(f"unknown init {self.init!r}")
@@ -151,10 +150,6 @@ class ExperimentConfig:
             raise DomainError("batch_size must be >= 1 (or omitted for full batch)")
         if self.model_kind == "mlp" and self.init == "zero":
             raise DomainError("zero init leaves a rectifier network without gradient flow")
-        defaults = {f.name: f.default for f in fields(self)}
-        changed = [name for name in unread if getattr(self, name) != defaults[name]]
-        if changed:
-            raise DomainError(f"model {self.model_kind} reads no {', '.join(changed)}")
 
 
 # Dotted config key -> (target, caster): the one list of run-config keys,
@@ -238,16 +233,26 @@ def parse_config_text(text: str) -> dict:
     return mapping
 
 
-def _schedule_unread(target: str, kind: str) -> bool:
-    """Whether a config target is a schedule field that schedule ``kind``
-    does not read."""
-    part, _, name = target.rpartition(".")
-    return part == "schedule" and name != "kind" and name not in _SCHEDULE_READS[kind]
+# The fields each kind does not read, per part of a config target ("": model).
+_UNREAD = {"": _UNREAD_FIELDS, "optimizer": _OPTIMIZER_UNREAD, "schedule": _SCHEDULE_UNREAD}
+
+
+def _unread_keys(keys, kinds: dict) -> dict:
+    """"<part> <kind>" -> the keys among ``keys`` that the kind of the part
+    they set does not read, in sorted order. ``kinds`` maps each part of a
+    target ("", "optimizer" or "schedule") to its kind."""
+    unread: dict = {}
+    for key in sorted(keys):
+        part, _, name = _CONFIG_CASTS[key][0].rpartition(".")
+        if name in _UNREAD[part].get(kinds[part], ()):
+            unread.setdefault(f"{part or 'model'} {kinds[part]}", []).append(key)
+    return unread
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Config from dotted keys. Only the keys the mapping sets are passed on,
-    so every default lives in its dataclass."""
+    so every default lives in its dataclass. A key that the model, optimizer
+    or schedule kind does not read is refused, even at its default value."""
     unknown = sorted(set(mapping) - set(_CONFIG_CASTS))
     if unknown:
         raise DomainError(f"unknown config keys: {', '.join(unknown)}")
@@ -257,17 +262,15 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         part, _, name = target.rpartition(".")
         parts[part][name] = _cast_value(key, caster, raw)
     kwargs, opt, schedule = parts[""], parts["optimizer"], parts["schedule"]
-    model_kind = kwargs.get("model_kind", ExperimentConfig.model_kind)
-    unread = sorted(key for key in mapping
-                    if _CONFIG_CASTS[key][0] in _UNREAD_FIELDS.get(model_kind, ()))
+    kinds = {"": kwargs.get("model_kind", ExperimentConfig.model_kind),
+             "optimizer": opt.get("kind", OptimizerConfig.kind),
+             "schedule": schedule.get("kind", LRSchedule.kind)}
+    unread = _unread_keys(mapping, kinds)
     if unread:
-        raise DomainError(f"model {model_kind} reads no {', '.join(unread)}")
+        raise DomainError("; ".join(f"{kind} reads no {', '.join(keys)}"
+                                    for kind, keys in unread.items()))
     if schedule:
         opt["schedule"] = LRSchedule(**schedule)
-        kind = opt["schedule"].kind
-        unread = sorted(key for key in mapping if _schedule_unread(_CONFIG_CASTS[key][0], kind))
-        if unread:
-            raise DomainError(f"schedule {kind} reads no {', '.join(unread)}")
     if opt:
         kwargs["optimizer"] = OptimizerConfig(**opt)
     return ExperimentConfig(**kwargs)
@@ -283,16 +286,16 @@ _ECHO_FORMATS = {
 
 def config_to_mapping(config: ExperimentConfig) -> dict:
     """Dotted-key echo of a config (used in JSON summaries), so that
-    config_from_mapping accepts it. It leaves out the output paths, the
-    schedule fields the schedule kind does not read and the keys the model
-    kind does not read."""
+    config_from_mapping accepts it. It leaves out the output paths and the
+    keys that the model, optimizer or schedule kind does not read."""
     schedule = config.optimizer.schedule
     parts = {"": config, "optimizer": config.optimizer, "schedule": schedule}
+    kinds = {"": config.model_kind, "optimizer": config.optimizer.kind, "schedule": schedule.kind}
+    unread = set(chain(*_unread_keys(_CONFIG_CASTS, kinds).values()))
     out = {}
     for key, (target, caster) in _CONFIG_CASTS.items():
         part, _, name = target.rpartition(".")
-        if (name.startswith("output_") or _schedule_unread(target, schedule.kind)
-                or target in _UNREAD_FIELDS[config.model_kind]):
+        if name.startswith("output_") or key in unread:
             continue
         value = getattr(parts[part], name)
         out[key] = _ECHO_FORMATS[caster](value) if caster in _ECHO_FORMATS else value
@@ -881,15 +884,6 @@ def derive_run_seed(base_seed: int, kind: str, lr: float, momentum: float, wd: f
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _wd_fields(kind: str, wd: float) -> dict:
-    if kind in _COUPLED_ONLY:
-        return {"coupled_wd": wd, "decoupled_wd": 0.0}
-    if kind in _DECOUPLED_ONLY:
-        return {"coupled_wd": 0.0, "decoupled_wd": wd}
-    # interpolated kind: split the budget evenly across both styles
-    return {"coupled_wd": wd / 2.0, "decoupled_wd": wd / 2.0}
-
-
 @dataclass
 class SweepResult:
     spec: SweepSpec
@@ -899,10 +893,15 @@ class SweepResult:
 
 
 def _cell_config(base_config: ExperimentConfig, kind, lr, momentum, wd, seed) -> ExperimentConfig:
-    """The base config at one grid point; every other optimizer and schedule
-    field keeps its base value."""
+    """The base config at one grid point. Its optimizer has the base schedule
+    and sets the fields its kind reads: the grid momentum, the grid wd split
+    evenly over the decay fields, and the base value of any other field."""
     base = base_config.optimizer
-    opt = replace(base, kind=kind, lr=lr, momentum=momentum, **_wd_fields(kind, wd))
+    reads = _STEPS[kind][0] if kind in _STEPS else ()
+    decay = [name for name in reads if name.endswith("_wd")]
+    grid = {"momentum": momentum, **{name: wd / len(decay) for name in decay}}
+    opt = OptimizerConfig(kind=kind, lr=lr, schedule=base.schedule,
+                          **{name: grid.get(name, getattr(base, name)) for name in reads})
     return replace(base_config, optimizer=opt, seed=seed, output_csv=None, output_summary=None)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,16 +54,27 @@ __all__ = [
     "optimizer_groups",
 ]
 
-_COUPLED_ONLY = {"sgd_coupled", "signgd_coupled", "signum", "adam"}
-_DECOUPLED_ONLY = {"sgd_decoupled", "signgd_decoupled", "signum_w", "adam_w"}
+
+def _refuse_unread(config, what: str, kind: str, unread: dict) -> None:
+    """The rule of every model, optimizer and schedule config: ``kind`` is a
+    key of ``unread``, and each field it does not read holds its default."""
+    if kind not in unread:
+        raise DomainError(f"unknown {what} kind {kind!r}")
+    changed = [f.name for f in fields(config)
+               if f.name in unread[kind] and getattr(config, f.name) != f.default]
+    if changed:
+        raise DomainError(f"{what} {kind} reads no {', '.join(changed)}")
 
 
-# The LRSchedule fields each schedule kind reads, besides its kind.
+# The LRSchedule fields each schedule kind reads, besides its kind, and those
+# it does not read.
 _SCHEDULE_READS = {
     "constant": (),
     "step_decay": ("decay_factor", "milestone_fractions"),
     "oscillation_decay": ("shrink_factor",),
 }
+_SCHEDULE_UNREAD = {kind: tuple(sorted(set().union(*_SCHEDULE_READS.values()) - set(reads)))
+                    for kind, reads in _SCHEDULE_READS.items()}
 
 
 @dataclass(frozen=True)
@@ -87,11 +98,10 @@ class LRSchedule:
     shrink_factor: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in _SCHEDULE_READS:
-            raise DomainError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "step_decay" and self.decay_factor <= 1:
+        _refuse_unread(self, "schedule", self.kind, _SCHEDULE_UNREAD)
+        if self.decay_factor <= 1:
             raise DomainError("decay_factor must exceed 1")
-        if self.kind == "oscillation_decay" and not 0 < self.shrink_factor < 1:
+        if not 0 < self.shrink_factor < 1:
             raise DomainError("shrink_factor must lie in (0, 1)")
 
 
@@ -131,22 +141,16 @@ class OptimizerConfig:
     schedule: LRSchedule = LRSchedule()
 
     def __post_init__(self):
-        if self.kind not in OPTIMIZER_KINDS:
-            raise DomainError(f"unknown optimizer kind {self.kind!r}")
+        _refuse_unread(self, "optimizer", self.kind, _OPTIMIZER_UNREAD)
         if self.lr <= 0:
             raise DomainError("lr must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise DomainError("momentum must lie in [0, 1)")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise DomainError("beta2 must lie in [0, 1)")
+        for name in ("momentum", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise DomainError(f"{name} must lie in [0, 1)")
         if self.eps < 0 or self.coupled_wd < 0 or self.decoupled_wd < 0:
             raise DomainError("eps and weight decay constants must be >= 0")
-        if self.eps == 0.0 and self.beta2 != 0.0 and self.kind.startswith("adam"):
+        if self.eps == 0.0 and self.beta2 != 0.0:
             raise DomainError("eps = 0 is only valid in the beta2 = 0 sign limit")
-        if self.kind in _COUPLED_ONLY and self.decoupled_wd != 0.0:
-            raise DomainError(f"{self.kind} takes coupled_wd only")
-        if self.kind in _DECOUPLED_ONLY and self.coupled_wd != 0.0:
-            raise DomainError(f"{self.kind} takes decoupled_wd only")
 
 
 @dataclass
@@ -163,11 +167,8 @@ class OptimizerState:
 
     @classmethod
     def initial(cls, param: np.ndarray, needs_second_moment: bool = False) -> "OptimizerState":
-        return cls(
-            v=np.zeros_like(param),
-            second_moment=np.zeros_like(param) if needs_second_moment else None,
-            t=0,
-        )
+        second = np.zeros_like(param) if needs_second_moment else None
+        return cls(v=np.zeros_like(param), second_moment=second)
 
 
 def _warn_stability(product, bound, label: str) -> None:
@@ -283,31 +284,24 @@ def step_adam_family(param, grad, state, lr, beta1, beta2, eps, coupled_wd, deco
     return new_param, OptimizerState(v, second, t, zero_denominator)
 
 
-def _adam_step(p, g, s, lr, c):
-    return step_adam_family(p, g, s, lr, c.momentum, c.beta2, c.eps, c.coupled_wd, c.decoupled_wd)
-
-
-# The step of each optimizer kind, as (param, grad, state, lr, config) ->
-# (param, state). The entries call their step function by name, so it is
-# looked up in this module each time a step runs.
+# Each optimizer kind: the OptimizerConfig fields it reads besides lr and
+# schedule, and its step(param, grad, state, lr, *their values) -> (param,
+# state), which looks its step function up in this module each time it runs.
 _STEPS = {
-    "sgd_coupled": lambda p, g, s, lr, c: step_sgd_coupled(p, g, s, lr, c.momentum, c.coupled_wd),
-    "sgd_decoupled": lambda p, g, s, lr, c: step_sgd_decoupled(
-        p, g, s, lr, c.momentum, c.decoupled_wd),
-    "signgd_coupled": lambda p, g, s, lr, c: step_signgd_coupled(p, g, s, lr, c.coupled_wd),
-    "signgd_decoupled": lambda p, g, s, lr, c: step_signgd_decoupled(p, g, s, lr, c.decoupled_wd),
-    "signum": lambda p, g, s, lr, c: step_signum(
-        p, g, s, lr, c.momentum, c.coupled_wd, coupled=True),
-    "signum_w": lambda p, g, s, lr, c: step_signum(
-        p, g, s, lr, c.momentum, c.decoupled_wd, coupled=False),
-    "adam": _adam_step,
-    "adam_w": _adam_step,
-    "adam_interpolated": _adam_step,
+    "sgd_coupled": (("momentum", "coupled_wd"), lambda *a: step_sgd_coupled(*a)),
+    "sgd_decoupled": (("momentum", "decoupled_wd"), lambda *a: step_sgd_decoupled(*a)),
+    "signgd_coupled": (("coupled_wd",), lambda *a: step_signgd_coupled(*a)),
+    "signgd_decoupled": (("decoupled_wd",), lambda *a: step_signgd_decoupled(*a)),
+    "signum": (("momentum", "coupled_wd"), lambda *a: step_signum(*a, coupled=True)),
+    "signum_w": (("momentum", "decoupled_wd"), lambda *a: step_signum(*a, coupled=False)),
+    "adam": (("momentum", "beta2", "eps", "coupled_wd"), lambda *a: step_adam_family(*a, 0.0)),
+    "adam_w": (("momentum", "beta2", "eps", "decoupled_wd"),
+               lambda *a: step_adam_family(*a[:-1], 0.0, a[-1])),
+    "adam_interpolated": (("momentum", "beta2", "eps", "coupled_wd", "decoupled_wd"),
+                          lambda *a: step_adam_family(*a)),
 }
 
 OPTIMIZER_KINDS = tuple(_STEPS)
-
-_HYPERPARAMETERS = ("momentum", "beta2", "eps", "coupled_wd", "decoupled_wd")
 
 
 def cell_column(values):
@@ -336,13 +330,18 @@ class StackedConfig:
 
     @classmethod
     def of(cls, configs: Sequence[OptimizerConfig]) -> "StackedConfig":
-        return cls(configs[0].kind, *(cell_column([getattr(c, name) for c in configs])
-                                      for name in _HYPERPARAMETERS))
+        return cls(configs[0].kind, *(cell_column([getattr(c, f.name) for c in configs])
+                                      for f in fields(cls)[1:]))
+
+
+# The hyperparameters (StackedConfig's fields) that each optimizer kind does not read.
+_OPTIMIZER_UNREAD = {kind: tuple(f.name for f in fields(StackedConfig)[1:] if f.name not in reads)
+                     for kind, (reads, _) in _STEPS.items()}
 
 
 def _branches(config: OptimizerConfig) -> tuple:
     """What selects the Python-level branches of a config's step function."""
-    if not config.kind.startswith("adam"):
+    if "beta2" not in _STEPS[config.kind][0]:
         return (config.kind,)
     sign_limit = config.momentum == 0.0 and config.beta2 == 0.0 and config.eps == 0.0
     return (config.kind, sign_limit, config.coupled_wd != 0.0, config.decoupled_wd != 0.0)
@@ -372,9 +371,10 @@ class Optimizer:
 
     def __init__(self, config: OptimizerConfig, param: np.ndarray):
         self.config = config
-        self._step = _STEPS[config.kind]
-        self.state = OptimizerState.initial(param, config.kind.startswith("adam"))
+        self._reads, self._step = _STEPS[config.kind]
+        self.state = OptimizerState.initial(param, "beta2" in self._reads)
 
     def step(self, param: np.ndarray, grad: np.ndarray, lr):
-        new_param, self.state = self._step(param, grad, self.state, lr, self.config)
+        hyper = [getattr(self.config, name) for name in self._reads]
+        new_param, self.state = self._step(param, grad, self.state, lr, *hyper)
         return new_param, self.state.zero_denominator

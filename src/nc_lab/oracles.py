@@ -9,7 +9,7 @@ the reference the simulation harness is checked against:
 * decoupled sign descent -- alpha_t climbs to the plateau (K-2)^2 / wd^2
 * coupled sign descent   -- two-scalar (a, b) system with a sign-oscillation
                             detector that drives learning-rate shrinking
-* momentum convolution ODE -- alpha'(t) = -2*wd*int_0^t beta^(t-s) alpha(s) ds,
+* momentum convolution ODE -- alpha'(t) = -wd*int_0^t beta^(t-s) alpha(s) ds,
                             solved by a two-exponential closed form
 
 For W in the family (a+b)I - bJ the row-sum vector is (a-(K-1)b)*1, so the

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from nc_lab import oracles
+from nc_lab import cli, oracles
 from nc_lab.cli import ORACLE_ROWS, build_parser, main
-from nc_lab.harness import CSV_HEADER, THEOREM_CHECKS, CheckResult
+from nc_lab.harness import CSV_HEADER, THEOREM_CHECKS, CheckResult, config_to_mapping, run_sweep
 from nc_lab.linalg import save_matrix
 from nc_lab.metrics import METRIC_KEYS
 from nc_lab.models import make_nc_solution
@@ -106,6 +106,24 @@ def test_train_refuses_hidden_sizes_on_a_ufm_kind(tmp_path, capsys, kind):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("kind, key", [("signgd_coupled", "optimizer.momentum"),
+                                       ("sgd_coupled", "optimizer.beta2")])
+def test_train_refuses_an_optimizer_key_its_kind_does_not_read(tmp_path, capsys, monkeypatch,
+                                                               kind, key):
+    trained = []
+    monkeypatch.setattr(cli, "run_training", lambda *args, **kw: trained.append(args))
+    target = tmp_path / "run.csv"
+    text = TRAIN_CFG.replace("signgd_decoupled", kind).replace("decoupled_wd", "coupled_wd")
+    cfg = _write(tmp_path, "train.cfg", text + f"{key} = 0.9\noutput.csv = {target}\n")
+    rc = main(["train", "--config", cfg])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: optimizer {kind} reads no {key}\n"
+    assert trained == []
+    assert not target.exists()
+
+
 def test_sweep_writes_outputs(tmp_path, capsys):
     outdir = tmp_path / "grid"
     cfg = _write(tmp_path, "sweep.cfg", SWEEP_CFG + f"sweep.outdir = {outdir}\n")
@@ -152,6 +170,27 @@ def test_sweep_refuses_a_schedule_key_its_kind_does_not_read(tmp_path, capsys):
     assert out == ""
     assert err == "error: schedule constant reads no optimizer.shrink_factor\n"
     assert not (tmp_path / "a").exists()
+
+
+def test_sweep_cells_take_the_base_fields_their_kind_reads(tmp_path, capsys, monkeypatch):
+    sweeps = []
+
+    def recording(base, spec):
+        sweeps.append(run_sweep(base, spec))
+        return sweeps[-1]
+
+    monkeypatch.setattr(cli, "run_sweep", recording)
+    text = (SWEEP_CFG.replace("optimizer.kind = sgd_coupled", "optimizer.kind = adam")
+            .replace("sweep.kinds = sgd_coupled", "sweep.kinds = sgd_coupled,adam"))
+    cfg = _write(tmp_path, "sweep.cfg",
+                 text + f"optimizer.beta2 = 0.99\nsweep.outdir = {tmp_path / 'a'}\n")
+    assert main(["sweep", "--config", cfg]) == 0
+    capsys.readouterr()
+    (sweep,) = sweeps
+    configs = [res.config.optimizer for res in sweep.results]
+    assert [(c.kind, c.beta2) for c in configs] == [("sgd_coupled", 0.999)] * 2 + [("adam", 0.99)] * 2
+    assert all("optimizer.beta2" not in config_to_mapping(res.config)
+               for res in sweep.results[:2])
 
 
 def test_oracle_power_law(capsys):

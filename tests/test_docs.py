@@ -8,7 +8,7 @@ import re
 import nc_lab
 from nc_lab.cli import ORACLE_ROWS, build_parser, main
 from nc_lab.harness import _CONFIG_CASTS, _UNREAD_FIELDS, MODEL_KINDS, THEOREM_CHECKS
-from nc_lab.optim import OPTIMIZER_KINDS
+from nc_lab.optim import _STEPS, OPTIMIZER_KINDS
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -51,6 +51,14 @@ def test_readme_lists_the_keys_each_model_kind_does_not_read():
         unread = [key for key, (target, _) in _CONFIG_CASTS.items()
                   if target in _UNREAD_FIELDS[kind]]
         assert sorted(re.findall(r"`([a-z_.]+)`", line)) == sorted(unread), kind
+
+
+def test_readme_lists_the_keys_each_optimizer_kind_reads():
+    listed = _listed(_readme(), "Optimizers are ", "A config that sets another optimizer key")
+    assert sorted(listed) == sorted(OPTIMIZER_KINDS)
+    for kind, line in listed.items():
+        reads = ["optimizer." + name for name in _STEPS[kind][0]]
+        assert re.findall(r"`([a-z_.0-9]+)`", line) == reads, kind
 
 
 def test_readme_lists_the_flags_each_oracle_takes():

@@ -329,15 +329,11 @@ def produce_verdicts(name: str) -> str:
     return "".join(_run_cli(case)[1] for case in VERDICT_CASES[name])
 
 
-def produce_config_echo() -> str:
-    """JSON of config_to_mapping for every config above: each training run,
-    each sweep base and each sweep cell that has a valid config."""
-    echo = {}
-    for case, text in {**TRAIN_CONFIGS, **ROWSUM_CONFIGS}.items():
-        echo[case] = config_to_mapping(config_from_mapping(parse_config_text(text)))
+def sweep_cell_configs():
+    """("<case>/cell_<i>", config) of each SWEEP_CASES cell that has a valid
+    config."""
     for case, (text, spec) in SWEEP_CASES.items():
         base = config_from_mapping(parse_config_text(text))
-        echo[case] = config_to_mapping(base)
         spec = SweepSpec(**spec)
         grid = product(spec.kinds, spec.lrs, spec.momenta, spec.wds)
         for i, (kind, lr, momentum, wd) in enumerate(grid):
@@ -346,7 +342,17 @@ def produce_config_echo() -> str:
                 cell = _cell_config(base, kind, lr, momentum, wd, seed)
             except DomainError:
                 continue
-            echo[f"{case}/cell_{i:02d}"] = config_to_mapping(cell)
+            yield f"{case}/cell_{i:02d}", cell
+
+
+def produce_config_echo() -> str:
+    """JSON of config_to_mapping for every config above: each training run,
+    each sweep base and each sweep cell that has a valid config."""
+    texts = {**TRAIN_CONFIGS, **ROWSUM_CONFIGS,
+             **{case: text for case, (text, _) in SWEEP_CASES.items()}}
+    configs = {case: config_from_mapping(parse_config_text(text)) for case, text in texts.items()}
+    configs.update(sweep_cell_configs())
+    echo = {case: config_to_mapping(config) for case, config in configs.items()}
     return json.dumps(echo, indent=1, sort_keys=True) + "\n"
 
 

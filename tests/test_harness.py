@@ -210,6 +210,55 @@ def test_each_model_kind_refuses_and_does_not_echo_the_keys_it_does_not_read(kin
             ExperimentConfig(model_kind=kind, **{field_name: changed[field_name]})
 
 
+@pytest.mark.parametrize("kind", optim.OPTIMIZER_KINDS)
+def test_each_optimizer_kind_refuses_and_does_not_echo_the_keys_it_does_not_read(kind):
+    reads = optim._STEPS[kind][0]
+    unread = [name for name in ("momentum", "beta2", "eps", "coupled_wd", "decoupled_wd")
+              if name not in reads]
+    defaults = OptimizerConfig()
+    for name in unread:
+        key = "optimizer." + name
+        # a key is refused for being set at all, even at its default
+        with pytest.raises(DomainError, match=f"^optimizer {kind} reads no {key}$"):
+            config_from_mapping({"optimizer.kind": kind, key: repr(getattr(defaults, name))})
+        with pytest.raises(DomainError, match=f"^optimizer {kind} reads no {name}$"):
+            OptimizerConfig(kind=kind, **{name: 0.5})
+    echo = config_to_mapping(ExperimentConfig(optimizer=OptimizerConfig(kind=kind)))
+    assert sorted(key for key in echo if key.startswith("optimizer.")) == sorted(
+        ["optimizer.kind", "optimizer.lr", "optimizer.schedule"]
+        + ["optimizer." + name for name in reads])
+
+
+def test_schedule_refuses_the_fields_its_kind_does_not_read():
+    with pytest.raises(DomainError, match="^schedule constant reads no decay_factor, shrink_factor$"):
+        LRSchedule(decay_factor=5.0, shrink_factor=0.3)
+    with pytest.raises(DomainError, match="^schedule oscillation_decay reads no milestone_fractions$"):
+        LRSchedule(kind="oscillation_decay", milestone_fractions=(0.5,))
+    assert LRSchedule(kind="step_decay", decay_factor=5.0).decay_factor == 5.0
+
+
+def test_config_names_every_part_whose_kind_does_not_read_a_key():
+    with pytest.raises(DomainError, match="^model ufm reads no data.seed; optimizer signgd_coupled "
+                                          "reads no optimizer.momentum$"):
+        config_from_mapping({"data.seed": "1", "optimizer.kind": "signgd_coupled",
+                             "optimizer.momentum": "0.9"})
+
+
+def test_sweep_cell_sets_the_fields_its_kind_reads():
+    base = _mlp_config(optimizer=OptimizerConfig(
+        kind="adam", lr=0.01, momentum=0.5, beta2=0.9, eps=1e-6,
+        schedule=LRSchedule(kind="step_decay", decay_factor=4.0)))
+    cells = [harness._cell_config(base, kind, 0.02, 0.9, 0.01, 7).optimizer
+             for kind in ("signgd_coupled", "signum_w", "adam_interpolated")]
+    schedule = base.optimizer.schedule
+    assert cells == [
+        OptimizerConfig(kind="signgd_coupled", lr=0.02, coupled_wd=0.01, schedule=schedule),
+        OptimizerConfig(kind="signum_w", lr=0.02, momentum=0.9, decoupled_wd=0.01,
+                        schedule=schedule),
+        OptimizerConfig(kind="adam_interpolated", lr=0.02, momentum=0.9, beta2=0.9, eps=1e-6,
+                        coupled_wd=0.005, decoupled_wd=0.005, schedule=schedule)]
+
+
 def test_config_without_a_model_kind_is_ufm_and_refuses_what_ufm_does_not_read():
     with pytest.raises(DomainError, match="^model ufm reads no data.seed, model.hidden_sizes$"):
         config_from_mapping({"data.seed": "3", "model.hidden_sizes": "8"})
@@ -443,9 +492,11 @@ def test_optimizer_lr_is_the_learning_rate_training_uses(tmp_path, schedule):
         cfg = _ufm_sign_config("signgd_coupled", 0.3, 0.5, steps=3, schedule=schedule,
                                metric_period=1)
     else:
+        # only step_decay reads milestone fractions
+        fractions = {"milestone_fractions": (0.5,)} if schedule == "step_decay" else {}
         cfg = _mlp_config(epochs=3, metric_period=1, optimizer=OptimizerConfig(
             kind="sgd_coupled", lr=0.3, momentum=0.9, coupled_wd=0.01,
-            schedule=LRSchedule(kind=schedule, milestone_fractions=(0.5,))))
+            schedule=LRSchedule(kind=schedule, **fractions)))
     path = tmp_path / "run.json"
     cfg = replace(cfg, output_summary=str(path))
     result = run_training(cfg, collect_weights=True)
@@ -516,7 +567,7 @@ def test_sweep_reaches_the_adam_denominator_error():
     """With beta2 = eps = 0 from the base, an adam cell with momentum leaves
     the sign limit, and its zero denominator becomes its error row while the
     cells beside it train."""
-    opt = OptimizerConfig(kind="sgd_coupled", lr=0.01, beta2=0.0, eps=0.0)
+    opt = OptimizerConfig(kind="adam", lr=0.01, beta2=0.0, eps=0.0)
     base = _mlp_config(epochs=3, batch_size=10, metric_period=1, optimizer=opt)
     spec = SweepSpec(kinds=("sgd_coupled", "adam", "signum"), lrs=(0.01,), momenta=(0.9,))
     sweep = run_sweep(base, spec)

@@ -4,13 +4,13 @@ import pytest
 from nc_lab import optim
 from nc_lab.errors import DomainError
 from nc_lab.optim import (
-    _COUPLED_ONLY,
-    _DECOUPLED_ONLY,
+    _STEPS,
     OPTIMIZER_KINDS,
     LRSchedule,
     Optimizer,
     OptimizerConfig,
     OptimizerState,
+    StackedConfig,
     lr_at,
     optimizer_groups,
     step_adam_family,
@@ -268,17 +268,21 @@ def test_stability_warning_outside_guarantee_range():
         step_sgd_decoupled(p, np.zeros((1, 1)), OptimizerState.initial(p), 1.0, 0.0, 2.5)
 
 
+def _reading_config(kind, momentum, wd):
+    """kind's config at lr 0.05: the momentum if it reads one, and wd split
+    evenly over the decay fields it reads."""
+    reads = _STEPS[kind][0]
+    decay = [name for name in reads if name.endswith("_wd")]
+    values = {"momentum": momentum, **{name: wd / len(decay) for name in decay}}
+    return OptimizerConfig(kind=kind, lr=0.05, **{k: v for k, v in values.items() if k in reads})
+
+
 def test_optimizer_object_drives_all_kinds():
     rng = np.random.default_rng(9)
     param = rng.standard_normal((3, 4))
     grad = _zero_colsum_grad(rng, (3, 4))
     for kind in OPTIMIZER_KINDS:
-        wd = {"coupled_wd": 0.01} if kind in (
-            "sgd_coupled", "signgd_coupled", "signum", "adam",
-        ) else {"decoupled_wd": 0.01} if kind in (
-            "sgd_decoupled", "signgd_decoupled", "signum_w", "adam_w",
-        ) else {"coupled_wd": 0.005, "decoupled_wd": 0.005}
-        cfg = OptimizerConfig(kind=kind, lr=0.05, momentum=0.5, **wd)
+        cfg = _reading_config(kind, 0.5, 0.01)
         opt = Optimizer(cfg, param)
         new_param, zero_denominator = opt.step(param, grad, 0.05)
         assert new_param.shape == param.shape
@@ -308,10 +312,7 @@ def _direct_step(c, p, g, s, lr):
 def test_optimizer_steps_equal_direct_step_calls_bitwise():
     rng = np.random.default_rng(29)
     for kind in OPTIMIZER_KINDS:
-        wd = {"coupled_wd": 0.01} if kind in _COUPLED_ONLY else {
-            "decoupled_wd": 0.01} if kind in _DECOUPLED_ONLY else {
-            "coupled_wd": 0.005, "decoupled_wd": 0.005}
-        cfg = OptimizerConfig(kind=kind, lr=0.05, momentum=0.5, **wd)
+        cfg = _reading_config(kind, 0.5, 0.01)
         for shape in [(3, 4), (4, 1)]:
             param = rng.standard_normal(shape)
             opt = Optimizer(cfg, param)
@@ -326,6 +327,35 @@ def test_optimizer_steps_equal_direct_step_calls_bitwise():
                 assert opt.state.t == state.t
                 if state.second_moment is not None:
                     assert opt.state.second_moment.tobytes() == state.second_moment.tobytes()
+
+
+# Two values of each hyperparameter, both off the adam sign limit.
+_HYPER = dict(momentum=0.5, beta2=0.9, eps=1e-3, coupled_wd=0.2, decoupled_wd=0.3)
+_OTHER = dict(momentum=0.8, beta2=0.6, eps=1e-1, coupled_wd=1.5, decoupled_wd=2.0)
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_a_step_reads_exactly_the_fields_its_kind_declares(kind):
+    """From nonzero buffers and parameter, changing a field outside the
+    kind's list in _STEPS leaves its step bit-identical, and changing one on
+    the list changes it. A StackedConfig is not validated, so it can set the
+    fields a kind does not read."""
+    rng = np.random.default_rng(31)
+    param, grad, v = (rng.standard_normal((4, 3)) for _ in range(3))
+    second = rng.uniform(0.1, 1.0, (4, 3))
+
+    def step(**changed):
+        opt = Optimizer(StackedConfig(kind, **{**_HYPER, **changed}), param)
+        opt.state = OptimizerState(v=v.copy(), second_moment=second.copy(), t=3)
+        new_param, _ = opt.step(param, grad, 0.05)
+        moments = (opt.state.v, opt.state.second_moment)
+        return [new_param.tobytes()] + [m.tobytes() for m in moments if m is not None]
+
+    reads = _STEPS[kind][0]
+    assert set(reads) <= set(_HYPER)
+    same = step()
+    for name, value in _OTHER.items():
+        assert (step(**{name: value}) != same) == (name in reads), name
 
 
 def test_optimizer_step_looks_up_the_step_function_when_it_runs(monkeypatch):

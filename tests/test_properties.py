@@ -15,7 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nc_lab.harness import (
@@ -35,8 +35,7 @@ from nc_lab.harness import (
 from nc_lab.metrics import METRIC_KEYS
 from nc_lab.models import MLPModel, ce_loss_and_grad, gather_columns, one_hot
 from nc_lab.optim import (
-    _COUPLED_ONLY,
-    _DECOUPLED_ONLY,
+    _STEPS,
     OPTIMIZER_KINDS,
     Optimizer,
     OptimizerConfig,
@@ -50,6 +49,7 @@ from nc_lab.optim import (
     step_signum,
 )
 from nc_lab.oracles import alpha_increment_decomposition
+from test_golden import sweep_cell_configs
 
 seeds = st.integers(0, 2**32 - 1)
 cells = st.integers(1, 4)
@@ -121,10 +121,11 @@ def _cell_configs(kind, g, rng, data):
     per-cell learning rates, momenta and decay constants. Off the sign limit,
     adam cells may sit at beta2 = eps = 0 with momentum, where the denominator
     sqrt(v_hat) + eps is zero wherever the gradient is."""
-    adam = kind.startswith("adam")
+    reads = _STEPS[kind][0]
+    adam = "beta2" in reads
     sign_limit = adam and data.draw(st.booleans())
-    coupled = kind not in _DECOUPLED_ONLY and data.draw(st.booleans())
-    decoupled = kind not in _COUPLED_ONLY and data.draw(st.booleans())
+    coupled = "coupled_wd" in reads and data.draw(st.booleans())
+    decoupled = "decoupled_wd" in reads and data.draw(st.booleans())
     configs = []
     for _ in range(g):
         def wd(on):
@@ -138,9 +139,10 @@ def _cell_configs(kind, g, rng, data):
         else:
             momentum = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 0.99))
             beta2, eps = float(rng.uniform(0.5, 0.999)), float(10.0 ** rng.uniform(-10, -4))
-        configs.append(OptimizerConfig(
-            kind=kind, lr=float(rng.uniform(0.001, 0.5)), momentum=momentum, beta2=beta2,
-            eps=eps, coupled_wd=wd(coupled), decoupled_wd=wd(decoupled)))
+        values = dict(momentum=momentum, beta2=beta2, eps=eps, coupled_wd=wd(coupled),
+                      decoupled_wd=wd(decoupled))
+        configs.append(OptimizerConfig(kind=kind, lr=float(rng.uniform(0.001, 0.5)),
+                                       **{k: v for k, v in values.items() if k in reads}))
     return configs
 
 
@@ -274,12 +276,11 @@ def configs(draw):
                      milestone_fractions=tuple(draw(st.lists(st.floats(0.0, 1.0), max_size=3))))
     if schedule == "oscillation_decay":
         extra = dict(shrink_factor=draw(st.floats(0.01, 0.99)))
-    opt = OptimizerConfig(
-        kind=kind, lr=lr, momentum=draw(st.floats(0.0, 0.99)),
-        beta2=draw(st.floats(0.0, 0.999)), eps=draw(st.floats(1e-12, 1e-3)),
-        coupled_wd=0.0 if kind in _DECOUPLED_ONLY else draw(decay),
-        decoupled_wd=0.0 if kind in _COUPLED_ONLY else draw(decay),
-        schedule=LRSchedule(kind=schedule, **extra))
+    hyper = dict(momentum=draw(st.floats(0.0, 0.99)), beta2=draw(st.floats(0.0, 0.999)),
+                 eps=draw(st.floats(1e-12, 1e-3)), coupled_wd=draw(decay),
+                 decoupled_wd=draw(decay))
+    opt = OptimizerConfig(kind=kind, lr=lr, schedule=LRSchedule(kind=schedule, **extra),
+                          **{k: v for k, v in hyper.items() if k in _STEPS[kind][0]})
     data = {}
     if model_kind != "ufm_fixed_features":
         data = dict(dim=draw(st.integers(1, 64)), per_class=draw(st.integers(1, 50)))
@@ -295,6 +296,14 @@ def configs(draw):
         metric_period=draw(st.integers(1, 100)), **data)
 
 
+def _with_sweep_cells(test):
+    """``test`` with the config of every pinned sweep cell as a further example."""
+    for _, config in sweep_cell_configs():
+        test = example(config=config)(test)
+    return test
+
+
+@_with_sweep_cells
 @given(config=configs())
 def test_config_echo_is_a_fixed_point(config):
     echo = config_to_mapping(config)
