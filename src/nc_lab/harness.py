@@ -52,10 +52,7 @@ from .optim import (
     LRSchedule,
     Optimizer,
     OptimizerConfig,
-    StackedConfig,
-    cell_column,
     lr_at,
-    optimizer_groups,
 )
 from .stats import RegressionFit, ols_fit
 
@@ -709,14 +706,14 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     """The training loop. Steps the cells of one stack together and sets
     each cell's outcome.
 
-    Every cell keeps its own seeded shuffle and its own step sizes, and the
-    optimizer steps each group of consecutive cells that take the same
-    branches (optim.optimizer_groups) once per batch. A cell whose batch loss
+    Every cell keeps its own seeded shuffle and its own step sizes, and one
+    Optimizer steps the whole stack once per batch. A cell whose batch loss
     is non-finite skips that step, logs a final diagnostic record and leaves
     the stack with status "diverged". A cell whose adam denominator hits zero
     in a step, as that step reports per cell, leaves with a NumericError and
-    no further record. Either way the cell's slices of the parameters and
-    optimizer states are dropped, and the others go on; no step is retried.
+    no further record. Either way the Optimizer drops the cell with its
+    slices of the parameters and optimizer state, and the others go on; no
+    step is retried.
     """
     config = cells[0].config
     k, epochs, period = config.num_classes, config.epochs, config.metric_period
@@ -727,9 +724,9 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     stack = grid.stack([grid.make(cell.config) for cell in cells])
     shuffles = [np.random.default_rng([cell.config.seed, 1]) for cell in cells]
     # Every cell's parameters live in one G x 1 x P buffer, and the stack's
-    # parameter arrays are views into it, so one optimizer call per group
-    # steps them all (the step is elementwise, so the bits are unchanged)
-    # and writing the new values into the buffer updates the models.
+    # parameter arrays are views into it, so one optimizer call steps them
+    # all (the step is elementwise, so the bits are unchanged) and writing
+    # the new values into the buffer updates the models.
     shapes = [p.shape[1:] for p in stack.params]
     bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
 
@@ -737,12 +734,9 @@ def _train_stack(grid: _Grid, cells: list) -> None:
         return [buffer[:, 0, a:b].reshape(-1, *shape)
                 for a, b, shape in zip(bounds, bounds[1:], shapes)]
 
-    flat = _flatten(stack.params)
-    stack.sync(unflatten(flat))
-    groups = [(lo, hi, Optimizer(hyper, flat[lo:hi]))
-              for lo, hi, hyper in optimizer_groups([cell.config.optimizer for cell in cells])]
+    opt = Optimizer([cell.config.optimizer for cell in cells], _flatten(stack.params))
+    stack.sync(unflatten(opt.param))
     order = None
-    lrs = None
 
     def log(i, epoch, lr_value, snapshot=True):
         """Append a copy of cell i's classifier (when collected) and, if
@@ -762,54 +756,23 @@ def _train_stack(grid: _Grid, cells: list) -> None:
                                    wall_time=0.0, model=stack.cell(i), dataset=grid.dataset,
                                    weights=cell.weights)
 
-    def group_lrs():
-        return [cell_column([cell.lr for cell in cells[lo:hi]]) for lo, hi, _ in groups]
-
     def keep_only(keep):
         """Drop the cells of the stack whose entry in the boolean array keep
-        is False, with their slices of the parameters and optimizer states."""
-        nonlocal cells, shuffles, flat, groups, order, lrs
+        is False, with their shuffles, batch orders and optimizer slices."""
+        nonlocal cells, shuffles, order
         cells = [cell for cell, kept in zip(cells, keep) if kept]
         shuffles = [rng for rng, kept in zip(shuffles, keep) if kept]
-        flat = flat[keep]
-        stack.sync(unflatten(flat))
-        regrouped, lo_new = [], 0
-        for lo, hi, opt in groups:
-            kept = keep[lo:hi]
-            if kept.any():
-                hi_new = lo_new + int(kept.sum())
-                opt.config = StackedConfig.of([cell.config.optimizer
-                                               for cell in cells[lo_new:hi_new]])
-                opt.state.v = opt.state.v[kept]
-                if opt.state.second_moment is not None:
-                    opt.state.second_moment = opt.state.second_moment[kept]
-                regrouped.append((lo_new, hi_new, opt))
-                lo_new = hi_new
-        groups = regrouped
+        opt.keep(keep)
+        stack.sync(unflatten(opt.param))
         if order is not None:
             order = order[keep]
-        if cells:
-            lrs = group_lrs()
-
-    def step(grad):
-        """One optimizer step of every group on the flat gradient, written
-        into the flat parameters. A cell whose adam denominator hit zero
-        leaves with NumericError; the step of every other cell stands."""
-        steps = [opt.step(flat[lo:hi], grad[lo:hi], lr) for (lo, hi, opt), lr in zip(groups, lrs)]
-        np.concatenate([param for param, _ in steps], out=flat)
-        if any(zero is not None for _, zero in steps):
-            keep = np.concatenate([np.ones(hi - lo, dtype=bool) if zero is None else ~zero
-                                   for (lo, hi, _), (_, zero) in zip(groups, steps)])
-            for i in np.flatnonzero(~keep):
-                cells[i].outcome = NumericError("adam denominator sqrt(v_hat) + eps hit zero")
-            keep_only(keep)
 
     for i, cell in enumerate(cells):
         log(i, 0, lr_at(cell.config.optimizer, 0, epochs))
     for epoch in range(epochs):
         for cell in cells:
             cell.lr = next(cell.step_sizes)
-        lrs = group_lrs()
+        opt.set_step_sizes([cell.lr for cell in cells])
         if not full_batch:
             order = np.stack([rng.permutation(n) for rng in shuffles])
         for start in range(0, n, batch):
@@ -824,9 +787,13 @@ def _train_stack(grid: _Grid, cells: list) -> None:
                 keep_only(finite)
                 if not cells:
                     return
-            step(grad)
-            if not cells:
-                return
+            zero = opt.step(grad)
+            if zero is not None:
+                for i in np.flatnonzero(zero):
+                    cells[i].outcome = NumericError("adam denominator sqrt(v_hat) + eps hit zero")
+                keep_only(~zero)
+                if not cells:
+                    return
         is_snapshot = (epoch + 1) % period == 0 or epoch + 1 == epochs
         for i, cell in enumerate(cells):
             log(i, epoch + 1, cell.lr, is_snapshot)
@@ -862,7 +829,9 @@ def run_training(config: ExperimentConfig, collect_weights: bool = False) -> Tra
 
 @dataclass
 class SweepSpec:
-    """Grids for the optimizer axes of a sweep."""
+    """Grids for the optimizer axes of a sweep. Each axis is non-empty and
+    holds no value twice (by ==, so 0.0 and -0.0 are one value): a repeat
+    would train identical cells."""
 
     kinds: tuple = ("sgd_coupled",)
     lrs: tuple = (0.1,)
@@ -873,8 +842,12 @@ class SweepSpec:
 
     def __post_init__(self):
         for name in ("kinds", "lrs", "momenta", "wds"):
-            if len(getattr(self, name)) == 0:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise DomainError(f"sweep grid {name} must be non-empty")
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise DomainError(f"sweep grid {name} repeats {value!r}")
 
 
 def derive_run_seed(base_seed: int, kind: str, lr: float, momentum: float, wd: float) -> int:

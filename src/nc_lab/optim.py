@@ -4,7 +4,7 @@ Coupled decay folds lambda * param into the gradient before any momentum or
 sign operation; decoupled decay shrinks the parameter directly and never
 enters the momentum/sign path. Every step function is pure: it takes the
 current parameter, gradient, and state, and returns the updated pair.
-``Optimizer`` binds a config to one array and steps it.
+``Optimizer`` steps a stack of cells, each with its own config.
 
 An OptimizerConfig holds the one learning rate, ``lr``. Its LRSchedule says
 only how the step size moves away from lr over training; ``lr_at`` reads
@@ -19,10 +19,11 @@ level, not merely close.
 Every step also runs on a stack of cells: parameters with a leading cell
 axis, and each hyperparameter either a float or a (G, 1, 1) column of
 per-cell values. The cells of one stacked step must take the same
-Python-level branches; ``optimizer_groups`` splits a stack into runs of
-cells that do. An adam-family step whose denominator sqrt(v_hat) + eps hits
-zero does not raise: it reports the cells along the leading axis where it
-did, so the other cells of a stack keep their step.
+Python-level branches; ``Optimizer`` splits its stack into groups of
+consecutive cells that do, steps every group in one call, and drops cells
+with their state. An adam-family step whose denominator sqrt(v_hat) + eps
+hits zero does not raise: it reports the cells along the leading axis where
+it did, so the other cells of a stack keep their step.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -49,9 +50,6 @@ __all__ = [
     "step_signum",
     "step_adam_family",
     "Optimizer",
-    "StackedConfig",
-    "cell_column",
-    "optimizer_groups",
 ]
 
 
@@ -303,8 +301,13 @@ _STEPS = {
 
 OPTIMIZER_KINDS = tuple(_STEPS)
 
+# The fields of OptimizerConfig that each optimizer kind does not read.
+_OPTIMIZER_UNREAD = {kind: tuple(f.name for f in fields(OptimizerConfig)
+                                 if f.name not in ("kind", "lr", "schedule", *reads))
+                     for kind, (reads, _) in _STEPS.items()}
 
-def cell_column(values):
+
+def _cell_column(values):
     """Per-cell values as one step argument: the first value itself when
     every cell holds the same bits, else a (G, 1, 1) float64 column."""
     if len(values) == 1:
@@ -316,29 +319,6 @@ def cell_column(values):
     return column.reshape(-1, 1, 1)
 
 
-@dataclass(frozen=True)
-class StackedConfig:
-    """The optimizer configs of consecutive cells as one config: each
-    hyperparameter is ``cell_column`` of the cells' values."""
-
-    kind: str
-    momentum: object
-    beta2: object
-    eps: object
-    coupled_wd: object
-    decoupled_wd: object
-
-    @classmethod
-    def of(cls, configs: Sequence[OptimizerConfig]) -> "StackedConfig":
-        return cls(configs[0].kind, *(cell_column([getattr(c, f.name) for c in configs])
-                                      for f in fields(cls)[1:]))
-
-
-# The hyperparameters (StackedConfig's fields) that each optimizer kind does not read.
-_OPTIMIZER_UNREAD = {kind: tuple(f.name for f in fields(StackedConfig)[1:] if f.name not in reads)
-                     for kind, (reads, _) in _STEPS.items()}
-
-
 def _branches(config: OptimizerConfig) -> tuple:
     """What selects the Python-level branches of a config's step function."""
     if "beta2" not in _STEPS[config.kind][0]:
@@ -347,34 +327,80 @@ def _branches(config: OptimizerConfig) -> tuple:
     return (config.kind, sign_limit, config.coupled_wd != 0.0, config.decoupled_wd != 0.0)
 
 
-def optimizer_groups(configs: Sequence[OptimizerConfig]) -> list:
-    """Split the optimizer configs of a stack, in order, into runs of
-    consecutive cells whose steps take the same branches and so run identical
-    float operations: a list of (start, stop, StackedConfig)."""
-    groups = []
-    start = 0
-    for i in range(1, len(configs) + 1):
-        if i == len(configs) or _branches(configs[i]) != _branches(configs[start]):
-            groups.append((start, i, StackedConfig.of(configs[start:i])))
-            start = i
-    return groups
+@dataclass
+class _Group:
+    """A slice of a stack's cells whose steps take the same branches: the
+    kind's step, the fields it reads and their per-cell columns, the
+    step-size column and the group's state."""
+
+    cells: slice
+    reads: tuple
+    step: Callable
+    state: OptimizerState
+    hyper: list = None
+    lr: object = None
 
 
 class Optimizer:
-    """Binds an OptimizerConfig to one array and steps it.
+    """Steps a stack of cells (a single run is a one-cell stack): ``param``
+    holds their values on a leading cell axis, ``configs`` their configs.
 
-    The array is one run's parameter, or, when ``config`` is a StackedConfig,
-    a stack of cells with a leading cell axis. ``step`` returns the new array
-    and the state's ``zero_denominator`` (None unless an adam-family step hit
-    a zero denominator); the state advances in place.
-    """
+    The cells split into groups of consecutive cells whose steps take the
+    same branches, and so run identical float operations. Each group binds
+    the fields its kind reads once, as per-cell columns, and keeps its own
+    state. Each cell steps at its config's lr until ``set_step_sizes``."""
 
-    def __init__(self, config: OptimizerConfig, param: np.ndarray):
-        self.config = config
-        self._reads, self._step = _STEPS[config.kind]
-        self.state = OptimizerState.initial(param, "beta2" in self._reads)
+    def __init__(self, configs: Sequence[OptimizerConfig], param: np.ndarray):
+        self.param = param
+        self._groups = []
+        start = 0
+        for i in range(1, len(configs) + 1):
+            if i == len(configs) or _branches(configs[i]) != _branches(configs[start]):
+                reads, step = _STEPS[configs[start].kind]
+                state = OptimizerState.initial(param[start:i], "beta2" in reads)
+                self._groups.append(_Group(slice(start, i), reads, step, state))
+                start = i
+        self._bind(list(configs), [config.lr for config in configs])
 
-    def step(self, param: np.ndarray, grad: np.ndarray, lr):
-        hyper = [getattr(self.config, name) for name in self._reads]
-        new_param, self.state = self._step(param, grad, self.state, lr, *hyper)
-        return new_param, self.state.zero_denominator
+    def _bind(self, configs: list, lrs: list) -> None:
+        """Bind each group's columns of the cells' configs and step sizes."""
+        self._configs = configs
+        for g in self._groups:
+            g.hyper = [_cell_column([getattr(c, name) for c in configs[g.cells]])
+                       for name in g.reads]
+        self.set_step_sizes(lrs)
+
+    def set_step_sizes(self, lrs: Sequence) -> None:
+        """Bind each cell's step size, in cell order, for the steps to come."""
+        self._lrs = list(lrs)
+        for g in self._groups:
+            g.lr = _cell_column(self._lrs[g.cells])
+
+    def step(self, grad: np.ndarray):
+        """One step of every group on ``grad`` (param's shape), written into
+        ``param``. Returns None, or a boolean per cell that is True where the
+        adam denominator hit zero: those cells took no valid step."""
+        zero = None
+        for g in self._groups:
+            new_param, g.state = g.step(self.param[g.cells], grad[g.cells], g.state, g.lr, *g.hyper)
+            self.param[g.cells] = new_param
+            if g.state.zero_denominator is not None:
+                zero = np.zeros(len(self.param), dtype=bool) if zero is None else zero
+                zero[g.cells] = g.state.zero_denominator
+        return zero
+
+    def keep(self, kept: np.ndarray) -> None:
+        """Drop the cells whose entry in the boolean array ``kept`` is False,
+        with their parameters, state slices, hyperparameter columns and step
+        sizes. A group left empty goes; the groups around it stay apart."""
+        self.param = self.param[kept]
+        lo = 0
+        for g in self._groups:
+            cells, second = kept[g.cells], g.state.second_moment
+            g.state = OptimizerState(g.state.v[cells],
+                                     None if second is None else second[cells], g.state.t)
+            g.cells = slice(lo, lo + int(cells.sum()))
+            lo = g.cells.stop
+        self._groups = [g for g in self._groups if g.cells.stop > g.cells.start]
+        self._bind([c for c, k in zip(self._configs, kept) if k],
+                   [lr for lr, k in zip(self._lrs, kept) if k])

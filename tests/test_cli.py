@@ -161,6 +161,17 @@ def test_sweep_names_the_key_of_a_bad_value(tmp_path, capsys, key, value):
     assert not (tmp_path / "a").exists()
 
 
+def test_sweep_refuses_a_repeated_grid_value(tmp_path, capsys):
+    text = SWEEP_CFG.replace("sweep.kinds = sgd_coupled", "sweep.kinds = sgd_coupled,sgd_coupled")
+    cfg = _write(tmp_path, "sweep.cfg", text + f"sweep.outdir = {tmp_path / 'a'}\n")
+    rc = main(["sweep", "--config", cfg])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: sweep grid kinds repeats 'sgd_coupled'\n"
+    assert not (tmp_path / "a").exists()
+
+
 def test_sweep_refuses_a_schedule_key_its_kind_does_not_read(tmp_path, capsys):
     cfg = _write(tmp_path, "sweep.cfg",
                  SWEEP_CFG + f"optimizer.shrink_factor = 0.3\nsweep.outdir = {tmp_path / 'a'}\n")

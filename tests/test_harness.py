@@ -599,6 +599,17 @@ def test_sweep_records_domain_error_raised_inside_training():
     assert sweep.results == [None]
 
 
+@pytest.mark.parametrize("axis, values, repeated", [
+    ("kinds", ("sgd_coupled", "adam", "sgd_coupled"), "'sgd_coupled'"),
+    ("lrs", (0.1, 0.1), "0.1"),
+    ("momenta", (0.0, 0.9, -0.0), "-0.0"),
+    ("wds", (0.01, 0.02, 0.01), "0.01"),
+])
+def test_sweep_spec_refuses_a_repeated_grid_value(axis, values, repeated):
+    with pytest.raises(DomainError, match=f"^sweep grid {axis} repeats {repeated}$"):
+        SweepSpec(**{axis: values})
+
+
 def test_sweep_surfaces_programming_errors():
     base = _mlp_config(epochs=5)
     spec = SweepSpec(kinds=("sgd_coupled",), lrs=("0.1",), momenta=(0.0,), wds=(0.01,))

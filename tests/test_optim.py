@@ -10,9 +10,7 @@ from nc_lab.optim import (
     Optimizer,
     OptimizerConfig,
     OptimizerState,
-    StackedConfig,
     lr_at,
-    optimizer_groups,
     step_adam_family,
     step_sgd_coupled,
     step_sgd_decoupled,
@@ -283,13 +281,14 @@ def test_optimizer_object_drives_all_kinds():
     grad = _zero_colsum_grad(rng, (3, 4))
     for kind in OPTIMIZER_KINDS:
         cfg = _reading_config(kind, 0.5, 0.01)
-        opt = Optimizer(cfg, param)
-        new_param, zero_denominator = opt.step(param, grad, 0.05)
-        assert new_param.shape == param.shape
-        assert np.any(new_param != param)
+        opt = Optimizer([cfg], param[None].copy())
+        zero_denominator = opt.step(grad[None])
+        assert opt.param.shape == (1, *param.shape)
+        assert np.any(opt.param[0] != param)
         assert zero_denominator is None
         needs_second = kind.startswith("adam")
-        assert (opt.state.second_moment is not None) == needs_second
+        (group,) = opt._groups
+        assert (group.state.second_moment is not None) == needs_second
 
 
 def _direct_step(c, p, g, s, lr):
@@ -315,18 +314,20 @@ def test_optimizer_steps_equal_direct_step_calls_bitwise():
         cfg = _reading_config(kind, 0.5, 0.01)
         for shape in [(3, 4), (4, 1)]:
             param = rng.standard_normal(shape)
-            opt = Optimizer(cfg, param)
+            opt = Optimizer([cfg], param[None].copy())
             direct, state = param, OptimizerState.initial(param, kind.startswith("adam"))
             for lr in (0.05, 0.02, 0.01):
                 grad = rng.standard_normal(shape)
-                param, zero_denominator = opt.step(param, grad, lr)
+                opt.set_step_sizes([lr])
+                zero_denominator = opt.step(grad[None])
                 direct, state = _direct_step(cfg, direct, grad, state, lr)
+                (group,) = opt._groups
                 assert zero_denominator is None
-                assert param.tobytes() == direct.tobytes(), kind
-                assert opt.state.v.tobytes() == state.v.tobytes(), kind
-                assert opt.state.t == state.t
+                assert opt.param[0].tobytes() == direct.tobytes(), kind
+                assert group.state.v[0].tobytes() == state.v.tobytes(), kind
+                assert group.state.t == state.t
                 if state.second_moment is not None:
-                    assert opt.state.second_moment.tobytes() == state.second_moment.tobytes()
+                    assert group.state.second_moment[0].tobytes() == state.second_moment.tobytes()
 
 
 # Two values of each hyperparameter, both off the adam sign limit.
@@ -337,19 +338,24 @@ _OTHER = dict(momentum=0.8, beta2=0.6, eps=1e-1, coupled_wd=1.5, decoupled_wd=2.
 @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
 def test_a_step_reads_exactly_the_fields_its_kind_declares(kind):
     """From nonzero buffers and parameter, changing a field outside the
-    kind's list in _STEPS leaves its step bit-identical, and changing one on
-    the list changes it. A StackedConfig is not validated, so it can set the
-    fields a kind does not read."""
+    kind's list in _STEPS leaves its Optimizer step bit-identical, and
+    changing one on the list changes it. The fields are set on a frozen
+    config with object.__setattr__, which skips its validation, so it can
+    hold values in the fields its kind does not read."""
     rng = np.random.default_rng(31)
-    param, grad, v = (rng.standard_normal((4, 3)) for _ in range(3))
-    second = rng.uniform(0.1, 1.0, (4, 3))
+    param, grad, v = (rng.standard_normal((1, 4, 3)) for _ in range(3))
+    second = rng.uniform(0.1, 1.0, (1, 4, 3))
 
     def step(**changed):
-        opt = Optimizer(StackedConfig(kind, **{**_HYPER, **changed}), param)
-        opt.state = OptimizerState(v=v.copy(), second_moment=second.copy(), t=3)
-        new_param, _ = opt.step(param, grad, 0.05)
-        moments = (opt.state.v, opt.state.second_moment)
-        return [new_param.tobytes()] + [m.tobytes() for m in moments if m is not None]
+        cfg = OptimizerConfig(kind=kind, lr=0.05)
+        for name, value in {**_HYPER, **changed}.items():
+            object.__setattr__(cfg, name, value)
+        opt = Optimizer([cfg], param.copy())
+        (group,) = opt._groups
+        group.state = OptimizerState(v=v.copy(), second_moment=second.copy(), t=3)
+        opt.step(grad)
+        moments = (group.state.v, group.state.second_moment)
+        return [opt.param.tobytes()] + [m.tobytes() for m in moments if m is not None]
 
     reads = _STEPS[kind][0]
     assert set(reads) <= set(_HYPER)
@@ -366,14 +372,14 @@ def test_optimizer_step_looks_up_the_step_function_when_it_runs(monkeypatch):
         return step_signgd_coupled(*args)
 
     cfg = OptimizerConfig(kind="signgd_coupled", lr=0.1, coupled_wd=0.01)
-    param = np.ones((2, 2))
-    opt = Optimizer(cfg, param)
+    param, grad = np.ones((1, 2, 2)), np.ones((1, 2, 2))
+    opt = Optimizer([cfg], param.copy())
     monkeypatch.setattr(optim, "step_signgd_coupled", spy)
-    new_param, _ = opt.step(param, np.ones((2, 2)), 0.1)
+    opt.step(grad)
     assert len(calls) == 1
     assert calls[0][3] == 0.1 and calls[0][4] == 0.01
-    assert new_param.tobytes() == step_signgd_coupled(
-        param, np.ones((2, 2)), OptimizerState.initial(param), 0.1, 0.01)[0].tobytes()
+    assert opt.param.tobytes() == step_signgd_coupled(
+        param, grad, OptimizerState.initial(param), 0.1, 0.01)[0].tobytes()
 
 
 def test_sign_step_displacement_bound():
@@ -393,12 +399,43 @@ def test_optimizer_groups_split_on_step_branches():
     configs = [cfg("sgd_coupled"), cfg("sgd_coupled", momentum=0.9, coupled_wd=0.1),
                cfg("adam"), cfg("adam", coupled_wd=0.01), cfg("adam", momentum=0.5, coupled_wd=0.1),
                cfg("adam", momentum=0.0, beta2=0.0, eps=0.0), cfg("sgd_coupled")]
-    groups = optimizer_groups(configs)
-    assert [(lo, hi) for lo, hi, _ in groups] == [(0, 2), (2, 3), (3, 5), (5, 6), (6, 7)]
-    sgd = groups[0][2]
-    assert sgd.kind == "sgd_coupled" and sgd.beta2 == 0.999
-    assert sgd.momentum.shape == (2, 1, 1) and sgd.momentum.ravel().tolist() == [0.0, 0.9]
-    assert groups[2][2].coupled_wd.ravel().tolist() == [0.01, 0.1]
+    groups = Optimizer(configs, np.zeros((7, 1, 2)))._groups
+    assert [(g.cells.start, g.cells.stop) for g in groups] == [(0, 2), (2, 3), (3, 5), (5, 6), (6, 7)]
+    sgd = dict(zip(groups[0].reads, groups[0].hyper))
+    assert groups[0].step is _STEPS["sgd_coupled"][1] and "beta2" not in sgd
+    assert sgd["momentum"].shape == (2, 1, 1) and sgd["momentum"].ravel().tolist() == [0.0, 0.9]
+    assert dict(zip(groups[2].reads, groups[2].hyper))["coupled_wd"].ravel().tolist() == [0.01, 0.1]
+    assert all(g.lr == 0.1 for g in groups)
+
+
+def test_optimizer_keep_drops_cells_and_empty_groups():
+    """Dropping every cell of a group removes it; the groups around it stay
+    apart, each with its own state, and every kept cell steps on as alone."""
+    configs = [OptimizerConfig(kind="sgd_coupled", lr=0.1, momentum=0.9, coupled_wd=0.1),
+               OptimizerConfig(kind="adam", lr=0.2),
+               OptimizerConfig(kind="sgd_coupled", lr=0.3, momentum=0.5, coupled_wd=0.2),
+               OptimizerConfig(kind="sgd_coupled", lr=0.4, momentum=0.0),
+               OptimizerConfig(kind="sgd_coupled", lr=0.5, momentum=0.7)]
+    rng = np.random.default_rng(5)
+    alone = [Optimizer([c], rng.standard_normal((1, 1, 3))) for c in configs]
+    stacked = Optimizer(configs, np.concatenate([opt.param for opt in alone]))
+    live = [0, 1, 2, 3, 4]
+    for step in range(4):
+        grads = rng.standard_normal((5, 1, 3))
+        for opt, grad in zip(alone, grads):
+            opt.step(grad[None])
+        assert stacked.step(grads[live]) is None
+        if step == 0:
+            stacked.keep(np.array([True, False, True, False, True]))
+            live = [0, 2, 4]
+            assert [(g.cells.start, g.cells.stop) for g in stacked._groups] == [(0, 1), (1, 3)]
+            assert stacked._groups[1].hyper[0].ravel().tolist() == [0.5, 0.7]
+            assert stacked._groups[1].lr.ravel().tolist() == [0.3, 0.5]
+        for j, i in enumerate(live):
+            assert stacked.param[j].tobytes() == alone[i].param[0].tobytes()
+    v = [alone[i]._groups[0].state.v[0] for i in live]
+    assert stacked._groups[0].state.v.tobytes() == v[0].tobytes()
+    assert stacked._groups[1].state.v.tobytes() == np.stack(v[1:]).tobytes()
 
 
 def test_stacked_step_rejects_cells_on_different_branches():

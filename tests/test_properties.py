@@ -9,6 +9,7 @@ and the config echo read back what they wrote.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,8 +42,6 @@ from nc_lab.optim import (
     OptimizerConfig,
     LRSchedule,
     OptimizerState,
-    StackedConfig,
-    cell_column,
     step_adam_family,
     step_signgd_coupled,
     step_signgd_decoupled,
@@ -146,45 +145,79 @@ def _cell_configs(kind, g, rng, data):
     return configs
 
 
-@given(seed=seeds, g=cells, kind=st.sampled_from(OPTIMIZER_KINDS), data=st.data())
-def test_stacked_steps_equal_per_cell_calls(seed, g, kind, data):
-    """A stacked step reports a zero adam denominator in exactly the cells
-    whose lone step does, divides by no zero, and gives every other cell the
-    param and state of its lone step. A reported cell is left out of every
-    later comparison, as it leaves a training stack."""
+def _stack_configs(rng, data):
+    """The optimizer configs of a stack of 1 to 3 groups, each from
+    _cell_configs of a drawn kind. A group after an adam-family group may be
+    its twin, the same cells with one decay constant zero where it was not,
+    or the other way round, which takes other step branches."""
+    groups = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        reads = _STEPS[groups[-1][0].kind][0] if groups else ()
+        if "beta2" in reads and data.draw(st.booleans()):
+            name = data.draw(st.sampled_from([n for n in reads if n.endswith("_wd")]))
+            groups.append([replace(c, **{name: 0.0 if getattr(c, name) else 0.1})
+                           for c in groups[-1]])
+        else:
+            kind = data.draw(st.sampled_from(OPTIMIZER_KINDS))
+            groups.append(_cell_configs(kind, data.draw(cells), rng, data))
+    return [config for group in groups for config in group]
+
+
+def _cell_states(opt):
+    """Per cell of an Optimizer's stack, in order: its group's state and its
+    row in that state."""
+    out = []
+    for group in opt._groups:
+        assert group.cells.start == len(out) < group.cells.stop
+        out += [(group.state, row) for row in range(group.cells.stop - group.cells.start)]
+    assert len(out) == len(opt.param)
+    return out
+
+
+@given(seed=seeds, data=st.data())
+def test_stacked_steps_equal_per_cell_calls(seed, data):
+    """One Optimizer over a stack of mixed groups reports a zero adam
+    denominator in exactly the cells whose lone step does, divides by no
+    zero, and gives every other cell the param and state of its lone step.
+    A reported cell is dropped through Optimizer.keep, as it leaves a
+    training stack, and every kept cell stays bit-equal to its lone run."""
     rng = np.random.default_rng(seed)
-    configs = _cell_configs(kind, g, rng, data)
+    configs = _stack_configs(rng, data)
     shape = tuple(rng.integers(1, 5, 2))
-    params = [rng.standard_normal(shape) for _ in range(g)]
-    lrs = [c.lr for c in configs]
-    alone = [Optimizer(c, p) for c, p in zip(configs, params)]
-    stacked_param = np.stack(params)
-    stacked = Optimizer(StackedConfig.of(configs), stacked_param)
-    live = np.ones(g, dtype=bool)
+    alone = [Optimizer([c], rng.standard_normal((1, *shape))) for c in configs]
+    stacked = Optimizer(configs, np.concatenate([opt.param for opt in alone]))
+    live = list(range(len(configs)))     # the lone run of each cell of the stack
     with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
         warnings.simplefilter("ignore", RuntimeWarning)
         for _ in range(3):
-            grads = [rng.standard_normal(shape) * (rng.random(shape) < 0.8) for _ in range(g)]
+            grads = [rng.standard_normal(shape) * (rng.random(shape) < 0.8) for _ in configs]
+            lrs = [float(rng.uniform(0.001, 0.5)) for _ in configs]
             # off the sign limit at beta2 = eps = 0 the denominator is |g|
-            fed = [gr + c.coupled_wd * p if c.coupled_wd else gr
-                   for c, p, gr in zip(configs, params, grads)]
+            fed = [gr + c.coupled_wd * opt.param[0] if c.coupled_wd else gr
+                   for c, opt, gr in zip(configs, alone, grads)]
             expected = [c.beta2 == c.eps == 0.0 != c.momentum and bool((f * f == 0.0).any())
                         for c, f in zip(configs, fed)]
-            steps = [opt.step(p, gr, lr) for opt, p, gr, lr in zip(alone, params, grads, lrs)]
-            params = [p for p, _ in steps]
-            stacked_param, zero = stacked.step(stacked_param, np.stack(grads), cell_column(lrs))
-            reported = np.zeros(g, dtype=bool) if zero is None else zero
-            assert zero is None or (zero.shape == (g,) and zero.any())
-            for i in np.flatnonzero(live):
-                assert reported[i] == (steps[i][1] is not None) == expected[i]
-            live &= ~reported
-            for i in np.flatnonzero(live):
-                s, r = stacked.state, alone[i].state
-                assert _same_bits(stacked_param[i], params[i])
-                assert s.t == r.t
-                assert _same_bits(s.v[i], r.v)
-                if r.second_moment is not None:
-                    assert _same_bits(s.second_moment[i], r.second_moment)
+            lone = []
+            for opt, gr, lr in zip(alone, grads, lrs):
+                opt.set_step_sizes([lr])
+                lone.append(opt.step(gr[None]))
+            stacked.set_step_sizes([lrs[i] for i in live])
+            zero = stacked.step(np.stack([grads[i] for i in live]))
+            assert zero is None or (zero.shape == (len(live),) and zero.any())
+            reported = np.zeros(len(live), dtype=bool) if zero is None else zero
+            for j, i in enumerate(live):
+                assert reported[j] == (lone[i] is not None) == expected[i]
+            if zero is not None:
+                stacked.keep(~zero)
+                live = [i for i, r in zip(live, reported) if not r]
+            for j, (s, row) in enumerate(_cell_states(stacked)):
+                r = alone[live[j]]
+                (r_state, _), = _cell_states(r)
+                assert _same_bits(stacked.param[j], r.param[0])
+                assert s.t == r_state.t
+                assert _same_bits(s.v[row], r_state.v[0])
+                if r_state.second_moment is not None:
+                    assert _same_bits(s.second_moment[row], r_state.second_moment[0])
 
 
 @given(seed=seeds, r=st.integers(1, 6), c=st.integers(1, 6), lr=st.floats(1e-4, 1.0),
