@@ -48,6 +48,7 @@ from .optim import (
     _OPTIMIZER_UNREAD,
     _SCHEDULE_UNREAD,
     _STEPS,
+    _refuse_non_finite,
     _refuse_unread,
     LRSchedule,
     Optimizer,
@@ -132,6 +133,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _refuse_unread(self, "model", self.model_kind, _UNREAD_FIELDS)
+        _refuse_non_finite(self, ("init_scale", "margin", "noise_std"))
+        if any(width < 1 for width in self.hidden_sizes):
+            raise DomainError(f"hidden_sizes must be >= 1, got {self.hidden_sizes!r}")
         if self.num_classes < 2:
             raise DomainError("num_classes must be >= 2")
         for name in ("dim", "per_class"):
@@ -207,7 +211,7 @@ def _cast_value(key: str, caster, raw: str):
         if caster == "batch":
             return None if raw.strip().lower() == "full" else int(raw)
         return caster(raw)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"config key {key}: cannot parse {raw!r}") from exc
 
 
@@ -499,29 +503,29 @@ def _working_set(widths, batch: int, num_params: int) -> int:
     return 8 * 4 * (batch * sum(widths) + num_params)
 
 
-@dataclass
-class _Stack:
-    """The models of G cells stacked on a leading axis, as the training loop
-    sees them, whatever their kind."""
-
-    params: list           # stacked parameter arrays
-    grads: Callable        # G x B batch columns (None = full batch) -> (losses, gradient list)
-    sync: Callable         # stacked parameter list -> None
-    cell: Callable         # i -> standalone 2-D model of cell i
-    weight: Callable       # i -> cell i's classifier W, a view into the stacked parameters
+def _ufm_grads(model: UFMModel, cols):
+    """(losses, gradient list) of a stacked UFMModel on G x B batch columns
+    (None = full batch); a batch's grad_H is scattered into H's shape."""
+    loss, grad_w, grad_h = model.loss_and_grads(cols)
+    if cols is not None:
+        gh = np.zeros_like(model.H)
+        gh[np.arange(gh.shape[0])[:, None], :, cols] = grad_h.swapaxes(-1, -2)
+        grad_h = gh
+    return loss, [grad_h, grad_w]
 
 
 @dataclass
 class _Grid:
-    """What the cells of a grid share, built once: the data, and how to make,
-    stack and read the cells' models."""
+    """What the cells of a grid share, built once: the data, how to make a
+    cell's model, and how to read a stacked model of them. The loop reads
+    every kind through ``parameters()``, whose last array is the classifier."""
 
     dataset: object
     labels: np.ndarray
     targets: np.ndarray    # one-hot K x N
     make: Callable         # config -> the cell's 2-D model
-    stack: Callable        # list of 2-D models -> _Stack
-    features: Callable     # 2-D model -> full-data features
+    grads: Callable        # stacked model, G x B batch columns or None -> (losses, gradients)
+    features: Callable     # stacked model -> G x P x N full-data features
     cell_bytes: int        # _working_set of one cell
 
 
@@ -539,26 +543,10 @@ def _setup(config: ExperimentConfig) -> _Grid:
                 model.W = np.zeros_like(model.W)
             return model
 
-        def stack_ufm(models):
-            model = UFMModel.stack(models)
-
-            def grads(cols):
-                loss, grad_w, grad_h = model.loss_and_grads(cols)
-                if cols is not None:
-                    gh = np.zeros_like(model.H)
-                    gh[np.arange(gh.shape[0])[:, None], :, cols] = grad_h.swapaxes(-1, -2)
-                    grad_h = gh
-                return loss, [grad_w, grad_h]
-
-            def sync(params):
-                model.W, model.H = params
-
-            return _Stack([model.W, model.H], grads, sync, model.cell, lambda i: model.W[i])
-
-        probe = make(config)
-        return _Grid(None, probe.labels, probe.Y, make, stack_ufm, lambda m: m.H,
-                     _working_set(probe.W.shape[::-1], _batch(config, probe.labels.shape[0]),
-                                  probe.W.size + probe.H.size))
+        labels = np.repeat(np.arange(k), config.per_class)
+        return _Grid(None, labels, one_hot(labels, k), make, _ufm_grads, lambda m: m.H,
+                     _working_set((config.dim, k), _batch(config, labels.shape[0]),
+                                  config.dim * (k + labels.shape[0])))
 
     if config.model_kind == "mlp":
         dataset = make_blob_dataset(
@@ -582,21 +570,20 @@ def _setup(config: ExperimentConfig) -> _Grid:
             model.final_weight = np.zeros_like(model.final_weight)
         return model
 
-    def stack_mlp(models):
-        model = MLPModel.stack(models)
+    def grads(model, cols):
+        batch = (x_full, y_full) if cols is None else (
+            gather_columns(x_full, cols), gather_columns(y_full, cols))
+        loss, grads, _ = model.forward_backward(*batch)
+        return loss, grads
 
-        def grads(cols):
-            batch = (x_full, y_full) if cols is None else (
-                gather_columns(x_full, cols), gather_columns(y_full, cols))
-            loss, grads, _ = model.forward_backward(*batch)
-            return loss, grads
-
-        return _Stack(model.parameters(), grads, model.set_parameters, model.cell,
-                      lambda i: model.final_weight[i])
+    def features(model):
+        # with no hidden layer the features are the shared 2-D input itself
+        feats = model.features(x_full)
+        return np.broadcast_to(feats, (len(model.final_weight), *feats.shape[-2:]))
 
     widths = (x_full.shape[0], *hidden, k)
     num_params = sum(a * b for a, b in zip(widths, widths[1:])) + sum(hidden)
-    return _Grid(dataset, labels, y_full, make_mlp, stack_mlp, lambda m: m.features(x_full),
+    return _Grid(dataset, labels, y_full, make_mlp, grads, features,
                  _working_set(widths, _batch(config, labels.shape[0]), num_params))
 
 
@@ -695,23 +682,20 @@ def _train_cells(configs, collect_weights: bool = False) -> list:
     return [cell.outcome for cell in cells]
 
 
-def _flatten(arrays) -> np.ndarray:
-    """Stacked arrays as one G x 1 x P buffer: each cell's values, in order."""
-    if len(arrays) == 1:
-        return arrays[0].reshape(arrays[0].shape[0], 1, -1)
-    return np.concatenate([a.reshape(a.shape[0], 1, -1) for a in arrays], axis=2)
-
-
 def _train_stack(grid: _Grid, cells: list) -> None:
     """The training loop. Steps the cells of one stack together and sets
     each cell's outcome.
 
-    Every cell keeps its own seeded shuffle and its own step sizes, and one
-    Optimizer steps the whole stack once per batch. A cell whose batch loss
-    is non-finite skips that step, logs a final diagnostic record and leaves
-    the stack with status "diverged". A cell whose adam denominator hits zero
-    in a step, as that step reports per cell, leaves with a NumericError and
-    no further record. Either way the Optimizer drops the cell with its
+    The cells' models stack into one model of their kind, read only through
+    ``parameters()`` (the classifier last), ``grid.grads`` and
+    ``grid.features``. It holds views of the buffer of the one Optimizer
+    that steps the whole stack once per batch. Every cell keeps its own
+    seeded shuffle and step sizes. A snapshot computes the stack's features
+    once, and each cell reads its slice. A cell whose batch loss is
+    non-finite skips that step, logs a final diagnostic record and leaves
+    the stack with status "diverged". A cell whose adam denominator hits
+    zero in a step, as that step reports per cell, leaves with a NumericError
+    and no further record. Either way the Optimizer drops the cell with its
     slices of the parameters and optimizer state, and the others go on; no
     step is retried.
     """
@@ -721,39 +705,32 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     n = labels.shape[0]
     batch = _batch(config, n)
     full_batch = batch >= n
-    stack = grid.stack([grid.make(cell.config) for cell in cells])
+    made = [grid.make(cell.config) for cell in cells]
+    model = made[0].stack(made)
+    del made
+    opt = Optimizer([cell.config.optimizer for cell in cells], model.parameters())
+    model.set_parameters(opt.params)
     shuffles = [np.random.default_rng([cell.config.seed, 1]) for cell in cells]
-    # Every cell's parameters live in one G x 1 x P buffer, and the stack's
-    # parameter arrays are views into it, so one optimizer call steps them
-    # all (the step is elementwise, so the bits are unchanged) and writing
-    # the new values into the buffer updates the models.
-    shapes = [p.shape[1:] for p in stack.params]
-    bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
-
-    def unflatten(buffer):
-        return [buffer[:, 0, a:b].reshape(-1, *shape)
-                for a, b, shape in zip(bounds, bounds[1:], shapes)]
-
-    opt = Optimizer([cell.config.optimizer for cell in cells], _flatten(stack.params))
-    stack.sync(unflatten(opt.param))
     order = None
 
-    def log(i, epoch, lr_value, snapshot=True):
-        """Append a copy of cell i's classifier (when collected) and, if
-        asked, its snapshot record."""
-        cell = cells[i]
-        if cell.weights is not None:
-            cell.weights.append((epoch, stack.weight(i).copy()))
-        if snapshot:
-            weight = stack.weight(i)
-            feats = grid.features(stack.cell(i))
-            loss, acc = _loss_and_accuracy(weight, feats, grid.targets, labels)
-            cell.records.append(_snapshot(epoch, lr_value, weight, feats, labels, k, loss, acc))
+    def log(indices, epoch, snapshot=True):
+        """For each cell i in indices, append a copy of its classifier (when
+        collected) and, if asked, its snapshot record at its step size."""
+        weight = model.parameters()[-1]
+        feats = grid.features(model) if snapshot else None
+        for i in indices:
+            cell = cells[i]
+            if cell.weights is not None:
+                cell.weights.append((epoch, weight[i].copy()))
+            if snapshot:
+                w, f = weight[i], feats[i]
+                loss, acc = _loss_and_accuracy(w, f, grid.targets, labels)
+                cell.records.append(_snapshot(epoch, cell.lr, w, f, labels, k, loss, acc))
 
     def finish(i, status):
         cell = cells[i]
         cell.outcome = TrainResult(config=cell.config, records=cell.records, status=status,
-                                   wall_time=0.0, model=stack.cell(i), dataset=grid.dataset,
+                                   wall_time=0.0, model=model.cell(i), dataset=grid.dataset,
                                    weights=cell.weights)
 
     def keep_only(keep):
@@ -763,12 +740,13 @@ def _train_stack(grid: _Grid, cells: list) -> None:
         cells = [cell for cell, kept in zip(cells, keep) if kept]
         shuffles = [rng for rng, kept in zip(shuffles, keep) if kept]
         opt.keep(keep)
-        stack.sync(unflatten(opt.param))
+        model.set_parameters(opt.params)
         if order is not None:
             order = order[keep]
 
-    for i, cell in enumerate(cells):
-        log(i, 0, lr_at(cell.config.optimizer, 0, epochs))
+    for cell in cells:
+        cell.lr = lr_at(cell.config.optimizer, 0, epochs)
+    log(range(len(cells)), 0)
     for epoch in range(epochs):
         for cell in cells:
             cell.lr = next(cell.step_sizes)
@@ -776,27 +754,25 @@ def _train_stack(grid: _Grid, cells: list) -> None:
         if not full_batch:
             order = np.stack([rng.permutation(n) for rng in shuffles])
         for start in range(0, n, batch):
-            loss, grads = stack.grads(None if full_batch else order[:, start:start + batch])
-            grad = _flatten(grads)
+            loss, grads = grid.grads(model, None if full_batch else order[:, start:start + batch])
             if not math.isfinite(sum(loss.tolist())):   # else every loss is finite
                 finite = np.isfinite(loss)
-                for i in np.flatnonzero(~finite):
-                    log(i, epoch + 1, cells[i].lr)
+                diverged = np.flatnonzero(~finite)
+                log(diverged, epoch + 1)
+                for i in diverged:
                     finish(i, "diverged")
-                grad = grad[finite]
+                grads = [g[finite] for g in grads]
                 keep_only(finite)
                 if not cells:
                     return
-            zero = opt.step(grad)
+            zero = opt.step(grads)
             if zero is not None:
                 for i in np.flatnonzero(zero):
                     cells[i].outcome = NumericError("adam denominator sqrt(v_hat) + eps hit zero")
                 keep_only(~zero)
                 if not cells:
                     return
-        is_snapshot = (epoch + 1) % period == 0 or epoch + 1 == epochs
-        for i, cell in enumerate(cells):
-            log(i, epoch + 1, cell.lr, is_snapshot)
+        log(range(len(cells)), epoch + 1, (epoch + 1) % period == 0 or epoch + 1 == epochs)
     for i, cell in enumerate(cells):
         finish(i, _status_from_records(cell.records, epochs, k))
 

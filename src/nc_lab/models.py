@@ -10,6 +10,9 @@ Two model families:
   of the simplex frame, that is the square geometry the closed-form
   step-size/decay predictions describe.
 
+Both list their trained arrays with ``parameters()``, the classifier last,
+and take them back with ``set_parameters``.
+
 The cross-entropy gradient with respect to W always has zero column sums
 (softmax columns and one-hot labels both sum to one), which is what makes the
 row-sum recursions exact regardless of batching.
@@ -145,6 +148,13 @@ class UFMModel:
         """A standalone copy of cell i of a stacked model."""
         return UFMModel(self.W[i], self.H[i], self.labels, self.num_classes)
 
+    def parameters(self) -> list:
+        """Parameter list: H, then the classifier W."""
+        return [self.H, self.W]
+
+    def set_parameters(self, params: Sequence[np.ndarray]) -> None:
+        self.H, self.W = params
+
     @classmethod
     def create(cls, num_classes: int, feature_dim: int, per_class: int = 1,
                seed: int = 0, init_scale: float = 0.1) -> "UFMModel":
@@ -205,7 +215,7 @@ class MLPModel:
                         self.final_weight[i])
 
     def parameters(self) -> list:
-        """Flat parameter list: W1, b1, ..., WL, bL, final W."""
+        """Flat parameter list: W1, b1, ..., WL, bL, the classifier (final W)."""
         out = []
         for w, b in zip(self.hidden_weights, self.hidden_biases):
             out.extend([w, b])

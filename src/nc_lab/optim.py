@@ -19,11 +19,13 @@ level, not merely close.
 Every step also runs on a stack of cells: parameters with a leading cell
 axis, and each hyperparameter either a float or a (G, 1, 1) column of
 per-cell values. The cells of one stacked step must take the same
-Python-level branches; ``Optimizer`` splits its stack into groups of
-consecutive cells that do, steps every group in one call, and drops cells
-with their state. An adam-family step whose denominator sqrt(v_hat) + eps
-hits zero does not raise: it reports the cells along the leading axis where
-it did, so the other cells of a stack keep their step.
+Python-level branches. ``Optimizer`` owns a stack's parameters: it copies
+the stacked arrays into one G x 1 x P buffer, hands out views of it as
+``params``, splits the cells into groups of consecutive cells that take the
+same branches, steps every group in one call, and drops cells with their
+state. An adam-family step whose denominator sqrt(v_hat) + eps hits zero
+does not raise: it reports the cells along the leading axis where it did,
+so the other cells of a stack keep their step.
 """
 
 from __future__ import annotations
@@ -64,6 +66,14 @@ def _refuse_unread(config, what: str, kind: str, unread: dict) -> None:
         raise DomainError(f"{what} {kind} reads no {', '.join(changed)}")
 
 
+def _refuse_non_finite(config, names) -> None:
+    """Each named field of a config, a number or a tuple of numbers, is finite."""
+    for name in names:
+        value = getattr(config, name)
+        if not all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 # The LRSchedule fields each schedule kind reads, besides its kind, and those
 # it does not read.
 _SCHEDULE_READS = {
@@ -97,6 +107,7 @@ class LRSchedule:
 
     def __post_init__(self):
         _refuse_unread(self, "schedule", self.kind, _SCHEDULE_UNREAD)
+        _refuse_non_finite(self, ("decay_factor", "milestone_fractions"))
         if self.decay_factor <= 1:
             raise DomainError("decay_factor must exceed 1")
         if not 0 < self.shrink_factor < 1:
@@ -140,6 +151,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         _refuse_unread(self, "optimizer", self.kind, _OPTIMIZER_UNREAD)
+        _refuse_non_finite(self, ("lr", "eps", "coupled_wd", "decoupled_wd"))
         if self.lr <= 0:
             raise DomainError("lr must be positive")
         for name in ("momentum", "beta2"):
@@ -341,26 +353,41 @@ class _Group:
     lr: object = None
 
 
-class Optimizer:
-    """Steps a stack of cells (a single run is a one-cell stack): ``param``
-    holds their values on a leading cell axis, ``configs`` their configs.
+def _flat(arrays) -> np.ndarray:
+    """Stacked arrays as one new G x 1 x P array: each cell's values, in order."""
+    return np.concatenate([a.reshape(len(a), 1, -1) for a in arrays], axis=2)
 
-    The cells split into groups of consecutive cells whose steps take the
-    same branches, and so run identical float operations. Each group binds
-    the fields its kind reads once, as per-cell columns, and keeps its own
+
+class Optimizer:
+    """Steps a stack of cells (a single run is a one-cell stack): ``params``
+    are arrays with a leading cell axis, ``configs`` the cells' configs.
+
+    It copies the arrays into one G x 1 x P buffer, whose views in their
+    shapes are ``params``: a model holding them sees every step. The cells
+    split into groups of consecutive cells whose steps take the same
+    branches, and so run identical float operations. Each group binds the
+    fields its kind reads once, as per-cell columns, and keeps its own
     state. Each cell steps at its config's lr until ``set_step_sizes``."""
 
-    def __init__(self, configs: Sequence[OptimizerConfig], param: np.ndarray):
-        self.param = param
+    def __init__(self, configs: Sequence[OptimizerConfig], params: Sequence[np.ndarray]):
+        self._shapes = [p.shape[1:] for p in params]
+        self._buffer = _flat(params)
+        self._view()
         self._groups = []
         start = 0
         for i in range(1, len(configs) + 1):
             if i == len(configs) or _branches(configs[i]) != _branches(configs[start]):
                 reads, step = _STEPS[configs[start].kind]
-                state = OptimizerState.initial(param[start:i], "beta2" in reads)
+                state = OptimizerState.initial(self._buffer[start:i], "beta2" in reads)
                 self._groups.append(_Group(slice(start, i), reads, step, state))
                 start = i
         self._bind(list(configs), [config.lr for config in configs])
+
+    def _view(self) -> None:
+        """Point ``params`` at the buffer, each array in its stacked shape."""
+        bounds = np.cumsum([0] + [math.prod(shape) for shape in self._shapes]).tolist()
+        self.params = [self._buffer[:, 0, a:b].reshape(-1, *shape)
+                       for a, b, shape in zip(bounds, bounds[1:], self._shapes)]
 
     def _bind(self, configs: list, lrs: list) -> None:
         """Bind each group's columns of the cells' configs and step sizes."""
@@ -376,24 +403,28 @@ class Optimizer:
         for g in self._groups:
             g.lr = _cell_column(self._lrs[g.cells])
 
-    def step(self, grad: np.ndarray):
-        """One step of every group on ``grad`` (param's shape), written into
-        ``param``. Returns None, or a boolean per cell that is True where the
-        adam denominator hit zero: those cells took no valid step."""
+    def step(self, grads: Sequence[np.ndarray]):
+        """One step of every group on ``grads``, aligned with ``params``,
+        written into the buffer. Returns None, or a boolean per cell that is
+        True where the adam denominator hit zero: those cells took no valid
+        step."""
+        grad = _flat(grads)
         zero = None
         for g in self._groups:
-            new_param, g.state = g.step(self.param[g.cells], grad[g.cells], g.state, g.lr, *g.hyper)
-            self.param[g.cells] = new_param
+            new, g.state = g.step(self._buffer[g.cells], grad[g.cells], g.state, g.lr, *g.hyper)
+            self._buffer[g.cells] = new
             if g.state.zero_denominator is not None:
-                zero = np.zeros(len(self.param), dtype=bool) if zero is None else zero
+                zero = np.zeros(len(self._buffer), dtype=bool) if zero is None else zero
                 zero[g.cells] = g.state.zero_denominator
         return zero
 
     def keep(self, kept: np.ndarray) -> None:
         """Drop the cells whose entry in the boolean array ``kept`` is False,
         with their parameters, state slices, hyperparameter columns and step
-        sizes. A group left empty goes; the groups around it stay apart."""
-        self.param = self.param[kept]
+        sizes, and point ``params`` at the new buffer. A group left empty
+        goes; the groups around it stay apart."""
+        self._buffer = self._buffer[kept]
+        self._view()
         lo = 0
         for g in self._groups:
             cells, second = kept[g.cells], g.state.second_moment

@@ -124,6 +124,48 @@ def test_train_refuses_an_optimizer_key_its_kind_does_not_read(tmp_path, capsys,
     assert not target.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("optimizer.lr", "nan", "lr must be finite, got nan"),
+    ("optimizer.lr", "1e400", "lr must be finite, got inf"),
+    ("optimizer.decoupled_wd", "inf", "decoupled_wd must be finite, got inf"),
+    ("optimizer.decay_factor", "inf", "decay_factor must be finite, got inf"),
+    ("optimizer.milestone_fractions", "0.5,nan",
+     "milestone_fractions must be finite, got (0.5, nan)"),
+    ("optimizer.milestone_fractions", "1/0",
+     "config key optimizer.milestone_fractions: cannot parse '1/0'"),
+])
+def test_train_refuses_a_number_it_cannot_train_on_naming_its_field(tmp_path, capsys, key, value,
+                                                                   message):
+    target = tmp_path / "run.csv"
+    text = "".join(ln + "\n" for ln in TRAIN_CFG.splitlines() if not ln.startswith(key))
+    if key in ("optimizer.decay_factor", "optimizer.milestone_fractions"):
+        text += "optimizer.schedule = step_decay\n"
+    cfg = _write(tmp_path, "train.cfg", text + f"{key} = {value}\noutput.csv = {target}\n")
+    rc = main(["train", "--config", cfg])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("model.init_scale", "nan", "init_scale must be finite, got nan"),
+    ("model.hidden_sizes", "0", "hidden_sizes must be >= 1, got (0,)"),
+    ("model.hidden_sizes", "16,-2", "hidden_sizes must be >= 1, got (16, -2)"),
+])
+def test_train_and_sweep_refuse_a_model_they_cannot_build(tmp_path, capsys, key, value, message):
+    text = "model.kind = mlp\ntrain.epochs = 2\n" + f"{key} = {value}\n"
+    rc = main(["train", "--config", _write(tmp_path, "train.cfg", text)])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    sweep = SWEEP_CFG + f"{key} = {value}\nsweep.outdir = {tmp_path / 'a'}\n"
+    rc = main(["sweep", "--config", _write(tmp_path, "sweep.cfg", sweep)])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "a").exists()
+
+
 def test_sweep_writes_outputs(tmp_path, capsys):
     outdir = tmp_path / "grid"
     cfg = _write(tmp_path, "sweep.cfg", SWEEP_CFG + f"sweep.outdir = {outdir}\n")

@@ -406,10 +406,6 @@ def test_sweep_matches_golden_bytes(case):
     assert produce_sweep(case) == expected
 
 
-def _model_arrays(model) -> list:
-    return model.parameters() if hasattr(model, "parameters") else [model.W, model.H]
-
-
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_cells_equal_run_training(case):
     """Each stacked cell ends with the records, status and parameter bits
@@ -420,8 +416,8 @@ def test_sweep_cells_equal_run_training(case):
         alone = run_training(res.config)
         assert alone.status == res.status
         assert format_metric_csv(alone.records) == format_metric_csv(res.records)
-        assert ([a.tobytes() for a in _model_arrays(alone.model)]
-                == [a.tobytes() for a in _model_arrays(res.model)])
+        assert ([a.tobytes() for a in alone.model.parameters()]
+                == [a.tobytes() for a in res.model.parameters()])
 
 
 def _write_sweep_golden(case: str) -> None:

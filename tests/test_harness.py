@@ -287,6 +287,63 @@ def test_config_refuses_sizes_that_cannot_train(kind):
         config_from_mapping({"model.kind": kind, "data.k": "1"})
 
 
+@pytest.mark.parametrize("build, name, value", [
+    (lambda v: ExperimentConfig(init_scale=v), "init_scale", math.nan),
+    (lambda v: ExperimentConfig(model_kind="mlp", margin=v), "margin", math.inf),
+    (lambda v: ExperimentConfig(model_kind="mlp", noise_std=v), "noise_std", math.nan),
+    (lambda v: OptimizerConfig(lr=v), "lr", math.nan),
+    (lambda v: OptimizerConfig(lr=v), "lr", math.inf),
+    (lambda v: OptimizerConfig(kind="adam", eps=v), "eps", math.nan),
+    (lambda v: OptimizerConfig(kind="sgd_coupled", coupled_wd=v), "coupled_wd", math.inf),
+    (lambda v: OptimizerConfig(decoupled_wd=v), "decoupled_wd", math.nan),
+    (lambda v: LRSchedule(kind="step_decay", decay_factor=v), "decay_factor", math.inf),
+    (lambda v: LRSchedule(kind="step_decay", decay_factor=v), "decay_factor", math.nan),
+    (lambda v: LRSchedule(kind="step_decay", milestone_fractions=(0.5, v)),
+     "milestone_fractions", math.nan),
+])
+def test_config_refuses_a_non_finite_number_naming_its_field(build, name, value):
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got "):
+        build(value)
+
+
+def test_config_refuses_non_finite_text_values():
+    for key, text, name in (("optimizer.lr", "nan", "lr"), ("optimizer.lr", "1e400", "lr"),
+                            ("model.init_scale", "-inf", "init_scale")):
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got "):
+            config_from_mapping({key: text})
+
+
+def test_config_names_the_key_of_a_fraction_over_zero():
+    with pytest.raises(DomainError, match=r"^config key optimizer.milestone_fractions: "
+                                          r"cannot parse '1/0'$"):
+        config_from_mapping({"optimizer.schedule": "step_decay",
+                             "optimizer.milestone_fractions": "1/0"})
+
+
+@pytest.mark.parametrize("hidden", [(0,), (16, -1), (16, 0, 16)])
+def test_config_refuses_a_hidden_width_below_one(hidden):
+    with pytest.raises(DomainError, match=r"^hidden_sizes must be >= 1, got \("):
+        ExperimentConfig(model_kind="mlp", hidden_sizes=hidden)
+    with pytest.raises(DomainError, match="^hidden_sizes must be >= 1"):
+        config_from_mapping({"model.kind": "mlp",
+                             "model.hidden_sizes": ",".join(map(str, hidden))})
+
+
+def test_sweep_refuses_a_base_with_a_zero_hidden_width_and_names_non_finite_cells():
+    """A zero width stops the base config before any cell trains; a
+    non-finite grid value becomes its cell's error row, naming the field."""
+    with pytest.raises(DomainError, match="hidden_sizes"):
+        run_sweep(_mlp_config(hidden_sizes=(0,)), SweepSpec())
+    spec = SweepSpec(kinds=("sgd_coupled",), lrs=(0.05, math.inf), momenta=(0.0,),
+                     wds=(0.01, math.nan))
+    sweep = run_sweep(_mlp_config(epochs=2), spec)
+    errors = {(row["lr"], repr(row["wd"])): row.get("error") for row in sweep.rows}
+    assert errors == {(0.05, "0.01"): None,
+                      (0.05, "nan"): "DomainError: coupled_wd must be finite, got nan",
+                      (math.inf, "0.01"): "DomainError: lr must be finite, got inf",
+                      (math.inf, "nan"): "DomainError: lr must be finite, got inf"}
+
+
 def test_load_config_path_error(tmp_path):
     with pytest.raises(OSError) as exc:
         load_config(tmp_path / "missing.cfg")
@@ -627,6 +684,25 @@ def test_sweep_warns_once_per_cell_outside_the_stability_range():
     assert messages == {"lr * weight_decay = 3 is outside the contractive range [0, 2) "
                         "for decoupled sgd; iterates may not decay"}
     assert all(w.category is RuntimeWarning for w in caught if "contractive" in str(w.message))
+
+
+def test_sweep_copies_a_cell_out_of_the_stack_only_when_it_finishes(monkeypatch):
+    """A 24-cell grid with a snapshot every epoch reads each snapshot from the
+    stacked model; MLPModel.cell runs once per finished cell."""
+    calls, snapshots = [], []
+    cell, features = MLPModel.cell, MLPModel.features
+    monkeypatch.setattr(MLPModel, "cell", lambda self, i: calls.append(i) or cell(self, i))
+    monkeypatch.setattr(MLPModel, "features",
+                        lambda self, x: snapshots.append(len(self.final_weight))
+                        or features(self, x))
+    spec = SweepSpec(kinds=("sgd_coupled", "sgd_decoupled", "signgd_coupled",
+                            "signgd_decoupled", "adam", "adam_w"),
+                     lrs=(0.01, 0.03), momenta=(0.0, 0.9), wds=(0.01,))
+    sweep = run_sweep(_mlp_config(epochs=3, metric_period=1, batch_size=50), spec)
+    assert len(sweep.results) == 24
+    assert all(len(res.records) == 4 for res in sweep.results)   # no cell failed
+    assert snapshots == [24] * 4
+    assert sorted(calls) == list(range(24))
 
 
 def test_numeric_error_stops_only_its_cell():

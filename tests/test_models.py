@@ -130,6 +130,32 @@ def test_ufm_trainable_returns_feature_grad():
     assert sub[2].shape == (5, 3)
 
 
+def test_every_model_lists_its_classifier_last():
+    ufm = UFMModel.create(3, 5, per_class=2, seed=0)
+    assert ufm.parameters()[-1] is ufm.W
+    assert ufm.parameters()[0] is ufm.H
+    for hidden in ((), (4,), (4, 6)):
+        mlp = MLPModel.create(5, hidden, 3, seed=1)
+        assert mlp.parameters()[-1] is mlp.final_weight
+        assert len(mlp.parameters()) == 2 * len(hidden) + 1
+    stacked = UFMModel.stack([ufm, UFMModel.create(3, 5, per_class=2, seed=1)])
+    assert stacked.parameters()[-1].shape == (2, 3, 5)
+
+
+def test_ufm_set_parameters_round_trips():
+    rng = np.random.default_rng(3)
+    model = UFMModel.create(3, 5, per_class=2, seed=0)
+    h, w = rng.standard_normal((5, 6)), rng.standard_normal((3, 5))
+    model.set_parameters([h, w])
+    assert model.H is h and model.W is w
+    other = UFMModel.create(3, 5, per_class=2, seed=9)
+    other.set_parameters(model.parameters())
+    assert [a.tobytes() for a in other.parameters()] == [h.tobytes(), w.tobytes()]
+    assert other.loss_and_grads()[0] == model.loss_and_grads()[0]
+    with pytest.raises(ValueError):
+        model.set_parameters([h])
+
+
 def test_ce_loss_from_logits_equals_ce_loss_and_grad_bits():
     rng = np.random.default_rng(12)
     for _ in range(50):

@@ -281,10 +281,11 @@ def test_optimizer_object_drives_all_kinds():
     grad = _zero_colsum_grad(rng, (3, 4))
     for kind in OPTIMIZER_KINDS:
         cfg = _reading_config(kind, 0.5, 0.01)
-        opt = Optimizer([cfg], param[None].copy())
-        zero_denominator = opt.step(grad[None])
-        assert opt.param.shape == (1, *param.shape)
-        assert np.any(opt.param[0] != param)
+        opt = Optimizer([cfg], [param[None]])
+        zero_denominator = opt.step([grad[None]])
+        (stepped,) = opt.params
+        assert stepped.shape == (1, *param.shape)
+        assert np.any(stepped[0] != param)
         assert zero_denominator is None
         needs_second = kind.startswith("adam")
         (group,) = opt._groups
@@ -314,16 +315,16 @@ def test_optimizer_steps_equal_direct_step_calls_bitwise():
         cfg = _reading_config(kind, 0.5, 0.01)
         for shape in [(3, 4), (4, 1)]:
             param = rng.standard_normal(shape)
-            opt = Optimizer([cfg], param[None].copy())
+            opt = Optimizer([cfg], [param[None]])
             direct, state = param, OptimizerState.initial(param, kind.startswith("adam"))
             for lr in (0.05, 0.02, 0.01):
                 grad = rng.standard_normal(shape)
                 opt.set_step_sizes([lr])
-                zero_denominator = opt.step(grad[None])
+                zero_denominator = opt.step([grad[None]])
                 direct, state = _direct_step(cfg, direct, grad, state, lr)
                 (group,) = opt._groups
                 assert zero_denominator is None
-                assert opt.param[0].tobytes() == direct.tobytes(), kind
+                assert opt.params[0][0].tobytes() == direct.tobytes(), kind
                 assert group.state.v[0].tobytes() == state.v.tobytes(), kind
                 assert group.state.t == state.t
                 if state.second_moment is not None:
@@ -343,19 +344,20 @@ def test_a_step_reads_exactly_the_fields_its_kind_declares(kind):
     config with object.__setattr__, which skips its validation, so it can
     hold values in the fields its kind does not read."""
     rng = np.random.default_rng(31)
-    param, grad, v = (rng.standard_normal((1, 4, 3)) for _ in range(3))
-    second = rng.uniform(0.1, 1.0, (1, 4, 3))
+    # the optimizer holds a one-array stack as its G x 1 x P buffer
+    param, grad, v = (rng.standard_normal((1, 1, 12)) for _ in range(3))
+    second = rng.uniform(0.1, 1.0, (1, 1, 12))
 
     def step(**changed):
         cfg = OptimizerConfig(kind=kind, lr=0.05)
         for name, value in {**_HYPER, **changed}.items():
             object.__setattr__(cfg, name, value)
-        opt = Optimizer([cfg], param.copy())
+        opt = Optimizer([cfg], [param])
         (group,) = opt._groups
         group.state = OptimizerState(v=v.copy(), second_moment=second.copy(), t=3)
-        opt.step(grad)
+        opt.step([grad])
         moments = (group.state.v, group.state.second_moment)
-        return [opt.param.tobytes()] + [m.tobytes() for m in moments if m is not None]
+        return [opt.params[0].tobytes()] + [m.tobytes() for m in moments if m is not None]
 
     reads = _STEPS[kind][0]
     assert set(reads) <= set(_HYPER)
@@ -373,12 +375,12 @@ def test_optimizer_step_looks_up_the_step_function_when_it_runs(monkeypatch):
 
     cfg = OptimizerConfig(kind="signgd_coupled", lr=0.1, coupled_wd=0.01)
     param, grad = np.ones((1, 2, 2)), np.ones((1, 2, 2))
-    opt = Optimizer([cfg], param.copy())
+    opt = Optimizer([cfg], [param])
     monkeypatch.setattr(optim, "step_signgd_coupled", spy)
-    opt.step(grad)
+    opt.step([grad])
     assert len(calls) == 1
     assert calls[0][3] == 0.1 and calls[0][4] == 0.01
-    assert opt.param.tobytes() == step_signgd_coupled(
+    assert opt.params[0].tobytes() == step_signgd_coupled(
         param, grad, OptimizerState.initial(param), 0.1, 0.01)[0].tobytes()
 
 
@@ -399,7 +401,7 @@ def test_optimizer_groups_split_on_step_branches():
     configs = [cfg("sgd_coupled"), cfg("sgd_coupled", momentum=0.9, coupled_wd=0.1),
                cfg("adam"), cfg("adam", coupled_wd=0.01), cfg("adam", momentum=0.5, coupled_wd=0.1),
                cfg("adam", momentum=0.0, beta2=0.0, eps=0.0), cfg("sgd_coupled")]
-    groups = Optimizer(configs, np.zeros((7, 1, 2)))._groups
+    groups = Optimizer(configs, [np.zeros((7, 1, 2))])._groups
     assert [(g.cells.start, g.cells.stop) for g in groups] == [(0, 2), (2, 3), (3, 5), (5, 6), (6, 7)]
     sgd = dict(zip(groups[0].reads, groups[0].hyper))
     assert groups[0].step is _STEPS["sgd_coupled"][1] and "beta2" not in sgd
@@ -417,14 +419,14 @@ def test_optimizer_keep_drops_cells_and_empty_groups():
                OptimizerConfig(kind="sgd_coupled", lr=0.4, momentum=0.0),
                OptimizerConfig(kind="sgd_coupled", lr=0.5, momentum=0.7)]
     rng = np.random.default_rng(5)
-    alone = [Optimizer([c], rng.standard_normal((1, 1, 3))) for c in configs]
-    stacked = Optimizer(configs, np.concatenate([opt.param for opt in alone]))
+    alone = [Optimizer([c], [rng.standard_normal((1, 1, 3))]) for c in configs]
+    stacked = Optimizer(configs, [np.concatenate([opt.params[0] for opt in alone])])
     live = [0, 1, 2, 3, 4]
     for step in range(4):
         grads = rng.standard_normal((5, 1, 3))
         for opt, grad in zip(alone, grads):
-            opt.step(grad[None])
-        assert stacked.step(grads[live]) is None
+            opt.step([grad[None]])
+        assert stacked.step([grads[live]]) is None
         if step == 0:
             stacked.keep(np.array([True, False, True, False, True]))
             live = [0, 2, 4]
@@ -432,10 +434,37 @@ def test_optimizer_keep_drops_cells_and_empty_groups():
             assert stacked._groups[1].hyper[0].ravel().tolist() == [0.5, 0.7]
             assert stacked._groups[1].lr.ravel().tolist() == [0.3, 0.5]
         for j, i in enumerate(live):
-            assert stacked.param[j].tobytes() == alone[i].param[0].tobytes()
+            assert stacked.params[0][j].tobytes() == alone[i].params[0][0].tobytes()
     v = [alone[i]._groups[0].state.v[0] for i in live]
     assert stacked._groups[0].state.v.tobytes() == v[0].tobytes()
     assert stacked._groups[1].state.v.tobytes() == np.stack(v[1:]).tobytes()
+
+
+def test_optimizer_params_are_views_of_its_buffer_before_and_after_keep():
+    """The optimizer copies the stacked arrays into one buffer and hands out
+    views of it in their shapes; a step shows through them, and after keep
+    they are views of the new buffer holding the kept cells' values."""
+    rng = np.random.default_rng(8)
+    arrays = [rng.standard_normal((3, 2, 4)), rng.standard_normal((3, 5, 1))]
+    configs = [OptimizerConfig(kind="sgd_decoupled", lr=lr) for lr in (0.1, 0.2, 0.3)]
+    opt = Optimizer(configs, arrays)
+    views = opt.params
+    assert [v.shape for v in views] == [(3, 2, 4), (3, 5, 1)]
+    assert all(np.shares_memory(v, opt._buffer) and not np.shares_memory(v, a)
+               for v, a in zip(views, arrays))
+    assert all(np.array_equal(v, a) for v, a in zip(views, arrays))
+    grads = [rng.standard_normal(a.shape) for a in arrays]
+    opt.step(grads)
+    lrs = np.array([0.1, 0.2, 0.3])
+    for v, a, g in zip(views, arrays, grads):
+        assert np.array_equal(v, a - lrs.reshape(3, 1, 1) * g)
+    stepped = [v.copy() for v in views]
+    opt.keep(np.array([True, False, True]))
+    assert [v.shape for v in opt.params] == [(2, 2, 4), (2, 5, 1)]
+    assert all(np.shares_memory(v, opt._buffer) for v in opt.params)
+    assert all(np.array_equal(v, s[[0, 2]]) for v, s in zip(opt.params, stepped))
+    opt.step([g[[0, 2]] for g in grads])
+    assert all(np.shares_memory(v, opt._buffer) for v in opt.params)
 
 
 def test_stacked_step_rejects_cells_on_different_branches():

@@ -115,6 +115,27 @@ def test_stacked_forward_backward_equals_per_cell_calls(seed, g, d, k, n, hidden
         assert _same_bits(feats[i], ref_feats)
 
 
+@given(seed=seeds, g=cells, d=st.integers(1, 6), k=st.integers(2, 5), n=st.integers(1, 12),
+       hidden=st.lists(st.integers(1, 8), max_size=3))
+def test_stacked_features_equal_per_cell_calls(seed, g, d, k, n, hidden):
+    """On a shared 2-D input each cell's slice of the stacked features is its
+    own features, also when the stack holds views of an Optimizer's buffer,
+    as in training. With no hidden layer the features are the input itself,
+    which a snapshot broadcasts over the cells."""
+    rng = np.random.default_rng(seed)
+    models = [MLPModel.create(d, hidden, k, seed=int(s), init_scale=1.0)
+              for s in rng.integers(0, 2**31, g)]
+    x = rng.standard_normal((d, n))
+    stacked = MLPModel.stack(models)
+    in_buffer = MLPModel.stack(models)
+    in_buffer.set_parameters(Optimizer([OptimizerConfig()] * g, in_buffer.parameters()).params)
+    for model in (stacked, in_buffer):
+        feats = model.features(x)
+        feats = np.broadcast_to(feats, (g, *feats.shape[-2:]))
+        for i, alone in enumerate(models):
+            assert _same_bits(feats[i], alone.features(x))
+
+
 def _cell_configs(kind, g, rng, data):
     """g optimizer configs of one kind that take the same step branches, with
     per-cell learning rates, momenta and decay constants. Off the sign limit,
@@ -170,7 +191,7 @@ def _cell_states(opt):
     for group in opt._groups:
         assert group.cells.start == len(out) < group.cells.stop
         out += [(group.state, row) for row in range(group.cells.stop - group.cells.start)]
-    assert len(out) == len(opt.param)
+    assert len(out) == len(opt.params[0])
     return out
 
 
@@ -184,8 +205,8 @@ def test_stacked_steps_equal_per_cell_calls(seed, data):
     rng = np.random.default_rng(seed)
     configs = _stack_configs(rng, data)
     shape = tuple(rng.integers(1, 5, 2))
-    alone = [Optimizer([c], rng.standard_normal((1, *shape))) for c in configs]
-    stacked = Optimizer(configs, np.concatenate([opt.param for opt in alone]))
+    alone = [Optimizer([c], [rng.standard_normal((1, *shape))]) for c in configs]
+    stacked = Optimizer(configs, [np.concatenate([opt.params[0] for opt in alone])])
     live = list(range(len(configs)))     # the lone run of each cell of the stack
     with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -193,16 +214,16 @@ def test_stacked_steps_equal_per_cell_calls(seed, data):
             grads = [rng.standard_normal(shape) * (rng.random(shape) < 0.8) for _ in configs]
             lrs = [float(rng.uniform(0.001, 0.5)) for _ in configs]
             # off the sign limit at beta2 = eps = 0 the denominator is |g|
-            fed = [gr + c.coupled_wd * opt.param[0] if c.coupled_wd else gr
+            fed = [gr + c.coupled_wd * opt.params[0][0] if c.coupled_wd else gr
                    for c, opt, gr in zip(configs, alone, grads)]
             expected = [c.beta2 == c.eps == 0.0 != c.momentum and bool((f * f == 0.0).any())
                         for c, f in zip(configs, fed)]
             lone = []
             for opt, gr, lr in zip(alone, grads, lrs):
                 opt.set_step_sizes([lr])
-                lone.append(opt.step(gr[None]))
+                lone.append(opt.step([gr[None]]))
             stacked.set_step_sizes([lrs[i] for i in live])
-            zero = stacked.step(np.stack([grads[i] for i in live]))
+            zero = stacked.step([np.stack([grads[i] for i in live])])
             assert zero is None or (zero.shape == (len(live),) and zero.any())
             reported = np.zeros(len(live), dtype=bool) if zero is None else zero
             for j, i in enumerate(live):
@@ -213,7 +234,7 @@ def test_stacked_steps_equal_per_cell_calls(seed, data):
             for j, (s, row) in enumerate(_cell_states(stacked)):
                 r = alone[live[j]]
                 (r_state, _), = _cell_states(r)
-                assert _same_bits(stacked.param[j], r.param[0])
+                assert _same_bits(stacked.params[0][j], r.params[0][0])
                 assert s.t == r_state.t
                 assert _same_bits(s.v[row], r_state.v[0])
                 if r_state.second_moment is not None:
