@@ -169,16 +169,19 @@ def cmd_check(args) -> int:
 
 
 def _load_labels(path) -> np.ndarray:
-    """Labels file: one integer per line, blank lines ignored."""
+    """Labels file: one integer per line, blank lines ignored, at least one."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.strip() for ln in fh]
     except OSError as exc:
         raise OSError(f"cannot read labels from {path}: {exc}") from exc
     try:
-        return np.array([int(ln) for ln in lines if ln], dtype=np.int64)
+        labels = np.array([int(ln) for ln in lines if ln], dtype=np.int64)
     except ValueError as exc:
         raise ValueError(f"labels file {path} must contain one integer per line") from exc
+    if labels.size == 0:
+        raise ValueError(f"labels file {path} holds no labels")
+    return labels
 
 
 def cmd_metrics(args) -> int:

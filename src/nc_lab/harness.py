@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import oracles
-from .errors import BudgetExceededError, DomainError, NumericError
+from .errors import DomainError, NumericError
 from .linalg import singular_values
 from .metrics import (
     METRIC_KEYS,
@@ -151,6 +151,9 @@ class ExperimentConfig:
             raise DomainError("batch_size must be >= 1 (or omitted for full batch)")
         if self.model_kind == "mlp" and self.init == "zero":
             raise DomainError("zero init leaves a rectifier network without gradient flow")
+        if self.init_scale == 0.0 and self.model_kind != "ufm_fixed_features":
+            raise DomainError(f"init_scale = 0 leaves the {self.model_kind} network all zero, "
+                              "without gradient flow")
 
 
 # Dotted config key -> (target, caster): the one list of run-config keys,
@@ -489,8 +492,6 @@ def _status_from_records(records, epochs: int, num_classes: int) -> str:
     return "ok"
 
 
-_LAB_ERRORS = (DomainError, NumericError, BudgetExceededError)
-
 # Cells train in stacks whose estimated per-step working set (see
 # _working_set) stays under this many bytes; a larger cell trains alone.
 _STACK_BUDGET_BYTES = 64 * 2**20
@@ -640,11 +641,10 @@ def _train_cells(configs, collect_weights: bool = False) -> list:
 
     The data is built once. The cells train in consecutive stacks of at most
     _STACK_BUDGET_BYTES estimated working set, each through _train_stack.
-    Returns, per config and in order, its TrainResult or the lab error that
-    stopped it: a DomainError from its config or the data, or the
-    NumericError of a zero adam denominator, which stops only its own cell.
-    Any other exception propagates. A result's wall_time is the wall time of
-    its stack (the first stack's includes building the data).
+    Returns, per config and in order, its TrainResult or the DomainError
+    that stopped it, from its config or the data. Any other exception
+    propagates. A result's wall_time is the wall time of its stack (the
+    first stack's includes building the data).
     """
     start = time.perf_counter()
     cells = [_Cell(config) for config in configs]
@@ -652,7 +652,7 @@ def _train_cells(configs, collect_weights: bool = False) -> list:
     for cell in cells:
         try:
             cell.step_sizes = _step_sizes(cell.config)
-        except _LAB_ERRORS as exc:
+        except DomainError as exc:
             cell.outcome = exc
             continue
         if collect_weights:
@@ -666,7 +666,7 @@ def _train_cells(configs, collect_weights: bool = False) -> list:
         n = grid.labels.shape[0]
         if config.batch_size is not None and config.batch_size > n:
             raise DomainError(f"batch_size {config.batch_size} exceeds dataset size {n}")
-    except _LAB_ERRORS as exc:
+    except DomainError as exc:
         for cell in ready:
             cell.outcome = exc
         return [cell.outcome for cell in cells]
@@ -693,11 +693,9 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     seeded shuffle and step sizes. A snapshot computes the stack's features
     once, and each cell reads its slice. A cell whose batch loss is
     non-finite skips that step, logs a final diagnostic record and leaves
-    the stack with status "diverged". A cell whose adam denominator hits
-    zero in a step, as that step reports per cell, leaves with a NumericError
-    and no further record. Either way the Optimizer drops the cell with its
-    slices of the parameters and optimizer state, and the others go on; no
-    step is retried.
+    the stack with status "diverged", the only way a cell leaves before its
+    last epoch: the Optimizer drops it with its slices of the parameters and
+    optimizer state, and the others go on.
     """
     config = cells[0].config
     k, epochs, period = config.num_classes, config.epochs, config.metric_period
@@ -711,7 +709,6 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     opt = Optimizer([cell.config.optimizer for cell in cells], model.parameters())
     model.set_parameters(opt.params)
     shuffles = [np.random.default_rng([cell.config.seed, 1]) for cell in cells]
-    order = None
 
     def log(indices, epoch, snapshot=True):
         """For each cell i in indices, append a copy of its classifier (when
@@ -733,17 +730,6 @@ def _train_stack(grid: _Grid, cells: list) -> None:
                                    wall_time=0.0, model=model.cell(i), dataset=grid.dataset,
                                    weights=cell.weights)
 
-    def keep_only(keep):
-        """Drop the cells of the stack whose entry in the boolean array keep
-        is False, with their shuffles, batch orders and optimizer slices."""
-        nonlocal cells, shuffles, order
-        cells = [cell for cell, kept in zip(cells, keep) if kept]
-        shuffles = [rng for rng, kept in zip(shuffles, keep) if kept]
-        opt.keep(keep)
-        model.set_parameters(opt.params)
-        if order is not None:
-            order = order[keep]
-
     for cell in cells:
         cell.lr = lr_at(cell.config.optimizer, 0, epochs)
     log(range(len(cells)), 0)
@@ -761,17 +747,16 @@ def _train_stack(grid: _Grid, cells: list) -> None:
                 log(diverged, epoch + 1)
                 for i in diverged:
                     finish(i, "diverged")
+                cells = [cell for cell, kept in zip(cells, finite) if kept]
+                if not cells:
+                    return
+                shuffles = [rng for rng, kept in zip(shuffles, finite) if kept]
                 grads = [g[finite] for g in grads]
-                keep_only(finite)
-                if not cells:
-                    return
-            zero = opt.step(grads)
-            if zero is not None:
-                for i in np.flatnonzero(zero):
-                    cells[i].outcome = NumericError("adam denominator sqrt(v_hat) + eps hit zero")
-                keep_only(~zero)
-                if not cells:
-                    return
+                opt.keep(finite)
+                model.set_parameters(opt.params)
+                if not full_batch:
+                    order = order[finite]
+            opt.step(grads)
         log(range(len(cells)), epoch + 1, (epoch + 1) % period == 0 or epoch + 1 == epochs)
     for i, cell in enumerate(cells):
         finish(i, _status_from_records(cell.records, epochs, k))
@@ -859,10 +844,10 @@ def run_sweep(base_config: ExperimentConfig, spec: SweepSpec) -> SweepResult:
 
     The cells train together, stacked, through the loop run_training uses,
     and each cell's records equal run_training on its config bit for bit. A
-    cell that fails with a DomainError, NumericError or BudgetExceededError
-    becomes an ``error`` row and the sweep goes on; any other exception is a
-    bug and propagates. A diverged cell stops alone. Each result's wall_time
-    is the wall time of the stack the cell trained in.
+    cell refused with a DomainError, by its config or the data, becomes an
+    ``error`` row and the sweep goes on; any other exception is a bug and
+    propagates. A diverged cell stops alone. Each result's wall_time is the
+    wall time of the stack the cell trained in.
     """
     rows, configs = [], []
     for kind, lr, momentum, wd in product(spec.kinds, spec.lrs, spec.momenta, spec.wds):
@@ -870,7 +855,7 @@ def run_sweep(base_config: ExperimentConfig, spec: SweepSpec) -> SweepResult:
         rows.append({"kind": kind, "lr": lr, "momentum": momentum, "wd": wd, "seed": seed})
         try:
             configs.append(_cell_config(base_config, kind, lr, momentum, wd, seed))
-        except _LAB_ERRORS as exc:
+        except DomainError as exc:
             configs.append(exc)
     outcomes = iter(_train_cells([c for c in configs if isinstance(c, ExperimentConfig)]))
     results = []

@@ -14,7 +14,8 @@ The adam-family step covers plain adam (coupled), adam_w (decoupled) and the
 interpolated variant with both decay constants. With beta1 = beta2 = eps = 0
 it takes an explicit sign-limit path whose floating-point operations are
 identical to the sign-descent steps, so the reduction is exact at the bit
-level, not merely close.
+level, not merely close. eps = 0 is refused anywhere else, where the
+denominator sqrt(v_hat) + eps would be zero at every zero gradient entry.
 
 Every step also runs on a stack of cells: parameters with a leading cell
 axis, and each hyperparameter either a float or a (G, 1, 1) column of
@@ -23,9 +24,7 @@ Python-level branches. ``Optimizer`` owns a stack's parameters: it copies
 the stacked arrays into one G x 1 x P buffer, hands out views of it as
 ``params``, splits the cells into groups of consecutive cells that take the
 same branches, steps every group in one call, and drops cells with their
-state. An adam-family step whose denominator sqrt(v_hat) + eps hits zero
-does not raise: it reports the cells along the leading axis where it did,
-so the other cells of a stack keep their step.
+state.
 """
 
 from __future__ import annotations
@@ -135,6 +134,9 @@ def lr_at(config: "OptimizerConfig", epoch: int, total_epochs: int) -> float:
     return config.lr / schedule.decay_factor**passed
 
 
+_SIGN_LIMIT_ONLY = "eps = 0 is only valid in the momentum = beta2 = 0 sign limit"
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """One optimizer: its kind, the learning rate ``lr`` every schedule
@@ -159,21 +161,18 @@ class OptimizerConfig:
                 raise DomainError(f"{name} must lie in [0, 1)")
         if self.eps < 0 or self.coupled_wd < 0 or self.decoupled_wd < 0:
             raise DomainError("eps and weight decay constants must be >= 0")
-        if self.eps == 0.0 and self.beta2 != 0.0:
-            raise DomainError("eps = 0 is only valid in the beta2 = 0 sign limit")
+        if self.eps == 0.0 and (self.momentum != 0.0 or self.beta2 != 0.0):
+            raise DomainError(_SIGN_LIMIT_ONLY)
 
 
 @dataclass
 class OptimizerState:
     """Per-parameter buffers: momentum/first moment v, second moment, step
-    count. ``zero_denominator`` is set by an adam-family step whose
-    denominator hit zero: a boolean per entry of the leading axis (per cell
-    of a stack), True where it did; those entries took no valid step."""
+    count."""
 
     v: Optional[np.ndarray] = None
     second_moment: Optional[np.ndarray] = None
     t: int = 0
-    zero_denominator: Optional[np.ndarray] = None
 
     @classmethod
     def initial(cls, param: np.ndarray, needs_second_moment: bool = False) -> "OptimizerState":
@@ -263,16 +262,14 @@ def step_adam_family(param, grad, state, lr, beta1, beta2, eps, coupled_wd, deco
     param - lr * (m_hat / (sqrt(v_hat) + eps) + decoupled_wd * param).
     beta1 = beta2 = eps = 0 short-circuits to sign(g) (zero where g is zero),
     bypassing bias correction, which makes the reduction to the sign-descent
-    steps bit-exact. Where the denominator is zero (beta2 = eps = 0 off the
-    sign limit, at a zero gradient) it divides by one instead and marks the
-    leading-axis entries it did so for in the state's ``zero_denominator``.
+    steps bit-exact. eps = 0 with beta1 or beta2 nonzero is refused, so the
+    denominator is never zero.
     """
-    if _every_cell((eps == 0.0) & (beta2 != 0.0)):
-        raise DomainError("eps = 0 is only valid in the beta2 = 0 sign limit")
+    if np.any((eps == 0.0) & ((beta1 != 0.0) | (beta2 != 0.0))):
+        raise DomainError(_SIGN_LIMIT_ONLY)
     g = grad + coupled_wd * param if _every_cell(coupled_wd != 0.0) else grad
     t = state.t + 1
-    zero_denominator = None
-    if _every_cell((beta1 == 0.0) & (beta2 == 0.0) & (eps == 0.0)):
+    if _every_cell(eps == 0.0):
         ratio = np.sign(g)
         v = g
         second = g * g
@@ -281,17 +278,12 @@ def step_adam_family(param, grad, state, lr, beta1, beta2, eps, coupled_wd, deco
         second = beta2 * state.second_moment + (1.0 - beta2) * (g * g)
         m_hat = v / _bias_correction(beta1, t)
         v_hat = second / _bias_correction(beta2, t)
-        denom = np.sqrt(v_hat) + eps
-        zero = denom == 0.0
-        if zero.any():
-            zero_denominator = zero.any(axis=tuple(range(1, zero.ndim)))
-            denom = np.where(zero, 1.0, denom)
-        ratio = m_hat / denom
+        ratio = m_hat / (np.sqrt(v_hat) + eps)
     if _every_cell(decoupled_wd != 0.0):
         new_param = param - lr * (ratio + decoupled_wd * param)
     else:
         new_param = param - lr * ratio
-    return new_param, OptimizerState(v, second, t, zero_denominator)
+    return new_param, OptimizerState(v, second, t)
 
 
 # Each optimizer kind: the OptimizerConfig fields it reads besides lr and
@@ -335,8 +327,7 @@ def _branches(config: OptimizerConfig) -> tuple:
     """What selects the Python-level branches of a config's step function."""
     if "beta2" not in _STEPS[config.kind][0]:
         return (config.kind,)
-    sign_limit = config.momentum == 0.0 and config.beta2 == 0.0 and config.eps == 0.0
-    return (config.kind, sign_limit, config.coupled_wd != 0.0, config.decoupled_wd != 0.0)
+    return (config.kind, config.eps == 0.0, config.coupled_wd != 0.0, config.decoupled_wd != 0.0)
 
 
 @dataclass
@@ -403,20 +394,13 @@ class Optimizer:
         for g in self._groups:
             g.lr = _cell_column(self._lrs[g.cells])
 
-    def step(self, grads: Sequence[np.ndarray]):
+    def step(self, grads: Sequence[np.ndarray]) -> None:
         """One step of every group on ``grads``, aligned with ``params``,
-        written into the buffer. Returns None, or a boolean per cell that is
-        True where the adam denominator hit zero: those cells took no valid
-        step."""
+        written into the buffer."""
         grad = _flat(grads)
-        zero = None
         for g in self._groups:
             new, g.state = g.step(self._buffer[g.cells], grad[g.cells], g.state, g.lr, *g.hyper)
             self._buffer[g.cells] = new
-            if g.state.zero_denominator is not None:
-                zero = np.zeros(len(self._buffer), dtype=bool) if zero is None else zero
-                zero[g.cells] = g.state.zero_denominator
-        return zero
 
     def keep(self, kept: np.ndarray) -> None:
         """Drop the cells whose entry in the boolean array ``kept`` is False,

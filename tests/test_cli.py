@@ -166,6 +166,30 @@ def test_train_and_sweep_refuse_a_model_they_cannot_build(tmp_path, capsys, key,
     assert not (tmp_path / "a").exists()
 
 
+@pytest.mark.parametrize("kind, lines, message", [
+    ("mlp", "model.init_scale = 0\n",
+     "init_scale = 0 leaves the mlp network all zero, without gradient flow"),
+    ("ufm", "model.init_scale = 0.0\n",
+     "init_scale = 0 leaves the ufm network all zero, without gradient flow"),
+    ("ufm", "optimizer.kind = adam\noptimizer.momentum = 0.9\noptimizer.beta2 = 0\n"
+            "optimizer.eps = 0\n",
+     "eps = 0 is only valid in the momentum = beta2 = 0 sign limit"),
+    ("ufm", "optimizer.kind = adam_w\noptimizer.beta2 = 0.5\noptimizer.eps = 0\n",
+     "eps = 0 is only valid in the momentum = beta2 = 0 sign limit"),
+])
+def test_train_refuses_a_setting_that_cannot_train_before_writing_anything(
+        tmp_path, capsys, monkeypatch, kind, lines, message):
+    trained = []
+    monkeypatch.setattr(cli, "run_training", lambda *args, **kw: trained.append(args))
+    csv, summary = tmp_path / "run.csv", tmp_path / "run.json"
+    text = f"model.kind = {kind}\n{lines}output.csv = {csv}\noutput.summary = {summary}\n"
+    rc = main(["train", "--config", _write(tmp_path, "train.cfg", text)])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    assert trained == []
+    assert not csv.exists() and not summary.exists()
+
+
 def test_sweep_writes_outputs(tmp_path, capsys):
     outdir = tmp_path / "grid"
     cfg = _write(tmp_path, "sweep.cfg", SWEEP_CFG + f"sweep.outdir = {outdir}\n")
@@ -481,15 +505,19 @@ def test_metrics_explicit_class_count(tmp_path, capsys):
     assert set(json.loads(out)) == set(METRIC_KEYS)
 
 
-def test_metrics_bad_labels_file(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ("0\n1.5\n2\n3\n", "must contain one integer per line"),
+    ("\n  \n", "holds no labels"),
+])
+def test_metrics_bad_labels_file(tmp_path, capsys, text, message):
     w_path, h_path, _ = _write_metric_inputs(tmp_path)
     bad = tmp_path / "bad_labels.txt"
-    bad.write_text("0\n1.5\n2\n3\n")
+    bad.write_text(text)
     rc = main(["metrics", "--weights", w_path, "--features", h_path,
                "--labels", str(bad)])
-    _, err = capsys.readouterr()
-    assert rc == 1
-    assert "one integer per line" in err
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err == f"error: labels file {bad} {message}\n"
 
 
 def test_metrics_shape_mismatch(tmp_path, capsys):
