@@ -35,7 +35,7 @@ from .metrics import (
     nc0_metric,
     simplex_etf,
 )
-from .models import MLPModel, UFMModel, make_blob_dataset, make_nc_solution
+from .models import MLPModel, UFMModel, make_blob_dataset
 from .optim import LRSchedule, Optimizer, OptimizerConfig, OptimizerState
 from .oracles import (
     alpha_from_rowsum,
@@ -81,7 +81,6 @@ __all__ = [
     "MLPModel",
     "UFMModel",
     "make_blob_dataset",
-    "make_nc_solution",
     "LRSchedule",
     "Optimizer",
     "OptimizerConfig",

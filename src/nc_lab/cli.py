@@ -11,6 +11,9 @@ matrices, and ``regress`` fits one sweep metric against another.
 under the flag's name, and ``oracle --theorem N`` to ORACLE_ROWS[N]; a flag
 that the function's signature does not name is an error (exit 1) before
 anything trains or is written.
+
+The harness reads and writes the config, CSV and JSON formats, and the
+commands reach it only through its public names.
 """
 
 from __future__ import annotations
@@ -25,20 +28,18 @@ import numpy as np
 from . import oracles
 from .errors import DomainError
 from .harness import (
-    SweepSpec,
     THEOREM_CHECKS,
-    _cast_value,
-    _csv_text,
-    _jsonable,
-    _read_config_file,
-    _read_csv_rows,
-    _write_file,
-    config_from_mapping,
+    csv_text,
     format_metric_csv,
+    jsonable,
     load_config,
+    load_sweep,
+    parse_csv,
+    read_file,
     regress_rows,
     run_sweep,
     run_training,
+    write_file,
     write_sweep_outputs,
 )
 from .linalg import load_matrix
@@ -51,7 +52,7 @@ def _write_text(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        _write_file(out_path, text, "CSV")
+        write_file(out_path, text, "CSV")
 
 
 def cmd_train(args) -> int:
@@ -67,33 +68,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-# sweep.* key -> (target, caster), cast by _cast_value as the run-config keys
-# are. A target is a SweepSpec field, or outdir: the directory the sweep
-# writes to.
-_SWEEP_CASTS = {
-    "sweep.kinds": ("kinds", "str_tuple"),
-    "sweep.lrs": ("lrs", "float_tuple"),
-    "sweep.momenta": ("momenta", "float_tuple"),
-    "sweep.wds": ("wds", "float_tuple"),
-    "sweep.accuracy_threshold": ("accuracy_threshold", float),
-    "sweep.base_seed": ("base_seed", int),
-    "sweep.outdir": ("outdir", str),
-}
-
-
 def cmd_sweep(args) -> int:
-    mapping = _read_config_file(args.config)
-    kwargs = {}
-    for key, (name, caster) in _SWEEP_CASTS.items():
-        if key in mapping:
-            kwargs[name] = _cast_value(key, caster, mapping.pop(key))
-    outdir = kwargs.pop("outdir", "sweep_output")
-    if args.outdir is not None:
-        outdir = args.outdir
-    spec = SweepSpec(**kwargs)
-    sweep = run_sweep(config_from_mapping(mapping), spec)
-    paths = write_sweep_outputs(sweep, outdir)
-    n_ok = sum(1 for r in sweep.rows if r.get("status") == "ok")
+    """Load, run, write. Each error row's message goes to stderr, since the
+    summary CSV has no column for it."""
+    base, spec, outdir = load_sweep(args.config)
+    sweep = run_sweep(base, spec)
+    paths = write_sweep_outputs(sweep, outdir if args.outdir is None else args.outdir)
+    for r in sweep.rows:
+        if r["status"] == "error":
+            print(f"error row kind={r['kind']} lr={r['lr']!r} momentum={r['momentum']!r} "
+                  f"wd={r['wd']!r}: {r['error']}", file=sys.stderr)
+    n_ok = sum(1 for r in sweep.rows if r["status"] == "ok")
     print(f"{len(sweep.rows)} runs ({n_ok} ok) -> {paths[0]}", file=sys.stderr)
     sys.stdout.write(paths[0] + "\n")
     return 0
@@ -101,7 +86,7 @@ def cmd_sweep(args) -> int:
 
 # The trajectory of each ``oracle --theorem``, one row function per theorem:
 # its keyword parameters are the flags it takes. Theorem 2's k defaults to the
-# number of row sums in m0, and theorem 4's n to k.
+# number of row sums in m0.
 def _decoupled_power_law(alpha0=1.0, lr=0.05, wd=0.1, steps=300):
     return [(t, oracles.alpha_sgd_decoupled(t, alpha0, lr, wd)) for t in range(steps + 1)]
 
@@ -117,10 +102,11 @@ def _decoupled_sign_climb(k=10, lr=0.05, wd=0.1, steps=300):
     return [(t, oracles.alpha_signgd_decoupled(t, k, lr, wd)) for t in range(steps + 1)]
 
 
-def _coupled_sign_decay(k=10, n=None, lr=0.05, wd=0.1, shrink=0.5, tol=1e-6,
-                        max_steps=10**5):
+def _coupled_sign_decay(k=10, lr=0.05, wd=0.1, shrink=0.5, tol=1e-6, max_steps=10**5):
+    # The frame trains N = K columns: repeating columns leaves the mean
+    # gradient unchanged, so no run matches another N.
     return list(oracles.coupled_signgd_run_with_decay(
-        k, k if n is None else n, lr, wd, shrink=shrink, tol=tol, max_steps=max_steps).points)
+        k, k, lr, wd, shrink=shrink, tol=tol, max_steps=max_steps).points)
 
 
 def _memory_kernel_curve(alpha0=1.0, wd=0.1, momentum=0.9, tmax=50.0, points=101):
@@ -153,7 +139,7 @@ def _call_with_flags(fn, args, command: str):
 
 def cmd_oracle(args) -> int:
     rows = _call_with_flags(ORACLE_ROWS[args.theorem], args, f"oracle --theorem {args.theorem}")
-    _write_text(_csv_text([("t", "alpha_predicted")] + rows), args.out)
+    _write_text(csv_text([("t", "alpha_predicted")] + rows), args.out)
     return 0
 
 
@@ -161,7 +147,7 @@ def cmd_check(args) -> int:
     result = _call_with_flags(THEOREM_CHECKS[args.theorem], args,
                               f"check-theorem {args.theorem}")
     header = ("t", "alpha_sim", "alpha_pred", "abs_err", "rel_err")
-    _write_text(_csv_text([header] + result.rows), args.out)
+    _write_text(csv_text([header] + result.rows), args.out)
     detail = " ".join(f"{k}={v}" for k, v in sorted(result.details.items())
                       if not isinstance(v, (list, dict)))
     print(f"{result.name}: {'PASS' if result.passed else 'FAIL'} {detail}", file=sys.stderr)
@@ -170,11 +156,7 @@ def cmd_check(args) -> int:
 
 def _load_labels(path) -> np.ndarray:
     """Labels file: one integer per line, blank lines ignored, at least one."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh]
-    except OSError as exc:
-        raise OSError(f"cannot read labels from {path}: {exc}") from exc
+    lines = [ln.strip() for ln in read_file(path, "labels").splitlines()]
     try:
         labels = np.array([int(ln) for ln in lines if ln], dtype=np.int64)
     except ValueError as exc:
@@ -191,7 +173,7 @@ def cmd_metrics(args) -> int:
     k = args.num_classes if args.num_classes is not None else int(labels.max()) + 1
     data = LabeledFeatures(feats, labels, k)
     bundle = all_metrics(w, data)
-    payload = {key: _jsonable(bundle[key]) for key in METRIC_KEYS}
+    payload = {key: jsonable(bundle[key]) for key in METRIC_KEYS}
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
@@ -200,17 +182,12 @@ def cmd_metrics(args) -> int:
 def cmd_regress(args) -> int:
     """OLS of one column on another: a sweep summary is filtered to ok runs
     at or above the accuracy threshold, a plain two-column file is not."""
-    try:
-        with open(args.csv, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise OSError(f"cannot read {args.csv}: {exc}") from exc
-    header, rows = _read_csv_rows(text)
+    header, rows = parse_csv(read_file(args.csv, "CSV"))
     for name in (args.x, args.y):
         if name not in header:
             raise ValueError(f"column {name!r} not found in {args.csv}")
     fit = regress_rows(rows, args.x, args.y, args.accuracy_threshold)
-    json.dump({k: _jsonable(v) for k, v in fit.to_dict().items()}, sys.stdout,
+    json.dump({k: jsonable(v) for k, v in fit.to_dict().items()}, sys.stdout,
               indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
@@ -240,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--theorem", required=True, choices=tuple(ORACLE_ROWS))
     for flag in ("--alpha0", "--lr", "--wd", "--momentum", "--shrink", "--tol", "--tmax"):
         p_oracle.add_argument(flag, type=float)
-    for flag in ("--steps", "--k", "--n", "--max-steps", "--points"):
+    for flag in ("--steps", "--k", "--max-steps", "--points"):
         p_oracle.add_argument(flag, type=int)
     p_oracle.add_argument("--m0", help="comma-separated initial row sums")
     p_oracle.add_argument("--out", default=None, help="write CSV here instead of stdout")

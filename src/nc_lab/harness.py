@@ -9,6 +9,11 @@ stacked on a leading cell axis, and aggregate final records into summary and
 pivot tables. The
 check_* functions train a model and compare the measured classifier row-sum
 trajectory against the matching closed form from the oracles module.
+
+The config, CSV and JSON formats each have one reader and writer here: run
+configs (load_config) and sweep configs (load_sweep) through read_file,
+headered CSVs (parse_csv, csv_text), JSON values (jsonable) and written files
+(write_file). The CLI calls these public names only.
 """
 
 from __future__ import annotations
@@ -64,10 +69,15 @@ __all__ = [
     "parse_config_text",
     "config_from_mapping",
     "config_to_mapping",
+    "read_file",
     "load_config",
+    "load_sweep",
     "MetricRecord",
+    "csv_text",
+    "write_file",
     "format_metric_csv",
-    "parse_metric_csv",
+    "parse_csv",
+    "jsonable",
     "emit_csv",
     "emit_summary_json",
     "TrainResult",
@@ -76,7 +86,6 @@ __all__ = [
     "SweepResult",
     "run_sweep",
     "sweep_summary_csv",
-    "parse_sweep_summary_csv",
     "pivot_csv",
     "write_sweep_outputs",
     "regress_rows",
@@ -188,6 +197,19 @@ _CONFIG_CASTS: dict = {
     "train.metric_period": ("metric_period", int),
     "output.csv": ("output_csv", str),
     "output.summary": ("output_summary", str),
+}
+
+# sweep.* key -> (target, caster) of a sweep config file, cast as the
+# run-config keys are. A target is a SweepSpec field, or outdir: the
+# directory the sweep writes to.
+_SWEEP_CASTS = {
+    "sweep.kinds": ("kinds", "str_tuple"),
+    "sweep.lrs": ("lrs", "float_tuple"),
+    "sweep.momenta": ("momenta", "float_tuple"),
+    "sweep.wds": ("wds", "float_tuple"),
+    "sweep.accuracy_threshold": ("accuracy_threshold", float),
+    "sweep.base_seed": ("base_seed", int),
+    "sweep.outdir": ("outdir", str),
 }
 
 
@@ -306,18 +328,29 @@ def config_to_mapping(config: ExperimentConfig) -> dict:
     return out
 
 
-def _read_config_file(path) -> dict:
-    """The key = value mapping of a config file."""
+def read_file(path, what: str) -> str:
+    """The text of a file; an OSError names the file and what it holds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise OSError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text)
+        raise OSError(f"cannot read {what} from {path}: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
-    return config_from_mapping(_read_config_file(path))
+    return config_from_mapping(parse_config_text(read_file(path, "config")))
+
+
+def load_sweep(path) -> tuple:
+    """(base config, SweepSpec, outdir) of a sweep config file: its sweep.*
+    keys give the spec and outdir (default sweep_output), the others the
+    base config."""
+    mapping = parse_config_text(read_file(path, "sweep config"))
+    kwargs = {name: _cast_value(key, caster, mapping.pop(key))
+              for key, (name, caster) in _SWEEP_CASTS.items() if key in mapping}
+    outdir = kwargs.pop("outdir", "sweep_output")
+    spec = SweepSpec(**kwargs)
+    return config_from_mapping(mapping), spec, outdir
 
 
 @dataclass
@@ -352,13 +385,13 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _csv_text(rows) -> str:
+def csv_text(rows) -> str:
     """CSV text, one line per row and each cell written by _format_cell; the
     first row is the header."""
     return "\n".join(",".join(_format_cell(v) for v in row) for row in rows) + "\n"
 
 
-def _write_file(path, text: str, what: str) -> None:
+def write_file(path, text: str, what: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -367,7 +400,7 @@ def _write_file(path, text: str, what: str) -> None:
 
 
 def format_metric_csv(records) -> str:
-    return _csv_text([CSV_COLUMNS] + [rec.to_row() for rec in records])
+    return csv_text([CSV_COLUMNS] + [rec.to_row() for rec in records])
 
 
 def _read_cell(column: str, cell: str):
@@ -381,10 +414,11 @@ def _read_cell(column: str, cell: str):
         raise DomainError(f"CSV column {column}: cannot parse {cell!r}") from exc
 
 
-def _read_csv_rows(text: str) -> tuple:
-    """The header of a headered CSV and its rows as dicts by column: kind and
-    status as text, an empty cell as None, seed and epoch as ints and every
-    other cell as a float."""
+def parse_csv(text: str) -> tuple:
+    """The header of a headered CSV (a metric CSV, a sweep summary or any
+    file of numeric columns) and its rows as dicts by column: kind and status
+    as text, an empty cell as None, seed and epoch as ints and every other
+    cell as a float. The caller checks the header."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split(",") if lines else []
     rows = []
@@ -396,19 +430,11 @@ def _read_csv_rows(text: str) -> tuple:
     return header, rows
 
 
-def parse_metric_csv(text: str):
-    """Inverse of format_metric_csv; empty fields come back as None."""
-    header, rows = _read_csv_rows(text)
-    if header != list(CSV_COLUMNS):
-        raise DomainError("metric CSV header does not match the expected columns")
-    return [MetricRecord(values={k: row.pop(k) for k in METRIC_KEYS}, **row) for row in rows]
-
-
 def emit_csv(records, path) -> None:
-    _write_file(path, format_metric_csv(records), "CSV")
+    write_file(path, format_metric_csv(records), "CSV")
 
 
-def _jsonable(value):
+def jsonable(value):
     if value is None or isinstance(value, (str, bool, int)):
         return value
     v = float(value)
@@ -421,16 +447,16 @@ def emit_summary_json(result: "TrainResult", path) -> None:
     rec = result.records[-1] if result.records else None
     final = None
     if rec is not None:
-        final = {name: _jsonable(v) for name, v in zip(CSV_COLUMNS, rec.to_row())}
+        final = {name: jsonable(v) for name, v in zip(CSV_COLUMNS, rec.to_row())}
     payload = {
-        "config": {k: _jsonable(v) if not isinstance(v, str) else v
+        "config": {k: jsonable(v) if not isinstance(v, str) else v
                    for k, v in config_to_mapping(result.config).items()},
         "status": result.status,
         "wall_time_s": result.wall_time,
         "num_records": len(result.records),
         "final": final,
     }
-    _write_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n", "summary")
+    write_file(path, json.dumps(payload, indent=2, sort_keys=True) + "\n", "summary")
 
 
 @dataclass
@@ -792,7 +818,8 @@ def run_training(config: ExperimentConfig, collect_weights: bool = False) -> Tra
 class SweepSpec:
     """Grids for the optimizer axes of a sweep. Each axis is non-empty and
     holds no value twice (by ==, so 0.0 and -0.0 are one value): a repeat
-    would train identical cells."""
+    would train identical cells. Every grid number is finite, and the
+    accuracy threshold lies in [0, 1]: at nan no run would qualify."""
 
     kinds: tuple = ("sgd_coupled",)
     lrs: tuple = (0.1,)
@@ -802,6 +829,8 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self):
+        _refuse_non_finite(self, ("lrs", "momenta", "wds"))
+        _refuse_threshold(self.accuracy_threshold)
         for name in ("kinds", "lrs", "momenta", "wds"):
             values = getattr(self, name)
             if len(values) == 0:
@@ -880,8 +909,14 @@ _SWEEP_COLUMNS = ("kind", "lr", "momentum", "wd", "seed", "status") + _RECORD_CO
 
 
 def sweep_summary_csv(sweep: SweepResult) -> str:
-    return _csv_text([_SWEEP_COLUMNS] + [[row.get(col) for col in _SWEEP_COLUMNS]
+    return csv_text([_SWEEP_COLUMNS] + [[row.get(col) for col in _SWEEP_COLUMNS]
                                          for row in sweep.rows])
+
+
+def _refuse_threshold(threshold: float) -> None:
+    """An accuracy threshold lies in [0, 1]; at nan no row would qualify."""
+    if not 0.0 <= threshold <= 1.0:
+        raise DomainError(f"accuracy_threshold must lie in [0, 1], got {threshold!r}")
 
 
 def _qualifies(row: dict, threshold: float) -> bool:
@@ -912,35 +947,28 @@ def pivot_csv(sweep: SweepResult, kind: str, lr: float, metric: str) -> str:
             qualified = row is not None and _qualifies(row, sweep.spec.accuracy_threshold)
             cells.append(row.get(metric) if qualified else None)
         rows.append(cells)
-    return _csv_text(rows)
+    return csv_text(rows)
 
 
 def write_sweep_outputs(sweep: SweepResult, outdir, metrics=("nc0", "nc2", "nc3")) -> list:
     """summary.csv plus one pivot file per (kind, lr, metric); returns paths."""
     os.makedirs(outdir, exist_ok=True)
     summary_path = os.path.join(outdir, "summary.csv")
-    _write_file(summary_path, sweep_summary_csv(sweep), "sweep summary")
+    write_file(summary_path, sweep_summary_csv(sweep), "sweep summary")
     paths = [summary_path]
     for kind in sweep.spec.kinds:
         for lr in sweep.spec.lrs:
             for metric in metrics:
                 path = os.path.join(outdir, f"pivot_{metric}_{kind}_lr{lr!r}.csv")
-                _write_file(path, pivot_csv(sweep, kind, lr, metric), "sweep pivot")
+                write_file(path, pivot_csv(sweep, kind, lr, metric), "sweep pivot")
                 paths.append(path)
     return paths
-
-
-def parse_sweep_summary_csv(text: str):
-    """Rows of a sweep summary back as dicts (numeric fields floated)."""
-    header, rows = _read_csv_rows(text)
-    if header != list(_SWEEP_COLUMNS):
-        raise DomainError("sweep summary header does not match the expected columns")
-    return rows
 
 
 def regress_rows(rows, x_metric: str = "nc0", y_metric: str = "nc3",
                  accuracy_threshold: float = 0.99) -> RegressionFit:
     """OLS of one final metric on another across accuracy-qualified rows."""
+    _refuse_threshold(accuracy_threshold)
     xs, ys = [], []
     for row in rows:
         if not _qualifies(row, accuracy_threshold):

@@ -1,5 +1,6 @@
-"""The few linear-algebra ops the lab needs on float64 ndarrays, and a
-plain-text matrix interchange format.
+"""The few linear-algebra ops the lab needs on float64 ndarrays, and the
+reader of the plain-text matrix files that ``nc-lab metrics`` takes: a
+'rows cols' line, then one line of values per row.
 
 Every function takes a 2-D ndarray or nested lists and coerces.
 """
@@ -14,9 +15,7 @@ __all__ = [
     "as_array",
     "singular_values",
     "pseudo_inverse",
-    "format_matrix",
     "parse_matrix",
-    "save_matrix",
     "load_matrix",
 ]
 
@@ -59,21 +58,9 @@ def pseudo_inverse(a, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> np.ndar
     return (vt.T * inv) @ u.T
 
 
-def format_matrix(m) -> str:
-    """Serialize to the plain-text format: 'rows cols' then one line per row.
-
-    Values are written with shortest round-trip decimal representation, so
-    parse(format(m)) reproduces every float64 bit pattern.
-    """
-    a = as_array(m)
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def parse_matrix(text: str) -> np.ndarray:
-    """Parse the plain-text matrix format produced by :func:`format_matrix`.
+    """Parse the plain-text matrix format: 'rows cols', then one line of
+    whitespace-separated values per row.
 
     Every value must be finite: the file is outside input.
     """
@@ -103,11 +90,6 @@ def parse_matrix(text: str) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise NumericError("matrix elements must be finite")
     return data
-
-
-def save_matrix(m, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_matrix(m))
 
 
 def load_matrix(path) -> np.ndarray:

@@ -43,7 +43,6 @@ __all__ = [
     "MLPModel",
     "SyntheticDataset",
     "make_blob_dataset",
-    "make_nc_solution",
 ]
 
 
@@ -319,27 +318,3 @@ def make_blob_dataset(num_classes: int, dim: int, per_class: int, margin: float 
     noise = rng.standard_normal((dim, labels.shape[0]))
     features = np.take(centers, labels, axis=1) + noise_std * noise
     return SyntheticDataset(features, labels, num_classes, seed)
-
-
-def make_nc_solution(num_classes: int, feature_dim: int, scale_w: float = 1.0,
-                     scale_h: float = 1.0, isometry_seed: int = 0):
-    """A collapsed configuration: (W, H, labels) with H columns on an
-    isometrically embedded simplex frame and W proportional to H^T.
-
-    Requires feature_dim >= num_classes. Any positive scales leave the
-    collapse metrics at zero and classifier/nearest-mean agreement at one.
-    """
-    k, p = int(num_classes), int(feature_dim)
-    if p < k:
-        raise DomainError(f"feature_dim must be >= num_classes, got {p} < {k}")
-    if scale_w <= 0 or scale_h <= 0:
-        raise DomainError("scales must be positive")
-    rng = np.random.default_rng(isometry_seed)
-    g = rng.standard_normal((p, k))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
-    base = q @ simplex_etf(k)                # p x k, isometric frame copy
-    w = scale_w * base.T
-    h = scale_h * base
-    labels = np.arange(k)
-    return w, h, labels

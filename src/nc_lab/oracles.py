@@ -46,7 +46,6 @@ __all__ = [
     "coupled_signgd_steps",
     "OracleTrajectory",
     "coupled_signgd_run_with_decay",
-    "alpha_increment_decomposition",
     "ode_alpha_closed_form",
     "ode_bound_constant",
     "ode_alpha_bound",
@@ -340,35 +339,6 @@ def coupled_signgd_run_with_decay(num_classes: int, num_samples: int, lr0: float
         f"no termination within {max_steps} steps (alpha={points[-1][1]:.3e}, peak={peak:.3e})",
         trajectory=points,
     )
-
-
-def alpha_increment_decomposition(w, v, grad, lr: float, momentum: float, wd: float):
-    """Exact per-step decomposition of the alpha increment under coupled SGD.
-
-    With V1 = momentum*V + grad + wd*W and W1 = W - lr*V1:
-        (alpha(W1) - alpha(W)) / lr
-          = -2*momentum*omega - 2*gamma - 2*wd*alpha + lr*nu,
-    where omega, gamma, alpha, nu are the J-hat inner products <V W^T>,
-    <G W^T>, <W W^T>, <V1 V1^T> and J-hat = (1/K) 1 1^T. Returns (lhs, rhs).
-    """
-    w = np.asarray(w, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    k = w.shape[0]
-
-    def j_inner(x, y):
-        # <X Y^T, J-hat> = (1^T X) . (1^T Y) / K
-        return float(x.sum(axis=0) @ y.sum(axis=0)) / k
-
-    alpha = j_inner(w, w)
-    omega = j_inner(v, w)
-    gamma = j_inner(grad, w)
-    v1 = momentum * v + grad + wd * w
-    w1 = w - lr * v1
-    nu = j_inner(v1, v1)
-    lhs = (j_inner(w1, w1) - alpha) / lr
-    rhs = -2.0 * momentum * omega - 2.0 * gamma - 2.0 * wd * alpha + lr * nu
-    return lhs, rhs
 
 
 # --- momentum convolution ODE ---

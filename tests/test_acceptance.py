@@ -40,7 +40,6 @@ from nc_lab.metrics import _angle_deviation
 from nc_lab.models import (
     ce_loss_and_grad,
     make_blob_dataset,
-    make_nc_solution,
     one_hot,
 )
 from nc_lab.optim import (
@@ -51,6 +50,7 @@ from nc_lab.optim import (
     step_signgd_decoupled,
 )
 from nc_lab.stats import ols_fit
+from helpers import alpha_increment_decomposition, make_nc_solution
 
 
 def _verdict(num, label, ok, detail=""):
@@ -186,7 +186,7 @@ def test_criterion_06_alpha_increment_identity():
         lr = float(rng.uniform(0.01, 0.3))
         beta = float(rng.uniform(0.0, 0.99))
         wd = float(rng.uniform(0.0, 1.0))
-        lhs, rhs = oracles.alpha_increment_decomposition(w, v, g, lr, beta, wd)
+        lhs, rhs = alpha_increment_decomposition(w, v, g, lr, beta, wd)
         worst = max(worst, abs(lhs - rhs))
     ok = worst < 1e-10
     assert _verdict(6, "alpha increment identity", ok, f"max {worst:.2e}")

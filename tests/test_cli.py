@@ -9,10 +9,17 @@ import pytest
 
 from nc_lab import cli, oracles
 from nc_lab.cli import ORACLE_ROWS, build_parser, main
-from nc_lab.harness import CSV_HEADER, THEOREM_CHECKS, CheckResult, config_to_mapping, run_sweep
-from nc_lab.linalg import save_matrix
+from nc_lab.harness import (
+    CSV_HEADER,
+    THEOREM_CHECKS,
+    CheckResult,
+    config_to_mapping,
+    load_sweep,
+    run_sweep,
+    sweep_summary_csv,
+)
 from nc_lab.metrics import METRIC_KEYS
-from nc_lab.models import make_nc_solution
+from helpers import format_matrix, make_nc_solution
 
 TRAIN_CFG = """
 model.kind = ufm_fixed_features
@@ -213,18 +220,43 @@ def test_sweep_outdir_flag_overrides(tmp_path, capsys):
     assert not (tmp_path / "a").exists()
 
 
-@pytest.mark.parametrize("key, value", [("sweep.lrs", "0.1,abc"), ("sweep.momenta", "x"),
-                                        ("sweep.base_seed", "1.5"),
-                                        ("sweep.accuracy_threshold", "high")])
-def test_sweep_names_the_key_of_a_bad_value(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key, value, message", [
+    ("sweep.lrs", "0.1,abc", None), ("sweep.momenta", "x", None),
+    ("sweep.base_seed", "1.5", None), ("sweep.accuracy_threshold", "high", None),
+    ("sweep.accuracy_threshold", "nan", "accuracy_threshold must lie in [0, 1], got nan"),
+    ("sweep.accuracy_threshold", "1.5", "accuracy_threshold must lie in [0, 1], got 1.5"),
+    ("sweep.lrs", "0.1,nan", "lrs must be finite, got (0.1, nan)"),
+    ("sweep.momenta", "-inf", "momenta must be finite, got (-inf,)"),
+    ("sweep.wds", "0.01,inf", "wds must be finite, got (0.01, inf)"),
+])
+def test_sweep_names_the_key_of_a_bad_value(tmp_path, capsys, key, value, message):
+    """A value that does not parse names its key; one that parses but
+    cannot grid (non-finite, or a threshold off [0, 1]) names its field."""
     text = "".join(ln + "\n" for ln in SWEEP_CFG.splitlines() if not ln.startswith(key))
     cfg = _write(tmp_path, "sweep.cfg", text + f"{key} = {value}\nsweep.outdir = {tmp_path / 'a'}\n")
     rc = main(["sweep", "--config", cfg])
     out, err = capsys.readouterr()
     assert rc == 1
     assert out == ""
-    assert err == f"error: config key {key}: cannot parse {value!r}\n"
+    assert err == f"error: {message or f'config key {key}: cannot parse {value!r}'}\n"
     assert not (tmp_path / "a").exists()
+
+
+def test_sweep_prints_each_error_row_with_its_message(tmp_path, capsys):
+    """The summary has no column for a cell's error, so its message goes to
+    stderr; summary.csv is the harness's own bytes."""
+    outdir = tmp_path / "grid"
+    text = SWEEP_CFG.replace("sweep.lrs = 0.05", "sweep.lrs = 0.05,-1")
+    cfg = _write(tmp_path, "sweep.cfg", text + f"sweep.outdir = {outdir}\n")
+    rc = main(["sweep", "--config", cfg])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert out == f"{outdir / 'summary.csv'}\n"
+    assert err.splitlines() == [
+        f"error row kind=sgd_coupled lr=-1.0 momentum={m} wd=0.01: DomainError: lr must be positive"
+        for m in ("0.0", "0.9")] + [f"4 runs (2 ok) -> {outdir / 'summary.csv'}"]
+    base, spec, _ = load_sweep(cfg)
+    assert (outdir / "summary.csv").read_text() == sweep_summary_csv(run_sweep(base, spec))
 
 
 def test_sweep_refuses_a_repeated_grid_value(tmp_path, capsys):
@@ -308,8 +340,7 @@ def test_oracle_sign_plateau(capsys):
 
 
 def test_oracle_oscillation_trajectory(capsys):
-    rc = main(["oracle", "--theorem", "4", "--k", "4", "--n", "4",
-               "--lr", "0.05", "--wd", "0.5"])
+    rc = main(["oracle", "--theorem", "4", "--k", "4", "--lr", "0.05", "--wd", "0.5"])
     out, _ = capsys.readouterr()
     assert rc == 0
     lines = out.splitlines()
@@ -475,8 +506,8 @@ def _write_metric_inputs(tmp_path, k=4, p=6):
     w, h, labels = make_nc_solution(k, p, scale_w=1.5, scale_h=0.7, isometry_seed=3)
     w_path = tmp_path / "w.txt"
     h_path = tmp_path / "h.txt"
-    save_matrix(w, w_path)
-    save_matrix(h, h_path)
+    w_path.write_text(format_matrix(w))
+    h_path.write_text(format_matrix(h))
     labels_path = tmp_path / "labels.txt"
     labels_path.write_text("".join(f"{int(v)}\n" for v in labels))
     return str(w_path), str(h_path), str(labels_path)
@@ -598,6 +629,18 @@ def test_regress_needs_three_rows(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert rc == 1
     assert "3 qualifying" in err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-0.5", "1.5"])
+def test_regress_refuses_a_threshold_off_0_1(tmp_path, capsys, threshold):
+    """At nan every row would fail the filter, and the error would blame
+    the rows."""
+    rows = "".join(f"sgd_coupled,ok,1.0,{x!r},{2 * x!r}\n" for x in (0.1, 0.2, 0.3))
+    path = _write(tmp_path, "summary.csv", "kind,status,train_acc,nc0,nc3\n" + rows)
+    rc = main(["regress", "--csv", path, "--accuracy-threshold", threshold])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err == f"error: accuracy_threshold must lie in [0, 1], got {float(threshold)!r}\n"
 
 
 def test_regress_unknown_column(tmp_path, capsys):

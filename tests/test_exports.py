@@ -1,7 +1,11 @@
 """Every name a module exports resolves, so ``from nc_lab.<module> import *``
-cannot break on a stale ``__all__`` entry."""
+cannot break on a stale ``__all__`` entry; the CLI reaches the other modules
+only through their public names; and the package exports only what a
+command, a check or the benchmark reaches."""
 
+import ast
 import importlib
+import os
 import pkgutil
 
 import pytest
@@ -9,6 +13,24 @@ import pytest
 import nc_lab
 
 MODULES = ["nc_lab"] + [f"nc_lab.{m.name}" for m in pkgutil.iter_modules(nc_lab.__path__)]
+SRC = os.path.dirname(nc_lab.__file__)
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(SRC)), "perfbench")
+
+# Exported names that nothing in the package or the benchmark reaches yet,
+# each with the reason it stays.
+UNREACHED_ON_PURPOSE = {
+    "ode_alpha_bound": "the envelope of the momentum check that ROADMAP item 9 adds",
+}
+
+
+def _tree(path) -> ast.Module:
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _sources(directory) -> dict:
+    return {name: _tree(os.path.join(directory, name))
+            for name in sorted(os.listdir(directory)) if name.endswith(".py")}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -16,3 +38,41 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", ())
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_cli_imports_no_private_name():
+    tree = _tree(os.path.join(SRC, "cli.py"))
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or node.module.startswith("nc_lab"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def _used_names(node) -> set:
+    """The identifiers a piece of code reads, as names or attributes."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_exported_function_is_reached_outside_its_definition():
+    """A function or class in a module's ``__all__`` is read by the code of
+    the package (outside its own definition and the re-exports of
+    ``__init__``) or named by the benchmark, which traces some targets by
+    their dotted name. Exported constants (column and kind lists) are
+    formats, and are not checked."""
+    reached, exported = set(), []
+    for filename, tree in _sources(SRC).items():
+        if filename == "__init__.py":
+            continue
+        public = getattr(importlib.import_module("nc_lab." + filename[:-3]), "__all__", ())
+        for node in tree.body:
+            defined = getattr(node, "name", None)
+            reached |= _used_names(node) - {defined}
+            if defined in public:
+                exported.append(defined)
+    for tree in _sources(PERFBENCH).values():
+        reached |= _used_names(tree)
+        reached |= {part for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                    and isinstance(n.value, str) for part in n.value.split(".")}
+    unreached = sorted(name for name in exported if name not in reached)
+    assert unreached == sorted(UNREACHED_ON_PURPOSE)

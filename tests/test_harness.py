@@ -26,9 +26,9 @@ from nc_lab.harness import (
     emit_summary_json,
     format_metric_csv,
     load_config,
+    load_sweep,
     parse_config_text,
-    parse_metric_csv,
-    parse_sweep_summary_csv,
+    parse_csv,
     pivot_csv,
     regress_rows,
     regress_runs,
@@ -40,6 +40,7 @@ from nc_lab.harness import (
 from nc_lab.metrics import METRIC_KEYS, simplex_etf
 from nc_lab.models import MLPModel
 from nc_lab.optim import LRSchedule, OptimizerConfig
+from helpers import metric_records
 
 
 def _ufm_sign_config(kind, lr, wd, steps, schedule="constant", shrink=0.5, k=4,
@@ -351,19 +352,39 @@ def test_a_gaussian_frame_classifier_may_start_at_scale_zero():
     assert result.status == "ok" and result.records[-1].train_acc == 1.0
 
 
-def test_sweep_refuses_a_base_with_a_zero_hidden_width_and_names_non_finite_cells():
-    """A zero width stops the base config before any cell trains; a
-    non-finite grid value becomes its cell's error row, naming the field."""
+def test_sweep_refuses_a_base_with_a_zero_hidden_width():
+    """A zero width stops the base config before any cell trains."""
     with pytest.raises(DomainError, match="hidden_sizes"):
         run_sweep(_mlp_config(hidden_sizes=(0,)), SweepSpec())
-    spec = SweepSpec(kinds=("sgd_coupled",), lrs=(0.05, math.inf), momenta=(0.0,),
-                     wds=(0.01, math.nan))
-    sweep = run_sweep(_mlp_config(epochs=2), spec)
-    errors = {(row["lr"], repr(row["wd"])): row.get("error") for row in sweep.rows}
-    assert errors == {(0.05, "0.01"): None,
-                      (0.05, "nan"): "DomainError: coupled_wd must be finite, got nan",
-                      (math.inf, "0.01"): "DomainError: lr must be finite, got inf",
-                      (math.inf, "nan"): "DomainError: lr must be finite, got inf"}
+
+
+def test_sweep_spec_refuses_a_non_finite_grid_value_or_a_threshold_off_0_1():
+    """A non-finite grid value would train only error cells, and at a nan
+    threshold no row would qualify: every pivot cell would be blank and
+    regress_runs would find no runs. The CLI tests cover the other axes."""
+    with pytest.raises(DomainError, match=r"^lrs must be finite, got \(0.05, inf\)$"):
+        SweepSpec(lrs=(0.05, math.inf))
+    with pytest.raises(DomainError, match=r"^wds must be finite, got \(0.01, nan\)$"):
+        SweepSpec(wds=(0.01, math.nan))
+    with pytest.raises(DomainError, match=r"^accuracy_threshold must lie in \[0, 1\], got -0.1$"):
+        SweepSpec(accuracy_threshold=-0.1)
+    for edge in (0.0, 1.0):
+        assert SweepSpec(accuracy_threshold=edge).accuracy_threshold == edge
+
+
+def test_load_sweep_splits_a_sweep_file_into_base_spec_and_outdir(tmp_path):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("model.kind = mlp\noptimizer.lr = 0.05\nsweep.kinds = sgd_coupled, adam\n"
+                    "sweep.lrs = 0.1,0.2\nsweep.accuracy_threshold = 0.5\nsweep.base_seed = 3\n")
+    base, spec, outdir = load_sweep(path)
+    assert base == config_from_mapping({"model.kind": "mlp", "optimizer.lr": "0.05"})
+    assert spec == SweepSpec(kinds=("sgd_coupled", "adam"), lrs=(0.1, 0.2),
+                             accuracy_threshold=0.5, base_seed=3)
+    assert outdir == "sweep_output"
+    path.write_text("sweep.outdir = elsewhere\n")
+    assert load_sweep(path) == (ExperimentConfig(), SweepSpec(), "elsewhere")
+    with pytest.raises(OSError, match="cannot read sweep config from .*missing.cfg"):
+        load_sweep(tmp_path / "missing.cfg")
 
 
 def test_load_config_path_error(tmp_path):
@@ -380,7 +401,7 @@ def test_metric_csv_round_trip_and_empty():
                        train_acc=0.99, values=values,
                        sigma_min_w=1e-17, sigma_avg_w=2.5, sigma_min_m=None, sigma_avg_m=0.5)
     text = format_metric_csv([rec])
-    back = parse_metric_csv(text)
+    back = metric_records(text)
     assert len(back) == 1
     got = back[0]
     assert got.epoch == 3
@@ -393,10 +414,10 @@ def test_metric_csv_round_trip_and_empty():
     assert got.sigma_min_m is None
     row = text.splitlines()[1]
     assert ",," in row  # empty cells, not zeros
+    # the reader hands any header back for its caller to check
+    assert parse_csv("epoch,lr\n1,0.1\n") == (["epoch", "lr"], [{"epoch": 1, "lr": 0.1}])
     with pytest.raises(DomainError):
-        parse_metric_csv("epoch,lr\n1,0.1\n")
-    with pytest.raises(DomainError):
-        parse_metric_csv(CSV_HEADER + "\n1,0.1\n")
+        parse_csv(CSV_HEADER + "\n1,0.1\n")
 
 
 def test_run_training_deterministic_csv(tmp_path):
@@ -425,7 +446,7 @@ def test_run_training_records_and_summary(tmp_path):
     assert summary["config"]["model.kind"] == "mlp"
     assert summary["final"]["epoch"] == 40
     assert summary["wall_time_s"] >= 0.0
-    parsed = parse_metric_csv(csv_path.read_text())
+    parsed = metric_records(csv_path.read_text())
     assert [r.epoch for r in parsed] == epochs
 
 
@@ -470,7 +491,7 @@ def test_degenerate_metrics_serialize_as_empty(tmp_path):
     text = (tmp_path / "degen.csv").read_text()
     first_row = text.splitlines()[1]
     assert ",," in first_row
-    parsed = parse_metric_csv(text)
+    parsed = metric_records(text)
     assert parsed[0].values["nc0_normalized"] is None
 
 
@@ -692,7 +713,10 @@ def test_sweep_spec_refuses_a_repeated_grid_value(axis, values, repeated):
 
 def test_sweep_surfaces_programming_errors():
     base = _mlp_config(epochs=5)
-    spec = SweepSpec(kinds=("sgd_coupled",), lrs=("0.1",), momenta=(0.0,), wds=(0.01,))
+    with pytest.raises(TypeError):
+        SweepSpec(lrs=("0.1",))
+    spec = SweepSpec(kinds=("sgd_coupled",), lrs=(0.1,), momenta=(0.0,), wds=(0.01,))
+    spec.lrs = ("0.1",)   # past the spec's own checks
     with pytest.raises(TypeError):
         run_sweep(base, spec)
 
@@ -804,7 +828,8 @@ def test_sweep_outputs_and_round_trip(tmp_path):
                      wds=(0.01, 10.0))
     sweep = run_sweep(base, spec)
     text = sweep_summary_csv(sweep)
-    rows = parse_sweep_summary_csv(text)
+    header, rows = parse_csv(text)
+    assert header == list(harness._SWEEP_COLUMNS)
     assert len(rows) == len(sweep.rows) == 4
     for parsed, raw in zip(rows, sweep.rows):
         assert parsed["kind"] == raw["kind"]

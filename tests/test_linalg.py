@@ -4,14 +4,13 @@ import pytest
 from nc_lab.errors import NumericError, ShapeError
 from nc_lab.linalg import (
     as_array,
-    format_matrix,
     load_matrix,
     parse_matrix,
     pseudo_inverse,
-    save_matrix,
     singular_values,
 )
 from nc_lab.metrics import simplex_etf
+from helpers import format_matrix
 
 
 def test_singular_values_examples():
@@ -72,7 +71,7 @@ def test_matrix_text_round_trip(tmp_path):
     back = parse_matrix(text)
     assert np.array_equal(back, a)
     path = tmp_path / "m.txt"
-    save_matrix(a, path)
+    path.write_text(format_matrix(a))
     assert np.array_equal(load_matrix(path), a)
 
 

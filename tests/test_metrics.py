@@ -27,7 +27,8 @@ from nc_lab.metrics import (
 )
 from nc_lab.harness import _snapshot
 from nc_lab.metrics import _angle_deviation, _nearest_mean
-from nc_lab.models import make_blob_dataset, make_nc_solution
+from nc_lab.models import make_blob_dataset
+from helpers import make_nc_solution
 
 
 def _isometry(p, k, seed):

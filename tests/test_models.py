@@ -11,10 +11,10 @@ from nc_lab.models import (
     ce_loss_and_grad,
     ce_loss_from_logits,
     make_blob_dataset,
-    make_nc_solution,
     one_hot,
 )
 from nc_lab.oracles import coupled_sign_psi
+from helpers import make_nc_solution
 
 
 def test_one_hot_shape_and_content():

@@ -7,7 +7,6 @@ from nc_lab.errors import BudgetExceededError, DomainError
 from nc_lab.oracles import (
     CoupledSignState,
     alpha_from_rowsum,
-    alpha_increment_decomposition,
     alpha_sgd_decoupled,
     alpha_signgd_decoupled,
     alpha_signgd_decoupled_limit,
@@ -24,6 +23,7 @@ from nc_lab.oracles import (
     rowsum_recursion_coupled,
     scalar_alpha,
 )
+from helpers import alpha_increment_decomposition
 
 
 def test_alpha_sgd_decoupled_values():

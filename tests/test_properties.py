@@ -29,8 +29,8 @@ from nc_lab.harness import (
     config_from_mapping,
     config_to_mapping,
     format_metric_csv,
-    parse_metric_csv,
-    parse_sweep_summary_csv,
+    _SWEEP_COLUMNS,
+    parse_csv,
     sweep_summary_csv,
 )
 from nc_lab.metrics import METRIC_KEYS
@@ -47,7 +47,7 @@ from nc_lab.optim import (
     step_signgd_decoupled,
     step_signum,
 )
-from nc_lab.oracles import alpha_increment_decomposition
+from helpers import alpha_increment_decomposition, metric_records
 from test_golden import sweep_cell_configs
 
 seeds = st.integers(0, 2**32 - 1)
@@ -287,8 +287,8 @@ def test_metric_csv_round_trips(data, epochs):
                             sigma_min_m=data.draw(maybe), sigma_avg_m=data.draw(maybe))
                for epoch in epochs]
     text = format_metric_csv(records)
-    assert parse_metric_csv(text) == records
-    assert format_metric_csv(parse_metric_csv(text)) == text
+    assert metric_records(text) == records
+    assert format_metric_csv(metric_records(text)) == text
 
 
 @given(data=st.data(), size=st.integers(0, 4))
@@ -302,8 +302,8 @@ def test_sweep_summary_csv_round_trips(data, size):
             for _ in range(size)]
     sweep = SweepResult(spec=SweepSpec(), base_config=ExperimentConfig(), rows=rows, results=[])
     text = sweep_summary_csv(sweep)
-    assert parse_sweep_summary_csv(text) == rows
-    sweep.rows = parse_sweep_summary_csv(text)
+    assert parse_csv(text) == (list(_SWEEP_COLUMNS), rows)
+    sweep.rows = parse_csv(text)[1]
     assert sweep_summary_csv(sweep) == text
 
 
