@@ -10,7 +10,8 @@ matrices, and ``regress`` fits one sweep metric against another.
 ``check-theorem N`` passes each flag it is given to harness.THEOREM_CHECKS[N]
 under the flag's name, and ``oracle --theorem N`` to ORACLE_ROWS[N]; a flag
 that the function's signature does not name is an error (exit 1) before
-anything trains or is written.
+anything trains or is written. A flag that the command does not have, or a
+prefix of one, is a usage error (exit 2).
 
 The harness reads and writes the config, CSV and JSON formats, and the
 commands reach it only through its public names.
@@ -22,6 +23,7 @@ import argparse
 import inspect
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .harness import (
     write_file,
     write_sweep_outputs,
 )
-from .linalg import load_matrix
+from .linalg import parse_matrix
 from .metrics import METRIC_KEYS, LabeledFeatures, all_metrics
 
 __all__ = ["main", "build_parser"]
@@ -103,10 +105,8 @@ def _decoupled_sign_climb(k=10, lr=0.05, wd=0.1, steps=300):
 
 
 def _coupled_sign_decay(k=10, lr=0.05, wd=0.1, shrink=0.5, tol=1e-6, max_steps=10**5):
-    # The frame trains N = K columns: repeating columns leaves the mean
-    # gradient unchanged, so no run matches another N.
-    return list(oracles.coupled_signgd_run_with_decay(
-        k, k, lr, wd, shrink=shrink, tol=tol, max_steps=max_steps).points)
+    states, _ = oracles.coupled_signgd_run_with_decay(k, lr, wd, shrink, tol, max_steps)
+    return [(s.t, oracles.scalar_alpha(s, k)) for s in states]
 
 
 def _memory_kernel_curve(alpha0=1.0, wd=0.1, momentum=0.9, tmax=50.0, points=101):
@@ -167,8 +167,8 @@ def _load_labels(path) -> np.ndarray:
 
 
 def cmd_metrics(args) -> int:
-    w = load_matrix(args.weights)
-    feats = load_matrix(args.features)
+    w = parse_matrix(read_file(args.weights, "weights matrix"))
+    feats = parse_matrix(read_file(args.features, "features matrix"))
     labels = _load_labels(args.labels)
     k = args.num_classes if args.num_classes is not None else int(labels.max()) + 1
     data = LabeledFeatures(feats, labels, k)
@@ -197,8 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nc-lab",
         description="Collapse-metric training lab: runs, sweeps, closed-form checks.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A prefix is not its flag: `--tol` must not set `--tolerance`.
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     p_train = sub.add_parser("train", help="run one training config")
     p_train.add_argument("--config", required=True, help="flat key=value config file")

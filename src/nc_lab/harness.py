@@ -329,12 +329,14 @@ def config_to_mapping(config: ExperimentConfig) -> dict:
 
 
 def read_file(path, what: str) -> str:
-    """The text of a file; an OSError names the file and what it holds."""
+    """The text of a UTF-8 file; an error names the file and what it holds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise OSError(f"cannot read {what} from {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {what} from {path}: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -625,7 +627,7 @@ def _oscillation_step_sizes(config: ExperimentConfig):
     k = config.num_classes
     yield opt.lr
     for state, _ in oracles.coupled_signgd_steps(
-            k, k, opt.lr, opt.coupled_wd, opt.schedule.shrink_factor):
+            k, opt.lr, opt.coupled_wd, opt.schedule.shrink_factor):
         yield state.eta
 
 
@@ -1144,6 +1146,9 @@ def check_decoupled_sign_plateau(k: int = 10, lr: float = 0.1, wd: float = 0.5,
     and the gradient at each W_0..W_{steps-1}, recomputed in stacked chunks,
     must have the sign pattern J - 2I that the closed form assumes.
     """
+    if k < 3:
+        raise DomainError(f"check 3 needs k >= 3, got k = {k}: below 3 the plateau "
+                          "(K-2)^2 / wd^2 is 0 and alpha never leaves it")
     optimizer = OptimizerConfig(kind="signgd_decoupled", lr=lr, decoupled_wd=wd)
     weights = _square_sign_weights(k, optimizer, steps)
     frame, targets = simplex_etf(k), np.eye(k)
@@ -1186,20 +1191,17 @@ def check_coupled_sign_oscillation(k: int = 10, lr: float = 0.1, wd: float = 0.5
     below tol * peak.
 
     oracles.coupled_signgd_run_with_decay runs the scalar (a, b) dynamics
-    from step size lr until alpha falls to tol * alpha_peak and sets the step
-    count; it raises DomainError on a non-positive lr, wd or tol or a shrink
-    outside (0, 1), and BudgetExceededError, carrying the scalar trajectory,
-    if max_steps arrive first. The K x K weight matrix then trains through
-    run_training (signgd_coupled under the oscillation_decay schedule) for
-    that many steps, and each W_t is compared with the scalar state of step t.
+    once, from step size lr until alpha falls to tol * alpha_peak (its errors
+    pass through), and gives the states s_0..s_T. The K x K weight matrix
+    then trains through run_training (signgd_coupled under the
+    oscillation_decay schedule) for T steps, and each W_t is compared with s_t.
     """
-    oracle = oracles.coupled_signgd_run_with_decay(k, k, lr, wd, shrink, tol, max_steps)
-    steps = oracle.details["terminated_at"]
+    states, decay_steps = oracles.coupled_signgd_run_with_decay(k, lr, wd, shrink, tol,
+                                                                max_steps)
+    steps = len(states) - 1
     schedule = LRSchedule(kind="oscillation_decay", shrink_factor=shrink)
     optimizer = OptimizerConfig(kind="signgd_coupled", lr=lr, coupled_wd=wd, schedule=schedule)
     weights = _square_sign_weights(k, optimizer, steps)
-    states = chain([oracles.CoupledSignState(eta=lr)],
-                   (state for state, _ in oracles.coupled_signgd_steps(k, k, lr, wd, shrink)))
     off_mask = ~np.eye(k, dtype=bool)
     rows = []
     family_dev_max = scalar_dev_max = 0.0
@@ -1229,11 +1231,11 @@ def check_coupled_sign_oscillation(k: int = 10, lr: float = 0.1, wd: float = 0.5
             "peak_step": peak_step,
             "final_alpha": final_alpha,
             "terminated_at": steps,
-            "decay_steps": oracle.details["decay_steps"],
-            "final_eta": oracle.details["final_eta"],
+            "decay_steps": decay_steps,
+            "final_eta": states[-1].eta,
             "family_dev_max": family_dev_max,
             "scalar_dev_max": scalar_dev_max,
-            "phase_reached": oracle.details["phase_reached"],
+            "phase_reached": states[-1].phase,
         },
     )
 

@@ -1,5 +1,5 @@
 """The few linear-algebra ops the lab needs on float64 ndarrays, and the
-reader of the plain-text matrix files that ``nc-lab metrics`` takes: a
+parser of the plain-text matrix files that ``nc-lab metrics`` takes: a
 'rows cols' line, then one line of values per row.
 
 Every function takes a 2-D ndarray or nested lists and coerces.
@@ -16,7 +16,6 @@ __all__ = [
     "singular_values",
     "pseudo_inverse",
     "parse_matrix",
-    "load_matrix",
 ]
 
 DEFAULT_RANK_TOLERANCE = 1e-10
@@ -90,8 +89,3 @@ def parse_matrix(text: str) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise NumericError("matrix elements must be finite")
     return data
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_matrix(fh.read())

@@ -123,10 +123,6 @@ class LabeledFeatures:
         return self.features.shape[0]
 
     @property
-    def num_samples(self) -> int:
-        return self.features.shape[1]
-
-    @property
     def class_means(self) -> np.ndarray:
         """p x K matrix whose column c is the mean feature of class c."""
         if self._means is None:
@@ -192,7 +188,7 @@ def compute_class_statistics(data: LabeledFeatures) -> ClassStatistics:
         dev = np.take(means, data.labels, axis=1)
         np.subtract(data.features, dev, out=dev)
         proj = u[:, :kept].T @ dev
-        terms = np.einsum("jn,jn->j", proj, proj) / (data.num_samples * squares[:kept])
+        terms = np.einsum("jn,jn->j", proj, proj) / (data.features.shape[1] * squares[:kept])
         if not np.isfinite(terms.sum()):
             raise NumericError("nc1 terms are not finite")
         data._stats = ClassStatistics(

@@ -246,19 +246,17 @@ class MLPModel:
         """
         x, y = _as_matrices(x), _as_matrices(y)
         activations = [x]
-        pre = []
         a = x
         for w, b in zip(self.hidden_weights, self.hidden_biases):
-            z = w @ a + b
-            pre.append(z)
-            a = np.maximum(z, 0.0)
+            a = np.maximum(w @ a + b, 0.0)
             activations.append(a)
         feats = a
         loss, grad_final, d_feats = ce_loss_and_grad(self.final_weight, feats, y)
         grads_rev = [grad_final]
         d_a = d_feats
         for i in range(len(self.hidden_weights) - 1, -1, -1):
-            d_z = d_a * (pre[i] > 0.0)
+            # relu(z) > 0 exactly where z > 0, NaN included
+            d_z = d_a * (activations[i + 1] > 0.0)
             grads_rev.append(d_z.sum(axis=-1, keepdims=True))                # bias grad
             grads_rev.append(d_z @ activations[i].swapaxes(-1, -2))          # weight grad
             if i > 0:

@@ -8,7 +8,9 @@ the reference the simulation harness is checked against:
 * coupled SGD + momentum -- second-order linear recursion on m_t = W_t^T 1
 * decoupled sign descent -- alpha_t climbs to the plateau (K-2)^2 / wd^2
 * coupled sign descent   -- two-scalar (a, b) system with a sign-oscillation
-                            detector that drives learning-rate shrinking
+                            detector that drives learning-rate shrinking; one
+                            run gives its states s_0..s_T and decay steps
+                            (K >= 3: at K = 2, a = b and alpha stays 0)
 * momentum convolution ODE -- alpha'(t) = -wd*int_0^t beta^(t-s) alpha(s) ds,
                             solved by a two-exponential closed form
 
@@ -20,7 +22,7 @@ proof-level scalar alpha (a-(K-1)b)^2 equals the matrix-level
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterator
 
@@ -44,7 +46,6 @@ __all__ = [
     "apply_decay",
     "scalar_alpha",
     "coupled_signgd_steps",
-    "OracleTrajectory",
     "coupled_signgd_run_with_decay",
     "ode_alpha_closed_form",
     "ode_bound_constant",
@@ -164,48 +165,48 @@ def alpha_signgd_decoupled_limit(num_classes: int, wd: float) -> float:
 
 @dataclass
 class CoupledSignState:
-    """Scalar state (a, b) of W = (a+b)I - bJ under coupled sign descent.
+    """Scalar state (a, b) of W = (a+b)I - bJ after ``t`` coupled sign-descent
+    steps on the K x K frame, with ``eta`` the step size of the next step.
 
     ``phase`` is 1 while both sign arguments have stayed positive, 2 once the
-    off-diagonal argument has flipped, 3 once both have. Flip bookkeeping
-    (last flip step per argument) feeds the decay detector and resets when a
-    decay event fires.
+    off-diagonal argument has flipped, 3 once both have. ``sign_a`` and
+    ``sign_b`` are the last step's signs, and ``last_flip_a`` and
+    ``last_flip_b`` the last step at which each flipped: the decay detector
+    reads them, and a decay clears them.
     """
 
     eta: float
     a: float = 0.0
     b: float = 0.0
     t: int = 0
-    psi: float = 0.0
     phase: int = 1
     sign_a: float = 0.0
     sign_b: float = 0.0
     last_flip_a: int = -(10**9)
     last_flip_b: int = -(10**9)
-    decay_events: int = 0
 
 
-def coupled_sign_psi(a: float, b: float, num_classes: int, num_samples: int) -> float:
-    """Softmax pull psi = 1 / (N sqrt(K-1) (exp((a+b)/sqrt(K-1)) + K - 1)).
+def coupled_sign_psi(a: float, b: float, num_classes: int) -> float:
+    """Softmax pull psi = 1 / (K sqrt(K-1) (exp((a+b)/sqrt(K-1)) + K - 1)).
 
     (a+b)/sqrt(K-1) is the per-column logit gap of W H for W = (a+b)I - bJ
-    on the frozen simplex frame; with it, psi (-K I + J) reproduces the
-    cross-entropy gradient to machine precision.
+    on the frozen simplex frame of N = K columns; with it, psi (-K I + J)
+    reproduces the cross-entropy gradient to machine precision.
     """
     k = num_classes
     gap = (a + b) / math.sqrt(k - 1.0)
-    return 1.0 / (num_samples * math.sqrt(k - 1.0) * (math.exp(gap) + (k - 1.0)))
+    return 1.0 / (k * math.sqrt(k - 1.0) * (math.exp(gap) + (k - 1.0)))
 
 
 def coupled_signgd_scalar_step(state: CoupledSignState, num_classes: int,
-                               num_samples: int, wd: float) -> CoupledSignState:
+                               wd: float) -> CoupledSignState:
     """One sign-descent step of the (a, b) system at the state's current eta.
 
     a += eta * sign((K-1) psi - wd*a); b += eta * sign(psi - wd*b);
     flip/phase bookkeeping updates from the two sign arguments.
     """
     k = num_classes
-    psi = coupled_sign_psi(state.a, state.b, k, num_samples)
+    psi = coupled_sign_psi(state.a, state.b, k)
     arg_a = (k - 1.0) * psi - wd * state.a
     arg_b = psi - wd * state.b
     s_a = math.copysign(1.0, arg_a) if arg_a != 0.0 else 0.0
@@ -227,7 +228,6 @@ def coupled_signgd_scalar_step(state: CoupledSignState, num_classes: int,
         a=state.a + state.eta * s_a,
         b=state.b + state.eta * s_b,
         t=t_next,
-        psi=psi,
         phase=phase,
         sign_a=s_a,
         sign_b=s_b,
@@ -243,13 +243,7 @@ def oscillation_decay_due(state: CoupledSignState, window: int = 4) -> bool:
 
 def apply_decay(state: CoupledSignState, shrink: float) -> CoupledSignState:
     """Shrink eta and clear flip history (a fresh window starts)."""
-    return replace(
-        state,
-        eta=state.eta * shrink,
-        last_flip_a=-(10**9),
-        last_flip_b=-(10**9),
-        decay_events=state.decay_events + 1,
-    )
+    return replace(state, eta=state.eta * shrink, last_flip_a=-(10**9), last_flip_b=-(10**9))
 
 
 def scalar_alpha(state: CoupledSignState, num_classes: int) -> float:
@@ -257,23 +251,7 @@ def scalar_alpha(state: CoupledSignState, num_classes: int) -> float:
     return (state.a - (num_classes - 1) * state.b) ** 2
 
 
-@dataclass
-class OracleTrajectory:
-    """Predicted alpha trajectory: (step, alpha) points plus the parameters
-    that generated it. ``details`` carries oracle-specific extras (peak
-    location, decay events, final state, ...)."""
-
-    kind: str
-    points: list
-    params: dict
-    details: dict = field(default_factory=dict)
-
-    def alphas(self) -> list:
-        return [a for _, a in self.points]
-
-
-def coupled_signgd_steps(num_classes: int, num_samples: int, lr0: float, wd: float,
-                         shrink: float) -> Iterator:
+def coupled_signgd_steps(num_classes: int, lr0: float, wd: float, shrink: float) -> Iterator:
     """The (a, b) sign dynamics from a = b = 0 at step size lr0, without end.
 
     Yields ``(state, decayed)`` after each scalar step and its decay check:
@@ -283,61 +261,48 @@ def coupled_signgd_steps(num_classes: int, num_samples: int, lr0: float, wd: flo
     """
     state = CoupledSignState(eta=lr0)
     while True:
-        state = coupled_signgd_scalar_step(state, num_classes, num_samples, wd)
+        state = coupled_signgd_scalar_step(state, num_classes, wd)
         decayed = oscillation_decay_due(state)
         if decayed:
             state = apply_decay(state, shrink)
         yield state, decayed
 
 
-def coupled_signgd_run_with_decay(num_classes: int, num_samples: int, lr0: float,
-                                  wd: float, shrink: float = 0.5, tol: float = 1e-6,
-                                  max_steps: int = 10**5) -> OracleTrajectory:
+def coupled_signgd_run_with_decay(num_classes: int, lr0: float, wd: float,
+                                  shrink: float = 0.5, tol: float = 1e-6,
+                                  max_steps: int = 10**5) -> tuple:
     """Run the (a, b) sign dynamics, shrinking eta on detected oscillation,
-    until alpha falls to tol * alpha_peak. Raises BudgetExceededError with the
-    partial trajectory if max_steps is hit first.
+    until alpha falls to tol * alpha_peak.
+
+    Returns ``(states, decay_steps)``: the states s_0..s_T, s_t after t
+    steps, and the steps at which the detector fired. Raises DomainError
+    below K = 3, where the two sign arguments coincide and alpha stays 0,
+    and BudgetExceededError with the (t, alpha) trajectory if max_steps
+    arrive first.
     """
+    if num_classes < 3:
+        raise DomainError(f"coupled sign descent needs k >= 3, got k = {num_classes}: "
+                          "below 3 alpha stays 0")
     if not 0.0 < shrink < 1.0:
         raise DomainError("shrink must lie in (0, 1)")
     if tol <= 0.0 or lr0 <= 0.0 or wd <= 0.0:
         raise DomainError("lr0, wd, and tol must be positive")
-    points = [(0, 0.0)]
-    peak = 0.0
-    peak_step = 0
+    states = [CoupledSignState(eta=lr0)]
     decay_steps: list = []
-    steps = coupled_signgd_steps(num_classes, num_samples, lr0, wd, shrink)
-    for t, (state, decayed) in enumerate(islice(steps, max_steps), start=1):
+    peak = 0.0
+    for state, decayed in islice(coupled_signgd_steps(num_classes, lr0, wd, shrink), max_steps):
+        states.append(state)
         if decayed:
-            decay_steps.append(t)
-        a = scalar_alpha(state, num_classes)
-        points.append((t, a))
-        if a > peak:
-            peak, peak_step = a, t
-        if peak > 0.0 and a <= tol * peak:
-            return OracleTrajectory(
-                kind="coupled_sign_decay",
-                points=points,
-                params={
-                    "num_classes": num_classes,
-                    "num_samples": num_samples,
-                    "lr0": lr0,
-                    "wd": wd,
-                    "shrink": shrink,
-                    "tol": tol,
-                },
-                details={
-                    "alpha_peak": peak,
-                    "peak_step": peak_step,
-                    "terminated_at": t,
-                    "decay_steps": decay_steps,
-                    "final_eta": state.eta,
-                    "phase_reached": state.phase,
-                    "final_state": state,
-                },
-            )
+            decay_steps.append(state.t)
+        alpha = scalar_alpha(state, num_classes)
+        peak = max(peak, alpha)
+        if peak > 0.0 and alpha <= tol * peak:
+            return states, decay_steps
+    trajectory = [(s.t, scalar_alpha(s, num_classes)) for s in states]
     raise BudgetExceededError(
-        f"no termination within {max_steps} steps (alpha={points[-1][1]:.3e}, peak={peak:.3e})",
-        trajectory=points,
+        f"no termination within {max_steps} steps "
+        f"(alpha={trajectory[-1][1]:.3e}, peak={peak:.3e})",
+        trajectory=trajectory,
     )
 
 

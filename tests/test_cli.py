@@ -494,6 +494,41 @@ def test_oracle_passes_the_flags_its_theorem_takes_and_refuses_the_rest(
         assert not target.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-theorem", "4", "--tol", "0.1"],
+    ["oracle", "--theorem", "4", "--max", "3"],
+    ["metrics", "--weights", "w", "--features", "h", "--labels", "y", "--num", "3"],
+])
+def test_a_prefix_of_a_flag_is_a_usage_error(tmp_path, capsys, argv):
+    # argparse would expand `--tol` to `--tolerance` and print PASS.
+    target = tmp_path / "out.csv"
+    out_flag = ["--out", str(target)] if argv[0] != "metrics" else []
+    with pytest.raises(SystemExit) as exc:
+        main(argv + out_flag)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("k", ["1", "2"])
+@pytest.mark.parametrize("argv, message", [
+    (["check-theorem", "3"], "check 3 needs k >= 3"),
+    (["check-theorem", "4"], "coupled sign descent needs k >= 3"),
+    (["oracle", "--theorem", "4"], "coupled sign descent needs k >= 3"),
+])
+def test_sign_checks_and_oracle_refuse_k_below_3(tmp_path, capsys, k, argv, message):
+    # At K = 2 alpha stays 0, so check 3 would pass on nothing and check 4
+    # would spin to its step budget; at K = 1 psi divides by zero.
+    target = tmp_path / "out.csv"
+    rc = main(argv + ["--k", k, "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: {message}, got k = {k}")
+    assert not target.exists()
+
+
 def test_oracle_refuses_every_flag_its_theorem_does_not_read(capsys):
     rc = main(["oracle", "--theorem", "1", "--k", "5", "--m0", "1,2", "--shrink", "0.2"])
     out, err = capsys.readouterr()
@@ -575,6 +610,22 @@ def test_metrics_rejects_non_finite_weights(tmp_path, capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:") and "matrix elements must be finite" in err
+
+
+@pytest.mark.parametrize("which, what", [("--weights", "weights matrix"),
+                                         ("--features", "features matrix")])
+@pytest.mark.parametrize("content", [None, b"2 2\n1 0\n0 \xff\n"])
+def test_metrics_file_errors_name_the_file(tmp_path, capsys, which, what, content):
+    # A missing file, or one holding a byte that is not UTF-8.
+    paths = dict(zip(["--weights", "--features", "--labels"], _write_metric_inputs(tmp_path)))
+    bad = tmp_path / "bad.txt"
+    if content is not None:
+        bad.write_bytes(content)
+    paths[which] = str(bad)
+    rc = main(["metrics"] + [part for item in paths.items() for part in item])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: cannot read {what} from {bad}: ")
 
 
 def test_regress_two_column_csv(tmp_path, capsys):

@@ -577,7 +577,7 @@ def test_oscillation_run_ends_on_the_scalar_dynamics():
     cfg = _ufm_sign_config("signgd_coupled", 0.05, 0.5, steps=epochs,
                            schedule="oscillation_decay", k=k, metric_period=10)
     result = run_training(cfg)
-    dynamics = oracles.coupled_signgd_steps(k, k, 0.05, 0.5, 0.5)
+    dynamics = oracles.coupled_signgd_steps(k, 0.05, 0.5, 0.5)
     for _ in range(epochs):
         state, _ = next(dynamics)
     family = (state.a + state.b) * np.eye(k) - state.b * np.ones((k, k))
@@ -611,6 +611,28 @@ def test_optimizer_lr_is_the_learning_rate_training_uses(tmp_path, schedule):
         assert np.max(np.abs(result.weights[1][1])) == pytest.approx(0.3, abs=1e-15)
     assert config_to_mapping(result.config)["optimizer.lr"] == 0.3
     assert json.loads(path.read_text())["config"]["optimizer.lr"] == 0.3
+
+
+@pytest.mark.parametrize("settings, steps", [
+    ({}, 2),
+    ({"k": 5, "lr": 0.05, "wd": 0.5}, 17),
+    ({"lr": 0.01, "wd": 0.01}, 252),
+])
+def test_coupled_sign_check_runs_the_scalar_dynamics_once(monkeypatch, settings, steps):
+    # One pass of T scalar steps sets the step count and gives every s_t;
+    # training draws the T - 1 step sizes after lr from a second pass.
+    calls = []
+    step = oracles.coupled_signgd_scalar_step
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(oracles, "coupled_signgd_scalar_step", counted)
+    res = check_coupled_sign_oscillation(**settings)
+    assert res.passed
+    assert res.details["terminated_at"] == steps
+    assert len(calls) == 2 * steps - 1
 
 
 def test_coupled_sign_check_raises_when_the_budget_runs_out():

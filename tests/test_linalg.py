@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from nc_lab.errors import NumericError, ShapeError
+from nc_lab.harness import read_file
 from nc_lab.linalg import (
     as_array,
-    load_matrix,
     parse_matrix,
     pseudo_inverse,
     singular_values,
@@ -72,7 +72,7 @@ def test_matrix_text_round_trip(tmp_path):
     assert np.array_equal(back, a)
     path = tmp_path / "m.txt"
     path.write_text(format_matrix(a))
-    assert np.array_equal(load_matrix(path), a)
+    assert np.array_equal(parse_matrix(read_file(path, "matrix")), a)
 
 
 def test_parse_matrix_rejects_malformed():

@@ -82,7 +82,7 @@ def test_simplex_etf_frame_identities():
 def test_labeled_features_validation():
     f = np.arange(12.0).reshape(3, 4)
     data = LabeledFeatures(f, [0, 1, 0, 1], 2)
-    assert data.dim == 3 and data.num_samples == 4
+    assert data.dim == 3 and data.features.shape[1] == 4
     assert np.array_equal(data.per_class_counts, [2, 2])
     assert np.array_equal(LabeledFeatures(f, [0, 0, 0, 1], 2).per_class_counts, [3, 1])
     with pytest.raises(ShapeError):

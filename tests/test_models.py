@@ -116,7 +116,7 @@ def test_frame_two_parameter_family_gradient():
             a, b = rng.uniform(-1.0, 1.0, size=2)
             w = (a + b) * np.eye(k) - b * np.ones((k, k))
             _, grad_w, _ = ce_loss_and_grad(w, simplex_etf(k), np.eye(k))
-            psi = coupled_sign_psi(a, b, k, k)
+            psi = coupled_sign_psi(a, b, k)
             expected = psi * (np.ones((k, k)) - k * np.eye(k))
             assert np.max(np.abs(grad_w - expected)) < 1e-12
 

@@ -161,16 +161,16 @@ def test_alpha_signgd_decoupled_values():
 
 
 def test_coupled_sign_psi_value():
-    psi = coupled_sign_psi(0.0, 0.0, 4, 4)
+    psi = coupled_sign_psi(0.0, 0.0, 4)
     assert psi == pytest.approx(1.0 / (16.0 * math.sqrt(3.0)), rel=1e-15)
     assert psi == pytest.approx(0.036084391824351615, rel=1e-12)
     # psi decreases as the logit gap a + b grows
-    assert coupled_sign_psi(1.0, 0.5, 4, 4) < psi
+    assert coupled_sign_psi(1.0, 0.5, 4) < psi
 
 
 def test_scalar_step_first_moves():
     state = CoupledSignState(eta=0.05)
-    state = coupled_signgd_scalar_step(state, 4, 4, 0.5)
+    state = coupled_signgd_scalar_step(state, 4, 0.5)
     assert state.a == 0.05 and state.b == 0.05
     assert state.t == 1 and state.phase == 1
     assert state.sign_a == 1.0 and state.sign_b == 1.0
@@ -178,15 +178,15 @@ def test_scalar_step_first_moves():
 
 
 def test_scalar_step_phase3_gap_bound():
-    k, n, wd, eta = 4, 4, 0.5, 0.05
+    k, wd, eta = 4, 0.5, 0.05
     state = CoupledSignState(eta=eta)
     first3 = None
     for _ in range(3000):
-        state = coupled_signgd_scalar_step(state, k, n, wd)
+        state = coupled_signgd_scalar_step(state, k, wd)
         if state.phase == 3 and first3 is None:
             first3 = state.t
         if first3 is not None and state.t > first3:
-            psi = coupled_sign_psi(state.a, state.b, k, n)
+            psi = coupled_sign_psi(state.a, state.b, k)
             gap = max(abs((k - 1) * psi - wd * state.a), abs(psi - wd * state.b))
             assert gap < wd * eta
     assert first3 is not None
@@ -201,39 +201,37 @@ def test_oscillation_detector_window():
     assert not oscillation_decay_due(a_stale)
     decayed = apply_decay(both_recent, 0.5)
     assert decayed.eta == pytest.approx(0.05)
-    assert decayed.decay_events == 1
     assert not oscillation_decay_due(decayed)
 
 
 def test_run_with_decay_terminates_and_is_nonmonotone():
-    traj = coupled_signgd_run_with_decay(4, 4, 0.05, 0.5, shrink=0.5, tol=1e-6)
-    alphas = traj.alphas()
-    details = traj.details
+    states, _ = coupled_signgd_run_with_decay(4, 0.05, 0.5, shrink=0.5, tol=1e-6)
+    assert [s.t for s in states] == list(range(len(states)))
+    alphas = [scalar_alpha(s, 4) for s in states]
     assert all(np.isfinite(a) and a >= 0.0 for a in alphas)
     assert alphas[0] == 0.0
-    peak = details["alpha_peak"]
+    peak = max(alphas)
     assert peak > 0.0
-    assert 0 < details["peak_step"] < details["terminated_at"]
+    assert 0 < alphas.index(peak) < len(states) - 1
     assert alphas[-1] < 1e-6 * peak
 
 
 def test_run_with_decay_shrinks_eta_through_oscillation():
     """K = 5 dodges the exact lattice zero, so termination is driven by
     repeated eta halvings rather than a lucky a = (K-1) b crossing."""
-    traj = coupled_signgd_run_with_decay(5, 5, 0.05, 0.5, shrink=0.5, tol=1e-6)
-    d = traj.details
-    assert d["decay_steps"]
-    events = len(d["decay_steps"])
-    assert d["final_eta"] == pytest.approx(0.05 * 0.5**events, rel=1e-12)
-    assert d["phase_reached"] == 3
-    final = traj.points[-1][1]
-    assert 0.0 < final <= 1e-6 * d["alpha_peak"]
-    assert d["final_state"].decay_events == events
+    states, decay_steps = coupled_signgd_run_with_decay(5, 0.05, 0.5, shrink=0.5, tol=1e-6)
+    assert decay_steps
+    assert states[-1].eta == pytest.approx(0.05 * 0.5**len(decay_steps), rel=1e-12)
+    assert states[-1].phase == 3
+    alphas = [scalar_alpha(s, 5) for s in states]
+    assert 0.0 < alphas[-1] <= 1e-6 * max(alphas)
+    # eta changes exactly at the detector's steps
+    assert [s.t for prev, s in zip(states, states[1:]) if s.eta != prev.eta] == decay_steps
 
 
 def test_run_with_decay_budget_error_carries_trajectory():
     with pytest.raises(BudgetExceededError) as exc:
-        coupled_signgd_run_with_decay(4, 4, 0.05, 0.5, tol=1e-12, max_steps=2)
+        coupled_signgd_run_with_decay(4, 0.05, 0.5, tol=1e-12, max_steps=2)
     traj = exc.value.trajectory
     assert len(traj) == 3
     assert traj[0] == (0, 0.0)
@@ -242,11 +240,19 @@ def test_run_with_decay_budget_error_carries_trajectory():
 
 def test_run_with_decay_validation():
     with pytest.raises(DomainError):
-        coupled_signgd_run_with_decay(4, 4, 0.05, 0.5, shrink=1.0)
+        coupled_signgd_run_with_decay(4, 0.05, 0.5, shrink=1.0)
     with pytest.raises(DomainError):
-        coupled_signgd_run_with_decay(4, 4, 0.05, 0.5, tol=0.0)
+        coupled_signgd_run_with_decay(4, 0.05, 0.5, tol=0.0)
     with pytest.raises(DomainError):
-        coupled_signgd_run_with_decay(4, 4, 0.0, 0.5)
+        coupled_signgd_run_with_decay(4, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_run_with_decay_refuses_k_below_3(k):
+    # At K = 2 the two sign arguments coincide, so a = b and alpha stays 0;
+    # at K = 1 psi divides by zero.
+    with pytest.raises(DomainError, match=f"k >= 3, got k = {k}"):
+        coupled_signgd_run_with_decay(k, 0.05, 0.5)
 
 
 def test_alpha_increment_decomposition_zero_case():
