@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from . import oracles
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .harness import (
     THEOREM_CHECKS,
     csv_text,
@@ -166,9 +166,19 @@ def _load_labels(path) -> np.ndarray:
     return labels
 
 
+def _load_matrix(path, flag: str, what: str) -> np.ndarray:
+    """The matrix file given with ``flag``; a parse error names the flag
+    and the path, since ``metrics`` reads two such files."""
+    text = read_file(path, what)
+    try:
+        return parse_matrix(text)
+    except (ValueError, NumericError) as exc:
+        raise type(exc)(f"{flag} {path}: {exc}") from exc
+
+
 def cmd_metrics(args) -> int:
-    w = parse_matrix(read_file(args.weights, "weights matrix"))
-    feats = parse_matrix(read_file(args.features, "features matrix"))
+    w = _load_matrix(args.weights, "--weights", "weights matrix")
+    feats = _load_matrix(args.features, "--features", "features matrix")
     labels = _load_labels(args.labels)
     k = args.num_classes if args.num_classes is not None else int(labels.max()) + 1
     data = LabeledFeatures(feats, labels, k)

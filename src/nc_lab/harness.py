@@ -475,9 +475,20 @@ class TrainResult:
     weights: Optional[list] = None   # (epoch, W) pairs when collected
 
 
-def _snapshot(epoch, lr_value, weight, feats, labels, num_classes, loss, acc) -> MetricRecord:
+def _snapshot(epoch, lr_value, weight, data: LabeledFeatures, targets,
+              loss: Optional[float] = None) -> MetricRecord:
+    """The record of classifier ``weight`` over the full-data features
+    ``data``, with the loss that the step's forward pass brought, or else
+    one computed here. The loss, train_acc and nc4 read one product W H."""
+    if loss is None:
+        logits = weight @ data.features
+        loss = ce_loss_from_logits(logits, targets)
+        decisions = data._linear_decisions(weight, logits)
+        del logits              # not kept through the metric pass
+    else:
+        decisions = data._linear_decisions(weight)
+    acc = float(np.mean(decisions == data.labels))
     try:
-        data = LabeledFeatures(feats, labels, num_classes)
         bundle = all_metrics(weight, data)
         values = {k: bundle[k] for k in METRIC_KEYS}
         sv_w = singular_values(weight)
@@ -500,13 +511,6 @@ def _snapshot(epoch, lr_value, weight, feats, labels, num_classes, loss, acc) ->
         sigma_min_m=sigma_min_m,
         sigma_avg_m=sigma_avg_m,
     )
-
-
-def _loss_and_accuracy(weight, feats, targets, labels):
-    """Full-data loss and accuracy from one logits product."""
-    logits = weight @ feats
-    acc = float(np.mean(np.argmax(logits, axis=0) == labels))
-    return ce_loss_from_logits(logits, targets), acc
 
 
 def _status_from_records(records, epochs: int, num_classes: int) -> str:
@@ -533,14 +537,15 @@ def _working_set(widths, batch: int, num_params: int) -> int:
 
 
 def _ufm_grads(model: UFMModel, cols):
-    """(losses, gradient list) of a stacked UFMModel on G x B batch columns
-    (None = full batch); a batch's grad_H is scattered into H's shape."""
+    """(losses, gradient list, features) of a stacked UFMModel on G x B
+    batch columns (None = full batch, whose features are H itself, else
+    None); a batch's grad_H is scattered into H's shape."""
     loss, grad_w, grad_h = model.loss_and_grads(cols)
     if cols is not None:
         gh = np.zeros_like(model.H)
         gh[np.arange(gh.shape[0])[:, None], :, cols] = grad_h.swapaxes(-1, -2)
-        grad_h = gh
-    return loss, [grad_h, grad_w]
+        return loss, [gh, grad_w], None
+    return loss, [grad_h, grad_w], model.H
 
 
 @dataclass
@@ -553,7 +558,8 @@ class _Grid:
     labels: np.ndarray
     targets: np.ndarray    # one-hot K x N
     make: Callable         # config -> the cell's 2-D model
-    grads: Callable        # stacked model, G x B batch columns or None -> (losses, gradients)
+    grads: Callable        # stacked model, G x B batch columns or None -> (losses,
+                           # gradients, the G x P x N features of a full batch or None)
     features: Callable     # stacked model -> G x P x N full-data features
     cell_bytes: int        # _working_set of one cell
 
@@ -599,20 +605,20 @@ def _setup(config: ExperimentConfig) -> _Grid:
             model.final_weight = np.zeros_like(model.final_weight)
         return model
 
+    def stacked(model, feats):
+        # with no hidden layer the features are the shared 2-D input itself
+        return np.broadcast_to(feats, (len(model.final_weight), *feats.shape[-2:]))
+
     def grads(model, cols):
         batch = (x_full, y_full) if cols is None else (
             gather_columns(x_full, cols), gather_columns(y_full, cols))
-        loss, grads, _ = model.forward_backward(*batch)
-        return loss, grads
-
-    def features(model):
-        # with no hidden layer the features are the shared 2-D input itself
-        feats = model.features(x_full)
-        return np.broadcast_to(feats, (len(model.final_weight), *feats.shape[-2:]))
+        loss, grads, feats = model.forward_backward(*batch)
+        return loss, grads, stacked(model, feats) if cols is None else None
 
     widths = (x_full.shape[0], *hidden, k)
     num_params = sum(a * b for a, b in zip(widths, widths[1:])) + sum(hidden)
-    return _Grid(dataset, labels, y_full, make_mlp, grads, features,
+    return _Grid(dataset, labels, y_full, make_mlp, grads,
+                 lambda m: stacked(m, m.features(x_full)),
                  _working_set(widths, _batch(config, labels.shape[0]), num_params))
 
 
@@ -718,17 +724,26 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     ``parameters()`` (the classifier last), ``grid.grads`` and
     ``grid.features``. It holds views of the buffer of the one Optimizer
     that steps the whole stack once per batch. Every cell keeps its own
-    seeded shuffle and step sizes. A snapshot computes the stack's features
-    once, and each cell reads its slice. A cell whose batch loss is
-    non-finite skips that step, logs a final diagnostic record and leaves
-    the stack with status "diverged", the only way a cell leaves before its
-    last epoch: the Optimizer drops it with its slices of the parameters and
+    seeded shuffle and step sizes.
+
+    A snapshot records a cell's parameters at its epoch, with the step size
+    of the epoch that produced them. In full batch, the snapshot owed after
+    an epoch is taken from the forward pass of the next step, which runs on
+    the same parameters and yields the stack's features and per-cell losses
+    anyway; only the final snapshot computes its own. A mini-batch snapshot
+    computes the stack's full-data features once, and each cell reads its
+    slice. No snapshot's features outlive it. The labels are checked once,
+    and each snapshot's features take them over (``with_features``).
+
+    A cell whose batch loss is non-finite skips that step, logs a final
+    diagnostic record (from that step's pass in full batch) and leaves the
+    stack with status "diverged", the only way a cell leaves before its last
+    epoch: the Optimizer drops it with its slices of the parameters and
     optimizer state, and the others go on.
     """
     config = cells[0].config
     k, epochs, period = config.num_classes, config.epochs, config.metric_period
-    labels = grid.labels
-    n = labels.shape[0]
+    n = grid.labels.shape[0]
     batch = _batch(config, n)
     full_batch = batch >= n
     made = [grid.make(cell.config) for cell in cells]
@@ -737,20 +752,28 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     opt = Optimizer([cell.config.optimizer for cell in cells], model.parameters())
     model.set_parameters(opt.params)
     shuffles = [np.random.default_rng([cell.config.seed, 1]) for cell in cells]
+    labeled = LabeledFeatures(np.empty((0, n)), grid.labels, k)
 
-    def log(indices, epoch, snapshot=True):
-        """For each cell i in indices, append a copy of its classifier (when
-        collected) and, if asked, its snapshot record at its step size."""
+    def collect(indices, epoch):
+        """Append a copy of the classifier of each cell i in indices, when
+        its weights are collected."""
         weight = model.parameters()[-1]
-        feats = grid.features(model) if snapshot else None
+        for i in indices:
+            if cells[i].weights is not None:
+                cells[i].weights.append((epoch, weight[i].copy()))
+
+    def log(indices, epoch, forward=None):
+        """Append to each cell i in indices its snapshot record at its step
+        size. ``forward`` is the grid.grads result of a full-batch pass on
+        the current parameters; without it the features are computed."""
+        weight = model.parameters()[-1]
+        losses, _, feats = forward if forward is not None else (None, None,
+                                                                grid.features(model))
         for i in indices:
             cell = cells[i]
-            if cell.weights is not None:
-                cell.weights.append((epoch, weight[i].copy()))
-            if snapshot:
-                w, f = weight[i], feats[i]
-                loss, acc = _loss_and_accuracy(w, f, grid.targets, labels)
-                cell.records.append(_snapshot(epoch, cell.lr, w, f, labels, k, loss, acc))
+            loss = None if losses is None else float(losses[i])
+            cell.records.append(_snapshot(epoch, cell.lr, weight[i], labeled.with_features(feats[i]),
+                                          grid.targets, loss))
 
     def finish(i, status):
         cell = cells[i]
@@ -760,19 +783,28 @@ def _train_stack(grid: _Grid, cells: list) -> None:
 
     for cell in cells:
         cell.lr = lr_at(cell.config.optimizer, 0, epochs)
-    log(range(len(cells)), 0)
+    collect(range(len(cells)), 0)
+    owed = True             # the current parameters' snapshot is not logged yet
+    forward = None
     for epoch in range(epochs):
+        if full_batch:
+            forward = grid.grads(model, None)
+            loss, grads = forward[:2]
+        if owed:
+            log(range(len(cells)), epoch, forward)
         for cell in cells:
             cell.lr = next(cell.step_sizes)
         opt.set_step_sizes([cell.lr for cell in cells])
         if not full_batch:
             order = np.stack([rng.permutation(n) for rng in shuffles])
         for start in range(0, n, batch):
-            loss, grads = grid.grads(model, None if full_batch else order[:, start:start + batch])
+            if not full_batch:
+                loss, grads, _ = grid.grads(model, order[:, start:start + batch])
             if not math.isfinite(sum(loss.tolist())):   # else every loss is finite
                 finite = np.isfinite(loss)
                 diverged = np.flatnonzero(~finite)
-                log(diverged, epoch + 1)
+                collect(diverged, epoch + 1)
+                log(diverged, epoch + 1, forward)
                 for i in diverged:
                     finish(i, "diverged")
                 cells = [cell for cell, kept in zip(cells, finite) if kept]
@@ -785,7 +817,10 @@ def _train_stack(grid: _Grid, cells: list) -> None:
                 if not full_batch:
                     order = order[finite]
             opt.step(grads)
-        log(range(len(cells)), epoch + 1, (epoch + 1) % period == 0 or epoch + 1 == epochs)
+        forward = None          # frees its features before the next pass
+        collect(range(len(cells)), epoch + 1)
+        owed = (epoch + 1) % period == 0
+    log(range(len(cells)), epochs)
     for i, cell in enumerate(cells):
         finish(i, _status_from_records(cell.records, epochs, k))
 

@@ -17,6 +17,7 @@ Inputs are float64 ndarrays or nested lists.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -83,10 +84,11 @@ def simplex_etf(num_classes: int) -> np.ndarray:
 class LabeledFeatures:
     """Feature matrix (p x N, one column per sample) with integer labels.
 
-    The class means and the ClassStatistics are computed on first request and
-    kept, read-only, so every metric of a snapshot shares one computation.
+    The class means, the ClassStatistics and the linear decisions of the
+    last classifier asked for are computed on first request and kept,
+    read-only, so every metric of a snapshot shares one computation.
     The features and labels must therefore not be changed after construction;
-    build a new LabeledFeatures for new features.
+    build a new LabeledFeatures, or call ``with_features``, for new features.
     """
 
     def __init__(self, features, labels, num_classes: int):
@@ -115,8 +117,26 @@ class LabeledFeatures:
         self.labels = labels
         self.num_classes = k
         self.per_class_counts = counts
+        self._forget()
+
+    def _forget(self) -> None:
         self._means: Optional[np.ndarray] = None
         self._stats: Optional[ClassStatistics] = None
+        self._linear: Optional[tuple] = None
+
+    def with_features(self, features) -> "LabeledFeatures":
+        """The same labels over other features of the same N. The label
+        checks and counts carry over; nothing computed from the old features
+        does."""
+        f = as_array(features)
+        if f.shape[1] != self.labels.shape[0]:
+            raise ShapeError(
+                f"{self.labels.shape[0]} labels for {f.shape[1]} feature columns"
+            )
+        new = copy.copy(self)
+        new.features = f
+        new._forget()
+        return new
 
     @property
     def dim(self) -> int:
@@ -128,6 +148,17 @@ class LabeledFeatures:
         if self._means is None:
             self._means = _read_only(_class_means(self))
         return self._means
+
+    def _linear_decisions(self, w: np.ndarray, logits=None) -> np.ndarray:
+        """argmax_k (W H)_k for each sample, ties to the lowest k, from the
+        ``logits`` W H when the caller has them. Kept for the last W asked
+        for (matched by value), so that a snapshot's train_acc and nc4 read
+        one product W H."""
+        if self._linear is None or not np.array_equal(self._linear[0], w, equal_nan=True):
+            if logits is None:
+                logits = w @ self.features
+            self._linear = (w.copy(), _read_only(np.argmax(logits, axis=0)))
+        return self._linear[1]
 
 
 @dataclass
@@ -160,7 +191,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _class_means(data: LabeledFeatures) -> np.ndarray:
     """p x K matrix of the class means, one class at a time, so that classes
-    holding equal samples get equal means (a one-hot product's BLAS sums do not)."""
+    holding equal samples get equal means (a one-hot product's BLAS sums do not).
+    The mask gather ``h[:, y == c]`` comes back Fortran-ordered, so numpy sums
+    it one column after another in sample order; a pairwise sum along the
+    samples or np.add.reduceat would change the last bit."""
     h, y = data.features, data.labels
     means = np.empty((h.shape[0], data.num_classes))
     for c in range(data.num_classes):
@@ -366,7 +400,7 @@ def nc4_agreement(w, data: LabeledFeatures, test_features=None) -> float:
     h = data.features if test_features is None else as_array(test_features)
     if w.shape[1] != h.shape[0]:
         raise ShapeError(f"W is {w.shape} but features are {h.shape}")
-    linear = np.argmax(w @ h, axis=0)
+    linear = data._linear_decisions(w) if test_features is None else np.argmax(w @ h, axis=0)
     return float(np.mean(linear == _nearest_mean(h, data.class_means)))
 
 

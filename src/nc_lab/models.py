@@ -22,6 +22,12 @@ shape stacked on a leading cell axis. Each cell's slice of a stacked result
 equals the 2-D computation on that cell bit for bit, because numpy's matmul
 makes one BLAS call per slice and every other operation is elementwise or
 reduces within a slice.
+
+The forward and backward passes write their elementwise steps (bias add,
+ReLU, max shift, log-probabilities, the one-hot product, the softmax delta
+and the ReLU mask) into arrays they allocated themselves, with ``out=`` or
+an augmented assignment. That is the same arithmetic in the same order, so
+the bits do not change; no argument a caller passes is ever written.
 """
 
 from __future__ import annotations
@@ -90,29 +96,44 @@ def ce_loss_and_grad(w, x, y):
         raise ShapeError(f"W {w.shape} does not left-multiply X {x.shape}")
     if y.shape[-2:] != (w.shape[-2], x.shape[-1]):
         raise ShapeError(f"Y must be {w.shape[-2]}x{x.shape[-1]}, got {y.shape}")
-    loss, e, total = _ce_terms(w @ x, y)
-    delta = (e / total - y) / x.shape[-1]
-    del e  # frees the K x N exponentials before the two products below
+    z = w @ x
+    loss, delta, total = _ce_terms(z, y)
+    del z
+    delta /= total            # the softmax S, then (S - Y) / N
+    delta -= y
+    delta /= x.shape[-1]
     return loss, delta @ x.swapaxes(-1, -2), w.swapaxes(-1, -2) @ delta
 
 
 def _ce_terms(z: np.ndarray, y: np.ndarray):
     """(mean cross-entropy, exp of the max-shifted logits, their column sums);
-    the loss is a float for a matrix and one value per cell for a stack."""
-    shifted = z - z.max(axis=-2, keepdims=True)
-    e = np.exp(shifted)
+    the loss is a float for a matrix and one value per cell for a stack.
+    Overwrites ``z``, which the caller allocated for this call, so Y may not
+    carry a cell axis that Z lacks."""
+    if y.ndim > z.ndim:
+        raise ShapeError(f"Y {y.shape} is a stack but the logits {z.shape} are not")
+    z -= z.max(axis=-2, keepdims=True)
+    e = np.exp(z)
     total = e.sum(axis=-2, keepdims=True)
-    log_p = shifted - np.log(total)
+    z -= np.log(total)        # the log-probabilities
+    z *= y
     if z.ndim == 2:
-        return -float((y * log_p).sum()) / z.shape[1], e, total
-    terms = y * log_p
-    return -terms.reshape(terms.shape[0], -1).sum(axis=1) / z.shape[-1], e, total
+        return -float(z.sum()) / z.shape[1], e, total
+    return -z.reshape(z.shape[0], -1).sum(axis=1) / z.shape[-1], e, total
 
 
 def ce_loss_from_logits(z, y) -> float:
     """Mean cross-entropy of softmax(Z) against one-hot targets Y, for
-    logits Z = W X already computed; equal to ce_loss_and_grad's loss."""
-    return _ce_terms(_as_matrices(z), _as_matrices(y))[0]
+    logits Z = W X already computed; equal to ce_loss_and_grad's loss.
+    Z is read, not written."""
+    return _ce_terms(_as_matrices(z).copy(), _as_matrices(y))[0]
+
+
+def _affine_relu(w: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """relu(W a + b), computed in the buffer of the product W a."""
+    z = w @ a
+    z += b
+    return np.maximum(z, 0.0, out=z)
 
 
 class UFMModel:
@@ -234,7 +255,7 @@ class MLPModel:
     def features(self, x) -> np.ndarray:
         a = _as_matrices(x)
         for w, b in zip(self.hidden_weights, self.hidden_biases):
-            a = np.maximum(w @ a + b, 0.0)
+            a = _affine_relu(w, b, a)
         return a
 
     def forward_backward(self, x, y):
@@ -248,15 +269,17 @@ class MLPModel:
         activations = [x]
         a = x
         for w, b in zip(self.hidden_weights, self.hidden_biases):
-            a = np.maximum(w @ a + b, 0.0)
+            a = _affine_relu(w, b, a)
             activations.append(a)
         feats = a
         loss, grad_final, d_feats = ce_loss_and_grad(self.final_weight, feats, y)
         grads_rev = [grad_final]
         d_a = d_feats
         for i in range(len(self.hidden_weights) - 1, -1, -1):
-            # relu(z) > 0 exactly where z > 0, NaN included
-            d_z = d_a * (activations[i + 1] > 0.0)
+            # relu(z) > 0 exactly where z > 0, NaN included; d_a is a
+            # product made in this pass, so it takes the mask in place
+            d_z = d_a
+            d_z *= activations[i + 1] > 0.0
             grads_rev.append(d_z.sum(axis=-1, keepdims=True))                # bias grad
             grads_rev.append(d_z @ activations[i].swapaxes(-1, -2))          # weight grad
             if i > 0:

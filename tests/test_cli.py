@@ -628,6 +628,22 @@ def test_metrics_file_errors_name_the_file(tmp_path, capsys, which, what, conten
     assert err.startswith(f"error: cannot read {what} from {bad}: ")
 
 
+@pytest.mark.parametrize("which", ["--weights", "--features"])
+@pytest.mark.parametrize("text, message", [
+    ("2 2\n1 0\n0 \u00e9\n", "row 1: unparseable value in '0 \u00e9'"),
+    ("2 3\n1 0 2\n0 1\n", "row 1: expected 3 values, found 2"),
+])
+def test_metrics_parse_errors_name_the_flag_and_file(tmp_path, capsys, which, text, message):
+    paths = dict(zip(["--weights", "--features", "--labels"], _write_metric_inputs(tmp_path)))
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    paths[which] = str(bad)
+    rc = main(["metrics"] + [part for item in paths.items() for part in item])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err == f"error: {which} {bad}: {message}\n"
+
+
 def test_regress_two_column_csv(tmp_path, capsys):
     xs = [0.1, 0.2, 0.3, 0.4, 0.5]
     rows = "".join(f"{x!r},{0.16 * x!r}\n" for x in xs)

@@ -38,7 +38,7 @@ from nc_lab.harness import (
     write_sweep_outputs,
 )
 from nc_lab.metrics import METRIC_KEYS, simplex_etf
-from nc_lab.models import MLPModel
+from nc_lab.models import MLPModel, one_hot
 from nc_lab.optim import LRSchedule, OptimizerConfig
 from helpers import metric_records
 
@@ -959,6 +959,74 @@ def test_run_training_collects_a_copy_of_the_classifier_every_epoch():
     assert not any(np.shares_memory(w, final) for _, w in res.weights)
     assert all(not np.array_equal(a, b) for (_, a), (_, b) in zip(res.weights, res.weights[1:]))
     assert run_training(_mlp_config(epochs=2)).weights is None
+
+
+def _params_before_each_step(monkeypatch) -> list:
+    """Copies of the one cell's parameters, taken before every optimizer
+    step: in full batch, entry e holds the parameters at epoch e."""
+    seen = []
+    real = optim.Optimizer.step
+
+    def step(self, grads):
+        seen.append([p[0].copy() for p in self.params])
+        return real(self, grads)
+
+    monkeypatch.setattr(optim.Optimizer, "step", step)
+    return seen
+
+
+def _row_bits(record) -> list:
+    return [None if v is None else repr(float(v)) for v in record.to_row()]
+
+
+@pytest.mark.parametrize("kind, lr", [("mlp", 0.05), ("ufm", 0.05), ("mlp", 1e8)])
+def test_full_batch_records_equal_fresh_snapshots_of_their_parameters(monkeypatch, kind, lr):
+    # A full-batch snapshot reads the next step's forward pass; the fresh
+    # snapshot here recomputes the features and the loss from the parameters
+    # of its epoch. lr = 1e8 diverges in epoch 4, whose pass also feeds the
+    # snapshot owed at epoch 4; the last record is the diagnostic.
+    opt = OptimizerConfig(kind="sgd_coupled", lr=lr, momentum=0.9)
+    if kind == "mlp":
+        cfg = _mlp_config(epochs=7, metric_period=2, optimizer=opt)
+    else:
+        cfg = ExperimentConfig(model_kind="ufm", num_classes=4, dim=6, per_class=3, epochs=7,
+                               metric_period=2, optimizer=opt)
+    seen = _params_before_each_step(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run_training(cfg, collect_weights=True)
+        assert res.status == ("diverged" if lr > 1.0 else "ok")
+        weights = dict(res.weights)
+        labels = harness._setup(cfg).labels
+        for rec in res.records:
+            params = seen[rec.epoch] if rec.epoch < len(seen) else res.model.parameters()
+            if kind == "mlp":
+                model = MLPModel(params[0:-1:2], params[1:-1:2], params[-1])
+                feats = model.features(res.dataset.features)
+            else:
+                feats = params[0]
+            w = weights[rec.epoch]
+            assert w.tobytes() == params[-1].tobytes()
+            fresh = harness._snapshot(rec.epoch, rec.lr, w,
+                                      metrics.LabeledFeatures(feats, labels, 4),
+                                      one_hot(labels, 4))
+            assert _row_bits(rec) == _row_bits(fresh)
+    assert [rec.epoch for rec in res.records] == ([0, 2, 4, 5] if lr > 1.0 else [0, 2, 4, 6, 7])
+    assert math.isfinite(res.records[-1].train_loss) == (lr < 1.0)
+
+
+@pytest.mark.parametrize("batch_size, calls", [(None, 1), (20, 4)])
+def test_only_the_final_full_batch_snapshot_computes_features(monkeypatch, batch_size, calls):
+    counted = []
+    real = MLPModel.features
+
+    def features(self, x):
+        counted.append(x.shape)
+        return real(self, x)
+
+    monkeypatch.setattr(MLPModel, "features", features)
+    res = run_training(_mlp_config(epochs=7, metric_period=3, batch_size=batch_size))
+    assert len(res.records) == 4
+    assert len(counted) == calls
 
 
 def test_sign_plateau_check_trains_through_the_optimizer_table(monkeypatch):

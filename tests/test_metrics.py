@@ -97,6 +97,13 @@ def test_labeled_features_validation():
         LabeledFeatures(f, [0, 0, 0, 0], 2)
     with pytest.raises(DomainError):
         LabeledFeatures(f, [0, 1, 0, 1], 1)
+    # with_features keeps the checked labels and none of the old features' results
+    data.class_means
+    other = data.with_features(2.0 * f[:2])
+    assert other.labels is data.labels and other.dim == 2
+    assert np.array_equal(other.class_means, LabeledFeatures(2.0 * f[:2], data.labels, 2).class_means)
+    with pytest.raises(ShapeError):
+        data.with_features(f[:, :3])
 
 
 def test_class_statistics_hand_cases():
@@ -256,6 +263,11 @@ def test_nc4_agreement_values():
     assert nc4_agreement(etf.T, data) == 1.0
     derangement = np.array([1, 2, 3, 0])
     assert nc4_agreement(etf.T[derangement], data) == 0.0
+    # the decisions kept for one W are not read for a W changed in place
+    w = etf.T.copy()
+    assert nc4_agreement(w, data) == 1.0
+    w[:] = w[derangement]
+    assert nc4_agreement(w, data) == 0.0
 
 
 def test_nc4_matches_brute_force():
@@ -521,7 +533,7 @@ def test_snapshot_runs_the_class_statistics_passes_once(monkeypatch):
     w = np.random.default_rng(3).standard_normal((5, 8))
     monkeypatch.setattr(metrics, "_class_means", counted_means)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    record = _snapshot(0, 0.1, w, blobs.features, blobs.labels, 5, 1.0, 0.5)
+    record = _snapshot(0, 0.1, w, LabeledFeatures(blobs.features, blobs.labels, 5), None, 1.0)
     # One mean pass and one SVD of the 8 x 5 centered means (the other SVD
     # is of the 5 x 8 W); nc1 and the sigma_*_m columns share that SVD.
     assert len(mean_passes) == 1
@@ -545,7 +557,8 @@ def test_non_finite_class_statistics_raise_and_blank_the_snapshot():
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError):
                 compute_class_statistics(LabeledFeatures(feats, labels, 2))
-            record = _snapshot(3, 0.1, np.ones((2, 1)), feats, labels, 2, 1.0, 0.5)
+            record = _snapshot(3, 0.1, np.ones((2, 1)), LabeledFeatures(feats, labels, 2),
+                               None, 1.0)
         assert all(record.values[key] is None for key in METRIC_KEYS)
         assert record.sigma_min_m is None and record.sigma_avg_m is None
 

@@ -91,6 +91,16 @@ def test_ce_shape_errors():
         ce_loss_and_grad(np.zeros((2, 3)), np.zeros((4, 5)), one_hot([0] * 5, 2))
     with pytest.raises(ShapeError):
         ce_loss_and_grad(np.zeros((2, 3)), np.zeros((3, 5)), one_hot([0] * 4, 2))
+    y = one_hot([0] * 5, 2)
+    for logits in (np.zeros(5), np.zeros((1, 1, 2, 5))):
+        with pytest.raises(ShapeError):
+            ce_loss_from_logits(logits, y)
+    # targets with a cell axis that the logits lack
+    stacked = np.stack([y, y])
+    with pytest.raises(ShapeError):
+        ce_loss_and_grad(np.zeros((2, 3)), np.zeros((3, 5)), stacked)
+    with pytest.raises(ShapeError):
+        ce_loss_from_logits(np.zeros((2, 5)), stacked)
 
 
 def test_frame_zero_weights_loss_and_sign_pattern():
@@ -164,6 +174,28 @@ def test_ce_loss_from_logits_equals_ce_loss_and_grad_bits():
         x = rng.standard_normal((p, n))
         y = one_hot(rng.integers(0, k, size=n), k)
         assert ce_loss_from_logits(w @ x, y) == ce_loss_and_grad(w, x, y)[0]
+
+
+@pytest.mark.parametrize("cells", [None, 3])
+def test_loss_and_backprop_leave_every_argument_unchanged(cells):
+    # The passes compute in place, but only in arrays they allocated: the
+    # logits a caller passes stay as they were and can be read afterwards.
+    rng = np.random.default_rng(14)
+    stack = () if cells is None else (cells,)
+    x = rng.standard_normal(stack + (5, 9))
+    y = one_hot(rng.integers(0, 4, size=9), 4)
+    w = 3.0 * rng.standard_normal(stack + (4, 5))
+    logits = w @ x
+    models = [MLPModel.create(5, (6, 7), 4, seed=s) for s in range(cells or 1)]
+    model = models[0] if cells is None else MLPModel.stack(models)
+    args = [x, y, w, logits, *model.parameters()]
+    before = [a.copy() for a in args]
+    loss = ce_loss_and_grad(w, x, y)[0]
+    assert np.array_equal(ce_loss_from_logits(logits, y), loss)
+    assert np.array_equal(ce_loss_from_logits(logits, y), loss)
+    model.forward_backward(x, y)
+    model.features(x)
+    assert [a.tobytes() for a in args] == [b.tobytes() for b in before]
 
 
 def test_mlp_zero_depth_reduces_to_linear_classifier():
