@@ -562,6 +562,9 @@ class _Grid:
                            # gradients, the G x P x N features of a full batch or None)
     features: Callable     # stacked model -> G x P x N full-data features
     cell_bytes: int        # _working_set of one cell
+    fixed: Optional[np.ndarray] = None   # the P x N features every cell shares when
+                                         # the model has no hidden layer; grads then
+                                         # returns None for them, and features is unused
 
 
 def _setup(config: ExperimentConfig) -> _Grid:
@@ -605,21 +608,17 @@ def _setup(config: ExperimentConfig) -> _Grid:
             model.final_weight = np.zeros_like(model.final_weight)
         return model
 
-    def stacked(model, feats):
-        # with no hidden layer the features are the shared 2-D input itself
-        return np.broadcast_to(feats, (len(model.final_weight), *feats.shape[-2:]))
-
     def grads(model, cols):
         batch = (x_full, y_full) if cols is None else (
             gather_columns(x_full, cols), gather_columns(y_full, cols))
         loss, grads, feats = model.forward_backward(*batch)
-        return loss, grads, stacked(model, feats) if cols is None else None
+        return loss, grads, feats if cols is None and hidden else None
 
     widths = (x_full.shape[0], *hidden, k)
     num_params = sum(a * b for a, b in zip(widths, widths[1:])) + sum(hidden)
-    return _Grid(dataset, labels, y_full, make_mlp, grads,
-                 lambda m: stacked(m, m.features(x_full)),
-                 _working_set(widths, _batch(config, labels.shape[0]), num_params))
+    return _Grid(dataset, labels, y_full, make_mlp, grads, lambda m: m.features(x_full),
+                 _working_set(widths, _batch(config, labels.shape[0]), num_params),
+                 None if hidden else x_full)
 
 
 def _batch(config: ExperimentConfig, n: int) -> int:
@@ -733,7 +732,11 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     anyway; only the final snapshot computes its own. A mini-batch snapshot
     computes the stack's full-data features once, and each cell reads its
     slice. No snapshot's features outlive it. The labels are checked once,
-    and each snapshot's features take them over (``with_features``).
+    and each snapshot's features take them over (``with_features``). When
+    the features are the grid's fixed input (``grid.fixed``, a model with no
+    hidden layer), the stack builds one LabeledFeatures over them, which
+    every cell and snapshot reads: its class statistics, nc2/nc2n/nc2a and
+    nearest-mean decisions are computed once per stack.
 
     A cell whose batch loss is non-finite skips that step, logs a final
     diagnostic record (from that step's pass in full batch) and leaves the
@@ -752,7 +755,8 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     opt = Optimizer([cell.config.optimizer for cell in cells], model.parameters())
     model.set_parameters(opt.params)
     shuffles = [np.random.default_rng([cell.config.seed, 1]) for cell in cells]
-    labeled = LabeledFeatures(np.empty((0, n)), grid.labels, k)
+    fixed = grid.fixed is not None
+    labeled = LabeledFeatures(grid.fixed if fixed else np.empty((0, n)), grid.labels, k)
 
     def collect(indices, epoch):
         """Append a copy of the classifier of each cell i in indices, when
@@ -765,15 +769,17 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     def log(indices, epoch, forward=None):
         """Append to each cell i in indices its snapshot record at its step
         size. ``forward`` is the grid.grads result of a full-batch pass on
-        the current parameters; without it the features are computed."""
+        the current parameters; without it the features are computed,
+        unless they are the grid's fixed input."""
         weight = model.parameters()[-1]
-        losses, _, feats = forward if forward is not None else (None, None,
-                                                                grid.features(model))
+        losses, _, feats = forward if forward is not None else (None, None, None)
+        if feats is None and not fixed:
+            feats = grid.features(model)
         for i in indices:
             cell = cells[i]
             loss = None if losses is None else float(losses[i])
-            cell.records.append(_snapshot(epoch, cell.lr, weight[i], labeled.with_features(feats[i]),
-                                          grid.targets, loss))
+            data = labeled if fixed else labeled.with_features(feats[i])
+            cell.records.append(_snapshot(epoch, cell.lr, weight[i], data, grid.targets, loss))
 
     def finish(i, status):
         cell = cells[i]

@@ -18,6 +18,7 @@ Inputs are float64 ndarrays or nested lists.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -81,14 +82,29 @@ def simplex_etf(num_classes: int) -> np.ndarray:
     return (np.eye(k) - np.full((k, k), 1.0 / k)) / np.sqrt(k - 1.0)
 
 
+@functools.lru_cache(maxsize=8)
+def _etf_frame(k: int) -> np.ndarray:
+    """The simplex_etf(k) that the structure metrics compare against, built
+    once per K and read-only."""
+    return _read_only(simplex_etf(k))
+
+
+@functools.lru_cache(maxsize=8)
+def _off_diagonal(k: int) -> np.ndarray:
+    """The read-only K x K mask of the off-diagonal entries, built once per K."""
+    return _read_only(~np.eye(k, dtype=bool))
+
+
 class LabeledFeatures:
     """Feature matrix (p x N, one column per sample) with integer labels.
 
-    The class means, the ClassStatistics and the linear decisions of the
-    last classifier asked for are computed on first request and kept,
-    read-only, so every metric of a snapshot shares one computation.
-    The features and labels must therefore not be changed after construction;
-    build a new LabeledFeatures, or call ``with_features``, for new features.
+    The class means, the ClassStatistics (which keeps nc2, nc2n and nc2a in
+    turn), the nearest-mean decisions and the linear decisions of the last
+    classifier asked for are computed on first request and kept, read-only,
+    so every metric of a snapshot shares one computation, and snapshots of
+    one fixed feature set share it too. The features and labels must
+    therefore not be changed after construction; build a new
+    LabeledFeatures, or call ``with_features``, for new features.
     """
 
     def __init__(self, features, labels, num_classes: int):
@@ -122,6 +138,7 @@ class LabeledFeatures:
     def _forget(self) -> None:
         self._means: Optional[np.ndarray] = None
         self._stats: Optional[ClassStatistics] = None
+        self._nearest: Optional[np.ndarray] = None
         self._linear: Optional[tuple] = None
 
     def with_features(self, features) -> "LabeledFeatures":
@@ -160,6 +177,12 @@ class LabeledFeatures:
             self._linear = (w.copy(), _read_only(np.argmax(logits, axis=0)))
         return self._linear[1]
 
+    def _nearest_decisions(self) -> np.ndarray:
+        """The nearest class mean of each sample (_nearest_mean), kept."""
+        if self._nearest is None:
+            self._nearest = _read_only(_nearest_mean(self.features, self.class_means))
+        return self._nearest
+
 
 @dataclass
 class ClassStatistics:
@@ -170,6 +193,11 @@ class ClassStatistics:
     ``nc1_terms`` holds ||u_j^T D||^2 / (N s_j^2), D the deviations
     h_n - mu_(y_n), for each kept direction: s_j^2 > 1e-10 * s_0^2, the
     relative cut linalg.pseudo_inverse applies to Sigma_B.
+
+    nc2_structure, nc2_norms and nc2_angles keep their value, or their
+    DomainError, on the ClassStatistics at the first call, so the arrays
+    must not be changed after it; compute_class_statistics makes them
+    read-only.
     """
 
     class_means: np.ndarray          # p x K
@@ -178,6 +206,7 @@ class ClassStatistics:
     singular_values: np.ndarray      # min(p, K), descending
     nc1_terms: np.ndarray            # one per kept direction; empty iff Sigma_B == 0
     per_class_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_classes(self) -> int:
@@ -275,7 +304,7 @@ def _gram_structure(vectors: np.ndarray) -> float:
     norm = np.linalg.norm(gram)
     if norm <= 0.0:
         raise DomainError("structure metric undefined for all-zero vectors")
-    return float(np.linalg.norm(gram / norm - simplex_etf(k))) / k**2
+    return float(np.linalg.norm(gram / norm - _etf_frame(k))) / k**2
 
 
 def _norm_spread(vectors: np.ndarray) -> float:
@@ -295,23 +324,40 @@ def _angle_deviation(vectors: np.ndarray) -> float:
         raise DomainError("angle metric undefined: a vector norm is below 1e-12")
     unit = vectors / norms
     cos = unit.T @ unit
-    off = ~np.eye(k, dtype=bool)
-    return float(np.abs(cos[off] + 1.0 / (k - 1)).mean())
+    return float(np.abs(cos[_off_diagonal(k)] + 1.0 / (k - 1)).mean())
+
+
+def _kept_on(stats: ClassStatistics, key: str, fn) -> float:
+    """fn(stats.centered_means), computed at the first call for ``stats`` and
+    kept on it under ``key``; a DomainError is kept too and raised again at
+    every call."""
+    if key not in stats._kept:
+        try:
+            stats._kept[key] = fn(stats.centered_means)
+        except DomainError as exc:
+            stats._kept[key] = exc
+    value = stats._kept[key]
+    if isinstance(value, DomainError):
+        raise value.with_traceback(None)
+    return value
 
 
 def nc2_structure(stats: ClassStatistics) -> float:
-    """Distance of the normalized centered-mean Gram matrix from the simplex ETF."""
-    return _gram_structure(stats.centered_means)
+    """Distance of the normalized centered-mean Gram matrix from the simplex
+    ETF; kept on ``stats`` (or its DomainError) after the first call."""
+    return _kept_on(stats, "nc2", _gram_structure)
 
 
 def nc2_norms(stats: ClassStatistics) -> float:
-    """Relative spread of the centered class-mean norms (0 = equinorm)."""
-    return _norm_spread(stats.centered_means)
+    """Relative spread of the centered class-mean norms (0 = equinorm); kept
+    on ``stats`` (or its DomainError) after the first call."""
+    return _kept_on(stats, "nc2n", _norm_spread)
 
 
 def nc2_angles(stats: ClassStatistics) -> float:
-    """Mean deviation of centered-mean cosines from the ideal -1/(K-1)."""
-    return _angle_deviation(stats.centered_means)
+    """Mean deviation of centered-mean cosines from the ideal -1/(K-1); kept
+    on ``stats`` (or its DomainError) after the first call."""
+    return _kept_on(stats, "nc2a", _angle_deviation)
 
 
 def nc2w_structure(w) -> float:
@@ -338,7 +384,7 @@ def nc2m_duality(w, stats: ClassStatistics) -> float:
     norm = np.linalg.norm(prod)
     if norm <= 0.0:
         raise DomainError("nc2m undefined: WM is zero")
-    return float(np.linalg.norm(prod / norm - simplex_etf(k))) / k**2
+    return float(np.linalg.norm(prod / norm - _etf_frame(k))) / k**2
 
 
 def nc3_alignment(w, stats: ClassStatistics) -> float:
@@ -394,14 +440,16 @@ def nc4_agreement(w, data: LabeledFeatures, test_features=None) -> float:
     """Fraction of samples where argmax_k <w_k, h> equals the nearest
     (uncentered) training class-mean decision. Ties resolve to the lowest
     class index on both sides. ``test_features`` defaults to the training
-    features.
+    features, whose nearest-mean decisions are kept on ``data``, as are the
+    linear decisions of the last W.
     """
     w = as_array(w)
     h = data.features if test_features is None else as_array(test_features)
     if w.shape[1] != h.shape[0]:
         raise ShapeError(f"W is {w.shape} but features are {h.shape}")
-    linear = data._linear_decisions(w) if test_features is None else np.argmax(w @ h, axis=0)
-    return float(np.mean(linear == _nearest_mean(h, data.class_means)))
+    if test_features is None:
+        return float(np.mean(data._linear_decisions(w) == data._nearest_decisions()))
+    return float(np.mean(np.argmax(w @ h, axis=0) == _nearest_mean(h, data.class_means)))
 
 
 def all_metrics(w, data: LabeledFeatures, test_features=None) -> dict:

@@ -1014,6 +1014,119 @@ def test_full_batch_records_equal_fresh_snapshots_of_their_parameters(monkeypatc
     assert math.isfinite(res.records[-1].train_loss) == (lr < 1.0)
 
 
+def _fixed_input_configs(case) -> list:
+    """Configs of one stack whose features are its fixed input: the frame of
+    ufm_fixed_features, or the blobs of an mlp with no hidden layer."""
+    if case == "oscillation":
+        return [_ufm_sign_config("signgd_coupled", 0.1, 0.5, 40, schedule="oscillation_decay",
+                                 metric_period=3)]
+    if case == "mlp_no_hidden_minibatch":
+        return [_mlp_config(hidden_sizes=(), epochs=5, metric_period=2, batch_size=30)]
+    opt = OptimizerConfig(kind="sgd_coupled", lr=0.5, momentum=0.9)
+    base = ExperimentConfig(model_kind="ufm_fixed_features", num_classes=4, epochs=7,
+                            metric_period=2, optimizer=opt)
+    if case != "sweep_stack":
+        return [replace(base, init=case)]
+    sign = OptimizerConfig(kind="signgd_decoupled", lr=0.1, decoupled_wd=0.5)
+    return [replace(base, init="gaussian", seed=seed, optimizer=o)
+            for seed, o in enumerate((opt, sign, replace(opt, lr=0.05), sign))]
+
+
+@pytest.mark.parametrize("case", ["zero", "gaussian", "sweep_stack", "oscillation",
+                                  "mlp_no_hidden_minibatch"])
+def test_fixed_input_records_equal_fresh_snapshots_of_their_weights(case):
+    # Every cell and snapshot of such a stack reads one LabeledFeatures; the
+    # fresh snapshot here builds its own over the same features.
+    configs = _fixed_input_configs(case)
+    grid = harness._setup(configs[0])
+    assert grid.fixed is not None
+    assert harness._STACK_BUDGET_BYTES // grid.cell_bytes >= len(configs)   # one stack
+    k = configs[0].num_classes
+    results = harness._train_cells(configs, collect_weights=True)
+    for cfg, res in zip(configs, results):
+        assert isinstance(res, TrainResult)
+        weights = dict(res.weights)
+        assert [rec.epoch for rec in res.records] == sorted(
+            set(range(0, cfg.epochs, cfg.metric_period)) | {cfg.epochs})
+        for rec in res.records:
+            fresh = harness._snapshot(rec.epoch, rec.lr, weights[rec.epoch],
+                                      metrics.LabeledFeatures(grid.fixed.copy(), grid.labels, k),
+                                      one_hot(grid.labels, k))
+            assert _row_bits(rec) == _row_bits(fresh)
+
+
+def _count_calls(monkeypatch, counts, module, name, seen=None):
+    """Count the calls of module.name under ``name``, through every nc_lab
+    module that holds it; ``seen`` collects the return values."""
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        out = real(*args, **kwargs)
+        if seen is not None:
+            seen.append(out)
+        return out
+
+    for mod in (metrics, harness):
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def _count_mean_svds(monkeypatch, counts):
+    """Count the thin SVDs, which only compute_class_statistics makes (of
+    the centered means); singular_values asks for no vectors."""
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        if kwargs.get("full_matrices", True) is False:
+            counts["svd"] = counts.get("svd", 0) + 1
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+
+
+@pytest.mark.parametrize("cells", [1, 3])
+def test_a_fixed_input_stack_computes_its_feature_side_metrics_once(monkeypatch, cells):
+    opt = OptimizerConfig(kind="sgd_coupled", lr=0.5, momentum=0.9)
+    configs = [ExperimentConfig(model_kind="ufm_fixed_features", init="gaussian", seed=seed,
+                                num_classes=4, epochs=9, metric_period=3, optimizer=opt)
+               for seed in range(cells)]
+    counts = {}
+    for name in ("_nearest_mean", "all_metrics", "compute_class_statistics", "nc2_structure",
+                 "nc2_norms", "nc2_angles", "nc4_agreement"):
+        _count_calls(monkeypatch, counts, metrics, name)
+    _count_mean_svds(monkeypatch, counts)
+    results = harness._train_cells(configs)
+    snapshots = sum(len(res.records) for res in results)
+    assert snapshots == 4 * cells           # epochs 0, 3, 6 and 9
+    assert counts == {
+        "_nearest_mean": 1,
+        "svd": 1,
+        "all_metrics": snapshots,
+        # once in all_metrics and once for the snapshot's sigma_*_m
+        "compute_class_statistics": 2 * snapshots,
+        "nc2_structure": snapshots,
+        "nc2_norms": snapshots,
+        "nc2_angles": snapshots,
+        "nc4_agreement": snapshots,
+    }
+
+
+def test_coincident_fixed_class_means_skip_nc2_in_every_snapshot(monkeypatch):
+    # margin 0 and noise 0 put every blob at the origin: the class means
+    # coincide, so nc2, nc2n and nc2a raise the DomainError their
+    # ClassStatistics keeps at every snapshot, not only the first.
+    counts, bundles = {}, []
+    _count_calls(monkeypatch, counts, metrics, "all_metrics", bundles)
+    res = run_training(_mlp_config(hidden_sizes=(), margin=0.0, noise_std=0.0, epochs=6,
+                                   metric_period=2))
+    assert len(bundles) == len(res.records) == 4
+    for bundle, rec in zip(bundles, res.records):
+        assert {"nc2", "nc2n", "nc2a"} <= set(bundle["flags"]["skipped"])
+        assert bundle["flags"]["sigma_b_degenerate"]
+        assert rec.values["nc2"] is rec.values["nc2n"] is rec.values["nc2a"] is None
+
+
 @pytest.mark.parametrize("batch_size, calls", [(None, 1), (20, 4)])
 def test_only_the_final_full_batch_snapshot_computes_features(monkeypatch, batch_size, calls):
     counted = []

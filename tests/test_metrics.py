@@ -79,6 +79,22 @@ def test_simplex_etf_frame_identities():
         simplex_etf(1)
 
 
+def test_simplex_etf_is_a_fresh_writable_array_and_the_metrics_keep_their_own():
+    frame = simplex_etf(4)
+    assert frame.flags.writeable
+    stats = _stats_from_means(simplex_etf(4))
+    frame[:] = 0.0
+    assert np.array_equal(simplex_etf(4), (np.eye(4) - 0.25) / np.sqrt(3.0))
+    assert nc2w_structure(simplex_etf(4)) < 1e-15
+    assert nc2_structure(stats) < 1e-15
+    kept = metrics._etf_frame(4)
+    assert kept is metrics._etf_frame(4) and not kept.flags.writeable
+    assert np.array_equal(kept, simplex_etf(4))
+    mask = metrics._off_diagonal(4)
+    assert mask is metrics._off_diagonal(4) and not mask.flags.writeable
+    assert np.array_equal(mask, ~np.eye(4, dtype=bool))
+
+
 def test_labeled_features_validation():
     f = np.arange(12.0).reshape(3, 4)
     data = LabeledFeatures(f, [0, 1, 0, 1], 2)
@@ -208,12 +224,26 @@ def test_nc2_equal_norm_means():
 
 def test_nc2_degenerate_errors():
     zero = _stats_from_means(np.zeros((3, 4)))
-    with pytest.raises(DomainError):
-        nc2_structure(zero)
-    with pytest.raises(DomainError):
-        nc2_norms(zero)
-    with pytest.raises(DomainError):
-        nc2_angles(zero)
+    for _ in range(2):          # the second call raises the kept error
+        with pytest.raises(DomainError):
+            nc2_structure(zero)
+        with pytest.raises(DomainError):
+            nc2_norms(zero)
+        with pytest.raises(DomainError, match="angle metric undefined"):
+            nc2_angles(zero)
+
+
+def test_nc2_values_are_kept_on_their_class_statistics(monkeypatch):
+    stats = _stats_from_means(_isometry(6, 4, 3) @ simplex_etf(4) + 0.1)
+    first = [nc2_structure(stats), nc2_norms(stats), nc2_angles(stats)]
+    calls = []
+    for name in ("_gram_structure", "_norm_spread", "_angle_deviation"):
+        monkeypatch.setattr(metrics, name, lambda v, name=name: calls.append(name))
+    assert [nc2_structure(stats), nc2_norms(stats), nc2_angles(stats)] == first
+    assert calls == []
+    fresh = _stats_from_means(_isometry(6, 4, 3) @ simplex_etf(4) + 0.1)
+    nc2_structure(fresh)
+    assert calls == ["_gram_structure"]
 
 
 def test_nc2w_values():
