@@ -230,6 +230,9 @@ _TUPLE_CASTS = {
 
 
 def _cast_value(key: str, caster, raw: str):
+    """The value of ``raw`` for ``key``; only a tuple key may be empty, as ()."""
+    if not raw.strip() and caster not in _TUPLE_CASTS:
+        raise DomainError(f"config key {key}: empty value")
     try:
         if caster in _TUPLE_CASTS:
             return tuple(_TUPLE_CASTS[caster](p) for p in raw.split(",") if p.strip())
@@ -251,8 +254,8 @@ def parse_config_text(text: str) -> dict:
             raise DomainError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise DomainError(f"config line {lineno}: empty key or value")
+        if not key:
+            raise DomainError(f"config line {lineno}: empty key")
         if key in mapping:
             raise DomainError(f"config line {lineno}: duplicate key {key!r}")
         mapping[key] = value
@@ -731,12 +734,11 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     the same parameters and yields the stack's features and per-cell losses
     anyway; only the final snapshot computes its own. A mini-batch snapshot
     computes the stack's full-data features once, and each cell reads its
-    slice. No snapshot's features outlive it. The labels are checked once,
-    and each snapshot's features take them over (``with_features``). When
-    the features are the grid's fixed input (``grid.fixed``, a model with no
-    hidden layer), the stack builds one LabeledFeatures over them, which
-    every cell and snapshot reads: its class statistics, nc2/nc2n/nc2a and
-    nearest-mean decisions are computed once per stack.
+    slice, as a LabeledFeatures of its own. No snapshot's features outlive
+    it. When the features are the grid's fixed input (``grid.fixed``, a
+    model with no hidden layer), the stack builds one LabeledFeatures over
+    them, which every cell and snapshot reads: its class statistics,
+    nc2/nc2n/nc2a and nearest-mean decisions are computed once per stack.
 
     A cell whose batch loss is non-finite skips that step, logs a final
     diagnostic record (from that step's pass in full batch) and leaves the
@@ -755,8 +757,7 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     opt = Optimizer([cell.config.optimizer for cell in cells], model.parameters())
     model.set_parameters(opt.params)
     shuffles = [np.random.default_rng([cell.config.seed, 1]) for cell in cells]
-    fixed = grid.fixed is not None
-    labeled = LabeledFeatures(grid.fixed if fixed else np.empty((0, n)), grid.labels, k)
+    fixed = None if grid.fixed is None else LabeledFeatures(grid.fixed, grid.labels, k)
 
     def collect(indices, epoch):
         """Append a copy of the classifier of each cell i in indices, when
@@ -773,12 +774,12 @@ def _train_stack(grid: _Grid, cells: list) -> None:
         unless they are the grid's fixed input."""
         weight = model.parameters()[-1]
         losses, _, feats = forward if forward is not None else (None, None, None)
-        if feats is None and not fixed:
+        if feats is None and fixed is None:
             feats = grid.features(model)
         for i in indices:
             cell = cells[i]
             loss = None if losses is None else float(losses[i])
-            data = labeled if fixed else labeled.with_features(feats[i])
+            data = fixed if fixed is not None else LabeledFeatures(feats[i], grid.labels, k)
             cell.records.append(_snapshot(epoch, cell.lr, weight[i], data, grid.targets, loss))
 
     def finish(i, status):

@@ -12,14 +12,15 @@ and labeled feature vectors (p x N):
 * nc4 — agreement between the classifier's decisions and nearest-mean
   decisions.
 
-Inputs are float64 ndarrays or nested lists.
+Inputs are float64 ndarrays or nested lists. A LabeledFeatures keeps what is
+computed from its features, and its ClassStatistics holds nc2, nc2n and nc2a,
+so the metrics of one feature set share one computation.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -98,13 +99,12 @@ def _off_diagonal(k: int) -> np.ndarray:
 class LabeledFeatures:
     """Feature matrix (p x N, one column per sample) with integer labels.
 
-    The class means, the ClassStatistics (which keeps nc2, nc2n and nc2a in
-    turn), the nearest-mean decisions and the linear decisions of the last
-    classifier asked for are computed on first request and kept, read-only,
-    so every metric of a snapshot shares one computation, and snapshots of
-    one fixed feature set share it too. The features and labels must
-    therefore not be changed after construction; build a new
-    LabeledFeatures, or call ``with_features``, for new features.
+    What is computed from the features is computed on first request and
+    kept, read-only: the class means, the ClassStatistics, the nearest-mean
+    decisions and the linear decisions of the last classifier asked for. So
+    every metric of a snapshot, and every snapshot of one fixed feature set,
+    shares one computation. The features and labels must therefore not be
+    changed after construction; build a new LabeledFeatures for new features.
     """
 
     def __init__(self, features, labels, num_classes: int):
@@ -125,39 +125,16 @@ class LabeledFeatures:
             )
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
             raise DomainError(f"labels must lie in [0, {k})")
-        counts = np.bincount(labels, minlength=k)
-        if np.any(counts == 0):
-            empty = int(np.flatnonzero(counts == 0)[0])
-            raise DomainError(f"class {empty} has no samples")
+        empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+        if empty.size:
+            raise DomainError(f"class {int(empty[0])} has no samples")
         self.features = f
         self.labels = labels
         self.num_classes = k
-        self.per_class_counts = counts
-        self._forget()
-
-    def _forget(self) -> None:
         self._means: Optional[np.ndarray] = None
         self._stats: Optional[ClassStatistics] = None
         self._nearest: Optional[np.ndarray] = None
         self._linear: Optional[tuple] = None
-
-    def with_features(self, features) -> "LabeledFeatures":
-        """The same labels over other features of the same N. The label
-        checks and counts carry over; nothing computed from the old features
-        does."""
-        f = as_array(features)
-        if f.shape[1] != self.labels.shape[0]:
-            raise ShapeError(
-                f"{self.labels.shape[0]} labels for {f.shape[1]} feature columns"
-            )
-        new = copy.copy(self)
-        new.features = f
-        new._forget()
-        return new
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[0]
 
     @property
     def class_means(self) -> np.ndarray:
@@ -186,31 +163,25 @@ class LabeledFeatures:
 
 @dataclass
 class ClassStatistics:
-    """Class statistics of a labeled feature set in the rank-(K-1)
-    coordinates of its centered class means M (means minus mean-of-means).
+    """The record of what the metrics read of a labeled feature set: its
+    class means, and the rank-(K-1) coordinates and nc2 family of its
+    centered class means M (means minus mean-of-means).
 
     With the thin SVD M = U S V^T, Sigma_B = M M^T / K = U (S^2 / K) U^T.
     ``nc1_terms`` holds ||u_j^T D||^2 / (N s_j^2), D the deviations
-    h_n - mu_(y_n), for each kept direction: s_j^2 > 1e-10 * s_0^2, the
-    relative cut linalg.pseudo_inverse applies to Sigma_B.
-
-    nc2_structure, nc2_norms and nc2_angles keep their value, or their
-    DomainError, on the ClassStatistics at the first call, so the arrays
-    must not be changed after it; compute_class_statistics makes them
+    h_n - mu_(y_n), for each kept direction: s_j^2 > DEFAULT_RANK_TOLERANCE
+    * s_0^2. ``nc2``, ``nc2n`` and ``nc2a`` are nc2_structure, nc2_norms and
+    nc2_angles of M, or None where M leaves them undefined; the arrays are
     read-only.
     """
 
     class_means: np.ndarray          # p x K
-    global_mean: np.ndarray          # p
     centered_means: np.ndarray       # p x K
     singular_values: np.ndarray      # min(p, K), descending
     nc1_terms: np.ndarray            # one per kept direction; empty iff Sigma_B == 0
-    per_class_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def num_classes(self) -> int:
-        return self.class_means.shape[1]
+    nc2: Optional[float] = None      # nc2_structure, None where undefined
+    nc2n: Optional[float] = None     # nc2_norms
+    nc2a: Optional[float] = None     # nc2_angles
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -231,14 +202,22 @@ def _class_means(data: LabeledFeatures) -> np.ndarray:
     return means
 
 
+def _or_none(fn, *args) -> Optional[float]:
+    """fn(*args), or None where it raises DomainError (a degenerate metric)."""
+    try:
+        return fn(*args)
+    except DomainError:
+        return None
+
+
 def compute_class_statistics(data: LabeledFeatures) -> ClassStatistics:
-    """The ClassStatistics of ``data``, computed on the first call and kept
-    read-only. Raises NumericError when the centered means, their squared
-    singular values or the nc1 terms are not finite (a diverged run)."""
+    """The ClassStatistics of ``data``, with nc2, nc2n and nc2a, computed on
+    the first call and kept on ``data``. Raises NumericError when the
+    centered means, their squared singular values or the nc1 terms are not
+    finite (a diverged run)."""
     if data._stats is None:
         means = data.class_means
-        global_mean = means.mean(axis=1)
-        centered = means - global_mean[:, None]
+        centered = means - means.mean(axis=1)[:, None]
         if not np.all(np.isfinite(centered)):
             raise NumericError("class means are not finite")
         u, s, _ = np.linalg.svd(centered, full_matrices=False)
@@ -252,16 +231,19 @@ def compute_class_statistics(data: LabeledFeatures) -> ClassStatistics:
         np.subtract(data.features, dev, out=dev)
         proj = u[:, :kept].T @ dev
         terms = np.einsum("jn,jn->j", proj, proj) / (data.features.shape[1] * squares[:kept])
+        del dev, proj           # freed before nc2 runs, so they do not raise the peak
         if not np.isfinite(terms.sum()):
             raise NumericError("nc1 terms are not finite")
-        data._stats = ClassStatistics(
+        stats = ClassStatistics(
             class_means=means,
-            global_mean=_read_only(global_mean),
             centered_means=_read_only(centered),
             singular_values=_read_only(s),
             nc1_terms=_read_only(terms),
-            per_class_counts=_read_only(data.per_class_counts.copy()),
         )
+        stats.nc2 = _or_none(nc2_structure, stats)
+        stats.nc2n = _or_none(nc2_norms, stats)
+        stats.nc2a = _or_none(nc2_angles, stats)
+        data._stats = stats
     return data._stats
 
 
@@ -297,14 +279,19 @@ def nc1_variability(stats: ClassStatistics) -> float:
     return float(stats.nc1_terms.sum())
 
 
-def _gram_structure(vectors: np.ndarray) -> float:
-    """||G/||G||_F - M*||_F / K^2 for the Gram matrix G of the given columns."""
-    k = vectors.shape[1]
-    gram = vectors.T @ vectors
-    norm = np.linalg.norm(gram)
+def _etf_distance(x: np.ndarray, undefined: str) -> float:
+    """||X/||X||_F - M*||_F / K^2 for a K x K matrix X, M* the simplex ETF;
+    DomainError(undefined) when X is zero."""
+    k = x.shape[1]
+    norm = np.linalg.norm(x)
     if norm <= 0.0:
-        raise DomainError("structure metric undefined for all-zero vectors")
-    return float(np.linalg.norm(gram / norm - _etf_frame(k))) / k**2
+        raise DomainError(undefined)
+    return float(np.linalg.norm(x / norm - _etf_frame(k))) / k**2
+
+
+def _gram_structure(vectors: np.ndarray) -> float:
+    """_etf_distance of the Gram matrix G of the given columns."""
+    return _etf_distance(vectors.T @ vectors, "structure metric undefined for all-zero vectors")
 
 
 def _norm_spread(vectors: np.ndarray) -> float:
@@ -327,37 +314,19 @@ def _angle_deviation(vectors: np.ndarray) -> float:
     return float(np.abs(cos[_off_diagonal(k)] + 1.0 / (k - 1)).mean())
 
 
-def _kept_on(stats: ClassStatistics, key: str, fn) -> float:
-    """fn(stats.centered_means), computed at the first call for ``stats`` and
-    kept on it under ``key``; a DomainError is kept too and raised again at
-    every call."""
-    if key not in stats._kept:
-        try:
-            stats._kept[key] = fn(stats.centered_means)
-        except DomainError as exc:
-            stats._kept[key] = exc
-    value = stats._kept[key]
-    if isinstance(value, DomainError):
-        raise value.with_traceback(None)
-    return value
-
-
 def nc2_structure(stats: ClassStatistics) -> float:
-    """Distance of the normalized centered-mean Gram matrix from the simplex
-    ETF; kept on ``stats`` (or its DomainError) after the first call."""
-    return _kept_on(stats, "nc2", _gram_structure)
+    """Distance of the normalized centered-mean Gram matrix from the simplex ETF."""
+    return _gram_structure(stats.centered_means)
 
 
 def nc2_norms(stats: ClassStatistics) -> float:
-    """Relative spread of the centered class-mean norms (0 = equinorm); kept
-    on ``stats`` (or its DomainError) after the first call."""
-    return _kept_on(stats, "nc2n", _norm_spread)
+    """Relative spread of the centered class-mean norms (0 = equinorm)."""
+    return _norm_spread(stats.centered_means)
 
 
 def nc2_angles(stats: ClassStatistics) -> float:
-    """Mean deviation of centered-mean cosines from the ideal -1/(K-1); kept
-    on ``stats`` (or its DomainError) after the first call."""
-    return _kept_on(stats, "nc2a", _angle_deviation)
+    """Mean deviation of centered-mean cosines from the ideal -1/(K-1)."""
+    return _angle_deviation(stats.centered_means)
 
 
 def nc2w_structure(w) -> float:
@@ -379,12 +348,7 @@ def nc2m_duality(w, stats: ClassStatistics) -> float:
     m = stats.centered_means
     if w.shape[1] != m.shape[0]:
         raise ShapeError(f"W is {w.shape} but means are {m.shape}")
-    k = m.shape[1]
-    prod = w @ m
-    norm = np.linalg.norm(prod)
-    if norm <= 0.0:
-        raise DomainError("nc2m undefined: WM is zero")
-    return float(np.linalg.norm(prod / norm - _etf_frame(k))) / k**2
+    return _etf_distance(w @ m, "nc2m undefined: WM is zero")
 
 
 def nc3_alignment(w, stats: ClassStatistics) -> float:
@@ -436,53 +400,48 @@ def _nearest_mean(h: np.ndarray, means: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def nc4_agreement(w, data: LabeledFeatures, test_features=None) -> float:
+def nc4_agreement(w, data: LabeledFeatures) -> float:
     """Fraction of samples where argmax_k <w_k, h> equals the nearest
-    (uncentered) training class-mean decision. Ties resolve to the lowest
-    class index on both sides. ``test_features`` defaults to the training
-    features, whose nearest-mean decisions are kept on ``data``, as are the
-    linear decisions of the last W.
+    (uncentered) class-mean decision. Ties resolve to the lowest class index
+    on both sides. Both decisions are kept on ``data``: the nearest-mean
+    ones, and the linear ones of the last W.
     """
     w = as_array(w)
-    h = data.features if test_features is None else as_array(test_features)
-    if w.shape[1] != h.shape[0]:
-        raise ShapeError(f"W is {w.shape} but features are {h.shape}")
-    if test_features is None:
-        return float(np.mean(data._linear_decisions(w) == data._nearest_decisions()))
-    return float(np.mean(np.argmax(w @ h, axis=0) == _nearest_mean(h, data.class_means)))
+    if w.shape[1] != data.features.shape[0]:
+        raise ShapeError(f"W is {w.shape} but features are {data.features.shape}")
+    return float(np.mean(data._linear_decisions(w) == data._nearest_decisions()))
 
 
-def all_metrics(w, data: LabeledFeatures, test_features=None) -> dict:
+def all_metrics(w, data: LabeledFeatures) -> dict:
     """Evaluate the full metric suite, mapping degenerate metrics to None.
 
     Returns a dict with the 13 metric keys plus ``flags`` listing which
     metrics were skipped as degenerate and whether sigma_b was all-zero.
+    nc2, nc2n and nc2a are read from the ClassStatistics of ``data``.
     """
     stats = compute_class_statistics(data)
     w = as_array(w)
     out: dict = {}
     skipped: list[str] = []
 
-    def guarded(key, fn, *args):
-        try:
-            out[key] = fn(*args)
-        except DomainError:
-            out[key] = None
+    def put(key, value):
+        out[key] = value
+        if value is None:
             skipped.append(key)
 
     out["nc0"] = nc0_metric(w)
     out["nc0_alpha"] = nc0_alpha(w)
-    guarded("nc0_normalized", nc0_normalized, w)
+    put("nc0_normalized", _or_none(nc0_normalized, w))
     sigma_b_degenerate = stats.nc1_terms.size == 0
     out["nc1"] = nc1_variability(stats)
-    guarded("nc2", nc2_structure, stats)
-    guarded("nc2n", nc2_norms, stats)
-    guarded("nc2a", nc2_angles, stats)
-    guarded("nc2w", nc2w_structure, w)
-    guarded("nc2wn", nc2w_norms, w)
-    guarded("nc2wa", nc2w_angles, w)
-    guarded("nc2m", nc2m_duality, w, stats)
-    guarded("nc3", nc3_alignment, w, stats)
-    out["nc4"] = nc4_agreement(w, data, test_features)
+    put("nc2", stats.nc2)
+    put("nc2n", stats.nc2n)
+    put("nc2a", stats.nc2a)
+    put("nc2w", _or_none(nc2w_structure, w))
+    put("nc2wn", _or_none(nc2w_norms, w))
+    put("nc2wa", _or_none(nc2w_angles, w))
+    put("nc2m", _or_none(nc2m_duality, w, stats))
+    put("nc3", _or_none(nc3_alignment, w, stats))
+    out["nc4"] = nc4_agreement(w, data)
     out["flags"] = {"sigma_b_degenerate": sigma_b_degenerate, "skipped": skipped}
     return out

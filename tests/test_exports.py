@@ -48,6 +48,20 @@ def test_cli_imports_no_private_name():
     assert private == []
 
 
+@pytest.mark.parametrize("filename", sorted(_sources(SRC)))
+def test_every_imported_name_is_read(filename):
+    """A module reads each name it imports, or exports it in ``__all__``."""
+    tree = _tree(os.path.join(SRC, filename))
+    imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = {n.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for n in ast.walk(node.value) if isinstance(n, ast.Constant)}
+    assert sorted(imported - read - exported) == []
+
+
 def _used_names(node) -> set:
     """The identifiers a piece of code reads, as names or attributes."""
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)

@@ -130,6 +130,38 @@ def test_config_errors():
         ExperimentConfig(model_kind="submarine")
 
 
+def test_only_a_tuple_key_may_have_an_empty_value(tmp_path):
+    mapping = parse_config_text("model.kind = mlp\nmodel.hidden_sizes =  # none\n")
+    assert mapping == {"model.kind": "mlp", "model.hidden_sizes": ""}
+    assert config_from_mapping(mapping).hidden_sizes == ()
+    for key in ("data.k", "data.margin", "model.kind", "train.batch_size", "output.csv"):
+        with pytest.raises(DomainError, match=f"^config key {key}: empty value$"):
+            config_from_mapping(parse_config_text(f"train.epochs = 5\n{key} =\n"))
+    with pytest.raises(DomainError, match="^config line 1: empty key$"):
+        parse_config_text("= 5\n")
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text("sweep.outdir =\n")
+    with pytest.raises(DomainError, match="^config key sweep.outdir: empty value$"):
+        load_sweep(sweep)
+    sweep.write_text("sweep.lrs =\n")
+    with pytest.raises(DomainError, match="sweep grid lrs must be non-empty"):
+        load_sweep(sweep)
+
+
+_ECHOED = [ExperimentConfig(model_kind=kind) for kind in harness.MODEL_KINDS] + [
+    ExperimentConfig(model_kind="mlp", hidden_sizes=()),
+    ExperimentConfig(model_kind="mlp", hidden_sizes=(3,), batch_size=10, optimizer=OptimizerConfig(
+        kind="adam_w", lr=0.01, schedule=LRSchedule(kind="step_decay",
+                                                    milestone_fractions=(1 / 3, 0.5)))),
+]
+
+
+@pytest.mark.parametrize("config", _ECHOED, ids=lambda c: f"{c.model_kind}-{c.hidden_sizes}")
+def test_the_config_echo_replays_as_a_config_file(config):
+    text = "".join(f"{key} = {value}\n" for key, value in config_to_mapping(config).items())
+    assert config_from_mapping(parse_config_text(text)) == config
+
+
 def test_config_defaults_live_in_the_dataclasses():
     assert config_from_mapping({}) == ExperimentConfig()
     for kind, schedule in (("adam", "step_decay"), ("signgd_coupled", "oscillation_decay"),
@@ -1105,17 +1137,18 @@ def test_a_fixed_input_stack_computes_its_feature_side_metrics_once(monkeypatch,
         "all_metrics": snapshots,
         # once in all_metrics and once for the snapshot's sigma_*_m
         "compute_class_statistics": 2 * snapshots,
-        "nc2_structure": snapshots,
-        "nc2_norms": snapshots,
-        "nc2_angles": snapshots,
+        # with the class statistics, once per stack
+        "nc2_structure": 1,
+        "nc2_norms": 1,
+        "nc2_angles": 1,
         "nc4_agreement": snapshots,
     }
 
 
 def test_coincident_fixed_class_means_skip_nc2_in_every_snapshot(monkeypatch):
     # margin 0 and noise 0 put every blob at the origin: the class means
-    # coincide, so nc2, nc2n and nc2a raise the DomainError their
-    # ClassStatistics keeps at every snapshot, not only the first.
+    # coincide, so the stack's one ClassStatistics holds None for nc2, nc2n
+    # and nc2a, and every snapshot, not only the first, lists them as skipped.
     counts, bundles = {}, []
     _count_calls(monkeypatch, counts, metrics, "all_metrics", bundles)
     res = run_training(_mlp_config(hidden_sizes=(), margin=0.0, noise_std=0.0, epochs=6,

@@ -98,9 +98,9 @@ def test_simplex_etf_is_a_fresh_writable_array_and_the_metrics_keep_their_own():
 def test_labeled_features_validation():
     f = np.arange(12.0).reshape(3, 4)
     data = LabeledFeatures(f, [0, 1, 0, 1], 2)
-    assert data.dim == 3 and data.features.shape[1] == 4
-    assert np.array_equal(data.per_class_counts, [2, 2])
-    assert np.array_equal(LabeledFeatures(f, [0, 0, 0, 1], 2).per_class_counts, [3, 1])
+    assert data.features.shape == (3, 4) and data.num_classes == 2
+    assert np.array_equal(data.class_means, [[1.0, 2.0], [5.0, 6.0], [9.0, 10.0]])
+    assert np.array_equal(LabeledFeatures(f, [0, 0, 0, 1], 2).class_means[:, 1], f[:, 3])
     with pytest.raises(ShapeError):
         LabeledFeatures(f, [[0, 1], [0, 1]], 2)
     with pytest.raises(ShapeError):
@@ -109,17 +109,10 @@ def test_labeled_features_validation():
         LabeledFeatures(f, [0.5, 1, 0, 1], 2)
     with pytest.raises(DomainError):
         LabeledFeatures(f, [0, 1, 0, 2], 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="class 1 has no samples"):
         LabeledFeatures(f, [0, 0, 0, 0], 2)
     with pytest.raises(DomainError):
         LabeledFeatures(f, [0, 1, 0, 1], 1)
-    # with_features keeps the checked labels and none of the old features' results
-    data.class_means
-    other = data.with_features(2.0 * f[:2])
-    assert other.labels is data.labels and other.dim == 2
-    assert np.array_equal(other.class_means, LabeledFeatures(2.0 * f[:2], data.labels, 2).class_means)
-    with pytest.raises(ShapeError):
-        data.with_features(f[:, :3])
 
 
 def test_class_statistics_hand_cases():
@@ -224,26 +217,20 @@ def test_nc2_equal_norm_means():
 
 def test_nc2_degenerate_errors():
     zero = _stats_from_means(np.zeros((3, 4)))
-    for _ in range(2):          # the second call raises the kept error
-        with pytest.raises(DomainError):
-            nc2_structure(zero)
-        with pytest.raises(DomainError):
-            nc2_norms(zero)
-        with pytest.raises(DomainError, match="angle metric undefined"):
-            nc2_angles(zero)
+    assert zero.nc2 is zero.nc2n is zero.nc2a is None
+    with pytest.raises(DomainError, match="structure metric undefined"):
+        nc2_structure(zero)
+    with pytest.raises(DomainError, match="norm spread undefined"):
+        nc2_norms(zero)
+    with pytest.raises(DomainError, match="angle metric undefined"):
+        nc2_angles(zero)
 
 
-def test_nc2_values_are_kept_on_their_class_statistics(monkeypatch):
+def test_class_statistics_hold_the_nc2_family_of_their_centered_means():
     stats = _stats_from_means(_isometry(6, 4, 3) @ simplex_etf(4) + 0.1)
-    first = [nc2_structure(stats), nc2_norms(stats), nc2_angles(stats)]
-    calls = []
-    for name in ("_gram_structure", "_norm_spread", "_angle_deviation"):
-        monkeypatch.setattr(metrics, name, lambda v, name=name: calls.append(name))
-    assert [nc2_structure(stats), nc2_norms(stats), nc2_angles(stats)] == first
-    assert calls == []
-    fresh = _stats_from_means(_isometry(6, 4, 3) @ simplex_etf(4) + 0.1)
-    nc2_structure(fresh)
-    assert calls == ["_gram_structure"]
+    assert (stats.nc2, stats.nc2n, stats.nc2a) == \
+        (nc2_structure(stats), nc2_norms(stats), nc2_angles(stats))
+    assert stats.nc2 > 0.0 and stats.nc2n > 0.0 and stats.nc2a > 0.0
 
 
 def test_nc2w_values():
@@ -321,18 +308,11 @@ def test_nc4_matches_brute_force():
     assert nc4_agreement(w, data) == agree / 100.0
 
 
-def test_nc4_held_out_features():
-    k = 3
-    etf = simplex_etf(k)
-    data = LabeledFeatures(etf, np.arange(k), k)
-    test = 0.5 * etf
-    assert nc4_agreement(etf.T, data, test_features=test) == 1.0
-
-
-def _nc4_reference(w, data, test_features=None):
-    """nc4 from the p x K x N difference tensor (the direct distance form)."""
+def _nc4_reference(w, data, h=None):
+    """nc4 of W on the features ``h`` (default: the training features) from
+    the p x K x N difference tensor (the direct distance form)."""
     w = np.asarray(w, dtype=float)
-    h = data.features if test_features is None else np.asarray(test_features, dtype=float)
+    h = data.features if h is None else np.asarray(h, dtype=float)
     means = np.empty((h.shape[0], data.num_classes))
     for c in range(data.num_classes):
         means[:, c] = data.features[:, data.labels == c].mean(axis=1)
@@ -369,8 +349,8 @@ def test_nc4_gram_form_equals_direct_reference_on_random_inputs():
         means = np.stack([data.features[:, data.labels == c].mean(axis=1)
                           for c in range(k)], axis=1)
         assert np.array_equal(_nearest_mean(h, means), ref_nearest), case
-        assert nc4_agreement(w, data, test_features=test) == ref_value, case
         if test is None:
+            assert nc4_agreement(w, data) == ref_value, case
             assert all_metrics(w, data)["nc4"] == ref_value, case
 
 
@@ -395,8 +375,7 @@ def test_nc4_exact_ties_go_to_lowest_class_index():
     bisector = np.array([[0.0, 0.0, 0.0], [-3.0, 1.75, 0.5]])
     assert np.array_equal(_nearest_mean(bisector, sym.features), [0, 0, 0])
     w = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
-    assert nc4_agreement(w, sym, test_features=bisector) == \
-        _nc4_reference(w, sym, bisector)[0]
+    assert np.array_equal(_nc4_reference(w, sym, bisector)[1], [0, 0, 0])
 
 
 def test_nc4_memory_stays_linear_in_samples():
@@ -513,8 +492,7 @@ def test_zero_weight_all_metrics():
         assert out[key] is None
 
 
-_STAT_FIELDS = ("class_means", "global_mean", "centered_means", "singular_values",
-                "nc1_terms", "per_class_counts")
+_STAT_FIELDS = ("class_means", "centered_means", "singular_values", "nc1_terms")
 
 
 def _class_means_reference(h, labels, k):
@@ -535,13 +513,15 @@ def test_kept_class_statistics_equal_a_fresh_computation_bitwise():
         rng.shuffle(labels)
         feats = rng.standard_normal((p, labels.size)) + [0.0, 3.0, 1e4][case % 3]
         data = LabeledFeatures(feats, labels, k)
-        assert np.ptp(data.per_class_counts) > 0
+        assert np.ptp(np.bincount(labels)) > 0
         all_metrics(rng.standard_normal((k, p)), data)
         kept = compute_class_statistics(data)
         assert compute_class_statistics(data) is kept
         fresh = compute_class_statistics(LabeledFeatures(feats.copy(), labels.copy(), k))
         for name in _STAT_FIELDS:
             assert np.array_equal(getattr(kept, name), getattr(fresh, name)), (case, name)
+        for name in ("nc2", "nc2n", "nc2a"):
+            assert getattr(kept, name) == getattr(fresh, name), (case, name)
         ref = _class_means_reference(feats, labels, k)
         for name, a, b in zip(("means", "centered"), (kept.class_means, kept.centered_means), ref):
             assert np.array_equal(a, b), (case, name)
