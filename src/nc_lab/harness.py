@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import oracles
+from . import metrics, oracles
 from .errors import DomainError, NumericError
 from .linalg import singular_values
 from .metrics import (
@@ -467,7 +467,9 @@ def emit_summary_json(result: "TrainResult", path) -> None:
 @dataclass
 class TrainResult:
     """One finished run. ``weights``, when collected, holds an (epoch, copy
-    of the classifier W) pair for epoch 0 and every epoch after it."""
+    of the classifier W) pair for epoch 0 and every epoch after it. The
+    records of an alpha-only run (see run_training) hold the loss, accuracy
+    and nc0_alpha; those of a train or sweep run hold every metric."""
 
     config: ExperimentConfig
     records: list
@@ -479,10 +481,15 @@ class TrainResult:
 
 
 def _snapshot(epoch, lr_value, weight, data: LabeledFeatures, targets,
-              loss: Optional[float] = None) -> MetricRecord:
+              loss: Optional[float] = None, alpha_only: bool = False) -> MetricRecord:
     """The record of classifier ``weight`` over the full-data features
     ``data``, with the loss that the step's forward pass brought, or else
-    one computed here. The loss, train_acc and nc4 read one product W H."""
+    one computed here. The loss, train_acc and nc4 read one product W H.
+
+    With ``alpha_only`` the record holds the loss, train_acc and nc0_alpha
+    (metrics.nc0_alpha, as all_metrics logs it), and None for every other
+    metric and sigma column: no class statistics, no SVD.
+    """
     if loss is None:
         logits = weight @ data.features
         loss = ce_loss_from_logits(logits, targets)
@@ -491,6 +498,11 @@ def _snapshot(epoch, lr_value, weight, data: LabeledFeatures, targets,
     else:
         decisions = data._linear_decisions(weight)
     acc = float(np.mean(decisions == data.labels))
+    if alpha_only:
+        values = dict.fromkeys(METRIC_KEYS)
+        values["nc0_alpha"] = metrics.nc0_alpha(weight)
+        return MetricRecord(epoch=epoch, lr=lr_value, train_loss=loss, train_acc=acc,
+                            values=values)
     try:
         bundle = all_metrics(weight, data)
         values = {k: bundle[k] for k in METRIC_KEYS}
@@ -668,11 +680,12 @@ class _Cell:
     step_sizes: object = None      # iterator of per-epoch step sizes
     records: list = field(default_factory=list)
     weights: Optional[list] = None
+    alpha_only: bool = False       # its snapshots log loss, accuracy and nc0_alpha only
     lr: object = None              # the current epoch's step size
     outcome: object = None         # TrainResult, or the lab error that stopped the cell
 
 
-def _train_cells(configs, collect_weights: bool = False) -> list:
+def _train_cells(configs, collect_weights: bool = False, alpha_only: bool = False) -> list:
     """Train cells whose configs differ only in optimizer and seed.
 
     The data is built once. The cells train in consecutive stacks of at most
@@ -680,10 +693,11 @@ def _train_cells(configs, collect_weights: bool = False) -> list:
     Returns, per config and in order, its TrainResult or the DomainError
     that stopped it, from its config or the data. Any other exception
     propagates. A result's wall_time is the wall time of its stack (the
-    first stack's includes building the data).
+    first stack's includes building the data). collect_weights and
+    alpha_only hold for every cell (see run_training).
     """
     start = time.perf_counter()
-    cells = [_Cell(config) for config in configs]
+    cells = [_Cell(config, alpha_only=alpha_only) for config in configs]
     ready = []
     for cell in cells:
         try:
@@ -758,10 +772,13 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     model.set_parameters(opt.params)
     shuffles = [np.random.default_rng([cell.config.seed, 1]) for cell in cells]
     fixed = None if grid.fixed is None else LabeledFeatures(grid.fixed, grid.labels, k)
+    collecting = any(cell.weights is not None for cell in cells)
 
     def collect(indices, epoch):
         """Append a copy of the classifier of each cell i in indices, when
         its weights are collected."""
+        if not collecting:
+            return
         weight = model.parameters()[-1]
         for i in indices:
             if cells[i].weights is not None:
@@ -780,7 +797,8 @@ def _train_stack(grid: _Grid, cells: list) -> None:
             cell = cells[i]
             loss = None if losses is None else float(losses[i])
             data = fixed if fixed is not None else LabeledFeatures(feats[i], grid.labels, k)
-            cell.records.append(_snapshot(epoch, cell.lr, weight[i], data, grid.targets, loss))
+            cell.records.append(_snapshot(epoch, cell.lr, weight[i], data, grid.targets, loss,
+                                          cell.alpha_only))
 
     def finish(i, status):
         cell = cells[i]
@@ -832,7 +850,8 @@ def _train_stack(grid: _Grid, cells: list) -> None:
         finish(i, _status_from_records(cell.records, epochs, k))
 
 
-def run_training(config: ExperimentConfig, collect_weights: bool = False) -> TrainResult:
+def run_training(config: ExperimentConfig, collect_weights: bool = False, *,
+                 alpha_only: bool = False) -> TrainResult:
     """Train per the config, logging metrics every metric_period epochs.
 
     The config trains as a one-cell stack of the loop that sweeps use, the
@@ -844,8 +863,16 @@ def run_training(config: ExperimentConfig, collect_weights: bool = False) -> Tra
     other model, optimizer or init. With collect_weights, the result's
     ``weights`` holds a copy of the classifier W at epoch 0 and after every
     epoch, which is what the theorem checks read.
+
+    With alpha_only, each record holds the loss, accuracy and nc0_alpha,
+    and None for every other metric and sigma column, which is all that the
+    theorem checks read of it; such a run writes no output_csv or
+    output_summary. Without it (train, sweep), records hold every metric.
     """
-    (result,) = _train_cells([config], collect_weights)
+    if alpha_only and (config.output_csv or config.output_summary):
+        raise DomainError("an alpha-only run logs no metric CSV or summary: its records "
+                          "leave every metric but nc0_alpha blank")
+    (result,) = _train_cells([config], collect_weights, alpha_only)
     if not isinstance(result, TrainResult):
         raise result
     if config.output_csv:
@@ -1081,7 +1108,7 @@ def check_decoupled_rowsum_decay(lr: float = 0.05, wd: float = 0.1, momentum: fl
     alpha_t = (1 - lr*wd)^(2t) alpha_0 at ``tolerance`` relative."""
     opt = OptimizerConfig(kind="sgd_decoupled", lr=lr, momentum=momentum, decoupled_wd=wd)
     res = run_training(replace(_CHECK_MLP, optimizer=opt, epochs=epochs, metric_period=1),
-                       collect_weights=True)
+                       collect_weights=True, alpha_only=True)
     k = _CHECK_MLP.num_classes
     alpha0 = oracles.alpha_from_rowsum(res.weights[0][1].sum(axis=0), k)
     rows = [_row(t, oracles.alpha_from_rowsum(w.sum(axis=0), k),
@@ -1118,7 +1145,7 @@ def check_coupled_rowsum_recursion(lr: float = 0.05, wd: float = 0.1, momentum: 
     """
     opt = OptimizerConfig(kind="sgd_coupled", lr=lr, momentum=momentum, coupled_wd=wd)
     res = run_training(replace(_CHECK_MLP, optimizer=opt, epochs=epochs, batch_size=batch_size,
-                               metric_period=10), collect_weights=True)
+                               metric_period=10), collect_weights=True, alpha_only=True)
     k = _CHECK_MLP.num_classes
     n = k * _CHECK_MLP.per_class
     steps_per_epoch = 1 if batch_size is None else math.ceil(n / batch_size)
@@ -1168,7 +1195,7 @@ def _square_sign_weights(k: int, optimizer: OptimizerConfig, steps: int) -> list
     geometry from W = 0, as (t, W_t) pairs."""
     config = ExperimentConfig(model_kind="ufm_fixed_features", init="zero", num_classes=k,
                               optimizer=optimizer, epochs=steps, metric_period=steps)
-    return run_training(config, collect_weights=True).weights
+    return run_training(config, collect_weights=True, alpha_only=True).weights
 
 
 # Weight matrices per stacked gradient call in the theorem-3 check. The

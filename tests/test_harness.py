@@ -1228,6 +1228,80 @@ def test_rowsum_checks_fail_on_a_wrong_logged_alpha(monkeypatch, check):
     assert res.details["logged_alpha_ok"] is False
 
 
+def test_theorem_checks_make_no_full_metric_pass(monkeypatch):
+    """Checks 1-3 read only the loss, accuracy and nc0_alpha of a record,
+    so their snapshots run no metric suite, class statistics or SVD; a plain
+    run of the checks' MLP setting still runs the suite once per snapshot."""
+    counts = {}
+    for name in ("all_metrics", "compute_class_statistics"):
+        _count_calls(monkeypatch, counts, metrics, name)
+    _count_mean_svds(monkeypatch, counts)
+    for check in (check_decoupled_rowsum_decay, check_coupled_rowsum_recursion,
+                  check_decoupled_sign_plateau):
+        assert check().passed
+    assert counts == {}
+    res = run_training(replace(harness._CHECK_MLP, epochs=20, metric_period=5))
+    assert len(res.records) == 5
+    assert counts == {"all_metrics": 5, "compute_class_statistics": 10, "svd": 5}
+
+
+def _record_head(rec) -> str:
+    """The fields an alpha-only record shares with the full one, as text
+    that tells apart every float bit pattern but NaN payloads."""
+    return repr((rec.epoch, rec.lr, rec.train_loss, rec.train_acc, rec.values["nc0_alpha"]))
+
+
+@pytest.mark.parametrize("config", [
+    replace(harness._CHECK_MLP, epochs=300, metric_period=1, optimizer=OptimizerConfig(
+        kind="sgd_decoupled", lr=0.05, momentum=0.9, decoupled_wd=0.1)),
+    replace(harness._CHECK_MLP, epochs=300, batch_size=10, metric_period=10,
+            optimizer=OptimizerConfig(kind="sgd_coupled", lr=0.05, momentum=0.9,
+                                      coupled_wd=0.1)),
+    _ufm_sign_config("signgd_decoupled", 0.1, 0.5, steps=60, k=10, metric_period=7),
+], ids=["check-1", "check-2", "ufm-sign"])
+def test_an_alpha_only_run_logs_the_full_runs_loss_accuracy_and_alpha(config):
+    full = run_training(config, collect_weights=True)
+    alpha = run_training(config, collect_weights=True, alpha_only=True)
+    assert alpha.status == full.status == "ok"
+    assert [(t, w.tobytes()) for t, w in alpha.weights] == [
+        (t, w.tobytes()) for t, w in full.weights]
+    assert [_record_head(rec) for rec in alpha.records] == [
+        _record_head(rec) for rec in full.records]
+    assert all(rec.values["nc0_alpha"] is not None for rec in full.records)
+    for rec in alpha.records:
+        assert list(rec.values) == list(METRIC_KEYS)
+        assert [rec.values[key] for key in METRIC_KEYS if key != "nc0_alpha"] == [None] * (
+            len(METRIC_KEYS) - 1)
+        assert rec.sigma_min_w is rec.sigma_avg_w is rec.sigma_min_m is rec.sigma_avg_m is None
+
+
+def test_an_alpha_only_diverged_run_logs_the_alpha_the_full_run_leaves_blank():
+    # Once the class statistics overflow, the full record blanks every
+    # metric; the alpha-only record still logs nc0_alpha of W.
+    cfg = _mlp_config(epochs=10, metric_period=2,
+                      optimizer=OptimizerConfig(kind="sgd_coupled", lr=1e8, momentum=0.9))
+    with np.errstate(all="ignore"):
+        full = run_training(cfg, collect_weights=True)
+        alpha = run_training(cfg, collect_weights=True, alpha_only=True)
+    assert full.status == alpha.status == "diverged"
+    assert full.records[-1].values["nc0_alpha"] is None
+    assert alpha.records[-1].values["nc0_alpha"] == metrics.nc0_alpha(alpha.weights[-1][1])
+    for full_rec, alpha_rec in zip(full.records, alpha.records):
+        if full_rec.values["nc0_alpha"] is not None:
+            assert _record_head(alpha_rec) == _record_head(full_rec)
+
+
+@pytest.mark.parametrize("output", ["output_csv", "output_summary"])
+def test_an_alpha_only_run_writes_no_metric_outputs(tmp_path, output):
+    path = tmp_path / "out"
+    cfg = replace(_ufm_sign_config("signgd_decoupled", 0.1, 0.5, steps=4), **{output: str(path)})
+    with pytest.raises(DomainError, match="alpha-only run logs no metric CSV or summary"):
+        run_training(cfg, alpha_only=True)
+    assert not path.exists()
+    with pytest.raises(TypeError):
+        run_training(cfg, False, True)      # alpha_only is keyword-only
+
+
 def test_checks_bind_no_step_function():
     """Only the training loop steps a weight matrix."""
     names = vars(harness)
