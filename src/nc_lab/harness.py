@@ -381,6 +381,8 @@ class MetricRecord:
 
 
 def _format_cell(value) -> str:
+    if type(value) is float:        # most cells: the same repr as below, sooner
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, str):
@@ -497,7 +499,7 @@ def _snapshot(epoch, lr_value, weight, data: LabeledFeatures, targets,
         del logits              # not kept through the metric pass
     else:
         decisions = data._linear_decisions(weight)
-    acc = float(np.mean(decisions == data.labels))
+    acc = np.count_nonzero(decisions == data.labels) / data.labels.shape[0]
     if alpha_only:
         values = dict.fromkeys(METRIC_KEYS)
         values["nc0_alpha"] = metrics.nc0_alpha(weight)
@@ -1225,7 +1227,7 @@ def check_decoupled_sign_plateau(k: int = 10, lr: float = 0.1, wd: float = 0.5,
     stepped_from = [w for _, w in weights[:-1]]
     sign_pattern_ok = all(
         (np.sign(ce_loss_and_grad(np.stack(stepped_from[lo:lo + _GRADIENT_CHUNK]), frame,
-                                  targets)[1]) == expected_sign).all()
+                                  targets, input_grad=False)[1]) == expected_sign).all()
         for lo in range(0, steps, _GRADIENT_CHUNK))
     rows = [_row(t, nc0_alpha(w), oracles.alpha_signgd_decoupled(t, k, lr, wd))
             for t, w in weights]

@@ -146,13 +146,15 @@ class LabeledFeatures:
     def _linear_decisions(self, w: np.ndarray, logits=None) -> np.ndarray:
         """argmax_k (W H)_k for each sample, ties to the lowest k, from the
         ``logits`` W H when the caller has them. Kept for the last W asked
-        for (matched by value), so that a snapshot's train_acc and nc4 read
-        one product W H."""
-        if self._linear is None or not np.array_equal(self._linear[0], w, equal_nan=True):
+        for, matched by shape and bytes (so a W that differs by a -0.0 or a
+        NaN payload is computed afresh), so that a snapshot's train_acc and
+        nc4 read one product W H."""
+        key = w.tobytes()
+        if self._linear is None or self._linear[0] != w.shape or self._linear[1] != key:
             if logits is None:
                 logits = w @ self.features
-            self._linear = (w.copy(), _read_only(np.argmax(logits, axis=0)))
-        return self._linear[1]
+            self._linear = (w.shape, key, _read_only(np.argmax(logits, axis=0)))
+        return self._linear[2]
 
     def _nearest_decisions(self) -> np.ndarray:
         """The nearest class mean of each sample (_nearest_mean), kept."""
@@ -409,7 +411,8 @@ def nc4_agreement(w, data: LabeledFeatures) -> float:
     w = as_array(w)
     if w.shape[1] != data.features.shape[0]:
         raise ShapeError(f"W is {w.shape} but features are {data.features.shape}")
-    return float(np.mean(data._linear_decisions(w) == data._nearest_decisions()))
+    agree = np.count_nonzero(data._linear_decisions(w) == data._nearest_decisions())
+    return agree / data.features.shape[1]
 
 
 def all_metrics(w, data: LabeledFeatures) -> dict:

@@ -28,6 +28,12 @@ ReLU, max shift, log-probabilities, the one-hot product, the softmax delta
 and the ReLU mask) into arrays they allocated themselves, with ``out=`` or
 an augmented assignment. That is the same arithmetic in the same order, so
 the bits do not change; no argument a caller passes is ever written.
+
+``ce_loss_and_grad`` coerces its operands to float64 and checks their
+shapes on every call, also when a model's pass calls it. It makes the
+gradient with respect to its input X only when asked (``input_grad``): an
+MLP with no hidden layer trains on its fixed input, so its pass asks for
+none.
 """
 
 from __future__ import annotations
@@ -82,14 +88,17 @@ def gather_columns(m: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return m[np.arange(m.shape[0])[:, None], :, columns].swapaxes(-1, -2)
 
 
-def ce_loss_and_grad(w, x, y):
+def ce_loss_and_grad(w, x, y, input_grad: bool = True):
     """Mean cross-entropy of softmax(W X) against one-hot targets Y.
 
     Returns (loss, grad_w, grad_x) with
         grad_w = (1/N) (S - Y) X^T      (zero column sums),
-        grad_x = (1/N) W^T (S - Y).
+        grad_x = (1/N) W^T (S - Y),
+    or None for grad_x without ``input_grad``, for inputs that are not
+    trained (the product is then not made; loss and grad_w keep their bits).
     Operands may be stacks on a leading cell axis (a shared operand
-    broadcasts); the loss is then one value per cell.
+    broadcasts); the loss is then one value per cell. The operands are
+    coerced to float64 and their shapes checked here, on every call.
     """
     w, x, y = _as_matrices(w), _as_matrices(x), _as_matrices(y)
     if w.shape[-1] != x.shape[-2]:
@@ -102,7 +111,8 @@ def ce_loss_and_grad(w, x, y):
     delta /= total            # the softmax S, then (S - Y) / N
     delta -= y
     delta /= x.shape[-1]
-    return loss, delta @ x.swapaxes(-1, -2), w.swapaxes(-1, -2) @ delta
+    grad_x = w.swapaxes(-1, -2) @ delta if input_grad else None
+    return loss, delta @ x.swapaxes(-1, -2), grad_x
 
 
 def _ce_terms(z: np.ndarray, y: np.ndarray):
@@ -112,14 +122,16 @@ def _ce_terms(z: np.ndarray, y: np.ndarray):
     carry a cell axis that Z lacks."""
     if y.ndim > z.ndim:
         raise ShapeError(f"Y {y.shape} is a stack but the logits {z.shape} are not")
-    z -= z.max(axis=-2, keepdims=True)
+    # the ufunc reductions that ndarray.max and ndarray.sum call, without
+    # their Python wrappers
+    z -= np.maximum.reduce(z, axis=-2, keepdims=True)
     e = np.exp(z)
-    total = e.sum(axis=-2, keepdims=True)
+    total = np.add.reduce(e, axis=-2, keepdims=True)
     z -= np.log(total)        # the log-probabilities
     z *= y
     if z.ndim == 2:
-        return -float(z.sum()) / z.shape[1], e, total
-    return -z.reshape(z.shape[0], -1).sum(axis=1) / z.shape[-1], e, total
+        return -float(np.add.reduce(z, axis=None)) / z.shape[1], e, total
+    return -np.add.reduce(z.reshape(z.shape[0], -1), axis=1) / z.shape[-1], e, total
 
 
 def ce_loss_from_logits(z, y) -> float:
@@ -265,14 +277,16 @@ class MLPModel:
         ``parameters()``; ``features`` is the last hidden activation matrix.
         A stacked model takes stacked batches and returns one loss per cell.
         """
-        x, y = _as_matrices(x), _as_matrices(y)
+        x = _as_matrices(x)        # Y is coerced and checked by ce_loss_and_grad
         activations = [x]
         a = x
         for w, b in zip(self.hidden_weights, self.hidden_biases):
             a = _affine_relu(w, b, a)
             activations.append(a)
         feats = a
-        loss, grad_final, d_feats = ce_loss_and_grad(self.final_weight, feats, y)
+        # with no hidden layer the features are the fixed input: no d_feats
+        loss, grad_final, d_feats = ce_loss_and_grad(self.final_weight, feats, y,
+                                                     input_grad=bool(self.hidden_weights))
         grads_rev = [grad_final]
         d_a = d_feats
         for i in range(len(self.hidden_weights) - 1, -1, -1):
@@ -280,7 +294,7 @@ class MLPModel:
             # product made in this pass, so it takes the mask in place
             d_z = d_a
             d_z *= activations[i + 1] > 0.0
-            grads_rev.append(d_z.sum(axis=-1, keepdims=True))                # bias grad
+            grads_rev.append(np.add.reduce(d_z, axis=-1, keepdims=True))     # bias grad
             grads_rev.append(d_z @ activations[i].swapaxes(-1, -2))          # weight grad
             if i > 0:
                 d_a = self.hidden_weights[i].swapaxes(-1, -2) @ d_z

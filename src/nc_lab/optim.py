@@ -386,18 +386,28 @@ class Optimizer:
         for g in self._groups:
             g.hyper = [_cell_column([getattr(c, name) for c in configs[g.cells]])
                        for name in g.reads]
+        self._lrs = None            # the groups are new: bind every step size
         self.set_step_sizes(lrs)
 
     def set_step_sizes(self, lrs: Sequence) -> None:
-        """Bind each cell's step size, in cell order, for the steps to come."""
-        self._lrs = list(lrs)
+        """Bind each cell's step size, in cell order, for the steps to come.
+        Step sizes equal to the bound ones are left bound (they are
+        positive, so == is equality of bits)."""
+        lrs = list(lrs)
+        if lrs == self._lrs:
+            return
+        self._lrs = lrs
         for g in self._groups:
             g.lr = _cell_column(self._lrs[g.cells])
 
     def step(self, grads: Sequence[np.ndarray]) -> None:
         """One step of every group on ``grads``, aligned with ``params``,
-        written into the buffer."""
-        grad = _flat(grads)
+        written into the buffer. A single gradient array is read through a
+        G x 1 x P reshape of it (a view when it is contiguous), not copied.
+        The step functions never write their gradient, but a group's state
+        may keep a view of it (the adam sign limit's v), so a caller must not
+        write a gradient array it has passed here."""
+        grad = grads[0].reshape(len(grads[0]), 1, -1) if len(grads) == 1 else _flat(grads)
         for g in self._groups:
             new, g.state = g.step(self._buffer[g.cells], grad[g.cells], g.state, g.lr, *g.hyper)
             self._buffer[g.cells] = new

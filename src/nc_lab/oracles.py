@@ -223,8 +223,8 @@ def coupled_signgd_scalar_step(state: CoupledSignState, num_classes: int,
         phase = 3
     elif last_b > 0:
         phase = max(phase, 2)
-    return replace(
-        state,
+    return CoupledSignState(
+        eta=state.eta,
         a=state.a + state.eta * s_a,
         b=state.b + state.eta * s_b,
         t=t_next,

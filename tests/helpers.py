@@ -1,7 +1,11 @@
 """Reference constructions that only the tests use: a collapsed
 configuration, the one-step alpha decomposition, the metric records of a
-metric CSV, and the writer of the plain-text matrix files that
-``nc-lab metrics`` reads."""
+metric CSV, the writer of the plain-text matrix files that
+``nc-lab metrics`` reads, and a reference loop of the coupled sign-descent
+(a, b) dynamics."""
+
+import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -9,6 +13,7 @@ from nc_lab.errors import DomainError
 from nc_lab.harness import CSV_COLUMNS, MetricRecord, parse_csv
 from nc_lab.linalg import as_array
 from nc_lab.metrics import METRIC_KEYS, simplex_etf
+from nc_lab.oracles import CoupledSignState, coupled_sign_psi
 
 
 def make_nc_solution(num_classes: int, feature_dim: int, scale_w: float = 1.0,
@@ -83,3 +88,39 @@ def format_matrix(m) -> str:
     for row in a:
         lines.append(" ".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def coupled_signgd_reference_states(num_classes: int, lr0: float, wd: float, shrink: float,
+                                    steps: int, window: int = 4) -> list:
+    """(state, decayed) after each of the first ``steps`` steps of the
+    coupled sign-descent (a, b) dynamics, each state built with
+    ``dataclasses.replace`` of the last one, as the oracle once did."""
+    k = num_classes
+    state = CoupledSignState(eta=lr0)
+    out = []
+    for _ in range(steps):
+        psi = coupled_sign_psi(state.a, state.b, k)
+        arg_a = (k - 1.0) * psi - wd * state.a
+        arg_b = psi - wd * state.b
+        s_a = math.copysign(1.0, arg_a) if arg_a != 0.0 else 0.0
+        s_b = math.copysign(1.0, arg_b) if arg_b != 0.0 else 0.0
+        t_next = state.t + 1
+        last_a, last_b = state.last_flip_a, state.last_flip_b
+        if state.sign_a * s_a < 0.0:
+            last_a = t_next
+        if state.sign_b * s_b < 0.0:
+            last_b = t_next
+        phase = state.phase
+        if last_a > 0 and last_b > 0:
+            phase = 3
+        elif last_b > 0:
+            phase = max(phase, 2)
+        state = replace(state, a=state.a + state.eta * s_a, b=state.b + state.eta * s_b,
+                        t=t_next, phase=phase, sign_a=s_a, sign_b=s_b,
+                        last_flip_a=last_a, last_flip_b=last_b)
+        decayed = state.t - last_a < window and state.t - last_b < window
+        if decayed:
+            state = replace(state, eta=state.eta * shrink,
+                            last_flip_a=-(10**9), last_flip_b=-(10**9))
+        out.append((state, decayed))
+    return out

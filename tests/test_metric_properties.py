@@ -14,7 +14,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from nc_lab.metrics import LabeledFeatures, all_metrics, compute_class_statistics, nc1_variability
+from nc_lab import metrics
+from nc_lab.errors import DomainError
+from nc_lab.metrics import (
+    METRIC_KEYS,
+    LabeledFeatures,
+    all_metrics,
+    compute_class_statistics,
+    nc1_variability,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 EPS = np.finfo(np.float64).eps
@@ -136,3 +144,60 @@ def test_equal_class_means_are_degenerate_with_zero_nc1(seed, k, p, half):
     assert out["flags"]["sigma_b_degenerate"]
     assert out["nc1"] == 0.0
     assert np.all(compute_class_statistics(data).singular_values == 0.0)
+
+
+def _standalone(name, *args):
+    """The public metric function ``name`` on its own, None where degenerate."""
+    try:
+        return getattr(metrics, name)(*args)
+    except DomainError:
+        return None
+
+
+@given(seed=seeds, k=st.integers(2, 6), p=st.integers(1, 7),
+       case=st.sampled_from(["plain", "zero_w", "zero_row", "coincident_means"]),
+       data=st.data())
+def test_all_metrics_equals_each_standalone_metric_function(seed, k, p, case, data):
+    """Each value of all_metrics, which reads kept class statistics and
+    kept decisions, equals by repr its public function's result on a fresh
+    feature set, None included."""
+    rng = np.random.default_rng(seed)
+    counts = data.draw(st.lists(st.integers(1, 7), min_size=k, max_size=k))   # imbalanced
+    if case == "coincident_means":
+        # each class holds +-v for an integer v, so every class mean is
+        # exactly zero
+        counts = [2 * c for c in counts]
+    labels = _labels(rng, counts)
+    h = rng.standard_normal((p, labels.size)) * data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if case == "coincident_means":
+        for c, count in enumerate(counts):
+            v = rng.integers(-9, 10, size=(p, count // 2)).astype(float)
+            h[:, labels == c] = np.concatenate([v, -v], axis=1)
+    w = rng.standard_normal((k, p)) * data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if case == "zero_w":
+        w[:] = 0.0
+    elif case == "zero_row":
+        w[rng.integers(k)] = 0.0
+    bundle = all_metrics(w, LabeledFeatures(h, labels, k))
+    fresh = LabeledFeatures(h, labels, k)
+    stats = compute_class_statistics(fresh)
+    expected = {
+        "nc0": _standalone("nc0_metric", w),
+        "nc0_alpha": _standalone("nc0_alpha", w),
+        "nc0_normalized": _standalone("nc0_normalized", w),
+        "nc1": _standalone("nc1_variability", stats),
+        "nc2": _standalone("nc2_structure", stats),
+        "nc2n": _standalone("nc2_norms", stats),
+        "nc2a": _standalone("nc2_angles", stats),
+        "nc2w": _standalone("nc2w_structure", w),
+        "nc2wn": _standalone("nc2w_norms", w),
+        "nc2wa": _standalone("nc2w_angles", w),
+        "nc2m": _standalone("nc2m_duality", w, stats),
+        "nc3": _standalone("nc3_alignment", w, stats),
+        "nc4": _standalone("nc4_agreement", w, LabeledFeatures(h, labels, k)),
+    }
+    assert {key: repr(bundle[key]) for key in METRIC_KEYS} == \
+        {key: repr(value) for key, value in expected.items()}
+    assert bundle["flags"]["skipped"] == [key for key in METRIC_KEYS if expected[key] is None]
+    if case in ("zero_w", "coincident_means"):
+        assert expected["nc3"] is None

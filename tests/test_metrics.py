@@ -581,3 +581,39 @@ def test_kept_class_statistics_are_read_only():
     for name in _STAT_FIELDS:
         with pytest.raises(ValueError, match="read-only"):
             getattr(stats, name)[0] = 0
+
+
+def test_linear_decisions_are_kept_for_a_w_of_the_same_shape_and_bytes():
+    """The decisions of the last W are kept for a bit-equal copy of it, in
+    either memory order, and computed afresh for a W that differs by the
+    sign of one zero, holds a NaN, or has the same bytes in another shape.
+    Every result is the argmax of a fresh product."""
+    rng = np.random.default_rng(5)
+    data = LabeledFeatures(rng.standard_normal((4, 12)), np.arange(12) % 3, 3)
+
+    def fresh(w):
+        return np.argmax(w @ data.features, axis=0)
+
+    w = rng.standard_normal((3, 4))
+    w[0, 0] = 0.0
+    kept = data._linear_decisions(w)
+    assert np.array_equal(kept, fresh(w))
+    assert data._linear_decisions(w.copy()) is kept
+    assert data._linear_decisions(np.asfortranarray(w)) is kept
+
+    negative_zero = w.copy()
+    negative_zero[0, 0] = -0.0
+    got = data._linear_decisions(negative_zero)
+    assert got is not kept and np.array_equal(got, fresh(negative_zero))
+
+    with_nan = w.copy()
+    with_nan[1, 2] = np.nan
+    got = data._linear_decisions(with_nan)
+    assert np.array_equal(got, fresh(with_nan))
+    assert data._linear_decisions(with_nan.copy()) is got
+
+    kept = data._linear_decisions(w)
+    stacked = w[None]               # the same bytes, shape (1, 3, 4)
+    got = data._linear_decisions(stacked)
+    assert got is not kept and got.shape == (3, 12)
+    assert np.array_equal(got, fresh(stacked))

@@ -1,4 +1,6 @@
 import math
+from dataclasses import fields
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from nc_lab.oracles import (
     coupled_sign_psi,
     coupled_signgd_run_with_decay,
     coupled_signgd_scalar_step,
+    coupled_signgd_steps,
     ode_alpha_bound,
     ode_alpha_closed_form,
     ode_bound_constant,
@@ -23,7 +26,7 @@ from nc_lab.oracles import (
     rowsum_recursion_coupled,
     scalar_alpha,
 )
-from helpers import alpha_increment_decomposition
+from helpers import alpha_increment_decomposition, coupled_signgd_reference_states
 
 
 def test_alpha_sgd_decoupled_values():
@@ -413,3 +416,19 @@ def test_ode_domain_errors():
         ode_bound_constant(0.01, 0.9)  # complex-root regime has no real envelope
     with pytest.raises(DomainError):
         ode_alpha_bound(1.0, 1.0, 0.06, 0.9)  # 2*wd exceeds log(1/beta)
+
+
+def test_coupled_sign_steps_equal_the_replace_reference_field_for_field():
+    """The oracle builds each state directly; every field of the first 400
+    states, which run through 45 decays, equals the reference loop's by type
+    and repr."""
+    got = list(islice(coupled_signgd_steps(10, 0.01, 0.01, 0.5), 400))
+    ref = coupled_signgd_reference_states(10, 0.01, 0.01, 0.5, 400)
+    decays = [state.t for state, decayed in got if decayed]
+    assert len(decays) == 45 and decays[0] == 260
+    assert [d for _, d in got] == [d for _, d in ref]
+    for (state, _), (expected, _) in zip(got, ref):
+        assert type(state) is CoupledSignState
+        for f in fields(CoupledSignState):
+            a, b = getattr(state, f.name), getattr(expected, f.name)
+            assert (type(a), repr(a)) == (type(b), repr(b)), (state.t, f.name)

@@ -356,3 +356,60 @@ def test_config_echo_is_a_fixed_point(config):
     again = config_from_mapping({k: str(v) for k, v in echo.items()})
     assert config_to_mapping(again) == echo
     assert again == config
+
+
+@given(seed=seeds, g=st.integers(0, 4), k=st.integers(2, 6), p=st.integers(1, 7),
+       n=st.integers(1, 12), scale=st.sampled_from([1e-3, 1.0, 30.0]))
+def test_ce_without_input_grad_keeps_the_loss_and_weight_gradient_bits(seed, g, k, p, n, scale):
+    """input_grad=False gives None for grad_X and the default call's loss
+    and grad_W bits, on a single matrix (g = 0) and on a stack."""
+    rng = np.random.default_rng(seed)
+    lead = (g,) if g else ()
+    w = scale * rng.standard_normal((*lead, k, p))
+    x = rng.standard_normal((*lead, p, n))
+    y = one_hot(rng.integers(0, k, n), k)
+    loss, grad_w, grad_x = ce_loss_and_grad(w, x, y, input_grad=False)
+    ref_loss, ref_grad_w, _ = ce_loss_and_grad(w, x, y)
+    assert grad_x is None
+    assert type(loss) is type(ref_loss) and _same_bits(loss, ref_loss)
+    assert _same_bits(grad_w, ref_grad_w)
+
+
+@given(seed=seeds, data=st.data())
+def test_a_one_array_step_equals_the_concatenating_step(seed, data):
+    """An Optimizer over one parameter array reads its gradient through a
+    reshape; the same values split into two arrays go through the
+    concatenation. Both step the same bits into the buffer and the state,
+    and neither writes the caller's gradient, then or at later steps."""
+    rng = np.random.default_rng(seed)
+    configs = _stack_configs(rng, data)
+    rows, cols = int(rng.integers(1, 5)), int(rng.integers(2, 6))
+    split = data.draw(st.integers(1, rows * cols - 1))
+
+    def halves(a):
+        flat = a.reshape(len(a), -1)
+        return [flat[:, :split], flat[:, split:]]
+
+    params = rng.standard_normal((len(configs), rows, cols))
+    one = Optimizer(configs, [params])
+    two = Optimizer(configs, halves(params))
+    given_grads = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for _ in range(3):
+            grad = rng.standard_normal(params.shape) * (rng.random(params.shape) < 0.8)
+            if data.draw(st.booleans()):
+                grad = np.asfortranarray(grad)      # a reshape that copies
+            given_grads.append((grad, grad.copy()))
+            lrs = [float(rng.uniform(0.001, 0.5)) for _ in configs]
+            one.set_step_sizes(lrs)
+            two.set_step_sizes(lrs)
+            one.step([grad])
+            two.step(halves(grad))
+            assert _same_bits(one._buffer, two._buffer)
+            for (a, row_a), (b, row_b) in zip(_cell_states(one), _cell_states(two)):
+                assert a.t == b.t
+                assert _same_bits(a.v[row_a], b.v[row_b])
+                if a.second_moment is not None:
+                    assert _same_bits(a.second_moment[row_a], b.second_moment[row_b])
+            assert all(_same_bits(g, copy) for g, copy in given_grads)
