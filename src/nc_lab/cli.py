@@ -89,19 +89,30 @@ def cmd_sweep(args) -> int:
 # The trajectory of each ``oracle --theorem``, one row function per theorem:
 # its keyword parameters are the flags it takes. Theorem 2's k defaults to the
 # number of row sums in m0.
+def _steps(steps: int) -> range:
+    """The steps 0..steps of a trajectory."""
+    if steps < 0:
+        raise DomainError("steps must be >= 0")
+    return range(steps + 1)
+
+
 def _decoupled_power_law(alpha0=1.0, lr=0.05, wd=0.1, steps=300):
-    return [(t, oracles.alpha_sgd_decoupled(t, alpha0, lr, wd)) for t in range(steps + 1)]
+    return [(t, oracles.alpha_sgd_decoupled(t, alpha0, lr, wd)) for t in _steps(steps)]
 
 
 def _coupled_rowsum_recursion(m0="1", k=None, lr=0.05, wd=0.1, momentum=0.9, steps=300):
     m0 = np.array([float(p) for p in m0.split(",") if p.strip()])
+    if m0.size == 0:
+        raise DomainError("m0 must hold at least one row sum")
+    k = m0.size if k is None else k
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
     ms = oracles.rowsum_recursion_coupled(m0, lr, wd, momentum, steps)
-    return [(t, oracles.alpha_from_rowsum(m, m0.size if k is None else k))
-            for t, m in enumerate(ms)]
+    return [(t, oracles.alpha_from_rowsum(m, k)) for t, m in enumerate(ms)]
 
 
 def _decoupled_sign_climb(k=10, lr=0.05, wd=0.1, steps=300):
-    return [(t, oracles.alpha_signgd_decoupled(t, k, lr, wd)) for t in range(steps + 1)]
+    return [(t, oracles.alpha_signgd_decoupled(t, k, lr, wd)) for t in _steps(steps)]
 
 
 def _coupled_sign_decay(k=10, lr=0.05, wd=0.1, shrink=0.5, tol=1e-6, max_steps=10**5):

@@ -50,15 +50,15 @@ from .models import (
     one_hot,
 )
 from .optim import (
-    _OPTIMIZER_UNREAD,
-    _SCHEDULE_UNREAD,
-    _STEPS,
-    _refuse_non_finite,
-    _refuse_unread,
+    OPTIMIZER_READS,
+    OPTIMIZER_UNREAD,
+    SCHEDULE_UNREAD,
     LRSchedule,
     Optimizer,
     OptimizerConfig,
     lr_at,
+    refuse_non_finite,
+    refuse_unread,
 )
 from .stats import RegressionFit, ols_fit
 
@@ -141,8 +141,8 @@ class ExperimentConfig:
     output_summary: Optional[str] = None
 
     def __post_init__(self):
-        _refuse_unread(self, "model", self.model_kind, _UNREAD_FIELDS)
-        _refuse_non_finite(self, ("init_scale", "margin", "noise_std"))
+        refuse_unread(self, "model", self.model_kind, _UNREAD_FIELDS)
+        refuse_non_finite(self, ("init_scale", "margin", "noise_std"))
         if any(width < 1 for width in self.hidden_sizes):
             raise DomainError(f"hidden_sizes must be >= 1, got {self.hidden_sizes!r}")
         if self.num_classes < 2:
@@ -263,7 +263,7 @@ def parse_config_text(text: str) -> dict:
 
 
 # The fields each kind does not read, per part of a config target ("": model).
-_UNREAD = {"": _UNREAD_FIELDS, "optimizer": _OPTIMIZER_UNREAD, "schedule": _SCHEDULE_UNREAD}
+_UNREAD = {"": _UNREAD_FIELDS, "optimizer": OPTIMIZER_UNREAD, "schedule": SCHEDULE_UNREAD}
 
 
 def _unread_keys(keys, kinds: dict) -> dict:
@@ -468,10 +468,9 @@ def emit_summary_json(result: "TrainResult", path) -> None:
 
 @dataclass
 class TrainResult:
-    """One finished run. ``weights``, when collected, holds an (epoch, copy
-    of the classifier W) pair for epoch 0 and every epoch after it. The
-    records of an alpha-only run (see run_training) hold the loss, accuracy
-    and nc0_alpha; those of a train or sweep run hold every metric."""
+    """One finished run, whose records hold every metric. A theorem check's
+    trajectory run (see _trajectory) also keeps the classifier W_0, W_1, ...
+    in ``weights``, and its records hold the loss, accuracy and nc0_alpha."""
 
     config: ExperimentConfig
     records: list
@@ -479,7 +478,7 @@ class TrainResult:
     wall_time: float
     model: object
     dataset: object = None
-    weights: Optional[list] = None   # (epoch, W) pairs when collected
+    weights: Optional[list] = None   # W_0, W_1, ... of a trajectory run
 
 
 def _snapshot(epoch, lr_value, weight, data: LabeledFeatures, targets,
@@ -500,34 +499,20 @@ def _snapshot(epoch, lr_value, weight, data: LabeledFeatures, targets,
     else:
         decisions = data._linear_decisions(weight)
     acc = np.count_nonzero(decisions == data.labels) / data.labels.shape[0]
+    values, sigmas = dict.fromkeys(METRIC_KEYS), [None] * 4
     if alpha_only:
-        values = dict.fromkeys(METRIC_KEYS)
         values["nc0_alpha"] = metrics.nc0_alpha(weight)
-        return MetricRecord(epoch=epoch, lr=lr_value, train_loss=loss, train_acc=acc,
-                            values=values)
+        return MetricRecord(epoch, lr_value, loss, acc, values, *sigmas)
     try:
         bundle = all_metrics(weight, data)
-        values = {k: bundle[k] for k in METRIC_KEYS}
         sv_w = singular_values(weight)
         sv_m = compute_class_statistics(data).singular_values   # kept by all_metrics
-        sigma_min_w = float(sv_w[-1])
-        sigma_avg_w = float(sv_w[:-1].mean()) if sv_w.size > 1 else None
-        sigma_min_m = float(sv_m[-1])
-        sigma_avg_m = float(sv_m[:-1].mean()) if sv_m.size > 1 else None
+        sigmas = [float(sv_w[-1]), float(sv_w[:-1].mean()) if sv_w.size > 1 else None,
+                  float(sv_m[-1]), float(sv_m[:-1].mean()) if sv_m.size > 1 else None]
+        values = {k: bundle[k] for k in METRIC_KEYS}
     except (DomainError, NumericError):
-        values = {k: None for k in METRIC_KEYS}
-        sigma_min_w = sigma_avg_w = sigma_min_m = sigma_avg_m = None
-    return MetricRecord(
-        epoch=epoch,
-        lr=lr_value,
-        train_loss=loss,
-        train_acc=acc,
-        values=values,
-        sigma_min_w=sigma_min_w,
-        sigma_avg_w=sigma_avg_w,
-        sigma_min_m=sigma_min_m,
-        sigma_avg_m=sigma_avg_m,
-    )
+        pass                    # a degenerate or diverged snapshot: every metric blank
+    return MetricRecord(epoch, lr_value, loss, acc, values, *sigmas)
 
 
 def _status_from_records(records, epochs: int, num_classes: int) -> str:
@@ -681,13 +666,12 @@ class _Cell:
     config: ExperimentConfig
     step_sizes: object = None      # iterator of per-epoch step sizes
     records: list = field(default_factory=list)
-    weights: Optional[list] = None
-    alpha_only: bool = False       # its snapshots log loss, accuracy and nc0_alpha only
+    weights: list = field(default_factory=list)   # W_0, W_1, ... of a trajectory run
     lr: object = None              # the current epoch's step size
     outcome: object = None         # TrainResult, or the lab error that stopped the cell
 
 
-def _train_cells(configs, collect_weights: bool = False, alpha_only: bool = False) -> list:
+def _train_cells(configs, trajectory: bool = False) -> list:
     """Train cells whose configs differ only in optimizer and seed.
 
     The data is built once. The cells train in consecutive stacks of at most
@@ -695,11 +679,11 @@ def _train_cells(configs, collect_weights: bool = False, alpha_only: bool = Fals
     Returns, per config and in order, its TrainResult or the DomainError
     that stopped it, from its config or the data. Any other exception
     propagates. A result's wall_time is the wall time of its stack (the
-    first stack's includes building the data). collect_weights and
-    alpha_only hold for every cell (see run_training).
+    first stack's includes building the data). With ``trajectory``, every
+    cell keeps its trajectory and logs only what _trajectory describes.
     """
     start = time.perf_counter()
-    cells = [_Cell(config, alpha_only=alpha_only) for config in configs]
+    cells = [_Cell(config) for config in configs]
     ready = []
     for cell in cells:
         try:
@@ -707,8 +691,6 @@ def _train_cells(configs, collect_weights: bool = False, alpha_only: bool = Fals
         except DomainError as exc:
             cell.outcome = exc
             continue
-        if collect_weights:
-            cell.weights = []
         ready.append(cell)
     if not ready:
         return [cell.outcome for cell in cells]
@@ -725,7 +707,7 @@ def _train_cells(configs, collect_weights: bool = False, alpha_only: bool = Fals
     per_stack = max(1, _STACK_BUDGET_BYTES // grid.cell_bytes)
     for i in range(0, len(ready), per_stack):
         stack = ready[i:i + per_stack]
-        _train_stack(grid, stack)
+        _train_stack(grid, stack, trajectory)
         now = time.perf_counter()
         for cell in stack:
             if isinstance(cell.outcome, TrainResult):
@@ -734,7 +716,7 @@ def _train_cells(configs, collect_weights: bool = False, alpha_only: bool = Fals
     return [cell.outcome for cell in cells]
 
 
-def _train_stack(grid: _Grid, cells: list) -> None:
+def _train_stack(grid: _Grid, cells: list, trajectory: bool) -> None:
     """The training loop. Steps the cells of one stack together and sets
     each cell's outcome.
 
@@ -755,6 +737,8 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     model with no hidden layer), the stack builds one LabeledFeatures over
     them, which every cell and snapshot reads: its class statistics,
     nc2/nc2n/nc2a and nearest-mean decisions are computed once per stack.
+    A ``trajectory`` stack keeps a copy of each cell's classifier at epoch 0
+    and after every epoch, and its snapshots are alpha-only (_snapshot).
 
     A cell whose batch loss is non-finite skips that step, logs a final
     diagnostic record (from that step's pass in full batch) and leaves the
@@ -774,17 +758,13 @@ def _train_stack(grid: _Grid, cells: list) -> None:
     model.set_parameters(opt.params)
     shuffles = [np.random.default_rng([cell.config.seed, 1]) for cell in cells]
     fixed = None if grid.fixed is None else LabeledFeatures(grid.fixed, grid.labels, k)
-    collecting = any(cell.weights is not None for cell in cells)
 
-    def collect(indices, epoch):
-        """Append a copy of the classifier of each cell i in indices, when
-        its weights are collected."""
-        if not collecting:
-            return
-        weight = model.parameters()[-1]
-        for i in indices:
-            if cells[i].weights is not None:
-                cells[i].weights.append((epoch, weight[i].copy()))
+    def collect(indices):
+        """Append each cell i's classifier to its trajectory, if kept."""
+        if trajectory:
+            weight = model.parameters()[-1]
+            for i in indices:
+                cells[i].weights.append(weight[i].copy())
 
     def log(indices, epoch, forward=None):
         """Append to each cell i in indices its snapshot record at its step
@@ -800,17 +780,17 @@ def _train_stack(grid: _Grid, cells: list) -> None:
             loss = None if losses is None else float(losses[i])
             data = fixed if fixed is not None else LabeledFeatures(feats[i], grid.labels, k)
             cell.records.append(_snapshot(epoch, cell.lr, weight[i], data, grid.targets, loss,
-                                          cell.alpha_only))
+                                          trajectory))
 
     def finish(i, status):
         cell = cells[i]
         cell.outcome = TrainResult(config=cell.config, records=cell.records, status=status,
                                    wall_time=0.0, model=model.cell(i), dataset=grid.dataset,
-                                   weights=cell.weights)
+                                   weights=cell.weights if trajectory else None)
 
     for cell in cells:
         cell.lr = lr_at(cell.config.optimizer, 0, epochs)
-    collect(range(len(cells)), 0)
+    collect(range(len(cells)))
     owed = True             # the current parameters' snapshot is not logged yet
     forward = None
     for epoch in range(epochs):
@@ -830,7 +810,7 @@ def _train_stack(grid: _Grid, cells: list) -> None:
             if not math.isfinite(sum(loss.tolist())):   # else every loss is finite
                 finite = np.isfinite(loss)
                 diverged = np.flatnonzero(~finite)
-                collect(diverged, epoch + 1)
+                collect(diverged)
                 log(diverged, epoch + 1, forward)
                 for i in diverged:
                     finish(i, "diverged")
@@ -845,16 +825,15 @@ def _train_stack(grid: _Grid, cells: list) -> None:
                     order = order[finite]
             opt.step(grads)
         forward = None          # frees its features before the next pass
-        collect(range(len(cells)), epoch + 1)
+        collect(range(len(cells)))
         owed = (epoch + 1) % period == 0
     log(range(len(cells)), epochs)
     for i, cell in enumerate(cells):
         finish(i, _status_from_records(cell.records, epochs, k))
 
 
-def run_training(config: ExperimentConfig, collect_weights: bool = False, *,
-                 alpha_only: bool = False) -> TrainResult:
-    """Train per the config, logging metrics every metric_period epochs.
+def run_training(config: ExperimentConfig) -> TrainResult:
+    """Train per the config, logging every metric every metric_period epochs.
 
     The config trains as a one-cell stack of the loop that sweeps use, the
     only code that steps a weight matrix. Mini-batch order is seeded and
@@ -862,19 +841,9 @@ def run_training(config: ExperimentConfig, collect_weights: bool = False, *,
     record and status "diverged". The oscillation_decay schedule takes each
     epoch's step size from the (a, b) dynamics of coupled sign descent on the
     square frozen-feature geometry from W = 0, so it is rejected for any
-    other model, optimizer or init. With collect_weights, the result's
-    ``weights`` holds a copy of the classifier W at epoch 0 and after every
-    epoch, which is what the theorem checks read.
-
-    With alpha_only, each record holds the loss, accuracy and nc0_alpha,
-    and None for every other metric and sigma column, which is all that the
-    theorem checks read of it; such a run writes no output_csv or
-    output_summary. Without it (train, sweep), records hold every metric.
+    other model, optimizer or init.
     """
-    if alpha_only and (config.output_csv or config.output_summary):
-        raise DomainError("an alpha-only run logs no metric CSV or summary: its records "
-                          "leave every metric but nc0_alpha blank")
-    (result,) = _train_cells([config], collect_weights, alpha_only)
+    (result,) = _train_cells([config])
     if not isinstance(result, TrainResult):
         raise result
     if config.output_csv:
@@ -902,7 +871,7 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self):
-        _refuse_non_finite(self, ("lrs", "momenta", "wds"))
+        refuse_non_finite(self, ("lrs", "momenta", "wds"))
         _refuse_threshold(self.accuracy_threshold)
         for name in ("kinds", "lrs", "momenta", "wds"):
             values = getattr(self, name)
@@ -933,7 +902,7 @@ def _cell_config(base_config: ExperimentConfig, kind, lr, momentum, wd, seed) ->
     and sets the fields its kind reads: the grid momentum, the grid wd split
     evenly over the decay fields, and the base value of any other field."""
     base = base_config.optimizer
-    reads = _STEPS[kind][0] if kind in _STEPS else ()
+    reads = OPTIMIZER_READS.get(kind, ())
     decay = [name for name in reads if name.endswith("_wd")]
     grid = {"momentum": momentum, **{name: wd / len(decay) for name in decay}}
     opt = OptimizerConfig(kind=kind, lr=lr, schedule=base.schedule,
@@ -1023,15 +992,16 @@ def pivot_csv(sweep: SweepResult, kind: str, lr: float, metric: str) -> str:
     return csv_text(rows)
 
 
-def write_sweep_outputs(sweep: SweepResult, outdir, metrics=("nc0", "nc2", "nc3")) -> list:
-    """summary.csv plus one pivot file per (kind, lr, metric); returns paths."""
+def write_sweep_outputs(sweep: SweepResult, outdir) -> list:
+    """summary.csv plus one pivot file per (kind, lr) of nc0, nc2 and nc3;
+    returns paths."""
     os.makedirs(outdir, exist_ok=True)
     summary_path = os.path.join(outdir, "summary.csv")
     write_file(summary_path, sweep_summary_csv(sweep), "sweep summary")
     paths = [summary_path]
     for kind in sweep.spec.kinds:
         for lr in sweep.spec.lrs:
-            for metric in metrics:
+            for metric in ("nc0", "nc2", "nc3"):
                 path = os.path.join(outdir, f"pivot_{metric}_{kind}_lr{lr!r}.csv")
                 write_file(path, pivot_csv(sweep, kind, lr, metric), "sweep pivot")
                 paths.append(path)
@@ -1073,7 +1043,6 @@ class CheckResult:
 
     name: str
     passed: bool
-    tolerance: float
     rows: list
     details: dict = field(default_factory=dict)
 
@@ -1090,10 +1059,19 @@ def _row(t: int, sim: float, pred: float) -> tuple:
 
 
 def _logged_alphas(records, rows) -> list:
-    """(logged nc0_alpha, predicted alpha) of each record that logged one.
-    Row i of a rowsum check is epoch i, so it holds the epoch's prediction."""
-    return [(rec.values["nc0_alpha"], rows[rec.epoch][2])
-            for rec in records if rec.values.get("nc0_alpha") is not None]
+    """(logged nc0_alpha, predicted alpha) of each record of a trajectory
+    run; row i of a rowsum check is epoch i, so it holds the prediction."""
+    return [(rec.values["nc0_alpha"], rows[rec.epoch][2]) for rec in records]
+
+
+def _trajectory(config: ExperimentConfig) -> TrainResult:
+    """The run of a theorem check: ``config`` trains as in run_training,
+    ``weights`` holds W_0..W_T indexed by epoch, and the records hold the
+    loss, accuracy and nc0_alpha, all that a check reads. It writes no file."""
+    (result,) = _train_cells([config], trajectory=True)
+    if not isinstance(result, TrainResult):
+        raise result
+    return result
 
 
 # The MLP setting of checks 1 and 2, which each set the optimizer, epochs,
@@ -1109,19 +1087,16 @@ def check_decoupled_rowsum_decay(lr: float = 0.05, wd: float = 0.1, momentum: fl
     energy, and the nc0_alpha logged every epoch, must follow
     alpha_t = (1 - lr*wd)^(2t) alpha_0 at ``tolerance`` relative."""
     opt = OptimizerConfig(kind="sgd_decoupled", lr=lr, momentum=momentum, decoupled_wd=wd)
-    res = run_training(replace(_CHECK_MLP, optimizer=opt, epochs=epochs, metric_period=1),
-                       collect_weights=True, alpha_only=True)
-    k = _CHECK_MLP.num_classes
-    alpha0 = oracles.alpha_from_rowsum(res.weights[0][1].sum(axis=0), k)
-    rows = [_row(t, oracles.alpha_from_rowsum(w.sum(axis=0), k),
-                 oracles.alpha_sgd_decoupled(t, alpha0, lr, wd)) for t, w in res.weights]
+    res = _trajectory(replace(_CHECK_MLP, optimizer=opt, epochs=epochs, metric_period=1))
+    alpha0 = nc0_alpha(res.weights[0])
+    rows = [_row(t, nc0_alpha(w), oracles.alpha_sgd_decoupled(t, alpha0, lr, wd))
+            for t, w in enumerate(res.weights)]
     logged_ok = all(_row(0, logged, pred)[4] <= tolerance
                     for logged, pred in _logged_alphas(res.records, rows))
     final_alpha = rows[-1][1]
     return CheckResult(
         name="decoupled_rowsum_decay",
         passed=not any(row[4] > tolerance for row in rows) and logged_ok,
-        tolerance=tolerance,
         rows=rows,
         details={
             "alpha0": alpha0,
@@ -1146,19 +1121,19 @@ def check_coupled_rowsum_recursion(lr: float = 0.05, wd: float = 0.1, momentum: 
     rounding floor.
     """
     opt = OptimizerConfig(kind="sgd_coupled", lr=lr, momentum=momentum, coupled_wd=wd)
-    res = run_training(replace(_CHECK_MLP, optimizer=opt, epochs=epochs, batch_size=batch_size,
-                               metric_period=10), collect_weights=True, alpha_only=True)
+    res = _trajectory(replace(_CHECK_MLP, optimizer=opt, epochs=epochs, batch_size=batch_size,
+                              metric_period=10))
     k = _CHECK_MLP.num_classes
     n = k * _CHECK_MLP.per_class
     steps_per_epoch = 1 if batch_size is None else math.ceil(n / batch_size)
-    m0 = res.weights[0][1].sum(axis=0)
+    m0 = res.weights[0].sum(axis=0)
     oracle_ms = oracles.rowsum_recursion_coupled(m0, lr, wd, momentum,
                                                  steps=epochs * steps_per_epoch)
     alpha0 = oracles.alpha_from_rowsum(m0, k)
     roots = oracles.char_roots(momentum, lr, wd)
     c_bound = oracles.rowsum_decay_constant(lr, wd, momentum)
     m0_norm = float(np.linalg.norm(m0))
-    sums = [(epoch * steps_per_epoch, w.sum(axis=0)) for epoch, w in res.weights]
+    sums = [(epoch * steps_per_epoch, w.sum(axis=0)) for epoch, w in enumerate(res.weights)]
     rows = [_row(t, oracles.alpha_from_rowsum(m, k), oracles.alpha_from_rowsum(oracle_ms[t], k))
             for t, m in sums]
     coord_errs = [float(np.max(np.abs(m - oracle_ms[t]))) for t, m in sums]
@@ -1174,7 +1149,6 @@ def check_coupled_rowsum_recursion(lr: float = 0.05, wd: float = 0.1, momentum: 
     return CheckResult(
         name="coupled_rowsum_recursion",
         passed=passed,
-        tolerance=tolerance,
         rows=rows,
         details={
             "alpha0": alpha0,
@@ -1192,12 +1166,8 @@ def check_coupled_rowsum_recursion(lr: float = 0.05, wd: float = 0.1, momentum: 
     )
 
 
-def _square_sign_weights(k: int, optimizer: OptimizerConfig, steps: int) -> list:
-    """W_0..W_steps of a run_training run on the square frozen-feature
-    geometry from W = 0, as (t, W_t) pairs."""
-    config = ExperimentConfig(model_kind="ufm_fixed_features", init="zero", num_classes=k,
-                              optimizer=optimizer, epochs=steps, metric_period=steps)
-    return run_training(config, collect_weights=True, alpha_only=True).weights
+# The square frozen-feature geometry of checks 3 and 4, from W = 0.
+_CHECK_FRAME = ExperimentConfig(model_kind="ufm_fixed_features", init="zero")
 
 
 # Weight matrices per stacked gradient call in the theorem-3 check. The
@@ -1212,8 +1182,9 @@ def check_decoupled_sign_plateau(k: int = 10, lr: float = 0.1, wd: float = 0.5,
     """Decoupled sign descent from W = 0 on the square frozen-feature
     geometry: alpha must climb the exact closed form to (K-2)^2 / wd^2.
 
-    The run trains through run_training (signgd_decoupled, one full-batch
-    step per epoch). Every W_t it returns is compared with the closed form,
+    The closed form is evaluated first, so a setting outside its float range
+    is refused before the run trains (signgd_decoupled, one full-batch step
+    per epoch). Every W_t of the trajectory is compared with it,
     and the gradient at each W_0..W_{steps-1}, recomputed in stacked chunks,
     must have the sign pattern J - 2I that the closed form assumes.
     """
@@ -1221,16 +1192,17 @@ def check_decoupled_sign_plateau(k: int = 10, lr: float = 0.1, wd: float = 0.5,
         raise DomainError(f"check 3 needs k >= 3, got k = {k}: below 3 the plateau "
                           "(K-2)^2 / wd^2 is 0 and alpha never leaves it")
     optimizer = OptimizerConfig(kind="signgd_decoupled", lr=lr, decoupled_wd=wd)
-    weights = _square_sign_weights(k, optimizer, steps)
+    predicted = [oracles.alpha_signgd_decoupled(t, k, lr, wd) for t in range(steps + 1)]
+    weights = _trajectory(replace(_CHECK_FRAME, num_classes=k, optimizer=optimizer,
+                                  epochs=steps, metric_period=steps)).weights
     frame, targets = simplex_etf(k), np.eye(k)
     expected_sign = np.ones((k, k)) - 2.0 * np.eye(k)
-    stepped_from = [w for _, w in weights[:-1]]
+    stepped_from = weights[:-1]
     sign_pattern_ok = all(
         (np.sign(ce_loss_and_grad(np.stack(stepped_from[lo:lo + _GRADIENT_CHUNK]), frame,
                                   targets, input_grad=False)[1]) == expected_sign).all()
         for lo in range(0, steps, _GRADIENT_CHUNK))
-    rows = [_row(t, nc0_alpha(w), oracles.alpha_signgd_decoupled(t, k, lr, wd))
-            for t, w in weights]
+    rows = [_row(t, nc0_alpha(w), pred) for t, (w, pred) in enumerate(zip(weights, predicted))]
     monotone = not any(row[1] < prev[1] - 1e-12 for prev, row in zip(rows, rows[1:]))
     limit = oracles.alpha_signgd_decoupled_limit(k, wd)
     final_alpha = rows[-1][1]
@@ -1240,7 +1212,6 @@ def check_decoupled_sign_plateau(k: int = 10, lr: float = 0.1, wd: float = 0.5,
     return CheckResult(
         name="decoupled_sign_plateau",
         passed=passed,
-        tolerance=tolerance,
         rows=rows,
         details={
             "limit": limit,
@@ -1264,7 +1235,7 @@ def check_coupled_sign_oscillation(k: int = 10, lr: float = 0.1, wd: float = 0.5
     oracles.coupled_signgd_run_with_decay runs the scalar (a, b) dynamics
     once, from step size lr until alpha falls to tol * alpha_peak (its errors
     pass through), and gives the states s_0..s_T. The K x K weight matrix
-    then trains through run_training (signgd_coupled under the
+    then trains through the loop of run_training (signgd_coupled under the
     oscillation_decay schedule) for T steps, and each W_t is compared with s_t.
     """
     states, decay_steps = oracles.coupled_signgd_run_with_decay(k, lr, wd, shrink, tol,
@@ -1272,11 +1243,12 @@ def check_coupled_sign_oscillation(k: int = 10, lr: float = 0.1, wd: float = 0.5
     steps = len(states) - 1
     schedule = LRSchedule(kind="oscillation_decay", shrink_factor=shrink)
     optimizer = OptimizerConfig(kind="signgd_coupled", lr=lr, coupled_wd=wd, schedule=schedule)
-    weights = _square_sign_weights(k, optimizer, steps)
+    weights = _trajectory(replace(_CHECK_FRAME, num_classes=k, optimizer=optimizer,
+                                  epochs=steps, metric_period=steps)).weights
     off_mask = ~np.eye(k, dtype=bool)
     rows = []
     family_dev_max = scalar_dev_max = 0.0
-    for (t, w), state in zip(weights, states):
+    for t, (w, state) in enumerate(zip(weights, states)):
         diag, off = np.diag(w), w[off_mask]
         family_dev_max = max(family_dev_max,
                              float(max(diag.max() - diag.min(), off.max() - off.min())))
@@ -1295,7 +1267,6 @@ def check_coupled_sign_oscillation(k: int = 10, lr: float = 0.1, wd: float = 0.5
     return CheckResult(
         name="coupled_sign_oscillation",
         passed=passed,
-        tolerance=tolerance,
         rows=rows,
         details={
             "alpha_peak": peak,

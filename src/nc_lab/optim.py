@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-def _refuse_unread(config, what: str, kind: str, unread: dict) -> None:
+def refuse_unread(config, what: str, kind: str, unread: dict) -> None:
     """The rule of every model, optimizer and schedule config: ``kind`` is a
     key of ``unread``, and each field it does not read holds its default."""
     if kind not in unread:
@@ -65,7 +65,7 @@ def _refuse_unread(config, what: str, kind: str, unread: dict) -> None:
         raise DomainError(f"{what} {kind} reads no {', '.join(changed)}")
 
 
-def _refuse_non_finite(config, names) -> None:
+def refuse_non_finite(config, names) -> None:
     """Each named field of a config, a number or a tuple of numbers, is finite."""
     for name in names:
         value = getattr(config, name)
@@ -80,7 +80,7 @@ _SCHEDULE_READS = {
     "step_decay": ("decay_factor", "milestone_fractions"),
     "oscillation_decay": ("shrink_factor",),
 }
-_SCHEDULE_UNREAD = {kind: tuple(sorted(set().union(*_SCHEDULE_READS.values()) - set(reads)))
+SCHEDULE_UNREAD = {kind: tuple(sorted(set().union(*_SCHEDULE_READS.values()) - set(reads)))
                     for kind, reads in _SCHEDULE_READS.items()}
 
 
@@ -105,8 +105,8 @@ class LRSchedule:
     shrink_factor: float = 0.5
 
     def __post_init__(self):
-        _refuse_unread(self, "schedule", self.kind, _SCHEDULE_UNREAD)
-        _refuse_non_finite(self, ("decay_factor", "milestone_fractions"))
+        refuse_unread(self, "schedule", self.kind, SCHEDULE_UNREAD)
+        refuse_non_finite(self, ("decay_factor", "milestone_fractions"))
         if self.decay_factor <= 1:
             raise DomainError("decay_factor must exceed 1")
         if not 0 < self.shrink_factor < 1:
@@ -152,8 +152,8 @@ class OptimizerConfig:
     schedule: LRSchedule = LRSchedule()
 
     def __post_init__(self):
-        _refuse_unread(self, "optimizer", self.kind, _OPTIMIZER_UNREAD)
-        _refuse_non_finite(self, ("lr", "eps", "coupled_wd", "decoupled_wd"))
+        refuse_unread(self, "optimizer", self.kind, OPTIMIZER_UNREAD)
+        refuse_non_finite(self, ("lr", "eps", "coupled_wd", "decoupled_wd"))
         if self.lr <= 0:
             raise DomainError("lr must be positive")
         for name in ("momentum", "beta2"):
@@ -305,10 +305,11 @@ _STEPS = {
 
 OPTIMIZER_KINDS = tuple(_STEPS)
 
-# The fields of OptimizerConfig that each optimizer kind does not read.
-_OPTIMIZER_UNREAD = {kind: tuple(f.name for f in fields(OptimizerConfig)
-                                 if f.name not in ("kind", "lr", "schedule", *reads))
-                     for kind, (reads, _) in _STEPS.items()}
+# The OptimizerConfig fields each kind reads besides lr and schedule, and the rest.
+OPTIMIZER_READS = {kind: reads for kind, (reads, _) in _STEPS.items()}
+OPTIMIZER_UNREAD = {kind: tuple(f.name for f in fields(OptimizerConfig)
+                                if f.name not in ("kind", "lr", "schedule", *reads))
+                    for kind, reads in OPTIMIZER_READS.items()}
 
 
 def _cell_column(values):

@@ -53,13 +53,26 @@ __all__ = [
 ]
 
 
+def _in_float_range(closed_form, t: int, lr: float, wd: float) -> float:
+    """closed_form(), a closed form's value at step t; DomainError naming
+    lr and wd where it is not a finite float."""
+    try:
+        value = closed_form()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"lr = {lr!r} and wd = {wd!r} take the closed form out of "
+                          f"float range at t = {t}")
+    return value
+
+
 def alpha_sgd_decoupled(t: int, alpha0: float, lr: float, wd: float) -> float:
     """alpha_t = (1 - lr*wd)^(2t) * alpha_0 under decoupled SGD (any momentum)."""
     if t < 0:
         raise DomainError("t must be >= 0")
     if alpha0 < 0:
         raise DomainError("alpha0 must be >= 0")
-    return (1.0 - lr * wd) ** (2 * t) * alpha0
+    return _in_float_range(lambda: (1.0 - lr * wd) ** (2 * t) * alpha0, t, lr, wd)
 
 
 @dataclass(frozen=True)
@@ -148,7 +161,8 @@ def alpha_signgd_decoupled(t: int, num_classes: int, lr: float, wd: float) -> fl
     if t < 0:
         raise DomainError("t must be >= 0")
     k = num_classes
-    return ((k - 2) ** 2 / wd**2) * (1.0 - (1.0 - lr * wd) ** t) ** 2
+    return _in_float_range(lambda: ((k - 2) ** 2 / wd**2) * (1.0 - (1.0 - lr * wd) ** t) ** 2,
+                           t, lr, wd)
 
 
 def alpha_signgd_decoupled_limit(num_classes: int, wd: float) -> float:
@@ -236,9 +250,9 @@ def coupled_signgd_scalar_step(state: CoupledSignState, num_classes: int,
     )
 
 
-def oscillation_decay_due(state: CoupledSignState, window: int = 4) -> bool:
-    """True when both sign arguments flipped within the last ``window`` steps."""
-    return (state.t - state.last_flip_a < window) and (state.t - state.last_flip_b < window)
+def oscillation_decay_due(state: CoupledSignState) -> bool:
+    """True when both sign arguments flipped within the last 4 steps."""
+    return state.t - state.last_flip_a < 4 and state.t - state.last_flip_b < 4
 
 
 def apply_decay(state: CoupledSignState, shrink: float) -> CoupledSignState:
@@ -287,6 +301,8 @@ def coupled_signgd_run_with_decay(num_classes: int, lr0: float, wd: float,
         raise DomainError("shrink must lie in (0, 1)")
     if tol <= 0.0 or lr0 <= 0.0 or wd <= 0.0:
         raise DomainError("lr0, wd, and tol must be positive")
+    if max_steps < 0:
+        raise DomainError("max_steps must be >= 0")
     states = [CoupledSignState(eta=lr0)]
     decay_steps: list = []
     peak = 0.0

@@ -1,14 +1,15 @@
 """Reference constructions that only the tests use: a collapsed
 configuration, the one-step alpha decomposition, the metric records of a
 metric CSV, the writer of the plain-text matrix files that
-``nc-lab metrics`` reads, and a reference loop of the coupled sign-descent
-(a, b) dynamics."""
+``nc-lab metrics`` reads, the classifier trajectory of a training run, and a
+reference loop of the coupled sign-descent (a, b) dynamics."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 
+from nc_lab import harness
 from nc_lab.errors import DomainError
 from nc_lab.harness import CSV_COLUMNS, MetricRecord, parse_csv
 from nc_lab.linalg import as_array
@@ -75,6 +76,14 @@ def metric_records(text: str) -> list:
     header, rows = parse_csv(text)
     assert header == list(CSV_COLUMNS)
     return [MetricRecord(values={k: row.pop(k) for k in METRIC_KEYS}, **row) for row in rows]
+
+
+def weight_trajectory(config) -> list:
+    """W_0..W_T of the run of ``config``, indexed by epoch: the classifier
+    that the theorem checks' trajectory run keeps after every epoch. The
+    run is deterministic, so these are the weights of run_training(config)
+    too, whose records hold every metric."""
+    return harness._trajectory(config).weights
 
 
 def format_matrix(m) -> str:

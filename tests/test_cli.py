@@ -2,13 +2,15 @@ import argparse
 import functools
 import inspect
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from nc_lab import cli, oracles
+from nc_lab import cli, harness, oracles
 from nc_lab.cli import ORACLE_ROWS, build_parser, main
+from nc_lab.errors import DomainError
 from nc_lab.harness import (
     CSV_HEADER,
     THEOREM_CHECKS,
@@ -439,7 +441,7 @@ def test_check_theorem_passes_the_flags_its_check_takes_and_refuses_the_rest(
     @functools.wraps(check)
     def record(**kwargs):
         calls.append(kwargs)
-        return CheckResult(name="recorded", passed=True, tolerance=0.0, rows=[])
+        return CheckResult(name="recorded", passed=True, rows=[])
 
     monkeypatch.setitem(THEOREM_CHECKS, theorem, record)
     action = CHECK_FLAGS[flag]
@@ -526,6 +528,36 @@ def test_sign_checks_and_oracle_refuse_k_below_3(tmp_path, capsys, k, argv, mess
     out, err = capsys.readouterr()
     assert (rc, out) == (1, "")
     assert err.startswith(f"error: {message}, got k = {k}")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--theorem", "1", "--steps", "-1"], "steps must be >= 0"),
+    (["oracle", "--theorem", "2", "--steps", "-1"], "steps must be >= 0"),
+    (["oracle", "--theorem", "3", "--steps", "-1"], "steps must be >= 0"),
+    (["oracle", "--theorem", "4", "--max-steps", "-1"], "max_steps must be >= 0"),
+    (["oracle", "--theorem", "2", "--m0", ","], "m0 must hold at least one row sum"),
+    (["oracle", "--theorem", "2", "--k", "0"], "k must be >= 1, got 0"),
+    (["oracle", "--theorem", "1", "--lr", "1e300", "--steps", "5"],
+     "lr = 1e+300 and wd = 0.1 take the closed form out of float range at t = 1"),
+    (["oracle", "--theorem", "3", "--lr", "1e300", "--steps", "5"],
+     "lr = 1e+300 and wd = 0.1 take the closed form out of float range at t = 1"),
+    (["check-theorem", "3", "--lr", "1e300", "--steps", "5"],
+     "lr = 1e+300 and wd = 0.5 take the closed form out of float range at t = 1"),
+])
+def test_an_input_outside_a_closed_forms_domain_is_refused_naming_its_flag(
+        tmp_path, capsys, monkeypatch, argv, message):
+    """A negative step count, an empty m0, K = 0 and a step size that
+    takes the closed form out of float range raise a DomainError (exit 1)
+    before anything trains or is written."""
+    monkeypatch.setattr(harness, "_train_cells", None)     # training would fail
+    args = build_parser().parse_args(argv)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        args.func(args)
+    target = tmp_path / "out.csv"
+    rc = main(argv + ["--out", str(target)])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
     assert not target.exists()
 
 

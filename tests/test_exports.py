@@ -1,5 +1,5 @@
 """Every name a module exports resolves, so ``from nc_lab.<module> import *``
-cannot break on a stale ``__all__`` entry; the CLI reaches the other modules
+cannot break on a stale ``__all__`` entry; each module reaches the others
 only through their public names; and the package exports only what a
 command, a check or the benchmark reaches."""
 
@@ -40,8 +40,9 @@ def test_all_names_resolve(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-def test_cli_imports_no_private_name():
-    tree = _tree(os.path.join(SRC, "cli.py"))
+@pytest.mark.parametrize("filename", sorted(_sources(SRC)))
+def test_no_module_imports_another_ones_private_name(filename):
+    tree = _tree(os.path.join(SRC, filename))
     private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                and (node.level > 0 or node.module.startswith("nc_lab"))
                for alias in node.names if alias.name.startswith("_")]

@@ -3,7 +3,8 @@
 The golden files pin the exact bytes that training runs, sweeps and theorem
 checks write. A refactor or speedup must leave them unchanged. Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py`` only for an intended change
-of output, and say why in the change log.
+of output, and say why in the change log. The bytes also rest on the numpy
+build and its BLAS, so a mismatch names both and the BLAS thread setting.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import os
 import sys
 from itertools import product
 
+import numpy as np
 import pytest
 
 from nc_lab.cli import main
@@ -30,6 +32,7 @@ from nc_lab.harness import (
     run_training,
     sweep_summary_csv,
 )
+from helpers import weight_trajectory
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -299,11 +302,10 @@ def produce(case: str) -> str:
         return _run_cli(case)[0]
     if case in ROWSUM_CONFIGS:
         config = config_from_mapping(parse_config_text(ROWSUM_CONFIGS[case]))
-        weights = run_training(config, collect_weights=True).weights
         k = config.num_classes
         lines = ["epoch," + ",".join(f"m{i}" for i in range(k))]
         lines += [",".join([str(t)] + [repr(float(v)) for v in w.sum(axis=0)])
-                  for t, w in weights]
+                  for t, w in enumerate(weight_trajectory(config))]
         return "\n".join(lines) + "\n"
     raise KeyError(case)
 
@@ -356,6 +358,18 @@ def produce_config_echo() -> str:
     return json.dumps(echo, indent=1, sort_keys=True) + "\n"
 
 
+def platform_note() -> str:
+    """The numpy version, BLAS library and BLAS thread setting that a run's
+    bytes rest on, for the message of a golden mismatch."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):       # a numpy build without the config dicts
+        blas = {}
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return (f"golden bytes differ under numpy {np.__version__}, BLAS {blas.get('name')} "
+            f"{blas.get('version')}, OPENBLAS_NUM_THREADS={threads}")
+
+
 def _golden_path(case: str) -> str:
     return os.path.join(GOLDEN_DIR, case + ".csv")
 
@@ -371,13 +385,13 @@ ECHO_PATH = os.path.join(GOLDEN_DIR, "config_echo.json")
 def test_csv_matches_golden_bytes(case):
     with open(_golden_path(case), encoding="utf-8", newline="") as fh:
         expected = fh.read()
-    assert produce(case) == expected
+    assert produce(case) == expected, platform_note()
 
 
 def _assert_verdicts_match(name: str) -> None:
     with open(_verdicts_path(name), encoding="utf-8", newline="") as fh:
         expected = fh.read()
-    assert produce_verdicts(name) == expected
+    assert produce_verdicts(name) == expected, platform_note()
 
 
 def test_theorem1_3_verdicts_match_golden_bytes():
@@ -393,7 +407,7 @@ def test_config_echo_matches_golden_bytes():
     # pass an echo that dropped or renamed a key on both sides.
     with open(ECHO_PATH, encoding="utf-8", newline="") as fh:
         expected = fh.read()
-    assert produce_config_echo() == expected
+    assert produce_config_echo() == expected, platform_note()
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
@@ -403,7 +417,7 @@ def test_sweep_matches_golden_bytes(case):
     for name in sorted(os.listdir(directory)):
         with open(os.path.join(directory, name), encoding="utf-8", newline="") as fh:
             expected[name] = fh.read()
-    assert produce_sweep(case) == expected
+    assert produce_sweep(case) == expected, platform_note()
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
@@ -418,6 +432,18 @@ def test_sweep_cells_equal_run_training(case):
         assert format_metric_csv(alone.records) == format_metric_csv(res.records)
         assert ([a.tobytes() for a in alone.model.parameters()]
                 == [a.tobytes() for a in res.model.parameters()])
+
+
+@pytest.mark.parametrize("threads", [None, "1"])
+def test_a_golden_mismatch_names_numpy_blas_and_threads(monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert platform_note() == (
+        f"golden bytes differ under numpy {np.__version__}, BLAS {blas['name']} "
+        f"{blas['version']}, OPENBLAS_NUM_THREADS={threads or 'unset'}")
 
 
 def _write_sweep_golden(case: str) -> None:

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import math
 import warnings
@@ -40,7 +41,7 @@ from nc_lab.harness import (
 from nc_lab.metrics import METRIC_KEYS, simplex_etf
 from nc_lab.models import MLPModel, one_hot
 from nc_lab.optim import LRSchedule, OptimizerConfig
-from helpers import metric_records
+from helpers import metric_records, weight_trajectory
 
 
 def _ufm_sign_config(kind, lr, wd, steps, schedule="constant", shrink=0.5, k=4,
@@ -379,8 +380,8 @@ def test_a_gaussian_frame_classifier_may_start_at_scale_zero():
     """ufm_fixed_features is linear in W, so W = 0 has a gradient and trains."""
     config = ExperimentConfig(model_kind="ufm_fixed_features", init="gaussian", init_scale=0.0,
                               epochs=20)
-    result = run_training(config, collect_weights=True)
-    assert not result.weights[0][1].any()
+    result = run_training(config)
+    assert not weight_trajectory(config)[0].any()
     assert result.status == "ok" and result.records[-1].train_acc == 1.0
 
 
@@ -590,12 +591,12 @@ def test_ufm_fixed_features_is_a_linear_mlp_over_the_simplex_frame():
     for init in ("default", "zero", "gaussian"):
         cfg = replace(_ufm_sign_config("signgd_decoupled", 0.1, 0.5, steps=1, k=k), init=init,
                       init_scale=0.2, seed=3)
-        result = run_training(cfg, collect_weights=True)
+        result = run_training(cfg)
         assert result.model.hidden_weights == [] and result.dataset is None
         assert np.array_equal(result.model.features(simplex_etf(k)), simplex_etf(k))
         drawn = 0.2 * np.random.default_rng(3).standard_normal((k, k))
         expected = drawn if init == "gaussian" else np.zeros((k, k))
-        assert np.array_equal(result.weights[0][1], expected)
+        assert np.array_equal(weight_trajectory(cfg)[0], expected)
         assert np.array_equal(MLPModel.create(k, (), k, seed=3, init_scale=0.2).final_weight,
                               drawn)
     with pytest.raises(DomainError, match="unknown init"):
@@ -631,7 +632,7 @@ def test_optimizer_lr_is_the_learning_rate_training_uses(tmp_path, schedule):
             schedule=LRSchedule(kind=schedule, **fractions)))
     path = tmp_path / "run.json"
     cfg = replace(cfg, output_summary=str(path))
-    result = run_training(cfg, collect_weights=True)
+    result = run_training(cfg)
     lrs = [r.lr for r in result.records]
     assert lrs[:2] == [0.3, 0.3]
     if schedule == "constant":
@@ -640,7 +641,7 @@ def test_optimizer_lr_is_the_learning_rate_training_uses(tmp_path, schedule):
         assert lrs[2:] == [0.3 / 10.0] * 2
     if schedule == "oscillation_decay":
         # The first coupled sign step from W = 0 moves every entry by lr.
-        assert np.max(np.abs(result.weights[1][1])) == pytest.approx(0.3, abs=1e-15)
+        assert np.max(np.abs(weight_trajectory(cfg)[1])) == pytest.approx(0.3, abs=1e-15)
     assert config_to_mapping(result.config)["optimizer.lr"] == 0.3
     assert json.loads(path.read_text())["config"]["optimizer.lr"] == 0.3
 
@@ -848,7 +849,7 @@ def test_stacks_stay_under_the_working_set_budget(monkeypatch):
     """A paper-size grid trains as one stack; stress-size cells train alone."""
     sizes = []
 
-    def record(grid, cells):
+    def record(grid, cells, trajectory):
         sizes.append(len(cells))
         for cell in cells:
             cell.outcome = DomainError("not trained")
@@ -982,14 +983,15 @@ def test_check_functions_report_failure_without_raising():
     assert not res.details["within_1pct_of_limit"]
 
 
-def test_run_training_collects_a_copy_of_the_classifier_every_epoch():
-    res = run_training(_mlp_config(epochs=5, batch_size=20, metric_period=5),
-                       collect_weights=True)
-    assert [t for t, _ in res.weights] == [0, 1, 2, 3, 4, 5]
+def test_a_trajectory_run_keeps_a_copy_of_the_classifier_every_epoch():
+    cfg = _mlp_config(epochs=5, batch_size=20, metric_period=5)
+    res = harness._trajectory(cfg)
+    assert len(res.weights) == 6
     final = res.model.final_weight
-    assert res.weights[-1][1].tobytes() == final.tobytes()
-    assert not any(np.shares_memory(w, final) for _, w in res.weights)
-    assert all(not np.array_equal(a, b) for (_, a), (_, b) in zip(res.weights, res.weights[1:]))
+    assert res.weights[-1].tobytes() == final.tobytes()
+    assert final.tobytes() == run_training(cfg).model.final_weight.tobytes()
+    assert not any(np.shares_memory(w, final) for w in res.weights)
+    assert all(not np.array_equal(a, b) for a, b in zip(res.weights, res.weights[1:]))
     assert run_training(_mlp_config(epochs=2)).weights is None
 
 
@@ -1023,11 +1025,11 @@ def test_full_batch_records_equal_fresh_snapshots_of_their_parameters(monkeypatc
     else:
         cfg = ExperimentConfig(model_kind="ufm", num_classes=4, dim=6, per_class=3, epochs=7,
                                metric_period=2, optimizer=opt)
-    seen = _params_before_each_step(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
-        res = run_training(cfg, collect_weights=True)
+        weights = weight_trajectory(cfg)
+        seen = _params_before_each_step(monkeypatch)
+        res = run_training(cfg)
         assert res.status == ("diverged" if lr > 1.0 else "ok")
-        weights = dict(res.weights)
         labels = harness._setup(cfg).labels
         for rec in res.records:
             params = seen[rec.epoch] if rec.epoch < len(seen) else res.model.parameters()
@@ -1074,10 +1076,11 @@ def test_fixed_input_records_equal_fresh_snapshots_of_their_weights(case):
     assert grid.fixed is not None
     assert harness._STACK_BUDGET_BYTES // grid.cell_bytes >= len(configs)   # one stack
     k = configs[0].num_classes
-    results = harness._train_cells(configs, collect_weights=True)
-    for cfg, res in zip(configs, results):
+    results = harness._train_cells(configs)
+    trajectories = harness._train_cells(configs, trajectory=True)
+    for cfg, res, trajectory in zip(configs, results, trajectories):
         assert isinstance(res, TrainResult)
-        weights = dict(res.weights)
+        weights = trajectory.weights
         assert [rec.epoch for rec in res.records] == sorted(
             set(range(0, cfg.epochs, cfg.metric_period)) | {cfg.epochs})
         for rec in res.records:
@@ -1181,7 +1184,7 @@ def test_sign_plateau_check_trains_through_the_optimizer_table(monkeypatch):
     monkeypatch.setattr(optim, "step_signgd_decoupled", optim.step_signgd_coupled)
     res = check_decoupled_sign_plateau()
     assert not res.passed
-    assert max(row[4] for row in res.rows) > res.tolerance
+    assert max(row[4] for row in res.rows) > 1e-9
 
 
 def test_sign_oscillation_check_trains_through_the_optimizer_table(monkeypatch):
@@ -1199,10 +1202,10 @@ def test_rowsum_checks_train_through_the_optimizer_table(monkeypatch):
     monkeypatch.setattr(optim, "step_sgd_coupled", decoupled)
     res = check_decoupled_rowsum_decay()
     assert not res.passed
-    assert max(row[4] for row in res.rows) > res.tolerance
+    assert max(row[4] for row in res.rows) > 1e-9
     res = check_coupled_rowsum_recursion()
     assert not res.passed
-    assert res.details["max_coord_err"] > res.tolerance
+    assert res.details["max_coord_err"] > 1e-9
 
 
 def test_coupled_rowsum_check_compares_each_coordinate(monkeypatch):
@@ -1213,8 +1216,8 @@ def test_coupled_rowsum_check_compares_each_coordinate(monkeypatch):
                         lambda *args, **kwargs: [-m for m in recursion(*args, **kwargs)])
     res = check_coupled_rowsum_recursion(epochs=20)
     assert not res.passed
-    assert res.details["max_coord_err"] > res.tolerance
-    assert max(row[4] for row in res.rows) <= res.tolerance
+    assert res.details["max_coord_err"] > 1e-9
+    assert max(row[4] for row in res.rows) <= 1e-9
 
 
 @pytest.mark.parametrize("check", [check_decoupled_rowsum_decay,
@@ -1246,7 +1249,7 @@ def test_theorem_checks_make_no_full_metric_pass(monkeypatch):
 
 
 def _record_head(rec) -> str:
-    """The fields an alpha-only record shares with the full one, as text
+    """The fields a trajectory record shares with the full one, as text
     that tells apart every float bit pattern but NaN payloads."""
     return repr((rec.epoch, rec.lr, rec.train_loss, rec.train_acc, rec.values["nc0_alpha"]))
 
@@ -1259,12 +1262,13 @@ def _record_head(rec) -> str:
                                       coupled_wd=0.1)),
     _ufm_sign_config("signgd_decoupled", 0.1, 0.5, steps=60, k=10, metric_period=7),
 ], ids=["check-1", "check-2", "ufm-sign"])
-def test_an_alpha_only_run_logs_the_full_runs_loss_accuracy_and_alpha(config):
-    full = run_training(config, collect_weights=True)
-    alpha = run_training(config, collect_weights=True, alpha_only=True)
+def test_a_trajectory_run_logs_the_full_runs_loss_accuracy_and_alpha(config):
+    full = run_training(config)
+    alpha = harness._trajectory(config)
     assert alpha.status == full.status == "ok"
-    assert [(t, w.tobytes()) for t, w in alpha.weights] == [
-        (t, w.tobytes()) for t, w in full.weights]
+    assert len(alpha.weights) == config.epochs + 1
+    assert ([a.tobytes() for a in alpha.model.parameters()]
+            == [a.tobytes() for a in full.model.parameters()])
     assert [_record_head(rec) for rec in alpha.records] == [
         _record_head(rec) for rec in full.records]
     assert all(rec.values["nc0_alpha"] is not None for rec in full.records)
@@ -1275,31 +1279,34 @@ def test_an_alpha_only_run_logs_the_full_runs_loss_accuracy_and_alpha(config):
         assert rec.sigma_min_w is rec.sigma_avg_w is rec.sigma_min_m is rec.sigma_avg_m is None
 
 
-def test_an_alpha_only_diverged_run_logs_the_alpha_the_full_run_leaves_blank():
+def test_a_diverged_trajectory_run_logs_the_alpha_the_full_run_leaves_blank():
     # Once the class statistics overflow, the full record blanks every
-    # metric; the alpha-only record still logs nc0_alpha of W.
+    # metric; the trajectory record still logs nc0_alpha of W.
     cfg = _mlp_config(epochs=10, metric_period=2,
                       optimizer=OptimizerConfig(kind="sgd_coupled", lr=1e8, momentum=0.9))
     with np.errstate(all="ignore"):
-        full = run_training(cfg, collect_weights=True)
-        alpha = run_training(cfg, collect_weights=True, alpha_only=True)
+        full = run_training(cfg)
+        alpha = harness._trajectory(cfg)
     assert full.status == alpha.status == "diverged"
     assert full.records[-1].values["nc0_alpha"] is None
-    assert alpha.records[-1].values["nc0_alpha"] == metrics.nc0_alpha(alpha.weights[-1][1])
+    assert len(alpha.weights) == alpha.records[-1].epoch + 1
+    assert alpha.records[-1].values["nc0_alpha"] == metrics.nc0_alpha(alpha.weights[-1])
     for full_rec, alpha_rec in zip(full.records, alpha.records):
         if full_rec.values["nc0_alpha"] is not None:
             assert _record_head(alpha_rec) == _record_head(full_rec)
 
 
 @pytest.mark.parametrize("output", ["output_csv", "output_summary"])
-def test_an_alpha_only_run_writes_no_metric_outputs(tmp_path, output):
+def test_only_run_training_writes_a_runs_outputs(tmp_path, output):
+    """run_training takes the config alone; a check's trajectory run of a
+    config with an output path writes nothing there."""
+    assert list(inspect.signature(run_training).parameters) == ["config"]
     path = tmp_path / "out"
     cfg = replace(_ufm_sign_config("signgd_decoupled", 0.1, 0.5, steps=4), **{output: str(path)})
-    with pytest.raises(DomainError, match="alpha-only run logs no metric CSV or summary"):
-        run_training(cfg, alpha_only=True)
+    harness._trajectory(cfg)
     assert not path.exists()
-    with pytest.raises(TypeError):
-        run_training(cfg, False, True)      # alpha_only is keyword-only
+    run_training(cfg)
+    assert path.exists()
 
 
 def test_checks_bind_no_step_function():

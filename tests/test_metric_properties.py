@@ -1,9 +1,10 @@
-"""Properties of the class statistics over random shapes (hypothesis,
-profile in conftest.py).
+"""Properties of the class statistics and the metrics over random shapes
+(hypothesis, profile in conftest.py).
 
 nc1 is computed in the rank-(K-1) coordinates of the centered class means,
 from one thin SVD. The old p x p formula, tr(Sigma_W pinv(Sigma_B)) / K with
 numpy's pinv, and the mask-per-class class means stay here as references.
+NC0 is necessary for NC: nc0_normalized is bounded by nc3 and by nc2w.
 """
 
 import numpy as np
@@ -201,3 +202,94 @@ def test_all_metrics_equals_each_standalone_metric_function(seed, k, p, case, da
     assert bundle["flags"]["skipped"] == [key for key in METRIC_KEYS if expected[key] is None]
     if case in ("zero_w", "coincident_means"):
         assert expected["nc3"] is None
+
+
+def _gamma(n: int):
+    """gamma_n = n u / (1 - n u), u = 2^-53: the relative error bound of a
+    sum or dot product of n + 1 terms (any order, FMA or not)."""
+    mp = pytest.importorskip("mpmath")
+    nu = n * mp.mpf(2) ** -53
+    return nu / (1 - nu)
+
+
+@given(seed=seeds, k=st.integers(2, 11), p=st.integers(1, 13),
+       shape=st.sampled_from(["toward_mt", "toward_1v", "random"]),
+       exponent=st.one_of(st.none(), st.integers(-12, 0)),
+       scales=st.tuples(st.integers(-3, 3), st.integers(-3, 3)), data=st.data())
+def test_nc0_normalized_is_bounded_by_nc3_and_by_nc2w(seed, k, p, shape, exponent, scales,
+                                                       data):
+    """nc0_normalized <= K^1.5 nc3 and nc0_normalized <= K^1.5 sqrt(nc2w) / p,
+    each up to the rounding of the computed metrics, derived here.
+
+    Exact arithmetic. M (p x K) is the float centered means and r = M 1,
+    which is 0 up to the rounding bounded below, for any labels. With
+    A = W/||W|| - M^T/||M||, W^T 1 / ||W|| = A^T 1 + r / ||M||, and
+    ||A^T 1|| <= sqrt(K) ||A||; so ||W^T 1|| / ||W|| <= sqrt(K) ||A|| +
+    ||r|| / ||M||.
+    With G = W W^T and E the float simplex frame, whose entries sum to c_E,
+    ||W^T 1||^2 = 1^T G 1 = ||G|| (1^T D 1 + c_E) for D = G/||G|| - E, and
+    |1^T D 1| <= K ||D||, ||G|| <= ||W||^2; so ||W^T 1|| / ||W|| <=
+    sqrt(K ||D|| + |c_E|). Equality in the first holds as A tends to
+    1 v^T, which the toward_mt draws approach: W = cos(phi) M^T/||M|| +
+    sin(phi) 1 v^T/||1 v^T||, with ratio cos(phi/2).
+
+    Rounding, u = 2^-53 and gamma_n as in _gamma. A float norm of n values
+    (a dot product and a square root) has relative error below
+    gamma_(n+1); each division, subtraction or product with a float adds u.
+    - M = means - mean of the K class means, per feature i: that mean is
+      off by gamma_K sum_c |means_ic| / K, and each difference by u, so
+      |r_i| <= gamma_K sum_c |means_ic| + u / (1 - u) sum_c |M_ic| =: r_i up;
+      rho = ||r up|| / ||M||.
+    - nc0_normalized = (||W^T 1|| / p) / ||W||: the column sums carry
+      gamma_(K-1) sum_k |w_kj|, at most gamma_(K-1) sqrt(K) ||W|| in norm,
+      so nc0_c <= F0 (||W^T 1|| / (p ||W||) + gamma_(K-1) sqrt(K) / p),
+      F0 = (1 + gamma_(p+1)) (1 + u)^2 / (1 - gamma_(Kp+1)).
+    - nc3 = ||W/||W|| - M^T/||M|| || / (K p): each quotient is off by eta
+      = (1 + u) / (1 - gamma_(Kp+1)) - 1 relative, eta in norm, and the
+      difference by u; so ||A|| <= A_up = (K p nc3_c / ((1 - gamma_(Kp+1))
+      (1 - u)) + 2 eta (1 + u)) / (1 - u).
+    - nc2w = ||G_c/||G_c|| - E|| / K^2: the product G_c is off by
+      gamma_p ||W||^2 <= gamma_p sqrt(K) ||G|| in norm, so its direction by
+      2 sqrt(K) gamma_p; the quotient by eta_G = (1 + u) / (1 -
+      gamma_(K^2+1)) - 1 and the difference by u; so ||D|| <= D_up =
+      K^2 nc2w_c / ((1 - u)^2 (1 - gamma_(K^2+1))) + eta_G + 2 sqrt(K) gamma_p.
+    The bounds F0 ((sqrt(K) A_up + rho) / p + gamma_(K-1) sqrt(K) / p) and
+    F0 (sqrt(K D_up + |c_E|) / p + gamma_(K-1) sqrt(K) / p) are evaluated
+    at 50 digits, so their own rounding is far below u.
+    """
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    counts = data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))   # imbalanced
+    labels = _labels(rng, counts)
+    h = 10.0 ** scales[0] * rng.standard_normal((p, labels.size))
+    stats = compute_class_statistics(LabeledFeatures(h, labels, k))
+    m = stats.centered_means
+    if shape == "random":
+        w = rng.standard_normal((k, p))
+    else:
+        one_v = np.outer(np.ones(k), rng.standard_normal(p))
+        tilt = 0.0 if exponent is None else 10.0 ** exponent
+        phi = tilt if shape == "toward_mt" else np.pi / 2 - tilt
+        w = np.cos(phi) * m.T / np.linalg.norm(m) + np.sin(phi) * one_v / np.linalg.norm(one_v)
+    w = 10.0 ** scales[1] * w
+    bundle = all_metrics(w, LabeledFeatures(h, labels, k))
+    assume(bundle["nc3"] is not None)
+    with mp.workdps(50):
+        u = mp.mpf(2) ** -53
+        sqrt_k = mp.sqrt(k)
+        r_up = [_gamma(k) * mp.fsum(abs(mp.mpf(x)) for x in means_i)
+                + u / (1 - u) * mp.fsum(abs(mp.mpf(x)) for x in m_i)
+                for means_i, m_i in zip(stats.class_means, m)]
+        rho = mp.sqrt(mp.fsum(x**2 for x in r_up) / mp.fsum(mp.mpf(x) ** 2 for x in m.flat))
+        c_e = abs(mp.fsum(mp.mpf(x) for x in metrics.simplex_etf(k).flat))
+        f0 = (1 + _gamma(p + 1)) * (1 + u) ** 2 / (1 - _gamma(k * p + 1))
+        column_sums = _gamma(k - 1) * sqrt_k / p
+        eta = (1 + u) / (1 - _gamma(k * p + 1)) - 1
+        a_up = (k * p * mp.mpf(bundle["nc3"]) / ((1 - _gamma(k * p + 1)) * (1 - u))
+                + 2 * eta * (1 + u)) / (1 - u)
+        eta_g = (1 + u) / (1 - _gamma(k * k + 1)) - 1
+        d_up = (k * k * mp.mpf(bundle["nc2w"]) / ((1 - u) ** 2 * (1 - _gamma(k * k + 1)))
+                + eta_g + 2 * sqrt_k * _gamma(p))
+        nc0 = mp.mpf(bundle["nc0_normalized"])
+        assert nc0 <= f0 * ((sqrt_k * a_up + rho) / p + column_sums)
+        assert nc0 <= f0 * (mp.sqrt(k * d_up + c_e) / p + column_sums)
