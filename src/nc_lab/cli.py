@@ -121,6 +121,8 @@ def _coupled_sign_decay(k=10, lr=0.05, wd=0.1, shrink=0.5, tol=1e-6, max_steps=1
 
 
 def _memory_kernel_curve(alpha0=1.0, wd=0.1, momentum=0.9, tmax=50.0, points=101):
+    if points < 0:
+        raise DomainError(f"points must be >= 0, got {points}")
     ts = np.linspace(0.0, tmax, points)
     vals = oracles.ode_alpha_closed_form(ts, alpha0, wd, momentum)
     return list(zip(ts.tolist(), np.atleast_1d(vals).tolist()))

@@ -481,38 +481,62 @@ class TrainResult:
     weights: Optional[list] = None   # W_0, W_1, ... of a trajectory run
 
 
-def _snapshot(epoch, lr_value, weight, data: LabeledFeatures, targets,
-              loss: Optional[float] = None, alpha_only: bool = False) -> MetricRecord:
-    """The record of classifier ``weight`` over the full-data features
-    ``data``, with the loss that the step's forward pass brought, or else
-    one computed here. The loss, train_acc and nc4 read one product W H.
+def _sigmas(sv: np.ndarray) -> list:
+    """(sigma_min, sigma_avg) of each row of an S x r array of singular
+    values in descending order: the smallest, and the mean of the others
+    (None when r is 1)."""
+    avgs = sv[:, :-1].mean(axis=-1).tolist() if sv.shape[1] > 1 else [None] * len(sv)
+    return list(zip(sv[:, -1].tolist(), avgs))
 
-    With ``alpha_only`` the record holds the loss, train_acc and nc0_alpha
-    (metrics.nc0_alpha, as all_metrics logs it), and None for every other
-    metric and sigma column: no class statistics, no SVD.
+
+def _snapshots(heads, weights: np.ndarray, data, targets, alpha_only: bool = False) -> list:
+    """The records of the S classifiers ``weights`` (S x K x p) over the
+    full-data features ``data``: one LabeledFeatures that every slice reads,
+    or a list of one per slice. ``heads`` holds each slice's (epoch, step
+    size, loss); a loss of None is computed here. The loss, train_acc and
+    nc4 of a slice read one product W H.
+
+    One all_metrics call and one singular_values call cover every slice
+    whose W and class statistics are finite; a degenerate or diverged
+    snapshot has every metric and sigma column blank. With ``alpha_only`` a
+    record holds the loss, train_acc and nc0_alpha (metrics.nc0_alpha, as
+    all_metrics logs it), and None for every other metric and sigma column:
+    no class statistics, no SVD.
     """
-    if loss is None:
-        logits = weight @ data.features
-        loss = ce_loss_from_logits(logits, targets)
-        decisions = data._linear_decisions(weight, logits)
+    shared = isinstance(data, LabeledFeatures)
+    groups = [(0, len(heads), data)] if shared else [(i, i + 1, d) for i, d in enumerate(data)]
+    records = []
+    for lo, hi, d in groups:
+        ws = weights[lo:hi]
+        logits = ws @ d.features if any(head[2] is None for head in heads[lo:hi]) else None
+        decisions = d._linear_decisions(ws, logits)
+        for i, (epoch, lr_value, loss) in enumerate(heads[lo:hi]):
+            if loss is None:
+                loss = ce_loss_from_logits(logits[i], targets)
+            acc = np.count_nonzero(decisions[i] == d.labels) / d.labels.shape[0]
+            records.append(MetricRecord(epoch, lr_value, loss, acc, dict.fromkeys(METRIC_KEYS)))
         del logits              # not kept through the metric pass
-    else:
-        decisions = data._linear_decisions(weight)
-    acc = np.count_nonzero(decisions == data.labels) / data.labels.shape[0]
-    values, sigmas = dict.fromkeys(METRIC_KEYS), [None] * 4
     if alpha_only:
-        values["nc0_alpha"] = metrics.nc0_alpha(weight)
-        return MetricRecord(epoch, lr_value, loss, acc, values, *sigmas)
-    try:
-        bundle = all_metrics(weight, data)
-        sv_w = singular_values(weight)
-        sv_m = compute_class_statistics(data).singular_values   # kept by all_metrics
-        sigmas = [float(sv_w[-1]), float(sv_w[:-1].mean()) if sv_w.size > 1 else None,
-                  float(sv_m[-1]), float(sv_m[:-1].mean()) if sv_m.size > 1 else None]
-        values = {k: bundle[k] for k in METRIC_KEYS}
-    except (DomainError, NumericError):
-        pass                    # a degenerate or diverged snapshot: every metric blank
-    return MetricRecord(epoch, lr_value, loss, acc, values, *sigmas)
+        for rec, w in zip(records, weights):
+            rec.values["nc0_alpha"] = metrics.nc0_alpha(w)
+        return records
+    ok = np.isfinite(weights).all(axis=(1, 2))
+    m_sigmas = [None] * len(heads)
+    for lo, hi, d in groups:
+        try:
+            m_sigmas[lo:hi] = _sigmas(compute_class_statistics(d).singular_values[None]) * (hi - lo)
+        except NumericError:
+            ok[lo:hi] = False
+    kept = np.flatnonzero(ok)
+    if kept.size:
+        ws = weights if kept.size == len(weights) else weights[kept]
+        bundles = all_metrics(ws, data if shared else [data[i] for i in kept])
+        for i, bundle, w_sigmas in zip(kept, bundles, _sigmas(singular_values(ws))):
+            rec = records[i]
+            rec.values = {key: bundle[key] for key in METRIC_KEYS}
+            rec.sigma_min_w, rec.sigma_avg_w = w_sigmas
+            rec.sigma_min_m, rec.sigma_avg_m = m_sigmas[i]
+    return records
 
 
 def _status_from_records(records, epochs: int, num_classes: int) -> str:
@@ -529,6 +553,12 @@ def _status_from_records(records, epochs: int, num_classes: int) -> str:
 # Cells train in stacks whose estimated per-step working set (see
 # _working_set) stays under this many bytes; a larger cell trains alone.
 _STACK_BUDGET_BYTES = 64 * 2**20
+
+# A fixed-input stack keeps its owed snapshots as W copies and records them
+# in one _snapshots pass once the largest temporary of that pass, S x K x
+# max(p, N, K) float64 for S snapshots, would pass this many bytes; what is
+# left is recorded before the stack returns.
+_FLUSH_BYTES = 16 * 2**20
 
 
 def _working_set(widths, batch: int, num_params: int) -> int:
@@ -732,13 +762,19 @@ def _train_stack(grid: _Grid, cells: list, trajectory: bool) -> None:
     the same parameters and yields the stack's features and per-cell losses
     anyway; only the final snapshot computes its own. A mini-batch snapshot
     computes the stack's full-data features once, and each cell reads its
-    slice, as a LabeledFeatures of its own. No snapshot's features outlive
-    it. When the features are the grid's fixed input (``grid.fixed``, a
-    model with no hidden layer), the stack builds one LabeledFeatures over
-    them, which every cell and snapshot reads: its class statistics,
-    nc2/nc2n/nc2a and nearest-mean decisions are computed once per stack.
-    A ``trajectory`` stack keeps a copy of each cell's classifier at epoch 0
-    and after every epoch, and its snapshots are alpha-only (_snapshot).
+    slice, as a LabeledFeatures of its own. Snapshots are recorded in
+    flushes, each one _snapshots pass (one all_metrics call) over the
+    stacked W of its snapshots. A stack whose features are its own flushes
+    every owed epoch, so that no snapshot's features outlive it. When the
+    features are the grid's fixed input (``grid.fixed``, a model with no
+    hidden layer), the stack builds one LabeledFeatures over them, which
+    every cell and snapshot reads: its class statistics, nc2/nc2n/nc2a and
+    nearest-mean decisions are computed once per stack. Its owed snapshots
+    wait as W copies with their epoch, step size and loss, and flush when
+    the pass would outgrow _FLUSH_BYTES, before a stack whose cells have
+    all diverged returns, and at the end of training. A ``trajectory`` stack
+    keeps a copy of each cell's classifier at epoch 0 and after every epoch,
+    and its snapshots are alpha-only (_snapshots).
 
     A cell whose batch loss is non-finite skips that step, logs a final
     diagnostic record (from that step's pass in full batch) and leaves the
@@ -758,6 +794,9 @@ def _train_stack(grid: _Grid, cells: list, trajectory: bool) -> None:
     model.set_parameters(opt.params)
     shuffles = [np.random.default_rng([cell.config.seed, 1]) for cell in cells]
     fixed = None if grid.fixed is None else LabeledFeatures(grid.fixed, grid.labels, k)
+    pending = []            # owed snapshots of a fixed-input stack, not yet recorded
+    if fixed is not None:
+        capacity = max(1, _FLUSH_BYTES // (8 * k * max(*grid.fixed.shape, k)))
 
     def collect(indices):
         """Append each cell i's classifier to its trajectory, if kept."""
@@ -766,21 +805,40 @@ def _train_stack(grid: _Grid, cells: list, trajectory: bool) -> None:
             for i in indices:
                 cells[i].weights.append(weight[i].copy())
 
+    def record(owed, weights, data):
+        """Append to the cell of each owed (cell, epoch, step size, loss)
+        its record, from one _snapshots pass over the stacked classifiers
+        ``weights`` and the features ``data``."""
+        records = _snapshots([entry[1:4] for entry in owed], weights, data, grid.targets,
+                             trajectory)
+        for entry, rec in zip(owed, records):
+            entry[0].records.append(rec)
+
+    def flush():
+        if pending:
+            record(pending, np.stack([entry[4] for entry in pending]), fixed)
+            pending.clear()
+
     def log(indices, epoch, forward=None):
-        """Append to each cell i in indices its snapshot record at its step
-        size. ``forward`` is the grid.grads result of a full-batch pass on
-        the current parameters; without it the features are computed,
-        unless they are the grid's fixed input."""
+        """Owe each cell i in indices its snapshot at its step size.
+        ``forward`` is the grid.grads result of a full-batch pass on the
+        current parameters; without it the features are computed, unless
+        they are the grid's fixed input, whose snapshots wait in ``pending``
+        with a copy of their W."""
         weight = model.parameters()[-1]
         losses, _, feats = forward if forward is not None else (None, None, None)
-        if feats is None and fixed is None:
-            feats = grid.features(model)
-        for i in indices:
-            cell = cells[i]
-            loss = None if losses is None else float(losses[i])
-            data = fixed if fixed is not None else LabeledFeatures(feats[i], grid.labels, k)
-            cell.records.append(_snapshot(epoch, cell.lr, weight[i], data, grid.targets, loss,
-                                          trajectory))
+        owed = [(cells[i], epoch, cells[i].lr, None if losses is None else float(losses[i]))
+                for i in indices]
+        if fixed is None:
+            if feats is None:
+                feats = grid.features(model)
+            record(owed, weight[indices],
+                   [LabeledFeatures(feats[i], grid.labels, k) for i in indices])
+            return
+        for entry, i in zip(owed, indices):
+            pending.append(entry + (weight[i].copy(),))
+            if len(pending) == capacity:
+                flush()
 
     def finish(i, status):
         cell = cells[i]
@@ -816,6 +874,7 @@ def _train_stack(grid: _Grid, cells: list, trajectory: bool) -> None:
                     finish(i, "diverged")
                 cells = [cell for cell, kept in zip(cells, finite) if kept]
                 if not cells:
+                    flush()
                     return
                 shuffles = [rng for rng, kept in zip(shuffles, finite) if kept]
                 grads = [g[finite] for g in grads]
@@ -828,6 +887,7 @@ def _train_stack(grid: _Grid, cells: list, trajectory: bool) -> None:
         collect(range(len(cells)))
         owed = (epoch + 1) % period == 0
     log(range(len(cells)), epochs)
+    flush()
     for i, cell in enumerate(cells):
         finish(i, _status_from_records(cell.records, epochs, k))
 
@@ -1088,9 +1148,10 @@ def check_decoupled_rowsum_decay(lr: float = 0.05, wd: float = 0.1, momentum: fl
     alpha_t = (1 - lr*wd)^(2t) alpha_0 at ``tolerance`` relative."""
     opt = OptimizerConfig(kind="sgd_decoupled", lr=lr, momentum=momentum, decoupled_wd=wd)
     res = _trajectory(replace(_CHECK_MLP, optimizer=opt, epochs=epochs, metric_period=1))
-    alpha0 = nc0_alpha(res.weights[0])
-    rows = [_row(t, nc0_alpha(w), oracles.alpha_sgd_decoupled(t, alpha0, lr, wd))
-            for t, w in enumerate(res.weights)]
+    alphas = nc0_alpha(np.stack(res.weights))
+    alpha0 = alphas[0]
+    rows = [_row(t, alpha, oracles.alpha_sgd_decoupled(t, alpha0, lr, wd))
+            for t, alpha in enumerate(alphas)]
     logged_ok = all(_row(0, logged, pred)[4] <= tolerance
                     for logged, pred in _logged_alphas(res.records, rows))
     final_alpha = rows[-1][1]
@@ -1202,7 +1263,8 @@ def check_decoupled_sign_plateau(k: int = 10, lr: float = 0.1, wd: float = 0.5,
         (np.sign(ce_loss_and_grad(np.stack(stepped_from[lo:lo + _GRADIENT_CHUNK]), frame,
                                   targets, input_grad=False)[1]) == expected_sign).all()
         for lo in range(0, steps, _GRADIENT_CHUNK))
-    rows = [_row(t, nc0_alpha(w), pred) for t, (w, pred) in enumerate(zip(weights, predicted))]
+    rows = [_row(t, alpha, pred)
+            for t, (alpha, pred) in enumerate(zip(nc0_alpha(np.stack(weights)), predicted))]
     monotone = not any(row[1] < prev[1] - 1e-12 for prev, row in zip(rows, rows[1:]))
     limit = oracles.alpha_signgd_decoupled_limit(k, wd)
     final_alpha = rows[-1][1]

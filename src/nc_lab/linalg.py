@@ -2,7 +2,8 @@
 parser of the plain-text matrix files that ``nc-lab metrics`` takes: a
 'rows cols' line, then one line of values per row.
 
-Every function takes a 2-D ndarray or nested lists and coerces.
+Every function takes a 2-D ndarray or nested lists and coerces;
+singular_values also takes a stack of matrices.
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ def as_array(m) -> np.ndarray:
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values of ``a`` in descending order."""
-    a = as_array(a)
+    """Singular values of ``a`` in descending order; of an S x m x n stack,
+    S x min(m, n), each row bit-equal to the call on its slice alone."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 3:
+        a = as_array(a)
     if not np.all(np.isfinite(a)):
         raise NumericError("singular_values requires finite input")
     return np.linalg.svd(a, compute_uv=False)

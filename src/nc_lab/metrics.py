@@ -14,7 +14,9 @@ and labeled feature vectors (p x N):
 
 Inputs are float64 ndarrays or nested lists. A LabeledFeatures keeps what is
 computed from its features, and its ClassStatistics holds nc2, nc2n and nc2a,
-so the metrics of one feature set share one computation.
+so the metrics of one feature set share one computation. The metrics of W,
+and all_metrics, also take an S x K x p stack of W and run once over it,
+giving one value per slice, equal to the call on that slice alone.
 """
 
 from __future__ import annotations
@@ -101,9 +103,9 @@ class LabeledFeatures:
 
     What is computed from the features is computed on first request and
     kept, read-only: the class means, the ClassStatistics, the nearest-mean
-    decisions and the linear decisions of the last classifier asked for. So
-    every metric of a snapshot, and every snapshot of one fixed feature set,
-    shares one computation. The features and labels must therefore not be
+    decisions and the linear decisions of the last classifier (or stack of
+    classifiers) asked for. So every metric of a snapshot, and every
+    snapshot of one fixed feature set, shares one computation. The features and labels must therefore not be
     changed after construction; build a new LabeledFeatures for new features.
     """
 
@@ -145,7 +147,8 @@ class LabeledFeatures:
 
     def _linear_decisions(self, w: np.ndarray, logits=None) -> np.ndarray:
         """argmax_k (W H)_k for each sample, ties to the lowest k, from the
-        ``logits`` W H when the caller has them. Kept for the last W asked
+        ``logits`` W H when the caller has them; of a stack of W, one row
+        per slice. Kept for the last W asked
         for, matched by shape and bytes (so a W that differs by a -0.0 or a
         NaN payload is computed afresh), so that a snapshot's train_acc and
         nc4 read one product W H."""
@@ -153,7 +156,7 @@ class LabeledFeatures:
         if self._linear is None or self._linear[0] != w.shape or self._linear[1] != key:
             if logits is None:
                 logits = w @ self.features
-            self._linear = (w.shape, key, _read_only(np.argmax(logits, axis=0)))
+            self._linear = (w.shape, key, _read_only(np.argmax(logits, axis=-2)))
         return self._linear[2]
 
     def _nearest_decisions(self) -> np.ndarray:
@@ -249,27 +252,71 @@ def compute_class_statistics(data: LabeledFeatures) -> ClassStatistics:
     return data._stats
 
 
-def nc0_metric(w) -> float:
-    """(1/p) * ||W^T 1||_2 for a K x p classifier: the scaled row-sum norm."""
-    w = as_array(w)
-    return float(np.linalg.norm(w.sum(axis=0)) / w.shape[1])
+def _as_stack(w) -> tuple:
+    """(``w`` as an S x K x p float64 stack, whether it came as one): a
+    K x p matrix is a stack of one slice."""
+    a = np.asarray(w, dtype=np.float64)
+    if a.ndim == 3:
+        return a, True
+    if a.ndim != 2:
+        raise ShapeError(f"expected a 2-D matrix or a stack of them, got ndim={a.ndim}")
+    return a[None], False
 
 
-def nc0_alpha(w) -> float:
+def _per_slice(stacked: bool, values, defined=None, undefined: str = ""):
+    """A metric's values over a stack as its function returns them: for a
+    stack, a list with one float per slice and None where ``defined`` is
+    False; for one matrix, its float, or DomainError(undefined)."""
+    if stacked:
+        if defined is None:
+            return values.tolist()
+        return [v if ok else None for v, ok in zip(values.tolist(), defined.tolist())]
+    if defined is not None and not defined[0]:
+        raise DomainError(undefined)
+    return float(values[0])
+
+
+def _self_dots(x: np.ndarray) -> np.ndarray:
+    """x_s . x_s of each slice x_s of a stack, flattened in the order it is
+    stored (C or Fortran): the dot product np.linalg.norm takes of one
+    matrix, made as S products 1 x n by n x 1, so each is bit-equal to the
+    norm of that slice alone."""
+    flat = x.reshape(x.shape[0], 1, -1, order="A")
+    return (flat @ flat.transpose(0, 2, 1)).reshape(-1)
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_self_dots(x))
+
+
+def _nonzero(norms: np.ndarray) -> np.ndarray:
+    """The norms with each one <= 0 replaced by 1, so that dividing by them
+    warns of nothing in a slice whose metric is undefined anyway."""
+    return np.where(norms <= 0.0, 1.0, norms)
+
+
+def nc0_metric(w):
+    """(1/p) * ||W^T 1||_2 for a K x p classifier: the scaled row-sum norm.
+    Of an S x K x p stack, a list with the value of each slice."""
+    ws, stacked = _as_stack(w)
+    return _per_slice(stacked, _frobenius(ws.sum(axis=1)) / ws.shape[2])
+
+
+def nc0_alpha(w):
     """(1/K) * ||W^T 1||_2^2, the quantity whose decay the step-size/decay
-    closed forms describe."""
-    w = as_array(w)
-    s = w.sum(axis=0)
-    return float(s @ s / w.shape[0])
+    closed forms describe; per slice of a stack."""
+    ws, stacked = _as_stack(w)
+    return _per_slice(stacked, _self_dots(ws.sum(axis=1)) / ws.shape[1])
 
 
-def nc0_normalized(w) -> float:
-    """nc0_metric divided by ||W||_F, making the row-sum size scale-free."""
-    w = as_array(w)
-    denom = np.linalg.norm(w)
-    if denom <= 0.0:
-        raise DomainError("nc0_normalized undefined for an all-zero matrix")
-    return nc0_metric(w) / float(denom)
+def nc0_normalized(w):
+    """nc0_metric divided by ||W||_F, making the row-sum size scale-free;
+    per slice of a stack, None where the slice is all zero."""
+    ws, stacked = _as_stack(w)
+    norms = _frobenius(ws)
+    nc0 = _frobenius(ws.sum(axis=1)) / ws.shape[2]
+    return _per_slice(stacked, nc0 / _nonzero(norms), ~(norms <= 0.0),
+                      "nc0_normalized undefined for an all-zero matrix")
 
 
 def nc1_variability(stats: ClassStatistics) -> float:
@@ -281,90 +328,130 @@ def nc1_variability(stats: ClassStatistics) -> float:
     return float(stats.nc1_terms.sum())
 
 
-def _etf_distance(x: np.ndarray, undefined: str) -> float:
-    """||X/||X||_F - M*||_F / K^2 for a K x K matrix X, M* the simplex ETF;
-    DomainError(undefined) when X is zero."""
-    k = x.shape[1]
-    norm = np.linalg.norm(x)
-    if norm <= 0.0:
-        raise DomainError(undefined)
-    return float(np.linalg.norm(x / norm - _etf_frame(k))) / k**2
+# The helpers below take a stack of vector sets, S x q x K (the K vectors
+# of each set are its columns), and return (values, defined): the metric of
+# each slice, and where it is defined.
 
 
-def _gram_structure(vectors: np.ndarray) -> float:
-    """_etf_distance of the Gram matrix G of the given columns."""
-    return _etf_distance(vectors.T @ vectors, "structure metric undefined for all-zero vectors")
+def _etf_distance(x: np.ndarray) -> tuple:
+    """||X/||X||_F - M*||_F / K^2 for each K x K slice X, M* the simplex
+    ETF; undefined where X is zero."""
+    k = x.shape[-1]
+    norms = _frobenius(x)
+    values = _frobenius(x / _nonzero(norms)[:, None, None] - _etf_frame(k)) / k**2
+    return values, ~(norms <= 0.0)
 
 
-def _norm_spread(vectors: np.ndarray) -> float:
-    """std/mean of the column norms (population std)."""
-    norms = np.linalg.norm(vectors, axis=0)
-    mean = norms.mean()
-    if mean <= 0.0:
-        raise DomainError("norm spread undefined when all vectors are zero")
-    return float(norms.std() / mean)
+def _gram_structure(vectors: np.ndarray) -> tuple:
+    """_etf_distance of the Gram matrix G of each vector set."""
+    return _etf_distance(vectors.transpose(0, 2, 1) @ vectors)
 
 
-def _angle_deviation(vectors: np.ndarray) -> float:
-    """Mean |cos(v_k, v_k') + 1/(K-1)| over distinct pairs of columns."""
-    k = vectors.shape[1]
-    norms = np.linalg.norm(vectors, axis=0)
-    if np.any(norms < _NORM_FLOOR):
-        raise DomainError("angle metric undefined: a vector norm is below 1e-12")
-    unit = vectors / norms
-    cos = unit.T @ unit
-    return float(np.abs(cos[_off_diagonal(k)] + 1.0 / (k - 1)).mean())
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """The S x K vector norms, summed as np.linalg.norm(v, axis=0) sums them."""
+    return np.sqrt(np.add.reduce(vectors * vectors, axis=-2))
+
+
+def _norm_spread(vectors: np.ndarray) -> tuple:
+    """std/mean of the vector norms (population std); undefined where every
+    vector is zero."""
+    norms = _norms(vectors)
+    mean = norms.mean(axis=-1)
+    return norms.std(axis=-1) / _nonzero(mean), ~(mean <= 0.0)
+
+
+def _angle_deviation(vectors: np.ndarray) -> tuple:
+    """Mean |cos(v_k, v_k') + 1/(K-1)| over distinct pairs of vectors;
+    undefined where a vector norm is below 1e-12."""
+    k = vectors.shape[-1]
+    norms = _norms(vectors)
+    short = norms < _NORM_FLOOR
+    unit = vectors / np.where(short, 1.0, norms)[:, None, :]
+    cos = unit.transpose(0, 2, 1) @ unit
+    # The gather comes back strided; made contiguous, each slice's mean sums
+    # in the pairwise order of the mean of one matrix's entries.
+    off = np.ascontiguousarray(cos[:, _off_diagonal(k)])
+    return np.abs(off + 1.0 / (k - 1)).mean(axis=-1), ~short.any(axis=-1)
+
+
+_STRUCTURE_UNDEFINED = "structure metric undefined for all-zero vectors"
+_SPREAD_UNDEFINED = "norm spread undefined when all vectors are zero"
+_ANGLE_UNDEFINED = "angle metric undefined: a vector norm is below 1e-12"
+
+
+def _stats_metric(kernel, stats: ClassStatistics, undefined: str) -> float:
+    """A vector-set metric of the centered class means."""
+    return _per_slice(False, *kernel(stats.centered_means[None]), undefined)
 
 
 def nc2_structure(stats: ClassStatistics) -> float:
     """Distance of the normalized centered-mean Gram matrix from the simplex ETF."""
-    return _gram_structure(stats.centered_means)
+    return _stats_metric(_gram_structure, stats, _STRUCTURE_UNDEFINED)
 
 
 def nc2_norms(stats: ClassStatistics) -> float:
     """Relative spread of the centered class-mean norms (0 = equinorm)."""
-    return _norm_spread(stats.centered_means)
+    return _stats_metric(_norm_spread, stats, _SPREAD_UNDEFINED)
 
 
 def nc2_angles(stats: ClassStatistics) -> float:
     """Mean deviation of centered-mean cosines from the ideal -1/(K-1)."""
-    return _angle_deviation(stats.centered_means)
+    return _stats_metric(_angle_deviation, stats, _ANGLE_UNDEFINED)
 
 
-def nc2w_structure(w) -> float:
-    """nc2 computed on classifier rows instead of class means."""
-    return _gram_structure(as_array(w).T)
+def _rows_metric(kernel, w, undefined: str):
+    """A vector-set metric of the classifier rows, per slice of a stack."""
+    ws, stacked = _as_stack(w)
+    return _per_slice(stacked, *kernel(ws.transpose(0, 2, 1)), undefined)
 
 
-def nc2w_norms(w) -> float:
-    return _norm_spread(as_array(w).T)
+def nc2w_structure(w):
+    """nc2 computed on classifier rows instead of class means; per slice of
+    a stack, None where undefined."""
+    return _rows_metric(_gram_structure, w, _STRUCTURE_UNDEFINED)
 
 
-def nc2w_angles(w) -> float:
-    return _angle_deviation(as_array(w).T)
+def nc2w_norms(w):
+    return _rows_metric(_norm_spread, w, _SPREAD_UNDEFINED)
 
 
-def nc2m_duality(w, stats: ClassStatistics) -> float:
-    """||WM/||WM||_F - M*||_F / K^2: cross-Gram version coupling W and means."""
-    w = as_array(w)
-    m = stats.centered_means
-    if w.shape[1] != m.shape[0]:
-        raise ShapeError(f"W is {w.shape} but means are {m.shape}")
-    return _etf_distance(w @ m, "nc2m undefined: WM is zero")
+def nc2w_angles(w):
+    return _rows_metric(_angle_deviation, w, _ANGLE_UNDEFINED)
 
 
-def nc3_alignment(w, stats: ClassStatistics) -> float:
-    """(1/(Kp)) * || W/||W||_F - M^T/||M^T||_F ||_F (0 = self-dual)."""
-    w = as_array(w)
-    mt = stats.centered_means.T
-    if w.shape != mt.shape:
-        raise ShapeError(f"W is {w.shape} but M^T is {mt.shape}")
-    wn = np.linalg.norm(w)
-    mn = np.linalg.norm(mt)
-    if wn <= 0.0 or mn <= 0.0:
-        raise DomainError("nc3 undefined when W or the centered means are zero")
-    k, p = w.shape
-    return float(np.linalg.norm(w / wn - mt / mn)) / (k * p)
+def _centered_stack(stats, slices: int) -> np.ndarray:
+    """The centered means of ``stats`` as a stack: of one ClassStatistics,
+    a stack of one that every W slice reads, else one per W slice."""
+    if isinstance(stats, ClassStatistics):
+        return stats.centered_means[None]
+    if len(stats) != slices:
+        raise ShapeError(f"{len(stats)} class statistics for {slices} classifiers")
+    return np.stack([s.centered_means for s in stats])
+
+
+def nc2m_duality(w, stats):
+    """||WM/||WM||_F - M*||_F / K^2: cross-Gram version coupling W and means.
+    Of a stack, per slice: ``stats`` is one ClassStatistics for every slice
+    or a sequence with one per slice."""
+    ws, stacked = _as_stack(w)
+    ms = _centered_stack(stats, len(ws))
+    if ws.shape[2] != ms.shape[1]:
+        raise ShapeError(f"W is {np.shape(w)} but means are {ms.shape[1:]}")
+    return _per_slice(stacked, *_etf_distance(ws @ ms), "nc2m undefined: WM is zero")
+
+
+def nc3_alignment(w, stats):
+    """(1/(Kp)) * || W/||W||_F - M^T/||M^T||_F ||_F (0 = self-dual). Of a
+    stack, per slice, with ``stats`` as nc2m_duality takes them."""
+    ws, stacked = _as_stack(w)
+    ms = _centered_stack(stats, len(ws))
+    if ws.shape[1:] != ms.shape[:0:-1]:
+        raise ShapeError(f"W is {np.shape(w)} but M^T is {ms.shape[:0:-1]}")
+    wn, mn = _frobenius(ws), _frobenius(ms)
+    diff = ws / _nonzero(wn)[:, None, None] - ms.transpose(0, 2, 1) / _nonzero(mn)[:, None, None]
+    _, k, p = ws.shape
+    return _per_slice(stacked, _frobenius(diff) / (k * p), ~((wn <= 0.0) | (mn <= 0.0)),
+                      "nc3 undefined when W or the centered means are zero")
 
 
 # Columns per block when near-ties are settled by direct distances; bounds
@@ -402,49 +489,66 @@ def _nearest_mean(h: np.ndarray, means: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def nc4_agreement(w, data: LabeledFeatures) -> float:
+def nc4_agreement(w, data: LabeledFeatures):
     """Fraction of samples where argmax_k <w_k, h> equals the nearest
-    (uncentered) class-mean decision. Ties resolve to the lowest class index
-    on both sides. Both decisions are kept on ``data``: the nearest-mean
-    ones, and the linear ones of the last W.
+    (uncentered) class-mean decision, per slice of a stack of W. Ties
+    resolve to the lowest class index on both sides. Both decisions are
+    kept on ``data``: the nearest-mean ones, and the linear ones of the last
+    W or stack.
     """
-    w = as_array(w)
-    if w.shape[1] != data.features.shape[0]:
+    w = np.asarray(w, dtype=np.float64)
+    ws, stacked = _as_stack(w)
+    if ws.shape[2] != data.features.shape[0]:
         raise ShapeError(f"W is {w.shape} but features are {data.features.shape}")
-    agree = np.count_nonzero(data._linear_decisions(w) == data._nearest_decisions())
-    return agree / data.features.shape[1]
+    agree = np.count_nonzero(data._linear_decisions(w) == data._nearest_decisions(), axis=-1)
+    return _per_slice(stacked, np.reshape(agree / data.features.shape[1], -1))
 
 
-def all_metrics(w, data: LabeledFeatures) -> dict:
+def all_metrics(w, data):
     """Evaluate the full metric suite, mapping degenerate metrics to None.
 
     Returns a dict with the 13 metric keys plus ``flags`` listing which
     metrics were skipped as degenerate and whether sigma_b was all-zero.
     nc2, nc2n and nc2a are read from the ClassStatistics of ``data``.
+
+    ``w`` may also be an S x K x p stack, with ``data`` one LabeledFeatures
+    that every slice reads or a sequence of one per slice. Each W-side
+    metric then runs once over the stack, and the result is a list of the
+    dicts, each equal to the call on its slice alone.
     """
-    stats = compute_class_statistics(data)
-    w = as_array(w)
-    out: dict = {}
-    skipped: list[str] = []
-
-    def put(key, value):
-        out[key] = value
-        if value is None:
-            skipped.append(key)
-
-    out["nc0"] = nc0_metric(w)
-    out["nc0_alpha"] = nc0_alpha(w)
-    put("nc0_normalized", _or_none(nc0_normalized, w))
-    sigma_b_degenerate = stats.nc1_terms.size == 0
-    out["nc1"] = nc1_variability(stats)
-    put("nc2", stats.nc2)
-    put("nc2n", stats.nc2n)
-    put("nc2a", stats.nc2a)
-    put("nc2w", _or_none(nc2w_structure, w))
-    put("nc2wn", _or_none(nc2w_norms, w))
-    put("nc2wa", _or_none(nc2w_angles, w))
-    put("nc2m", _or_none(nc2m_duality, w, stats))
-    put("nc3", _or_none(nc3_alignment, w, stats))
-    out["nc4"] = nc4_agreement(w, data)
-    out["flags"] = {"sigma_b_degenerate": sigma_b_degenerate, "skipped": skipped}
-    return out
+    ws, stacked = _as_stack(w)
+    if isinstance(data, LabeledFeatures):
+        stats = compute_class_statistics(data)
+        distinct, repeat = [stats], len(ws)
+        nc4 = nc4_agreement(ws, data)
+    else:
+        data = list(data)
+        if len(data) != len(ws):
+            raise ShapeError(f"{len(data)} feature sets for {len(ws)} classifiers")
+        stats = distinct = [compute_class_statistics(d) for d in data]
+        repeat = 1
+        # each slice as a stack of one, the key its decisions are kept under
+        nc4 = [nc4_agreement(ws[i:i + 1], d)[0] for i, d in enumerate(data)]
+    columns = {
+        "nc0": nc0_metric(ws),
+        "nc0_alpha": nc0_alpha(ws),
+        "nc0_normalized": nc0_normalized(ws),
+        "nc1": [nc1_variability(s) for s in distinct] * repeat,
+        "nc2": [s.nc2 for s in distinct] * repeat,
+        "nc2n": [s.nc2n for s in distinct] * repeat,
+        "nc2a": [s.nc2a for s in distinct] * repeat,
+        "nc2w": nc2w_structure(ws),
+        "nc2wn": nc2w_norms(ws),
+        "nc2wa": nc2w_angles(ws),
+        "nc2m": nc2m_duality(ws, stats),
+        "nc3": nc3_alignment(ws, stats),
+        "nc4": nc4,
+    }
+    degenerate = [s.nc1_terms.size == 0 for s in distinct] * repeat
+    out = []
+    for i, sigma_b_degenerate in enumerate(degenerate):
+        bundle = {key: columns[key][i] for key in METRIC_KEYS}
+        bundle["flags"] = {"sigma_b_degenerate": sigma_b_degenerate,
+                           "skipped": [key for key in METRIC_KEYS if bundle[key] is None]}
+        out.append(bundle)
+    return out if stacked else out[0]

@@ -265,7 +265,9 @@ def step_adam_family(param, grad, state, lr, beta1, beta2, eps, coupled_wd, deco
     steps bit-exact. eps = 0 with beta1 or beta2 nonzero is refused, so the
     denominator is never zero.
     """
-    if np.any((eps == 0.0) & ((beta1 != 0.0) | (beta2 != 0.0))):
+    # A positive float eps, bound when a group's cells share one, is valid at any beta.
+    positive = isinstance(eps, float) and eps > 0.0
+    if not positive and np.any((eps == 0.0) & ((beta1 != 0.0) | (beta2 != 0.0))):
         raise DomainError(_SIGN_LIMIT_ONLY)
     g = grad + coupled_wd * param if _every_cell(coupled_wd != 0.0) else grad
     t = state.t + 1

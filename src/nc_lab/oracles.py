@@ -111,21 +111,28 @@ def rowsum_recursion_coupled(m0, lr: float, wd: float, momentum: float, steps: i
     """Row-sum trajectory under coupled SGD: m_1 = (1 - lr*wd) m_0, then
     m_{t+1} = (1 + momentum - lr*wd) m_t - momentum * m_{t-1}.
 
-    Returns [m_0, m_1, ..., m_steps] as float64 vectors.
+    Returns [m_0, m_1, ..., m_steps] as float64 vectors. A trajectory whose
+    ||m_t||^2 leaves the float range is refused, naming the inputs.
     """
     if steps < 0:
         raise DomainError("steps must be >= 0")
     m_prev = np.asarray(m0, dtype=np.float64).reshape(-1).copy()
     out = [m_prev]
-    if steps == 0:
-        return out
-    m_cur = (1.0 - lr * wd) * m_prev
-    out.append(m_cur)
     b = 1.0 + momentum - lr * wd
-    for _ in range(steps - 1):
-        m_next = b * m_cur - momentum * m_prev
-        out.append(m_next)
-        m_prev, m_cur = m_cur, m_next
+    with np.errstate(over="ignore", invalid="ignore"):
+        if steps > 0:
+            m_cur = (1.0 - lr * wd) * m_prev
+            out.append(m_cur)
+        for _ in range(steps - 1):
+            m_next = b * m_cur - momentum * m_prev
+            out.append(m_next)
+            m_prev, m_cur = m_cur, m_next
+        ms = np.stack(out)
+        squares = np.einsum("ti,ti->t", ms, ms)
+    outside = np.flatnonzero(~np.isfinite(squares))
+    if outside.size:
+        raise DomainError(f"m0, lr = {lr!r}, wd = {wd!r} and momentum = {momentum!r} take the "
+                          f"row-sum recursion out of float range at t = {int(outside[0])}")
     return out
 
 
@@ -157,7 +164,7 @@ def alpha_signgd_decoupled(t: int, num_classes: int, lr: float, wd: float) -> fl
     if wd <= 0.0:
         raise DomainError("wd must be positive (the plateau is (K-2)^2 / wd^2)")
     if num_classes < 2:
-        raise DomainError("need at least 2 classes")
+        raise DomainError(f"the sign plateau needs k >= 2, got k = {num_classes}")
     if t < 0:
         raise DomainError("t must be >= 0")
     k = num_classes

@@ -1,8 +1,9 @@
 """Reference constructions that only the tests use: a collapsed
 configuration, the one-step alpha decomposition, the metric records of a
 metric CSV, the writer of the plain-text matrix files that
-``nc-lab metrics`` reads, the classifier trajectory of a training run, and a
-reference loop of the coupled sign-descent (a, b) dynamics."""
+``nc-lab metrics`` reads, the classifier trajectory of a training run, the
+record of one snapshot, the metric formulas of one classifier at a time,
+and a reference loop of the coupled sign-descent (a, b) dynamics."""
 
 import math
 from dataclasses import replace
@@ -13,7 +14,13 @@ from nc_lab import harness
 from nc_lab.errors import DomainError
 from nc_lab.harness import CSV_COLUMNS, MetricRecord, parse_csv
 from nc_lab.linalg import as_array
-from nc_lab.metrics import METRIC_KEYS, simplex_etf
+from nc_lab.metrics import (
+    METRIC_KEYS,
+    LabeledFeatures,
+    _nearest_mean,
+    compute_class_statistics,
+    simplex_etf,
+)
 from nc_lab.oracles import CoupledSignState, coupled_sign_psi
 
 
@@ -84,6 +91,78 @@ def weight_trajectory(config) -> list:
     run is deterministic, so these are the weights of run_training(config)
     too, whose records hold every metric."""
     return harness._trajectory(config).weights
+
+
+def snapshot(epoch, lr, w, data, targets, loss=None):
+    """The record of the one classifier ``w`` over ``data``, as the
+    training loop's stacked pass (harness._snapshots) makes it for a stack
+    of one."""
+    return harness._snapshots([(epoch, lr, loss)], np.asarray(w)[None], data, targets)[0]
+
+
+def _etf_distance_reference(x):
+    k = x.shape[1]
+    norm = np.linalg.norm(x)
+    if norm <= 0.0:
+        return None
+    return float(np.linalg.norm(x / norm - simplex_etf(k))) / k**2
+
+
+def _norm_spread_reference(vectors):
+    norms = np.linalg.norm(vectors, axis=0)
+    mean = norms.mean()
+    return None if mean <= 0.0 else float(norms.std() / mean)
+
+
+def _angle_deviation_reference(vectors):
+    k = vectors.shape[1]
+    norms = np.linalg.norm(vectors, axis=0)
+    if np.any(norms < 1e-12):
+        return None
+    unit = vectors / norms
+    cos = unit.T @ unit
+    return float(np.abs(cos[~np.eye(k, dtype=bool)] + 1.0 / (k - 1)).mean())
+
+
+def reference_snapshot(w, h, labels, num_classes) -> tuple:
+    """(all_metrics dict, [sigma_min_w, sigma_avg_w, sigma_min_m,
+    sigma_avg_m]) of one K x p classifier ``w`` over the features ``h``, by
+    the formulas the metric suite ran one W at a time before its pass ran
+    over stacks of W, None where a metric is undefined. The class means,
+    their SVD, the nc1 terms and the nearest-mean decisions come from
+    compute_class_statistics and _nearest_mean, which both passes share."""
+    stats = compute_class_statistics(LabeledFeatures(h, labels, num_classes))
+    m = stats.centered_means
+    k, p = w.shape
+    sums = w.sum(axis=0)
+    nc0 = float(np.linalg.norm(sums) / p)
+    w_norm, m_norm = np.linalg.norm(w), np.linalg.norm(m.T)
+    nc3 = None
+    if not (w_norm <= 0.0 or m_norm <= 0.0):
+        nc3 = float(np.linalg.norm(w / w_norm - m.T / m_norm)) / (k * p)
+    nearest = _nearest_mean(h, stats.class_means)
+    bundle = {
+        "nc0": nc0,
+        "nc0_alpha": float(sums @ sums / k),
+        "nc0_normalized": None if w_norm <= 0.0 else nc0 / float(w_norm),
+        "nc1": float(stats.nc1_terms.sum()),
+        "nc2": _etf_distance_reference(m.T @ m),
+        "nc2n": _norm_spread_reference(m),
+        "nc2a": _angle_deviation_reference(m),
+        "nc2w": _etf_distance_reference(w @ w.T),
+        "nc2wn": _norm_spread_reference(w.T),
+        "nc2wa": _angle_deviation_reference(w.T),
+        "nc2m": _etf_distance_reference(w @ m),
+        "nc3": nc3,
+        "nc4": float(np.count_nonzero(np.argmax(w @ h, axis=0) == nearest) / h.shape[1]),
+    }
+    bundle["flags"] = {"sigma_b_degenerate": stats.nc1_terms.size == 0,
+                       "skipped": [key for key in METRIC_KEYS if bundle[key] is None]}
+    sv_w = np.linalg.svd(w, compute_uv=False)
+    sv_m = stats.singular_values
+    sigmas = [float(sv_w[-1]), float(sv_w[:-1].mean()) if sv_w.size > 1 else None,
+              float(sv_m[-1]), float(sv_m[:-1].mean()) if sv_m.size > 1 else None]
+    return bundle, sigmas
 
 
 def format_matrix(m) -> str:

@@ -30,13 +30,13 @@ from nc_lab.metrics import (
     nc2_norms,
     nc2_structure,
     nc2m_duality,
+    nc2w_angles,
     nc2w_norms,
     nc2w_structure,
     nc3_alignment,
     nc4_agreement,
     simplex_etf,
 )
-from nc_lab.metrics import _angle_deviation
 from nc_lab.models import (
     ce_loss_and_grad,
     make_blob_dataset,
@@ -334,7 +334,7 @@ def test_criterion_09_metric_examples():
                                    and nc2_norms(fstats) < 1e-12
                                    and nc2_angles(fstats) < 1e-12)
     check(frames_ok, "nc2 embedded frames")
-    check(abs(_angle_deviation(np.eye(5)) - 0.25) < 1e-12, "nc2a orthonormal")
+    check(abs(nc2w_angles(np.eye(5)) - 0.25) < 1e-12, "nc2a orthonormal")
     means = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
     check(nc2_norms(_stats_from_means(means)) < 1e-14, "nc2n equal norms")
 

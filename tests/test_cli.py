@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -544,16 +545,24 @@ def test_sign_checks_and_oracle_refuse_k_below_3(tmp_path, capsys, k, argv, mess
      "lr = 1e+300 and wd = 0.1 take the closed form out of float range at t = 1"),
     (["check-theorem", "3", "--lr", "1e300", "--steps", "5"],
      "lr = 1e+300 and wd = 0.5 take the closed form out of float range at t = 1"),
+    (["oracle", "--theorem", "2", "--lr", "1e300", "--steps", "3"],
+     "m0, lr = 1e+300, wd = 0.1 and momentum = 0.9 take the row-sum recursion out of float "
+     "range at t = 1"),
+    (["oracle", "--theorem", "ode", "--points", "-1"], "points must be >= 0, got -1"),
+    (["oracle", "--theorem", "3", "--k", "1"], "the sign plateau needs k >= 2, got k = 1"),
 ])
 def test_an_input_outside_a_closed_forms_domain_is_refused_naming_its_flag(
         tmp_path, capsys, monkeypatch, argv, message):
-    """A negative step count, an empty m0, K = 0 and a step size that
-    takes the closed form out of float range raise a DomainError (exit 1)
-    before anything trains or is written."""
+    """A negative step or point count, an empty m0, a K too small and a
+    step size that takes the closed form or the row-sum recursion out of
+    float range raise a DomainError (exit 1), with no RuntimeWarning, before
+    anything trains or is written."""
     monkeypatch.setattr(harness, "_train_cells", None)     # training would fail
     args = build_parser().parse_args(argv)
-    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        args.func(args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            args.func(args)
     target = tmp_path / "out.csv"
     rc = main(argv + ["--out", str(target)])
     out, err = capsys.readouterr()

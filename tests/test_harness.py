@@ -41,7 +41,7 @@ from nc_lab.harness import (
 from nc_lab.metrics import METRIC_KEYS, simplex_etf
 from nc_lab.models import MLPModel, one_hot
 from nc_lab.optim import LRSchedule, OptimizerConfig
-from helpers import metric_records, weight_trajectory
+from helpers import metric_records, snapshot, weight_trajectory
 
 
 def _ufm_sign_config(kind, lr, wd, steps, schedule="constant", shrink=0.5, k=4,
@@ -1040,9 +1040,8 @@ def test_full_batch_records_equal_fresh_snapshots_of_their_parameters(monkeypatc
                 feats = params[0]
             w = weights[rec.epoch]
             assert w.tobytes() == params[-1].tobytes()
-            fresh = harness._snapshot(rec.epoch, rec.lr, w,
-                                      metrics.LabeledFeatures(feats, labels, 4),
-                                      one_hot(labels, 4))
+            fresh = snapshot(rec.epoch, rec.lr, w, metrics.LabeledFeatures(feats, labels, 4),
+                             one_hot(labels, 4))
             assert _row_bits(rec) == _row_bits(fresh)
     assert [rec.epoch for rec in res.records] == ([0, 2, 4, 5] if lr > 1.0 else [0, 2, 4, 6, 7])
     assert math.isfinite(res.records[-1].train_loss) == (lr < 1.0)
@@ -1084,9 +1083,9 @@ def test_fixed_input_records_equal_fresh_snapshots_of_their_weights(case):
         assert [rec.epoch for rec in res.records] == sorted(
             set(range(0, cfg.epochs, cfg.metric_period)) | {cfg.epochs})
         for rec in res.records:
-            fresh = harness._snapshot(rec.epoch, rec.lr, weights[rec.epoch],
-                                      metrics.LabeledFeatures(grid.fixed.copy(), grid.labels, k),
-                                      one_hot(grid.labels, k))
+            fresh = snapshot(rec.epoch, rec.lr, weights[rec.epoch],
+                             metrics.LabeledFeatures(grid.fixed.copy(), grid.labels, k),
+                             one_hot(grid.labels, k))
             assert _row_bits(rec) == _row_bits(fresh)
 
 
@@ -1134,28 +1133,74 @@ def test_a_fixed_input_stack_computes_its_feature_side_metrics_once(monkeypatch,
     results = harness._train_cells(configs)
     snapshots = sum(len(res.records) for res in results)
     assert snapshots == 4 * cells           # epochs 0, 3, 6 and 9
+    # Every snapshot of the stack waits for one stacked pass at the end.
     assert counts == {
         "_nearest_mean": 1,
         "svd": 1,
-        "all_metrics": snapshots,
-        # once in all_metrics and once for the snapshot's sigma_*_m
-        "compute_class_statistics": 2 * snapshots,
+        "all_metrics": 1,
+        # once in all_metrics and once for the snapshots' sigma_*_m
+        "compute_class_statistics": 2,
         # with the class statistics, once per stack
         "nc2_structure": 1,
         "nc2_norms": 1,
         "nc2_angles": 1,
-        "nc4_agreement": snapshots,
+        "nc4_agreement": 1,
     }
+
+
+def _flush_configs(case) -> list:
+    """One fixed-input stack: the benchmark's oscillation frame at K = 10,
+    or two cells on blobs at margin 1e100, one of which (or both) diverges
+    at its first step."""
+    if case == "oscillation":
+        return [_ufm_sign_config("signgd_coupled", 0.001, 0.01, 500, k=10, metric_period=10,
+                                 schedule="oscillation_decay")]
+    lrs = (1e120, 1e120 if case == "all_diverge" else 1e-200)
+    return [_mlp_config(hidden_sizes=(), num_classes=3, dim=4, per_class=5, margin=1e100,
+                        epochs=9, metric_period=2, seed=seed,
+                        optimizer=OptimizerConfig(kind="sgd_coupled", lr=lr, momentum=0.9))
+            for seed, lr in enumerate(lrs)]
+
+
+@pytest.mark.parametrize("case, capacity, passes, epochs", [
+    ("oscillation", 7, 8, [list(range(0, 501, 10))]),
+    ("oscillation", 1, 51, [list(range(0, 501, 10))]),
+    ("diverge", 1, 8, [[0, 2], [0, 2, 4, 6, 8, 9]]),
+    ("all_diverge", 3, 2, [[0, 2], [0, 2]]),
+])
+def test_a_fixed_input_stack_records_the_same_bytes_at_any_flush_bound(
+        monkeypatch, case, capacity, passes, epochs):
+    """A fixed-input stack keeps its owed snapshots until one stacked pass
+    records them: when ``capacity`` snapshots wait (the bound on the pass's
+    largest temporary, K x max(p, N, K) float64 each), before a stack whose
+    cells have all diverged returns, and at the end. Any bound gives the
+    records and CSV bytes of the single pass at the default bound."""
+    configs = _flush_configs(case)
+    grid = harness._setup(configs[0])
+    k = configs[0].num_classes
+    with np.errstate(all="ignore"):
+        once = harness._train_cells(configs)
+        counts = {}
+        _count_calls(monkeypatch, counts, metrics, "all_metrics")
+        monkeypatch.setattr(harness, "_FLUSH_BYTES", capacity * 8 * k * max(*grid.fixed.shape, k))
+        flushed = harness._train_cells(configs)
+    assert counts["all_metrics"] == passes
+    assert [[rec.epoch for rec in res.records] for res in flushed] == epochs
+    for a, b in zip(once, flushed):
+        assert a.status == b.status
+        assert [_row_bits(rec) for rec in a.records] == [_row_bits(rec) for rec in b.records]
+        assert format_metric_csv(a.records) == format_metric_csv(b.records)
 
 
 def test_coincident_fixed_class_means_skip_nc2_in_every_snapshot(monkeypatch):
     # margin 0 and noise 0 put every blob at the origin: the class means
     # coincide, so the stack's one ClassStatistics holds None for nc2, nc2n
     # and nc2a, and every snapshot, not only the first, lists them as skipped.
-    counts, bundles = {}, []
-    _count_calls(monkeypatch, counts, metrics, "all_metrics", bundles)
+    counts, passes = {}, []
+    _count_calls(monkeypatch, counts, metrics, "all_metrics", passes)
     res = run_training(_mlp_config(hidden_sizes=(), margin=0.0, noise_std=0.0, epochs=6,
                                    metric_period=2))
+    (bundles,) = passes                     # one stacked pass for the four snapshots
     assert len(bundles) == len(res.records) == 4
     for bundle, rec in zip(bundles, res.records):
         assert {"nc2", "nc2n", "nc2a"} <= set(bundle["flags"]["skipped"])

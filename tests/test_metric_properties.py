@@ -5,7 +5,10 @@ nc1 is computed in the rank-(K-1) coordinates of the centered class means,
 from one thin SVD. The old p x p formula, tr(Sigma_W pinv(Sigma_B)) / K with
 numpy's pinv, and the mask-per-class class means stay here as references.
 NC0 is necessary for NC: nc0_normalized is bounded by nc3 and by nc2w.
+A pass over a stack of W equals, slice by slice, the per-W formulas.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from nc_lab import metrics
+from helpers import reference_snapshot
+from nc_lab import harness, metrics
 from nc_lab.errors import DomainError
 from nc_lab.metrics import (
     METRIC_KEYS,
@@ -202,6 +206,71 @@ def test_all_metrics_equals_each_standalone_metric_function(seed, k, p, case, da
     assert bundle["flags"]["skipped"] == [key for key in METRIC_KEYS if expected[key] is None]
     if case in ("zero_w", "coincident_means"):
         assert expected["nc3"] is None
+
+
+def _metric_bits(bundle) -> dict:
+    return {**{key: repr(bundle[key]) for key in METRIC_KEYS}, "flags": bundle["flags"]}
+
+
+@given(seed=seeds, k=st.integers(2, 12), wide=st.booleans(), slices=st.integers(1, 5),
+       shared=st.booleans(), coincident=st.booleans(), data=st.data())
+def test_a_stacked_metric_pass_equals_the_per_w_formulas_slice_by_slice(
+        seed, k, wide, slices, shared, coincident, data):
+    """all_metrics over an S x K x p stack of W, with one feature set for
+    every slice or one per slice, equals slice by slice and by repr the
+    per-W formulas it replaced (helpers.reference_snapshot), None and flags
+    included; so do the records of the training loop's stacked pass, sigma
+    columns included. A non-finite slice among them gets a blank record, and
+    nothing warns."""
+    rng = np.random.default_rng(seed)
+    p = data.draw(st.integers(k, k + 4) if wide or k == 2 else st.integers(1, k - 1))
+    counts = data.draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))   # imbalanced
+    if coincident:
+        counts = [2 * c for c in counts]
+    labels = _labels(rng, counts)
+
+    def scale():
+        return 10.0 ** data.draw(st.floats(-3.0, 3.0))
+
+    def features():
+        h = rng.standard_normal((p, labels.size)) * scale()
+        if coincident:          # each class holds +-v, so every class mean is exactly 0
+            for c, count in enumerate(counts):
+                v = rng.integers(-9, 10, size=(p, count // 2)).astype(float)
+                h[:, labels == c] = np.concatenate([v, -v], axis=1)
+        return h
+
+    hs = [features()] * slices if shared else [features() for _ in range(slices)]
+    ws = rng.standard_normal((slices, k, p))
+    for w in ws:
+        w *= scale()
+        case = data.draw(st.sampled_from(["plain", "zero_w", "zero_row"]))
+        if case == "zero_w":
+            w[:] = 0.0
+        elif case == "zero_row":
+            w[rng.integers(k)] = 0.0
+    expected = [reference_snapshot(w, h, labels, k) for w, h in zip(ws, hs)]
+
+    def feature_sets(features):
+        if shared:
+            return LabeledFeatures(features[0], labels, k)
+        return [LabeledFeatures(h, labels, k) for h in features]
+
+    at = data.draw(st.integers(0, slices))
+    with_nan = np.insert(ws, at, np.nan, axis=0)
+    heads = [(0, 0.1, None)] * (slices + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bundles = all_metrics(ws, feature_sets(hs))
+        records = harness._snapshots(heads, with_nan, feature_sets(hs[:at] + hs[:1] + hs[at:]),
+                                     np.eye(k)[:, labels])
+    assert [_metric_bits(b) for b in bundles] == [_metric_bits(b) for b, _ in expected]
+    blank = records.pop(at)
+    assert all(blank.values[key] is None for key in METRIC_KEYS)
+    assert blank.to_row()[-4:] == [None] * 4
+    for rec, (bundle, sigmas) in zip(records, expected):
+        assert [repr(v) for v in rec.to_row()[4:]] == \
+            [repr(bundle[key]) for key in METRIC_KEYS] + [repr(v) for v in sigmas]
 
 
 def _gamma(n: int):

@@ -25,10 +25,9 @@ from nc_lab.metrics import (
     nc4_agreement,
     simplex_etf,
 )
-from nc_lab.harness import _snapshot
-from nc_lab.metrics import _angle_deviation, _nearest_mean
+from nc_lab.metrics import _nearest_mean
 from nc_lab.models import make_blob_dataset
-from helpers import make_nc_solution
+from helpers import make_nc_solution, snapshot
 
 
 def _isometry(p, k, seed):
@@ -206,7 +205,7 @@ def test_nc2_family_on_embedded_frames():
 
 
 def test_nc2_angle_deviation_orthonormal_columns():
-    assert _angle_deviation(np.eye(5)) == pytest.approx(0.25, abs=1e-15)
+    assert nc2w_angles(np.eye(5)) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_nc2_equal_norm_means():
@@ -543,11 +542,12 @@ def test_snapshot_runs_the_class_statistics_passes_once(monkeypatch):
     w = np.random.default_rng(3).standard_normal((5, 8))
     monkeypatch.setattr(metrics, "_class_means", counted_means)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    record = _snapshot(0, 0.1, w, LabeledFeatures(blobs.features, blobs.labels, 5), None, 1.0)
+    record = snapshot(0, 0.1, w, LabeledFeatures(blobs.features, blobs.labels, 5), None, 1.0)
     # One mean pass and one SVD of the 8 x 5 centered means (the other SVD
-    # is of the 5 x 8 W); nc1 and the sigma_*_m columns share that SVD.
+    # is of the stack of one 5 x 8 W); nc1 and the sigma_*_m columns share
+    # that SVD.
     assert len(mean_passes) == 1
-    assert sorted(svd_shapes) == [(5, 8), (8, 5)]
+    assert sorted(svd_shapes) == [(1, 5, 8), (8, 5)]
     data = LabeledFeatures(blobs.features, blobs.labels, 5)
     stats = compute_class_statistics(data)
     assert record.values["nc1"] == nc1_variability(stats)
@@ -558,7 +558,7 @@ def test_snapshot_runs_the_class_statistics_passes_once(monkeypatch):
 
 def test_non_finite_class_statistics_raise_and_blank_the_snapshot():
     # (non-finite class means, an overflowing s_0^2, overflowing nc1 terms):
-    # each raises NumericError, and _snapshot writes a row of blank metrics.
+    # each raises NumericError, and the snapshot is a row of blank metrics.
     labels = np.array([0, 0, 1, 1])
     cases = (np.array([[np.nan, 1.0, 2.0, 3.0]]),
              np.array([[1e160, 1e160, -1e160, -1e160]]),
@@ -567,8 +567,8 @@ def test_non_finite_class_statistics_raise_and_blank_the_snapshot():
         with np.errstate(all="ignore"):
             with pytest.raises(NumericError):
                 compute_class_statistics(LabeledFeatures(feats, labels, 2))
-            record = _snapshot(3, 0.1, np.ones((2, 1)), LabeledFeatures(feats, labels, 2),
-                               None, 1.0)
+            record = snapshot(3, 0.1, np.ones((2, 1)), LabeledFeatures(feats, labels, 2),
+                              None, 1.0)
         assert all(record.values[key] is None for key in METRIC_KEYS)
         assert record.sigma_min_m is None and record.sigma_avg_m is None
 
@@ -592,7 +592,7 @@ def test_linear_decisions_are_kept_for_a_w_of_the_same_shape_and_bytes():
     data = LabeledFeatures(rng.standard_normal((4, 12)), np.arange(12) % 3, 3)
 
     def fresh(w):
-        return np.argmax(w @ data.features, axis=0)
+        return np.argmax(w @ data.features, axis=-2)
 
     w = rng.standard_normal((3, 4))
     w[0, 0] = 0.0
@@ -613,7 +613,7 @@ def test_linear_decisions_are_kept_for_a_w_of_the_same_shape_and_bytes():
     assert data._linear_decisions(with_nan.copy()) is got
 
     kept = data._linear_decisions(w)
-    stacked = w[None]               # the same bytes, shape (1, 3, 4)
+    stacked = w[None]               # the same bytes, a stack of one (1, 3, 4)
     got = data._linear_decisions(stacked)
-    assert got is not kept and got.shape == (3, 12)
+    assert got is not kept and got.shape == (1, 12)
     assert np.array_equal(got, fresh(stacked))
