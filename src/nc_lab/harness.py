@@ -508,8 +508,10 @@ def _snapshots(heads, weights: np.ndarray, data, targets, alpha_only: bool = Fal
     records = []
     for lo, hi, d in groups:
         ws = weights[lo:hi]
-        logits = ws @ d.features if any(head[2] is None for head in heads[lo:hi]) else None
-        decisions = d._linear_decisions(ws, logits)
+        # A diverged slice's product overflows without a warning; its loss is still recorded.
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = ws @ d.features if any(head[2] is None for head in heads[lo:hi]) else None
+            decisions = d._linear_decisions(ws, logits)
         for i, (epoch, lr_value, loss) in enumerate(heads[lo:hi]):
             if loss is None:
                 loss = ce_loss_from_logits(logits[i], targets)
@@ -517,8 +519,8 @@ def _snapshots(heads, weights: np.ndarray, data, targets, alpha_only: bool = Fal
             records.append(MetricRecord(epoch, lr_value, loss, acc, dict.fromkeys(METRIC_KEYS)))
         del logits              # not kept through the metric pass
     if alpha_only:
-        for rec, w in zip(records, weights):
-            rec.values["nc0_alpha"] = metrics.nc0_alpha(w)
+        for rec, alpha in zip(records, metrics.nc0_alpha(weights).tolist()):
+            rec.values["nc0_alpha"] = alpha
         return records
     ok = np.isfinite(weights).all(axis=(1, 2))
     m_sigmas = [None] * len(heads)
@@ -530,10 +532,10 @@ def _snapshots(heads, weights: np.ndarray, data, targets, alpha_only: bool = Fal
     kept = np.flatnonzero(ok)
     if kept.size:
         ws = weights if kept.size == len(weights) else weights[kept]
-        bundles = all_metrics(ws, data if shared else [data[i] for i in kept])
-        for i, bundle, w_sigmas in zip(kept, bundles, _sigmas(singular_values(ws))):
+        columns = all_metrics(ws, data if shared else [data[i] for i in kept])
+        for j, (i, w_sigmas) in enumerate(zip(kept, _sigmas(singular_values(ws)))):
             rec = records[i]
-            rec.values = {key: bundle[key] for key in METRIC_KEYS}
+            rec.values = {key: columns[key][j] for key in METRIC_KEYS}
             rec.sigma_min_w, rec.sigma_avg_w = w_sigmas
             rec.sigma_min_m, rec.sigma_avg_m = m_sigmas[i]
     return records
@@ -1148,7 +1150,7 @@ def check_decoupled_rowsum_decay(lr: float = 0.05, wd: float = 0.1, momentum: fl
     alpha_t = (1 - lr*wd)^(2t) alpha_0 at ``tolerance`` relative."""
     opt = OptimizerConfig(kind="sgd_decoupled", lr=lr, momentum=momentum, decoupled_wd=wd)
     res = _trajectory(replace(_CHECK_MLP, optimizer=opt, epochs=epochs, metric_period=1))
-    alphas = nc0_alpha(np.stack(res.weights))
+    alphas = nc0_alpha(np.stack(res.weights)).tolist()
     alpha0 = alphas[0]
     rows = [_row(t, alpha, oracles.alpha_sgd_decoupled(t, alpha0, lr, wd))
             for t, alpha in enumerate(alphas)]
@@ -1263,8 +1265,8 @@ def check_decoupled_sign_plateau(k: int = 10, lr: float = 0.1, wd: float = 0.5,
         (np.sign(ce_loss_and_grad(np.stack(stepped_from[lo:lo + _GRADIENT_CHUNK]), frame,
                                   targets, input_grad=False)[1]) == expected_sign).all()
         for lo in range(0, steps, _GRADIENT_CHUNK))
-    rows = [_row(t, alpha, pred)
-            for t, (alpha, pred) in enumerate(zip(nc0_alpha(np.stack(weights)), predicted))]
+    alphas = nc0_alpha(np.stack(weights)).tolist()
+    rows = [_row(t, alpha, pred) for t, (alpha, pred) in enumerate(zip(alphas, predicted))]
     monotone = not any(row[1] < prev[1] - 1e-12 for prev, row in zip(rows, rows[1:]))
     limit = oracles.alpha_signgd_decoupled_limit(k, wd)
     final_alpha = rows[-1][1]
@@ -1310,13 +1312,14 @@ def check_coupled_sign_oscillation(k: int = 10, lr: float = 0.1, wd: float = 0.5
     off_mask = ~np.eye(k, dtype=bool)
     rows = []
     family_dev_max = scalar_dev_max = 0.0
-    for t, (w, state) in enumerate(zip(weights, states)):
+    alphas = nc0_alpha(np.stack(weights)).tolist()
+    for t, (w, state, alpha) in enumerate(zip(weights, states, alphas)):
         diag, off = np.diag(w), w[off_mask]
         family_dev_max = max(family_dev_max,
                              float(max(diag.max() - diag.min(), off.max() - off.min())))
         scalar_dev_max = max(scalar_dev_max,
                              float(max(abs(diag[0] - state.a), abs(-off[0] - state.b))))
-        rows.append(_row(t, nc0_alpha(w), oracles.scalar_alpha(state, k)))
+        rows.append(_row(t, alpha, oracles.scalar_alpha(state, k)))
     peak_step, peak = max(rows, key=lambda row: row[1])[:2]
     final_alpha = rows[-1][1]
     interior_peak = 0 < peak_step < steps and peak > max(rows[0][1], final_alpha)

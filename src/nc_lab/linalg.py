@@ -3,7 +3,7 @@ parser of the plain-text matrix files that ``nc-lab metrics`` takes: a
 'rows cols' line, then one line of values per row.
 
 Every function takes a 2-D ndarray or nested lists and coerces;
-singular_values also takes a stack of matrices.
+singular_values takes matrices of shape (..., m, n), one or a stack of them.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from .errors import DomainError, NumericError, ShapeError
 
 __all__ = [
     "as_array",
+    "as_matrices",
     "singular_values",
     "pseudo_inverse",
     "parse_matrix",
@@ -30,12 +31,20 @@ def as_array(m) -> np.ndarray:
     return a
 
 
+def as_matrices(m) -> np.ndarray:
+    """Coerce an operand of shape (..., rows, cols), one matrix or a stack
+    of them along any leading axes, to a float64 array."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim < 2:
+        raise ShapeError(f"expected a matrix or a stack of them, got ndim={a.ndim}")
+    return a
+
+
 def singular_values(a) -> np.ndarray:
-    """Singular values of ``a`` in descending order; of an S x m x n stack,
-    S x min(m, n), each row bit-equal to the call on its slice alone."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 3:
-        a = as_array(a)
+    """Singular values of each m x n slice of ``a`` (..., m, n) in
+    descending order: shape (..., min(m, n)), each row bit-equal to the call
+    on its slice alone."""
+    a = as_matrices(a)
     if not np.all(np.isfinite(a)):
         raise NumericError("singular_values requires finite input")
     return np.linalg.svd(a, compute_uv=False)

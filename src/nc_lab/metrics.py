@@ -12,11 +12,15 @@ and labeled feature vectors (p x N):
 * nc4 — agreement between the classifier's decisions and nearest-mean
   decisions.
 
-Inputs are float64 ndarrays or nested lists. A LabeledFeatures keeps what is
-computed from its features, and its ClassStatistics holds nc2, nc2n and nc2a,
-so the metrics of one feature set share one computation. The metrics of W,
-and all_metrics, also take an S x K x p stack of W and run once over it,
-giving one value per slice, equal to the call on that slice alone.
+Inputs are float64 ndarrays or nested lists. Every metric of W takes W of
+shape (..., K, p), one classifier or a stack of them along any leading
+axes, and gives float64 values of shape (...), each equal to the call on
+its slice alone; the metrics of centered class means M take M of shape
+(..., p, K) alike. A metric that a slice can leave undefined (a zero norm)
+returns (values, defined) instead of raising. A LabeledFeatures keeps what
+is computed from its features, and its ClassStatistics holds nc2, nc2n and
+nc2a, so the metrics of one feature set share one computation. all_metrics
+returns the suite as columns, one value per slice.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
-from .linalg import DEFAULT_RANK_TOLERANCE, as_array
+from .linalg import DEFAULT_RANK_TOLERANCE, as_array, as_matrices
 
 __all__ = [
     "LabeledFeatures",
@@ -105,8 +109,9 @@ class LabeledFeatures:
     kept, read-only: the class means, the ClassStatistics, the nearest-mean
     decisions and the linear decisions of the last classifier (or stack of
     classifiers) asked for. So every metric of a snapshot, and every
-    snapshot of one fixed feature set, shares one computation. The features and labels must therefore not be
-    changed after construction; build a new LabeledFeatures for new features.
+    snapshot of one fixed feature set, shares one computation. The features
+    and labels must therefore not be changed after construction; build a new
+    LabeledFeatures for new features.
     """
 
     def __init__(self, features, labels, num_classes: int):
@@ -146,12 +151,11 @@ class LabeledFeatures:
         return self._means
 
     def _linear_decisions(self, w: np.ndarray, logits=None) -> np.ndarray:
-        """argmax_k (W H)_k for each sample, ties to the lowest k, from the
-        ``logits`` W H when the caller has them; of a stack of W, one row
-        per slice. Kept for the last W asked
-        for, matched by shape and bytes (so a W that differs by a -0.0 or a
-        NaN payload is computed afresh), so that a snapshot's train_acc and
-        nc4 read one product W H."""
+        """argmax_k (W H)_k of each sample for W (..., K, p), shape (..., N),
+        ties to the lowest k, from the ``logits`` W H when the caller has
+        them. Kept for the last W asked for, matched by shape and bytes (so a
+        W that differs by a -0.0 or a NaN payload is computed afresh), so that
+        a snapshot's train_acc and nc4 read one product W H."""
         key = w.tobytes()
         if self._linear is None or self._linear[0] != w.shape or self._linear[1] != key:
             if logits is None:
@@ -170,14 +174,14 @@ class LabeledFeatures:
 class ClassStatistics:
     """The record of what the metrics read of a labeled feature set: its
     class means, and the rank-(K-1) coordinates and nc2 family of its
-    centered class means M (means minus mean-of-means).
+    centered class means M (``centered_means``, means minus mean-of-means).
 
     With the thin SVD M = U S V^T, Sigma_B = M M^T / K = U (S^2 / K) U^T.
     ``nc1_terms`` holds ||u_j^T D||^2 / (N s_j^2), D the deviations
     h_n - mu_(y_n), for each kept direction: s_j^2 > DEFAULT_RANK_TOLERANCE
-    * s_0^2. ``nc2``, ``nc2n`` and ``nc2a`` are nc2_structure, nc2_norms and
-    nc2_angles of M, or None where M leaves them undefined; the arrays are
-    read-only.
+    * s_0^2. ``nc2``, ``nc2n`` and ``nc2a`` are the values of nc2_structure,
+    nc2_norms and nc2_angles of M, or None where M leaves them undefined;
+    the arrays are read-only.
     """
 
     class_means: np.ndarray          # p x K
@@ -207,82 +211,52 @@ def _class_means(data: LabeledFeatures) -> np.ndarray:
     return means
 
 
-def _or_none(fn, *args) -> Optional[float]:
-    """fn(*args), or None where it raises DomainError (a degenerate metric)."""
-    try:
-        return fn(*args)
-    except DomainError:
-        return None
-
-
 def compute_class_statistics(data: LabeledFeatures) -> ClassStatistics:
     """The ClassStatistics of ``data``, with nc2, nc2n and nc2a, computed on
     the first call and kept on ``data``. Raises NumericError when the
     centered means, their squared singular values or the nc1 terms are not
-    finite (a diverged run)."""
+    finite (a diverged run), and warns of nothing on the way there."""
     if data._stats is None:
-        means = data.class_means
-        centered = means - means.mean(axis=1)[:, None]
-        if not np.all(np.isfinite(centered)):
-            raise NumericError("class means are not finite")
-        u, s, _ = np.linalg.svd(centered, full_matrices=False)
-        squares = s * s
-        if not np.isfinite(squares[0]):
-            raise NumericError("between-class scatter overflows")
-        kept = int(np.count_nonzero(squares > DEFAULT_RANK_TOLERANCE * squares[0]))
-        # Deviations first, projected after (projecting first and subtracting
-        # after cancels digits); np.take gathers C-ordered like the features.
-        dev = np.take(means, data.labels, axis=1)
-        np.subtract(data.features, dev, out=dev)
-        proj = u[:, :kept].T @ dev
-        terms = np.einsum("jn,jn->j", proj, proj) / (data.features.shape[1] * squares[:kept])
-        del dev, proj           # freed before nc2 runs, so they do not raise the peak
-        if not np.isfinite(terms.sum()):
-            raise NumericError("nc1 terms are not finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = data.class_means
+            centered = means - means.mean(axis=1)[:, None]
+            if not np.all(np.isfinite(centered)):
+                raise NumericError("class means are not finite")
+            u, s, _ = np.linalg.svd(centered, full_matrices=False)
+            squares = s * s
+            if not np.isfinite(squares[0]):
+                raise NumericError("between-class scatter overflows")
+            kept = int(np.count_nonzero(squares > DEFAULT_RANK_TOLERANCE * squares[0]))
+            # Deviations first, projected after (projecting first and subtracting
+            # after cancels digits); np.take gathers C-ordered like the features.
+            dev = np.take(means, data.labels, axis=1)
+            np.subtract(data.features, dev, out=dev)
+            proj = u[:, :kept].T @ dev
+            terms = np.einsum("jn,jn->j", proj, proj) / (data.features.shape[1] * squares[:kept])
+            del dev, proj           # freed before nc2 runs, so they do not raise the peak
+            if not np.isfinite(terms.sum()):
+                raise NumericError("nc1 terms are not finite")
         stats = ClassStatistics(
             class_means=means,
             centered_means=_read_only(centered),
             singular_values=_read_only(s),
             nc1_terms=_read_only(terms),
         )
-        stats.nc2 = _or_none(nc2_structure, stats)
-        stats.nc2n = _or_none(nc2_norms, stats)
-        stats.nc2a = _or_none(nc2_angles, stats)
+        stats.nc2, stats.nc2n, stats.nc2a = (
+            np.where(defined, values, None).tolist() for values, defined in
+            (nc2_structure(centered), nc2_norms(centered), nc2_angles(centered)))
         data._stats = stats
     return data._stats
 
 
-def _as_stack(w) -> tuple:
-    """(``w`` as an S x K x p float64 stack, whether it came as one): a
-    K x p matrix is a stack of one slice."""
-    a = np.asarray(w, dtype=np.float64)
-    if a.ndim == 3:
-        return a, True
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix or a stack of them, got ndim={a.ndim}")
-    return a[None], False
-
-
-def _per_slice(stacked: bool, values, defined=None, undefined: str = ""):
-    """A metric's values over a stack as its function returns them: for a
-    stack, a list with one float per slice and None where ``defined`` is
-    False; for one matrix, its float, or DomainError(undefined)."""
-    if stacked:
-        if defined is None:
-            return values.tolist()
-        return [v if ok else None for v, ok in zip(values.tolist(), defined.tolist())]
-    if defined is not None and not defined[0]:
-        raise DomainError(undefined)
-    return float(values[0])
-
-
 def _self_dots(x: np.ndarray) -> np.ndarray:
-    """x_s . x_s of each slice x_s of a stack, flattened in the order it is
-    stored (C or Fortran): the dot product np.linalg.norm takes of one
-    matrix, made as S products 1 x n by n x 1, so each is bit-equal to the
-    norm of that slice alone."""
-    flat = x.reshape(x.shape[0], 1, -1, order="A")
-    return (flat @ flat.transpose(0, 2, 1)).reshape(-1)
+    """x_s . x_s of each matrix x_s of x (..., m, n), flattened in C order
+    whatever order it is stored in: the dot product np.linalg.norm takes of
+    a C-ordered matrix, made as one 1 x mn by mn x 1 product per slice, so
+    each is bit-equal to that of the slice alone."""
+    lead = x.shape[:-2]
+    flat = x.reshape(lead + (1, -1))
+    return (flat @ flat.swapaxes(-1, -2)).reshape(lead)
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -295,28 +269,25 @@ def _nonzero(norms: np.ndarray) -> np.ndarray:
     return np.where(norms <= 0.0, 1.0, norms)
 
 
-def nc0_metric(w):
-    """(1/p) * ||W^T 1||_2 for a K x p classifier: the scaled row-sum norm.
-    Of an S x K x p stack, a list with the value of each slice."""
-    ws, stacked = _as_stack(w)
-    return _per_slice(stacked, _frobenius(ws.sum(axis=1)) / ws.shape[2])
+def nc0_metric(w) -> np.ndarray:
+    """(1/p) * ||W^T 1||_2 for each K x p classifier: the scaled row-sum norm."""
+    w = as_matrices(w)
+    return _frobenius(np.add.reduce(w, axis=-2, keepdims=True)) / w.shape[-1]
 
 
-def nc0_alpha(w):
+def nc0_alpha(w) -> np.ndarray:
     """(1/K) * ||W^T 1||_2^2, the quantity whose decay the step-size/decay
-    closed forms describe; per slice of a stack."""
-    ws, stacked = _as_stack(w)
-    return _per_slice(stacked, _self_dots(ws.sum(axis=1)) / ws.shape[1])
+    closed forms describe."""
+    w = as_matrices(w)
+    return _self_dots(np.add.reduce(w, axis=-2, keepdims=True)) / w.shape[-2]
 
 
-def nc0_normalized(w):
+def nc0_normalized(w) -> tuple:
     """nc0_metric divided by ||W||_F, making the row-sum size scale-free;
-    per slice of a stack, None where the slice is all zero."""
-    ws, stacked = _as_stack(w)
-    norms = _frobenius(ws)
-    nc0 = _frobenius(ws.sum(axis=1)) / ws.shape[2]
-    return _per_slice(stacked, nc0 / _nonzero(norms), ~(norms <= 0.0),
-                      "nc0_normalized undefined for an all-zero matrix")
+    undefined for an all-zero W."""
+    w = as_matrices(w)
+    norms = _frobenius(w)
+    return nc0_metric(w) / _nonzero(norms), ~(norms <= 0.0)
 
 
 def nc1_variability(stats: ClassStatistics) -> float:
@@ -328,27 +299,27 @@ def nc1_variability(stats: ClassStatistics) -> float:
     return float(stats.nc1_terms.sum())
 
 
-# The helpers below take a stack of vector sets, S x q x K (the K vectors
-# of each set are its columns), and return (values, defined): the metric of
-# each slice, and where it is defined.
+# The kernels below take sets of K vectors, (..., q, K) with the vectors as
+# columns, and return (values, defined): the metric of each set, and where
+# it is defined.
 
 
 def _etf_distance(x: np.ndarray) -> tuple:
-    """||X/||X||_F - M*||_F / K^2 for each K x K slice X, M* the simplex
+    """||X/||X||_F - M*||_F / K^2 for each K x K matrix X, M* the simplex
     ETF; undefined where X is zero."""
     k = x.shape[-1]
     norms = _frobenius(x)
-    values = _frobenius(x / _nonzero(norms)[:, None, None] - _etf_frame(k)) / k**2
+    values = _frobenius(x / _nonzero(norms)[..., None, None] - _etf_frame(k)) / k**2
     return values, ~(norms <= 0.0)
 
 
 def _gram_structure(vectors: np.ndarray) -> tuple:
     """_etf_distance of the Gram matrix G of each vector set."""
-    return _etf_distance(vectors.transpose(0, 2, 1) @ vectors)
+    return _etf_distance(vectors.swapaxes(-1, -2) @ vectors)
 
 
 def _norms(vectors: np.ndarray) -> np.ndarray:
-    """The S x K vector norms, summed as np.linalg.norm(v, axis=0) sums them."""
+    """The (..., K) vector norms, summed as np.linalg.norm(v, axis=0) sums them."""
     return np.sqrt(np.add.reduce(vectors * vectors, axis=-2))
 
 
@@ -366,92 +337,69 @@ def _angle_deviation(vectors: np.ndarray) -> tuple:
     k = vectors.shape[-1]
     norms = _norms(vectors)
     short = norms < _NORM_FLOOR
-    unit = vectors / np.where(short, 1.0, norms)[:, None, :]
-    cos = unit.transpose(0, 2, 1) @ unit
+    unit = vectors / np.where(short, 1.0, norms)[..., None, :]
+    cos = unit.swapaxes(-1, -2) @ unit
     # The gather comes back strided; made contiguous, each slice's mean sums
     # in the pairwise order of the mean of one matrix's entries.
-    off = np.ascontiguousarray(cos[:, _off_diagonal(k)])
+    off = np.ascontiguousarray(cos[..., _off_diagonal(k)])
     return np.abs(off + 1.0 / (k - 1)).mean(axis=-1), ~short.any(axis=-1)
 
 
-_STRUCTURE_UNDEFINED = "structure metric undefined for all-zero vectors"
-_SPREAD_UNDEFINED = "norm spread undefined when all vectors are zero"
-_ANGLE_UNDEFINED = "angle metric undefined: a vector norm is below 1e-12"
+def nc2_structure(means) -> tuple:
+    """Distance of the normalized Gram matrix of the centered class means
+    (..., p, K) from the simplex ETF."""
+    return _gram_structure(as_matrices(means))
 
 
-def _stats_metric(kernel, stats: ClassStatistics, undefined: str) -> float:
-    """A vector-set metric of the centered class means."""
-    return _per_slice(False, *kernel(stats.centered_means[None]), undefined)
-
-
-def nc2_structure(stats: ClassStatistics) -> float:
-    """Distance of the normalized centered-mean Gram matrix from the simplex ETF."""
-    return _stats_metric(_gram_structure, stats, _STRUCTURE_UNDEFINED)
-
-
-def nc2_norms(stats: ClassStatistics) -> float:
+def nc2_norms(means) -> tuple:
     """Relative spread of the centered class-mean norms (0 = equinorm)."""
-    return _stats_metric(_norm_spread, stats, _SPREAD_UNDEFINED)
+    return _norm_spread(as_matrices(means))
 
 
-def nc2_angles(stats: ClassStatistics) -> float:
+def nc2_angles(means) -> tuple:
     """Mean deviation of centered-mean cosines from the ideal -1/(K-1)."""
-    return _stats_metric(_angle_deviation, stats, _ANGLE_UNDEFINED)
+    return _angle_deviation(as_matrices(means))
 
 
-def _rows_metric(kernel, w, undefined: str):
-    """A vector-set metric of the classifier rows, per slice of a stack."""
-    ws, stacked = _as_stack(w)
-    return _per_slice(stacked, *kernel(ws.transpose(0, 2, 1)), undefined)
+def _rows(w) -> np.ndarray:
+    """The classifier rows of W (..., K, p) as vector sets (..., p, K)."""
+    return as_matrices(w).swapaxes(-1, -2)
 
 
-def nc2w_structure(w):
-    """nc2 computed on classifier rows instead of class means; per slice of
-    a stack, None where undefined."""
-    return _rows_metric(_gram_structure, w, _STRUCTURE_UNDEFINED)
+def nc2w_structure(w) -> tuple:
+    """nc2 computed on classifier rows instead of class means."""
+    return _gram_structure(_rows(w))
 
 
-def nc2w_norms(w):
-    return _rows_metric(_norm_spread, w, _SPREAD_UNDEFINED)
+def nc2w_norms(w) -> tuple:
+    return _norm_spread(_rows(w))
 
 
-def nc2w_angles(w):
-    return _rows_metric(_angle_deviation, w, _ANGLE_UNDEFINED)
+def nc2w_angles(w) -> tuple:
+    return _angle_deviation(_rows(w))
 
 
-def _centered_stack(stats, slices: int) -> np.ndarray:
-    """The centered means of ``stats`` as a stack: of one ClassStatistics,
-    a stack of one that every W slice reads, else one per W slice."""
-    if isinstance(stats, ClassStatistics):
-        return stats.centered_means[None]
-    if len(stats) != slices:
-        raise ShapeError(f"{len(stats)} class statistics for {slices} classifiers")
-    return np.stack([s.centered_means for s in stats])
+def nc2m_duality(w, means) -> tuple:
+    """||WM/||WM||_F - M*||_F / K^2: cross-Gram version coupling W and the
+    centered means M, p x K or a stack that broadcasts against W."""
+    w, m = as_matrices(w), as_matrices(means)
+    if w.shape[-1] != m.shape[-2]:
+        raise ShapeError(f"W is {w.shape} but means are {m.shape}")
+    return _etf_distance(w @ m)
 
 
-def nc2m_duality(w, stats):
-    """||WM/||WM||_F - M*||_F / K^2: cross-Gram version coupling W and means.
-    Of a stack, per slice: ``stats`` is one ClassStatistics for every slice
-    or a sequence with one per slice."""
-    ws, stacked = _as_stack(w)
-    ms = _centered_stack(stats, len(ws))
-    if ws.shape[2] != ms.shape[1]:
-        raise ShapeError(f"W is {np.shape(w)} but means are {ms.shape[1:]}")
-    return _per_slice(stacked, *_etf_distance(ws @ ms), "nc2m undefined: WM is zero")
-
-
-def nc3_alignment(w, stats):
-    """(1/(Kp)) * || W/||W||_F - M^T/||M^T||_F ||_F (0 = self-dual). Of a
-    stack, per slice, with ``stats`` as nc2m_duality takes them."""
-    ws, stacked = _as_stack(w)
-    ms = _centered_stack(stats, len(ws))
-    if ws.shape[1:] != ms.shape[:0:-1]:
-        raise ShapeError(f"W is {np.shape(w)} but M^T is {ms.shape[:0:-1]}")
-    wn, mn = _frobenius(ws), _frobenius(ms)
-    diff = ws / _nonzero(wn)[:, None, None] - ms.transpose(0, 2, 1) / _nonzero(mn)[:, None, None]
-    _, k, p = ws.shape
-    return _per_slice(stacked, _frobenius(diff) / (k * p), ~((wn <= 0.0) | (mn <= 0.0)),
-                      "nc3 undefined when W or the centered means are zero")
+def nc3_alignment(w, means) -> tuple:
+    """(1/(Kp)) * || W/||W||_F - M^T/||M^T||_F ||_F (0 = self-dual), with
+    the centered means M as nc2m_duality takes them."""
+    w, m = as_matrices(w), as_matrices(means)
+    if w.shape[-2:] != m.shape[:-3:-1]:
+        raise ShapeError(f"W is {w.shape} but M^T is {m.shape[:-3:-1]}")
+    # ||M^T||_F taken of M: a norm of the swapped view sums in another order
+    wn, mn = _frobenius(w), _frobenius(m)
+    diff = (w / _nonzero(wn)[..., None, None]
+            - m.swapaxes(-1, -2) / _nonzero(mn)[..., None, None])
+    k, p = w.shape[-2:]
+    return _frobenius(diff) / (k * p), ~((wn <= 0.0) | (mn <= 0.0))
 
 
 # Columns per block when near-ties are settled by direct distances; bounds
@@ -489,66 +437,74 @@ def _nearest_mean(h: np.ndarray, means: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def nc4_agreement(w, data: LabeledFeatures):
+def nc4_agreement(w, data: LabeledFeatures) -> np.ndarray:
     """Fraction of samples where argmax_k <w_k, h> equals the nearest
-    (uncentered) class-mean decision, per slice of a stack of W. Ties
-    resolve to the lowest class index on both sides. Both decisions are
-    kept on ``data``: the nearest-mean ones, and the linear ones of the last
-    W or stack.
+    (uncentered) class-mean decision, for each classifier of W (..., K, p).
+    Ties resolve to the lowest class index on both sides. Both decisions
+    are kept on ``data``: the nearest-mean ones, and the linear ones of the
+    last W asked for.
     """
-    w = np.asarray(w, dtype=np.float64)
-    ws, stacked = _as_stack(w)
-    if ws.shape[2] != data.features.shape[0]:
+    w = as_matrices(w)
+    if w.shape[-1] != data.features.shape[0]:
         raise ShapeError(f"W is {w.shape} but features are {data.features.shape}")
     agree = np.count_nonzero(data._linear_decisions(w) == data._nearest_decisions(), axis=-1)
-    return _per_slice(stacked, np.reshape(agree / data.features.shape[1], -1))
+    return agree / data.features.shape[1]
 
 
-def all_metrics(w, data):
-    """Evaluate the full metric suite, mapping degenerate metrics to None.
+def all_metrics(w, data) -> dict:
+    """The full metric suite of each classifier of W (..., K, p), as
+    columns: each of the 13 metric keys maps to np.where(defined, values,
+    None).tolist(), and ``flags`` to the flags of each slice, which name the
+    metrics skipped as degenerate and whether sigma_b was all-zero. For one
+    K x p W that is a float or None per key and one flags dict; for a stack,
+    a list per key.
 
-    Returns a dict with the 13 metric keys plus ``flags`` listing which
-    metrics were skipped as degenerate and whether sigma_b was all-zero.
-    nc2, nc2n and nc2a are read from the ClassStatistics of ``data``.
-
-    ``w`` may also be an S x K x p stack, with ``data`` one LabeledFeatures
-    that every slice reads or a sequence of one per slice. Each W-side
-    metric then runs once over the stack, and the result is a list of the
-    dicts, each equal to the call on its slice alone.
+    ``data`` is one LabeledFeatures that every slice reads, or, for an
+    S x K x p stack, a sequence of one per slice. nc1, nc2, nc2n and nc2a
+    are read from its ClassStatistics.
     """
-    ws, stacked = _as_stack(w)
+    w = as_matrices(w)
+    lead = w.shape[:-2]
     if isinstance(data, LabeledFeatures):
-        stats = compute_class_statistics(data)
-        distinct, repeat = [stats], len(ws)
-        nc4 = nc4_agreement(ws, data)
+        stats = [compute_class_statistics(data)]
+        means = stats[0].centered_means
+        nc4 = nc4_agreement(w, data)
     else:
         data = list(data)
-        if len(data) != len(ws):
-            raise ShapeError(f"{len(data)} feature sets for {len(ws)} classifiers")
-        stats = distinct = [compute_class_statistics(d) for d in data]
-        repeat = 1
+        if lead != (len(data),):
+            raise ShapeError(f"{len(data)} feature sets for classifiers of shape {w.shape}")
+        stats = [compute_class_statistics(d) for d in data]
+        means = np.stack([s.centered_means for s in stats])
         # each slice as a stack of one, the key its decisions are kept under
-        nc4 = [nc4_agreement(ws[i:i + 1], d)[0] for i, d in enumerate(data)]
+        nc4 = np.array([nc4_agreement(w[i:i + 1], d)[0] for i, d in enumerate(data)])
+
+    def column(values, defined=True) -> np.ndarray:
+        return np.broadcast_to(np.where(defined, values, None), lead)
+
+    def per_features(read) -> np.ndarray:
+        return column(np.array([read(s) for s in stats], dtype=object).reshape(means.shape[:-2]))
+
     columns = {
-        "nc0": nc0_metric(ws),
-        "nc0_alpha": nc0_alpha(ws),
-        "nc0_normalized": nc0_normalized(ws),
-        "nc1": [nc1_variability(s) for s in distinct] * repeat,
-        "nc2": [s.nc2 for s in distinct] * repeat,
-        "nc2n": [s.nc2n for s in distinct] * repeat,
-        "nc2a": [s.nc2a for s in distinct] * repeat,
-        "nc2w": nc2w_structure(ws),
-        "nc2wn": nc2w_norms(ws),
-        "nc2wa": nc2w_angles(ws),
-        "nc2m": nc2m_duality(ws, stats),
-        "nc3": nc3_alignment(ws, stats),
-        "nc4": nc4,
+        "nc0": column(nc0_metric(w)),
+        "nc0_alpha": column(nc0_alpha(w)),
+        "nc0_normalized": column(*nc0_normalized(w)),
+        "nc1": per_features(nc1_variability),
+        "nc2": per_features(lambda s: s.nc2),
+        "nc2n": per_features(lambda s: s.nc2n),
+        "nc2a": per_features(lambda s: s.nc2a),
+        "nc2w": column(*nc2w_structure(w)),
+        "nc2wn": column(*nc2w_norms(w)),
+        "nc2wa": column(*nc2w_angles(w)),
+        "nc2m": column(*nc2m_duality(w, means)),
+        "nc3": column(*nc3_alignment(w, means)),
+        "nc4": column(nc4),
     }
-    degenerate = [s.nc1_terms.size == 0 for s in distinct] * repeat
-    out = []
-    for i, sigma_b_degenerate in enumerate(degenerate):
-        bundle = {key: columns[key][i] for key in METRIC_KEYS}
-        bundle["flags"] = {"sigma_b_degenerate": sigma_b_degenerate,
-                           "skipped": [key for key in METRIC_KEYS if bundle[key] is None]}
-        out.append(bundle)
-    return out if stacked else out[0]
+    degenerate = per_features(lambda s: s.nc1_terms.size == 0)
+    skipped = np.stack([np.equal(columns[key], None) for key in METRIC_KEYS], axis=-1)
+    flags = np.empty(lead, dtype=object)
+    for i in np.ndindex(lead):
+        flags[i] = {"sigma_b_degenerate": degenerate[i],
+                    "skipped": [key for key, s in zip(METRIC_KEYS, skipped[i]) if s]}
+    out = {key: values.tolist() for key, values in columns.items()}
+    out["flags"] = flags.tolist()
+    return out

@@ -74,6 +74,18 @@ def _stats_from_means(means):
     return compute_class_statistics(LabeledFeatures(means, np.arange(k), k))
 
 
+def _centered(means):
+    """The centered class means of _stats_from_means(means)."""
+    return _stats_from_means(means).centered_means
+
+
+def _value(result):
+    """The values of a metric that returns (values, defined), NaN where
+    undefined, so that every check on an undefined value fails."""
+    values, defined = result
+    return np.where(defined, values, np.nan)
+
+
 def test_criterion_01_decoupled_rowsum_power_law():
     # MLP, K=4 blobs, decoupled SGD with momentum: the logged row-sum energy
     # must follow (1 - lr*wd)^(2t) * alpha_0 at every epoch, within 10s.
@@ -246,9 +258,9 @@ def test_criterion_08_constructed_collapse_solutions():
                                         scale_h=float(rng.uniform(0.5, 2.0)),
                                         isometry_seed=int(rng.integers(0, 10**6)))
         data = LabeledFeatures(h, labels, k)
-        stats = compute_class_statistics(data)
-        worst = max(worst, nc0_metric(w), nc2_structure(stats),
-                    nc3_alignment(w, stats))
+        m = compute_class_statistics(data).centered_means
+        worst = max(worst, nc0_metric(w), _value(nc2_structure(m)),
+                    _value(nc3_alignment(w, m)))
         agree_ok = agree_ok and nc4_agreement(w, data) == 1.0
     ok = worst < 1e-8 and agree_ok
     assert _verdict(8, "constructed collapse solutions", ok,
@@ -297,11 +309,12 @@ def test_criterion_09_metric_examples():
 
     # normalized row-sum deviation
     expected = (3.0 / np.sqrt(2.0)) / np.sqrt(10.0)
-    check(abs(nc0_normalized(w) - expected) < 1e-14, "nc0n hand value")
-    check(nc0_normalized(3.0 * simplex_etf(5).T) < 1e-14, "nc0n frame")
+    check(abs(_value(nc0_normalized(w)) - expected) < 1e-14, "nc0n hand value")
+    check(_value(nc0_normalized(3.0 * simplex_etf(5).T)) < 1e-14, "nc0n frame")
+    check(not nc0_normalized(np.zeros((3, 3)))[1], "nc0n undefined at zero")
     rng = np.random.default_rng(12)
     inv = all(
-        abs(nc0_normalized(2.0 * wr) - nc0_normalized(wr)) < 1e-12
+        abs(_value(nc0_normalized(2.0 * wr)) - _value(nc0_normalized(wr))) < 1e-12
         for wr in (rng.standard_normal((4, 6)) for _ in range(20))
     )
     check(inv, "nc0n doubling invariance")
@@ -329,37 +342,37 @@ def test_criterion_09_metric_examples():
     frames_ok = True
     for k in range(4, 11):
         q = _isometry(k + 3, k, seed=k)
-        fstats = _stats_from_means(q @ simplex_etf(k))
-        frames_ok = frames_ok and (nc2_structure(fstats) < 1e-12
-                                   and nc2_norms(fstats) < 1e-12
-                                   and nc2_angles(fstats) < 1e-12)
+        fm = _centered(q @ simplex_etf(k))
+        frames_ok = frames_ok and (_value(nc2_structure(fm)) < 1e-12
+                                   and _value(nc2_norms(fm)) < 1e-12
+                                   and _value(nc2_angles(fm)) < 1e-12)
     check(frames_ok, "nc2 embedded frames")
-    check(abs(nc2w_angles(np.eye(5)) - 0.25) < 1e-12, "nc2a orthonormal")
+    check(abs(_value(nc2w_angles(np.eye(5))) - 0.25) < 1e-12, "nc2a orthonormal")
     means = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
-    check(nc2_norms(_stats_from_means(means)) < 1e-14, "nc2n equal norms")
+    check(_value(nc2_norms(_centered(means))) < 1e-14, "nc2n equal norms")
 
     # weight geometry and duality
-    check(all(nc2w_structure(2.5 * simplex_etf(k)) < 1e-12 for k in (3, 5, 8)),
+    check(all(_value(nc2w_structure(2.5 * simplex_etf(k))) < 1e-12 for k in (3, 5, 8)),
           "nc2w scaled frames")
     tiled = np.tile([[1.0, 2.0, -0.5]], (4, 1))
-    check(nc2w_norms(tiled) < 1e-14 and nc0_metric(tiled) > 0.0, "nc2wn equal rows")
+    check(_value(nc2w_norms(tiled)) < 1e-14 and nc0_metric(tiled) > 0.0, "nc2wn equal rows")
     duality_ok = True
     for k in (3, 6):
         etf = simplex_etf(k)
-        duality_ok = duality_ok and nc2m_duality(etf, _stats_from_means(etf)) < 1e-12
+        duality_ok = duality_ok and _value(nc2m_duality(etf, _centered(etf))) < 1e-12
     check(duality_ok, "nc2m self duality")
 
     # alignment
     rng = np.random.default_rng(14)
     means = rng.standard_normal((4, 4))
     means -= means.mean(axis=1, keepdims=True)
-    stats = _stats_from_means(means)
-    check(nc3_alignment(2.7 * means.T, stats) < 1e-12, "nc3 aligned")
-    check(abs(nc3_alignment(-means.T, stats) - 2.0 / 16.0) < 1e-12 * (2.0 / 16.0),
+    m = _centered(means)
+    check(_value(nc3_alignment(2.7 * means.T, m)) < 1e-12, "nc3 aligned")
+    check(abs(_value(nc3_alignment(-means.T, m)) - 2.0 / 16.0) < 1e-12 * (2.0 / 16.0),
           "nc3 anti-aligned")
     w3 = rng.standard_normal((4, 4))
-    base = nc3_alignment(w3, stats)
-    check(abs(nc3_alignment(3.0 * w3, _stats_from_means(5.0 * means)) - base) < 1e-12,
+    base = _value(nc3_alignment(w3, m))
+    check(abs(_value(nc3_alignment(3.0 * w3, _centered(5.0 * means))) - base) < 1e-12,
           "nc3 joint scaling")
 
     # nearest-mean agreement
@@ -392,15 +405,15 @@ def test_criterion_09_metric_examples():
         wr = rng.standard_normal((k, p))
         mr = rng.standard_normal((p, k))
         mr -= mr.mean(axis=1, keepdims=True)
-        st = _stats_from_means(mr)
+        st = _centered(mr)
         a = float(rng.uniform(0.1, 10.0))
         b = float(rng.uniform(0.1, 10.0))
-        sst = _stats_from_means(b * mr)
+        sst = _centered(b * mr)
         inv_ok = inv_ok and (
-            abs(nc0_normalized(a * wr) - nc0_normalized(wr)) < 1e-12
-            and abs(nc2_structure(sst) - nc2_structure(st)) < 1e-12
-            and abs(nc2w_structure(a * wr) - nc2w_structure(wr)) < 1e-12
-            and abs(nc3_alignment(a * wr, sst) - nc3_alignment(wr, st)) < 1e-12
+            abs(_value(nc0_normalized(a * wr)) - _value(nc0_normalized(wr))) < 1e-12
+            and abs(_value(nc2_structure(sst)) - _value(nc2_structure(st))) < 1e-12
+            and abs(_value(nc2w_structure(a * wr)) - _value(nc2w_structure(wr))) < 1e-12
+            and abs(_value(nc3_alignment(a * wr, sst)) - _value(nc3_alignment(wr, st))) < 1e-12
         )
     check(inv_ok, "scale invariance")
 

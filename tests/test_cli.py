@@ -612,6 +612,27 @@ def test_metrics_explicit_class_count(tmp_path, capsys):
     assert set(json.loads(out)) == set(METRIC_KEYS)
 
 
+def test_metrics_json_bytes_on_a_zero_w_and_coincident_class_means(tmp_path, capsys):
+    """An all-zero W over classes whose means all sit at the origin: every
+    metric that divides by a zero norm prints null, the rest their exact value."""
+    paths = {"--weights": "3 2\n0.0 0.0\n0.0 0.0\n0.0 0.0\n",
+             "--features": "2 6\n1.0 -1.0 2.0 -2.0 0.5 -0.5\n0.0 0.0 1.0 -1.0 3.0 -3.0\n",
+             "--labels": "0\n0\n1\n1\n2\n2\n"}
+    argv = ["metrics"]
+    for flag, text in paths.items():
+        path = tmp_path / flag.strip("-")
+        path.write_text(text)
+        argv += [flag, str(path)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (
+        '{\n  "nc0": 0.0,\n  "nc0_alpha": 0.0,\n  "nc0_normalized": null,\n  "nc1": 0.0,\n'
+        '  "nc2": null,\n  "nc2a": null,\n  "nc2m": null,\n  "nc2n": null,\n'
+        '  "nc2w": null,\n  "nc2wa": null,\n  "nc2wn": null,\n  "nc3": null,\n'
+        '  "nc4": 1.0\n}\n')
+
+
 @pytest.mark.parametrize("text, message", [
     ("0\n1.5\n2\n3\n", "must contain one integer per line"),
     ("\n  \n", "holds no labels"),

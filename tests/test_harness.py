@@ -1200,11 +1200,11 @@ def test_coincident_fixed_class_means_skip_nc2_in_every_snapshot(monkeypatch):
     _count_calls(monkeypatch, counts, metrics, "all_metrics", passes)
     res = run_training(_mlp_config(hidden_sizes=(), margin=0.0, noise_std=0.0, epochs=6,
                                    metric_period=2))
-    (bundles,) = passes                     # one stacked pass for the four snapshots
-    assert len(bundles) == len(res.records) == 4
-    for bundle, rec in zip(bundles, res.records):
-        assert {"nc2", "nc2n", "nc2a"} <= set(bundle["flags"]["skipped"])
-        assert bundle["flags"]["sigma_b_degenerate"]
+    (columns,) = passes                     # one stacked pass for the four snapshots
+    assert len(columns["flags"]) == len(res.records) == 4
+    for flags, rec in zip(columns["flags"], res.records):
+        assert {"nc2", "nc2n", "nc2a"} <= set(flags["skipped"])
+        assert flags["sigma_b_degenerate"]
         assert rec.values["nc2"] is rec.values["nc2n"] is rec.values["nc2a"] is None
 
 

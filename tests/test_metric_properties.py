@@ -19,8 +19,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import reference_snapshot
-from nc_lab import harness, metrics
-from nc_lab.errors import DomainError
+from nc_lab import harness, linalg, metrics
 from nc_lab.metrics import (
     METRIC_KEYS,
     LabeledFeatures,
@@ -152,11 +151,11 @@ def test_equal_class_means_are_degenerate_with_zero_nc1(seed, k, p, half):
 
 
 def _standalone(name, *args):
-    """The public metric function ``name`` on its own, None where degenerate."""
-    try:
-        return getattr(metrics, name)(*args)
-    except DomainError:
-        return None
+    """The public metric function ``name`` on its own, None where undefined."""
+    out = getattr(metrics, name)(*args)
+    if isinstance(out, tuple):
+        return np.where(out[1], out[0], None).tolist()
+    return float(out)
 
 
 @given(seed=seeds, k=st.integers(2, 6), p=st.integers(1, 7),
@@ -191,14 +190,14 @@ def test_all_metrics_equals_each_standalone_metric_function(seed, k, p, case, da
         "nc0_alpha": _standalone("nc0_alpha", w),
         "nc0_normalized": _standalone("nc0_normalized", w),
         "nc1": _standalone("nc1_variability", stats),
-        "nc2": _standalone("nc2_structure", stats),
-        "nc2n": _standalone("nc2_norms", stats),
-        "nc2a": _standalone("nc2_angles", stats),
+        "nc2": _standalone("nc2_structure", stats.centered_means),
+        "nc2n": _standalone("nc2_norms", stats.centered_means),
+        "nc2a": _standalone("nc2_angles", stats.centered_means),
         "nc2w": _standalone("nc2w_structure", w),
         "nc2wn": _standalone("nc2w_norms", w),
         "nc2wa": _standalone("nc2w_angles", w),
-        "nc2m": _standalone("nc2m_duality", w, stats),
-        "nc3": _standalone("nc3_alignment", w, stats),
+        "nc2m": _standalone("nc2m_duality", w, stats.centered_means),
+        "nc3": _standalone("nc3_alignment", w, stats.centered_means),
         "nc4": _standalone("nc4_agreement", w, LabeledFeatures(h, labels, k)),
     }
     assert {key: repr(bundle[key]) for key in METRIC_KEYS} == \
@@ -261,9 +260,10 @@ def test_a_stacked_metric_pass_equals_the_per_w_formulas_slice_by_slice(
     heads = [(0, 0.1, None)] * (slices + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bundles = all_metrics(ws, feature_sets(hs))
+        columns = all_metrics(ws, feature_sets(hs))
         records = harness._snapshots(heads, with_nan, feature_sets(hs[:at] + hs[:1] + hs[at:]),
                                      np.eye(k)[:, labels])
+    bundles = [{key: columns[key][i] for key in (*METRIC_KEYS, "flags")} for i in range(slices)]
     assert [_metric_bits(b) for b in bundles] == [_metric_bits(b) for b, _ in expected]
     blank = records.pop(at)
     assert all(blank.values[key] is None for key in METRIC_KEYS)
@@ -271,6 +271,80 @@ def test_a_stacked_metric_pass_equals_the_per_w_formulas_slice_by_slice(
     for rec, (bundle, sigmas) in zip(records, expected):
         assert [repr(v) for v in rec.to_row()[4:]] == \
             [repr(bundle[key]) for key in METRIC_KEYS] + [repr(v) for v in sigmas]
+
+
+def _at(nested, index):
+    """The entry at ``index`` of an all_metrics column (a nested list)."""
+    for i in index:
+        nested = nested[i]
+    return nested
+
+
+def _slice_bits(out, index=()) -> tuple:
+    """repr of a metric's value at ``index`` of its leading axes, with its
+    ``defined`` when the metric returns (values, defined)."""
+    parts = out if isinstance(out, tuple) else (out,)
+    return tuple(repr(np.asarray(part)[index].tolist()) for part in parts)
+
+
+@given(seed=seeds, k=st.integers(2, 6), p=st.integers(1, 7), slices=st.integers(1, 4),
+       lead=st.sampled_from([(), ("S",), (2, "S")]), data=st.data())
+def test_every_metric_of_w_maps_each_slice_as_the_call_on_that_slice_alone(
+        seed, k, p, slices, lead, data):
+    """Each public metric of W, of W and the centered means, and of the
+    means, and all_metrics, maps W of shape (..., K, p) (leading shape (),
+    (S,) or (2, S)) to one value per slice: of that shape, and equal by repr
+    to the call on the slice alone, ``defined``, None and flags included,
+    whatever order the slices are stored in. The means are one p x K matrix
+    for every slice or a stack of them."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(slices if axis == "S" else axis for axis in lead)
+    labels = _labels(rng, data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+    h = rng.standard_normal((p, labels.size))
+    if data.draw(st.booleans()):            # coincident class means: nc2, nc2m, nc3 undefined
+        h[:] = 1.0
+    ws = rng.standard_normal(shape + (k, p))
+    ms = rng.standard_normal(shape + (p, k))
+    if data.draw(st.booleans()):            # each slice stored in Fortran order
+        ws = rng.standard_normal(shape + (p, k)).swapaxes(-1, -2)
+        ms = rng.standard_normal(shape + (k, p)).swapaxes(-1, -2)
+    for index in np.ndindex(shape):
+        case = data.draw(st.sampled_from(["plain", "zero_w", "zero_row", "zero_means"]))
+        if case == "zero_w":
+            ws[index] = 0.0
+        elif case == "zero_row":
+            ws[index][rng.integers(k)] = 0.0
+        elif case == "zero_means":
+            ms[index] = 0.0
+    features = LabeledFeatures(h, labels, k)
+    shared = compute_class_statistics(features).centered_means
+    calls = [(name, lambda w, m, f=getattr(metrics, name): f(w))
+             for name in ("nc0_metric", "nc0_alpha", "nc0_normalized",
+                          "nc2w_structure", "nc2w_norms", "nc2w_angles")]
+    calls += [(name, lambda w, m, f=getattr(metrics, name): f(m))
+              for name in ("nc2_structure", "nc2_norms", "nc2_angles")]
+    calls += [(name, lambda w, m, f=getattr(metrics, name): f(w, m))
+              for name in ("nc2m_duality", "nc3_alignment")]
+    calls += [(name, lambda w, m, f=getattr(metrics, name): f(w, shared))
+              for name in ("nc2m_duality", "nc3_alignment")]
+    calls += [("nc4_agreement", lambda w, m: metrics.nc4_agreement(w, features)),
+              ("singular_values", lambda w, m: linalg.singular_values(w))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in calls:
+            whole = call(ws, ms)
+            tail = (min(k, p),) if name == "singular_values" else ()
+            for part in whole if isinstance(whole, tuple) else (whole,):
+                assert np.shape(part) == shape + tail, name
+            assert np.asarray(whole[0] if isinstance(whole, tuple) else whole).dtype == np.float64
+            for index in np.ndindex(shape):
+                assert _slice_bits(whole, index) == _slice_bits(call(ws[index], ms[index])), \
+                    (name, index)
+        columns = all_metrics(ws, features)
+        for index in np.ndindex(shape):
+            alone = all_metrics(ws[index], LabeledFeatures(h, labels, k))
+            assert {key: repr(_at(columns[key], index)) for key in alone} == \
+                {key: repr(value) for key, value in alone.items()}
 
 
 def _gamma(n: int):

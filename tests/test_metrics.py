@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,13 @@ def _stats_from_means(means):
     return compute_class_statistics(LabeledFeatures(means, np.arange(k), k))
 
 
+def _defined(result):
+    """The values of a metric that returns (values, defined), each defined."""
+    values, defined = result
+    assert np.all(defined)
+    return values
+
+
 def _two_class_diagonal_features():
     """Four samples per class around the means (1, 0) and (-1, 0), both
     exact: Sigma_B = diag(1, 0) and Sigma_W = diag(0.5, 7)."""
@@ -84,8 +92,8 @@ def test_simplex_etf_is_a_fresh_writable_array_and_the_metrics_keep_their_own():
     stats = _stats_from_means(simplex_etf(4))
     frame[:] = 0.0
     assert np.array_equal(simplex_etf(4), (np.eye(4) - 0.25) / np.sqrt(3.0))
-    assert nc2w_structure(simplex_etf(4)) < 1e-15
-    assert nc2_structure(stats) < 1e-15
+    assert _defined(nc2w_structure(simplex_etf(4))) < 1e-15
+    assert _defined(nc2_structure(stats.centered_means)) < 1e-15
     kept = metrics._etf_frame(4)
     assert kept is metrics._etf_frame(4) and not kept.flags.writeable
     assert np.array_equal(kept, simplex_etf(4))
@@ -170,14 +178,14 @@ def test_nc0_alpha_values():
 def test_nc0_normalized_values():
     w = np.array([[1.0, -1.0], [2.0, -2.0]])
     expected = (3.0 / np.sqrt(2.0)) / np.sqrt(10.0)
-    assert nc0_normalized(w) == pytest.approx(expected, rel=1e-14)
-    assert nc0_normalized(3.0 * simplex_etf(5).T) < 1e-15
+    assert _defined(nc0_normalized(w)) == pytest.approx(expected, rel=1e-14)
+    assert _defined(nc0_normalized(3.0 * simplex_etf(5).T)) < 1e-15
     rng = np.random.default_rng(12)
     for _ in range(20):
         w = rng.standard_normal((4, 6))
-        assert nc0_normalized(2.0 * w) == pytest.approx(nc0_normalized(w), abs=1e-12)
-    with pytest.raises(DomainError):
-        nc0_normalized(np.zeros((3, 3)))
+        assert _defined(nc0_normalized(2.0 * w)) == \
+            pytest.approx(_defined(nc0_normalized(w)), abs=1e-12)
+    assert not nc0_normalized(np.zeros((3, 3)))[1]
 
 
 def test_nc1_values():
@@ -198,78 +206,72 @@ def test_nc1_values():
 def test_nc2_family_on_embedded_frames():
     for k in range(4, 11):
         q = _isometry(k + 3, k, seed=k)
-        stats = _stats_from_means(q @ simplex_etf(k))
-        assert nc2_structure(stats) < 1e-14
-        assert nc2_norms(stats) < 1e-14
-        assert nc2_angles(stats) < 1e-14
+        m = _stats_from_means(q @ simplex_etf(k)).centered_means
+        assert _defined(nc2_structure(m)) < 1e-14
+        assert _defined(nc2_norms(m)) < 1e-14
+        assert _defined(nc2_angles(m)) < 1e-14
 
 
 def test_nc2_angle_deviation_orthonormal_columns():
-    assert nc2w_angles(np.eye(5)) == pytest.approx(0.25, abs=1e-15)
+    assert _defined(nc2w_angles(np.eye(5))) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_nc2_equal_norm_means():
     means = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
     stats = _stats_from_means(means)
-    assert nc2_norms(stats) < 1e-15
+    assert _defined(nc2_norms(stats.centered_means)) < 1e-15
 
 
-def test_nc2_degenerate_errors():
+def test_nc2_degenerate_means_are_undefined():
     zero = _stats_from_means(np.zeros((3, 4)))
     assert zero.nc2 is zero.nc2n is zero.nc2a is None
-    with pytest.raises(DomainError, match="structure metric undefined"):
-        nc2_structure(zero)
-    with pytest.raises(DomainError, match="norm spread undefined"):
-        nc2_norms(zero)
-    with pytest.raises(DomainError, match="angle metric undefined"):
-        nc2_angles(zero)
+    for metric in (nc2_structure, nc2_norms, nc2_angles):
+        assert not metric(zero.centered_means)[1]
 
 
 def test_class_statistics_hold_the_nc2_family_of_their_centered_means():
     stats = _stats_from_means(_isometry(6, 4, 3) @ simplex_etf(4) + 0.1)
+    m = stats.centered_means
     assert (stats.nc2, stats.nc2n, stats.nc2a) == \
-        (nc2_structure(stats), nc2_norms(stats), nc2_angles(stats))
+        (_defined(nc2_structure(m)), _defined(nc2_norms(m)), _defined(nc2_angles(m)))
     assert stats.nc2 > 0.0 and stats.nc2n > 0.0 and stats.nc2a > 0.0
 
 
 def test_nc2w_values():
     for k in (3, 5, 8):
-        assert nc2w_structure(2.5 * simplex_etf(k)) < 1e-14
+        assert _defined(nc2w_structure(2.5 * simplex_etf(k))) < 1e-14
     w = np.tile([[1.0, 2.0, -0.5]], (4, 1))
-    assert nc2w_norms(w) < 1e-15
+    assert _defined(nc2w_norms(w)) < 1e-15
     assert nc0_metric(w) > 0.0
-    with pytest.raises(DomainError):
-        nc2w_structure(np.zeros((3, 3)))
-    with pytest.raises(DomainError):
-        nc2w_angles(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert not nc2w_structure(np.zeros((3, 3)))[1]
+    assert not nc2w_angles(np.array([[1.0, 0.0], [0.0, 0.0]]))[1]
 
 
 def test_nc2m_duality_values():
     for k in (3, 6):
         etf = simplex_etf(k)
-        stats = _stats_from_means(etf)
-        assert nc2m_duality(etf, stats) < 1e-14
+        m = _stats_from_means(etf).centered_means
+        assert _defined(nc2m_duality(etf, m)) < 1e-14
+    m = _stats_from_means(simplex_etf(3)).centered_means
     with pytest.raises(ShapeError):
-        nc2m_duality(np.zeros((3, 5)), _stats_from_means(simplex_etf(3)))
-    with pytest.raises(DomainError):
-        nc2m_duality(np.zeros((3, 3)), _stats_from_means(simplex_etf(3)))
+        nc2m_duality(np.zeros((3, 5)), m)
+    assert not nc2m_duality(np.zeros((3, 3)), m)[1]
 
 
 def test_nc3_values():
     rng = np.random.default_rng(14)
     means = rng.standard_normal((4, 4))
     means -= means.mean(axis=1, keepdims=True)
-    stats = _stats_from_means(means)
-    assert nc3_alignment(2.7 * means.T, stats) < 1e-14
-    assert nc3_alignment(-means.T, stats) == pytest.approx(2.0 / 16.0, rel=1e-12)
+    m = _stats_from_means(means).centered_means
+    assert _defined(nc3_alignment(2.7 * means.T, m)) < 1e-14
+    assert _defined(nc3_alignment(-means.T, m)) == pytest.approx(2.0 / 16.0, rel=1e-12)
     w = rng.standard_normal((4, 4))
-    base = nc3_alignment(w, stats)
-    scaled_stats = _stats_from_means(5.0 * means)
-    assert nc3_alignment(3.0 * w, scaled_stats) == pytest.approx(base, abs=1e-12)
-    with pytest.raises(DomainError):
-        nc3_alignment(np.zeros((4, 4)), stats)
+    base = _defined(nc3_alignment(w, m))
+    scaled = _stats_from_means(5.0 * means).centered_means
+    assert _defined(nc3_alignment(3.0 * w, scaled)) == pytest.approx(base, abs=1e-12)
+    assert not nc3_alignment(np.zeros((4, 4)), m)[1]
     with pytest.raises(ShapeError):
-        nc3_alignment(rng.standard_normal((4, 5)), stats)
+        nc3_alignment(rng.standard_normal((4, 5)), m)
 
 
 def test_nc4_agreement_values():
@@ -401,9 +403,9 @@ def test_collapse_chain_on_constructed_solutions():
                                         scale_h=float(rng.uniform(0.5, 2.0)),
                                         isometry_seed=int(rng.integers(0, 10**6)))
         data = LabeledFeatures(h, labels, k)
-        stats = compute_class_statistics(data)
-        assert nc2_structure(stats) < 1e-8
-        assert nc3_alignment(w, stats) < 1e-8
+        m = compute_class_statistics(data).centered_means
+        assert _defined(nc2_structure(m)) < 1e-8
+        assert _defined(nc3_alignment(w, m)) < 1e-8
         assert nc0_metric(w) < 1e-8
         assert nc4_agreement(w, data) == 1.0
 
@@ -450,13 +452,13 @@ def test_scale_invariance_of_normalized_metrics():
         w = rng.standard_normal((k, p))
         means = rng.standard_normal((p, k))
         means -= means.mean(axis=1, keepdims=True)
-        stats = _stats_from_means(means)
+        m = _stats_from_means(means).centered_means
         a = float(rng.uniform(0.1, 10.0))
         b = float(rng.uniform(0.1, 10.0))
-        scaled = _stats_from_means(b * means)
-        assert abs(nc2_structure(scaled) - nc2_structure(stats)) < 1e-12
-        assert abs(nc2w_structure(a * w) - nc2w_structure(w)) < 1e-12
-        assert abs(nc3_alignment(a * w, scaled) - nc3_alignment(w, stats)) < 1e-12
+        scaled = _stats_from_means(b * means).centered_means
+        assert abs(_defined(nc2_structure(scaled)) - _defined(nc2_structure(m))) < 1e-12
+        assert abs(_defined(nc2w_structure(a * w)) - _defined(nc2w_structure(w))) < 1e-12
+        assert abs(_defined(nc3_alignment(a * w, scaled)) - _defined(nc3_alignment(w, m))) < 1e-12
 
 
 def test_all_metrics_complete_and_flagged():
@@ -571,6 +573,22 @@ def test_non_finite_class_statistics_raise_and_blank_the_snapshot():
                               None, 1.0)
         assert all(record.values[key] is None for key in METRIC_KEYS)
         assert record.sigma_min_m is None and record.sigma_avg_m is None
+
+
+def test_non_finite_class_statistics_raise_without_a_warning():
+    """NumericError is the one report of a diverged feature set: features
+    at 1e300, or the cases above, warn of nothing on the way to it."""
+    rng = np.random.default_rng(21)
+    labels = np.arange(12) % 3
+    cases = [(1e300 * rng.standard_normal((3, 12)), labels),
+             (np.array([[np.inf, 1.0, 2.0, 3.0]]), labels[:4] % 2),
+             (np.array([[1e160, 1e160, -1e160, -1e160]]), np.array([0, 0, 1, 1])),
+             (np.array([[1e200, -1e200, 1.0, 1.0]]), np.array([0, 0, 1, 1]))]
+    for feats, y in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                compute_class_statistics(LabeledFeatures(feats, y, int(y.max()) + 1))
 
 
 def test_kept_class_statistics_are_read_only():
